@@ -208,9 +208,6 @@ class PresentedAlgebra:
                 out = out + v[j] * self.product(i, j)
         return self.field.normalize(out)
 
-    def _mul_vec(self, i, v):
-        return self._basis_mul_vec(i, v)
-
     def __repr__(self):
         return f"PresentedAlgebra({self.name or '?'}, dim={self.dim})"
 
@@ -335,6 +332,16 @@ class Module:
 
     def act(self, i):
         return self.action[i]
+
+    def content_key(self):
+        """Hashable key, equal exactly for modules with the same dimension and
+        action matrices.  Object-dtype entries (Q, large primes) are keyed by
+        value: their raw bytes would be object pointers."""
+        if "content" not in self._cache:
+            self._cache["content"] = (self.dim, tuple(
+                tuple(a.flat) if a.dtype == object else (a.dtype.str, a.tobytes())
+                for a in self.action))
+        return self._cache["content"]
 
     def act_vec(self, vec):
         """Action of an algebra element given by its coordinate vector."""
@@ -463,6 +470,7 @@ class Bimodule:
         self.dim = dim
         self.left_action = tuple(self.field.freeze(np.array(a)) for a in left_action)
         self.right_action = tuple(self.field.freeze(np.array(a)) for a in right_action)
+        self._tensors = {}  # Module.content_key() -> TensorModule, see tensor_over
         if check:
             self.validate()
 
@@ -581,9 +589,8 @@ def solve_matrix_system(field, rows_blocks, n_unknowns, support=None):
     else:
         n_cols = n_unknowns
     if rows_blocks:
-        stacked = linalg.vstack(field, rows_blocks)
-        nz = [i for i in range(stacked.shape[0]) if not field.is_zero(stacked[i : i + 1, :])]
-        stacked = stacked[nz, :] if nz else field.zeros(0, n_cols)
+        stacked = field.normalize(linalg.vstack(field, rows_blocks))
+        stacked = stacked[np.any(stacked != field.zero, axis=1)]
     else:
         stacked = field.zeros(0, n_cols)
     k = linalg.kernel_basis(field, stacked)
@@ -680,15 +687,6 @@ def lift_through_epi(phi: ModuleMorphism, epi: ModuleMorphism):
                               [(coeff, phi.matrix.reshape(-1))])
 
 
-def factor_through_mono(phi: ModuleMorphism, mono: ModuleMorphism):
-    """h with mono . h = phi, when the image of phi lies in the submodule."""
-    f = phi.field
-    sol = linalg.solve(f, mono.matrix, phi.matrix)
-    if sol is None:
-        return None
-    return ModuleMorphism(phi.source, mono.source, sol)
-
-
 # -- tensor and hom functors ----------------------------------------------
 
 class TensorModule:
@@ -696,7 +694,8 @@ class TensorModule:
 
     module: the left B-module on the quotient of the plain vector-space
     tensor (pure tensors ordered m-major) by the bilinearity relations;
-    surjection/section present the quotient.
+    surjection/section present the quotient.  Instances are shared through
+    the memo of tensor_over, so surjection and section are read-only.
     """
 
     def __init__(self, module, surjection, section):
@@ -710,8 +709,19 @@ class TensorModule:
 
 
 def tensor_over(m: Bimodule, x: Module) -> TensorModule:
+    """M (x)_A X, memoized on m by the content of x: modules with equal
+    dimension and action matrices share one TensorModule."""
     if m.right_algebra is not x.algebra:
         raise ValueError("tensor needs matching algebra on the inside")
+    key = x.content_key()
+    t = m._tensors.get(key)
+    if t is None:
+        # threads racing on one key may both compute; all keep the first entry
+        t = m._tensors.setdefault(key, _tensor_presentation(m, x))
+    return t
+
+
+def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
     f = m.field
     dm, dx = m.dim, x.dim
     full = dm * dx
@@ -726,7 +736,8 @@ def tensor_over(m: Bimodule, x: Module) -> TensorModule:
     for i in range(m.left_algebra.dim):
         big = linalg.kron(f, m.left_action[i], f.eye(dx))
         acts.append(f.matmul(proj, f.matmul(big, sect)))
-    return TensorModule(Module(m.left_algebra, proj.shape[0], acts), proj, sect)
+    return TensorModule(Module(m.left_algebra, proj.shape[0], acts),
+                        f.freeze(proj), f.freeze(sect))
 
 
 class HomModule:
@@ -747,8 +758,7 @@ class HomModule:
 
     def coordinates(self, phi):
         """Coordinates of an intertwiner phi: N -> X in the canonical basis."""
-        vec = phi.reshape(-1)
-        return np.array([vec[p] for p in self.pivots], dtype=object)
+        return pivot_coordinates(self.pivots, phi)
 
 
 def basis_pivots(field, basis):
@@ -770,7 +780,9 @@ def basis_pivots(field, basis):
     return pivots
 
 
-def coordinates_in_basis(field, basis, pivots, mat):
+def pivot_coordinates(pivots, mat):
+    """Coefficients of mat in a canonical basis, read off at the basis
+    pivots (see basis_pivots)."""
     vec = mat.reshape(-1)
     return np.array([vec[p] for p in pivots], dtype=object)
 
@@ -787,7 +799,7 @@ def hom_module(n: Bimodule, x: Module) -> HomModule:
         cols = []
         for mat in basis:
             moved = f.matmul(mat, n.right_action[i])
-            cols.append(np.array([moved.reshape(-1)[p] for p in pivots], dtype=object))
+            cols.append(pivot_coordinates(pivots, moved))
         act = f.zeros(h, h)
         for j, col in enumerate(cols):
             for r in range(h):
@@ -822,20 +834,6 @@ def cokernel(phi: ModuleMorphism):
     return cmod, ModuleMorphism(phi.target, cmod, proj)
 
 
-def image_and_corestriction(phi: ModuleMorphism):
-    """Factor phi through its image: (image module, incl, phi-corestricted)."""
-    f = phi.field
-    basis = linalg.column_space_basis(f, phi.matrix)
-    # coordinates in the image basis: solve basis * c = phi
-    coords = linalg.solve(f, basis, phi.matrix)
-    acts = []
-    for i in range(phi.target.algebra.dim):
-        moved = f.matmul(phi.target.act(i), basis)
-        acts.append(linalg.solve(f, basis, moved))
-    imod = Module(phi.target.algebra, basis.shape[1], acts)
-    return imod, ModuleMorphism(imod, phi.target, basis), ModuleMorphism(phi.source, imod, coords)
-
-
 def direct_sum(mods):
     """(sum module, injections, projections)."""
     mods = list(mods)
@@ -859,15 +857,6 @@ def direct_sum(mods):
         projs.append(ModuleMorphism(s, m, pr))
         ofs += m.dim
     return s, injs, projs
-
-
-def restrict_to_submodule(phi: ModuleMorphism, target_sub_incl: ModuleMorphism):
-    """Corestrict phi along a submodule inclusion containing its image."""
-    f = phi.field
-    sol = linalg.solve(f, target_sub_incl.matrix, phi.matrix)
-    if sol is None:
-        raise ValueError("image does not lie in the submodule")
-    return ModuleMorphism(phi.source, target_sub_incl.source, sol)
 
 
 # -- projective covers and projectivity -------------------------------------

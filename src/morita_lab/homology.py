@@ -14,10 +14,10 @@ import numpy as np
 
 from . import linalg
 from .algebras import (
-    Module, ModuleMorphism, basis_pivots, cokernel, coordinates_in_basis,
+    Module, ModuleMorphism, basis_pivots, cokernel,
     direct_sum, dual_module, free_module, hom_dim, hom_space,
     injective_envelope, is_projective_module, kernel, lift_through_epi,
-    projective_cover, solve_hom_equation,
+    pivot_coordinates, projective_cover, solve_hom_equation,
 )
 from .morita import (
     LambdaModule, LambdaMorphism, flatten, functor_H, functor_T,
@@ -157,7 +157,7 @@ class _HomSpaceCoords:
         return len(self.basis)
 
     def coords(self, mat):
-        return coordinates_in_basis(self.field, self.basis, self.pivots, mat)
+        return pivot_coordinates(self.pivots, mat)
 
     def matrix_of_map(self, images):
         """Coordinate matrix of a linear map into this hom space, given the
@@ -192,8 +192,8 @@ def _hom_coords_lambda(l1, l2):
             return len(self.basis)
 
         def coords(self, phi):
-            vec = np.concatenate([phi.a.reshape(-1), phi.b.reshape(-1)])
-            return np.array([vec[p] for p in self.pivots], dtype=object)
+            return pivot_coordinates(
+                self.pivots, np.concatenate([phi.a.reshape(-1), phi.b.reshape(-1)]))
 
         def matrix_of_map(self, images):
             out = fld.zeros(self.dim, len(images))

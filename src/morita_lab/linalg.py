@@ -46,18 +46,22 @@ def rank(field: FieldSpec, m: np.ndarray) -> int:
     return len(rref(field, m)[1])
 
 
+def _kernel_from_rref(field: FieldSpec, r: np.ndarray, pivots, ncols: int):
+    """The canonical kernel basis read off an RREF, and the free coordinates:
+    one column per free coordinate, identity there and -r on the pivots."""
+    taken = set(pivots)
+    free = [j for j in range(ncols) if j not in taken]
+    k = field.zeros(ncols, len(free))
+    k[free, range(len(free))] = field.one
+    k[pivots, :] = field.normalize(-r[:, free])
+    return k, free
+
+
 def kernel_basis(field: FieldSpec, m: np.ndarray) -> np.ndarray:
     """Columns span ker(m); the basis is the canonical one read off the RREF:
     one column per free coordinate, identity on the free coordinates."""
     r, pivots = rref(field, m)
-    ncols = m.shape[1]
-    free = [j for j in range(ncols) if j not in pivots]
-    k = field.zeros(ncols, len(free))
-    for idx, j in enumerate(free):
-        k[j, idx] = field.one
-        for i, p in enumerate(pivots):
-            k[p, idx] = field.neg(r[i, j])
-    return k
+    return _kernel_from_rref(field, r, pivots, m.shape[1])[0]
 
 
 def solve(field: FieldSpec, m: np.ndarray, b: np.ndarray):
@@ -87,16 +91,13 @@ def quotient(field: FieldSpec, ambient_dim: int, subspace: np.ndarray):
     if subspace.shape[0] != ambient_dim:
         raise ValueError("subspace columns must live in the ambient space")
     r, pivots = rref(field, subspace.T)
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    # x = sum_i x_{p_i} r_i mod span, so project onto the free coordinates
-    full = field.eye(ambient_dim)
-    for i, p in enumerate(pivots):
-        full = field.normalize(full - np.outer(r[i], field.eye(ambient_dim)[p]))
-    projection = full[free, :] if free else field.zeros(0, ambient_dim)
+    # x = sum_i x_{p_i} r_i mod span, so project onto the free coordinates:
+    # identity there, and e_{p_i} goes to -r_i read on the free coordinates.
+    # That is the canonical kernel basis of subspace^T, transposed.
+    k, free = _kernel_from_rref(field, r, pivots, ambient_dim)
     section = field.zeros(ambient_dim, len(free))
-    for idx, j in enumerate(free):
-        section[j, idx] = field.one
-    return projection, section
+    section[free, range(len(free))] = field.one
+    return k.T.copy(), section
 
 
 def column_space_basis(field: FieldSpec, m: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from morita_lab.fields import F2, F3, QQ
+from morita_lab.fields import F2, F3, QQ, FieldSpec
 from morita_lab import algebras as alg
 from morita_lab import linalg
 
@@ -344,3 +344,89 @@ def test_presentation_exactness_property(d1, d2, entries):
         d_free = hml._plain_ext_dim(x, y, 1, "free")
         d_cover = hml._plain_ext_dim(x, y, 1, "cover")
         assert d_free == d_cover
+
+
+# -- the tensor memo ---------------------------------------------------------
+
+BIG = FieldSpec("prime", 33554467)  # first prime above 2^25: object dtype
+
+
+def _arrow_module(algebra, entry):
+    """The 2-dimensional representation k -> k of 1 -> 2 with arrow = entry.
+    Every call builds fresh arrays (and, over Q, fresh Fraction objects)."""
+    f = algebra.field
+    acts = []
+    for word, src, tgt in algebra.path_words:
+        if not word:
+            acts.append(f.asmatrix([[1, 0], [0, 0]] if src == "1" else [[0, 0], [0, 1]]))
+        else:
+            acts.append(f.asmatrix([[0, 0], [entry, 0]]))
+    return alg.Module(algebra, 2, acts, check=True)
+
+
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_tensor_memo_keys_on_content(field):
+    a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
+    reg = alg.regular_bimodule(a)
+    x1, x2 = _arrow_module(a, 1), _arrow_module(a, 1)
+    assert x1 is not x2 and x1.action[2] is not x2.action[2]
+    if field.kind == "rational":
+        assert x1.action[2][1, 0] is not x2.action[2][1, 0]
+    t1 = alg.tensor_over(reg, x1)
+    assert alg.tensor_over(reg, x2) is t1
+    # the shared entry is what a fresh computation gives
+    fresh = alg._tensor_presentation(reg, x2)
+    assert field.equal(fresh.surjection, t1.surjection)
+    assert field.equal(fresh.section, t1.section)
+    assert all(field.equal(p, q) for p, q in zip(fresh.module.action, t1.module.action))
+    # different content never shares an entry, even at equal dimension
+    t0 = alg.tensor_over(reg, _arrow_module(a, 0))
+    t2 = alg.tensor_over(reg, _arrow_module(a, 2))
+    assert len({id(t0), id(t1), id(t2)}) == 3
+    assert len(reg._tensors) == 3
+    assert not field.equal(t0.module.action[2], t1.module.action[2])
+    assert alg.tensor_over(reg, alg.simples(a)[0]) is not t1
+
+
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_tensor_memo_entries_are_read_only(field):
+    a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
+    t = alg.tensor_over(alg.regular_bimodule(a), _arrow_module(a, 1))
+    for arr in (t.surjection, t.section, t.module.action[0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = field.one
+
+
+def test_tensor_memo_under_thread_contention():
+    """Threads filling one memo concurrently all get an entry equal to a
+    fresh computation, and each content ends with exactly one entry."""
+    import sys
+    import threading
+
+    a = alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
+    reg = alg.regular_bimodule(a)
+    entries = [0, 1, 2] * 4
+    got = [None] * len(entries)
+    start = threading.Barrier(len(entries))
+
+    def work(i):
+        start.wait(timeout=10)
+        got[i] = alg.tensor_over(reg, _arrow_module(a, entries[i]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(entries))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reg._tensors) == 3
+    for entry, t in zip(entries, got):
+        assert t is reg._tensors[_arrow_module(a, entry).content_key()]
+        fresh = alg._tensor_presentation(reg, _arrow_module(a, entry))
+        assert F3.equal(fresh.surjection, t.surjection)
+        assert all(F3.equal(p, q) for p, q in zip(fresh.module.action, t.module.action))

@@ -243,3 +243,29 @@ def test_ctp4_instance_over_f2():
     for i in range(10):
         l = s.quadruple(inst.data, mono_bias=(i % 2 == 0))
         assert cls.gp_member(cert, l) == cls.in_mon(l)
+
+
+def test_parallel_filter_ctp4_predicate_threads(monkeypatch):
+    """The ctp4 membership predicates through the thread fanout agree with
+    sequential evaluation.  Each run starts from a fresh instance, so the
+    threaded run fills the shared tensor memo concurrently."""
+    from morita_lab import classes as cls
+
+    def run(threads):
+        if threads is None:
+            monkeypatch.delenv("MORITA_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MORITA_LAB_THREADS", str(threads))
+        data = lab.catalog("examctp4", F3, n=3, h=2, i=1, j=3).data
+        cert = cls.GorensteinCertificate(data)
+        sampler = lab.Sampler(lab.SampleConfig().child("ctp4.gp"), 12, 4)
+        samples = [sampler.quadruple(data, mono_bias=(i % 3 == 0)) for i in range(12)]
+        mismatches = lab._parallel_filter(
+            samples, lambda l: cls.gp_member(cert, l) != cls.in_mon(l))
+        members = lab._parallel_filter(samples, lambda l: cls.gp_member(cert, l))
+        return mismatches, members
+
+    par = run(4)
+    seq = run(None)
+    assert seq == par
+    assert seq[0] == [] and 0 < len(seq[1]) < 12

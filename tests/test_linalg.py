@@ -158,3 +158,111 @@ def test_large_prime_object_dtype():
     assert m.dtype == object
     assert linalg.rank(big, m) == 2
     assert big.equal(big.matmul(m, linalg.invert(big, m)), big.eye(2))
+
+
+# -- differential tests against sympy -------------------------------------
+
+BIG = FieldSpec("prime", 33554467)  # the first prime above 2^25: object dtype
+
+
+def _sympy_rref(field, m):
+    """(R, pivots) of m computed by sympy's DomainMatrix, entries mapped back
+    into field."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return field.zeros(0, cols), []
+    if field.kind == "prime":
+        dom = sympy.GF(field.p)
+        back = lambda v: int(v) % field.p
+        conv = lambda v: dom(int(v))
+    else:
+        dom = sympy.QQ
+        back = lambda v: Fraction(int(v.numerator), int(v.denominator))
+        conv = lambda v: dom(v.numerator, v.denominator)
+    dm = DomainMatrix([[conv(v) for v in row] for row in m], (rows, cols), dom)
+    r, pivots = dm.rref()
+    r = field.asmatrix([[back(v) for v in row] for row in r.to_list()[: len(pivots)]])
+    return (r if pivots else field.zeros(0, cols)), list(pivots)
+
+
+def _field_matrices(field, max_dim=5):
+    if field.kind == "prime":
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return st.integers(0, max_dim).flatmap(
+        lambda r: st.integers(0, max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r,
+            ).map(lambda rows: field.asmatrix(rows) if r else field.zeros(0, c))
+        )
+    )
+
+
+def _check_quotient_against_sympy(field, m):
+    ambient = m.shape[0]
+    proj, sect = linalg.quotient(field, ambient, m)
+    r, pivots = _sympy_rref(field, m.T)
+    free = [j for j in range(ambient) if j not in pivots]
+    # the quotient basis is the non-pivot coordinates of sympy's RREF
+    assert sect.shape == (ambient, len(free))
+    assert [int(np.nonzero(sect[:, k] != field.zero)[0][0]) for k in range(len(free))] == free
+    want = field.zeros(len(free), ambient)
+    for k, j in enumerate(free):
+        want[k, j] = field.one
+        for i, p in enumerate(pivots):
+            want[k, p] = field.neg(r[i, j])
+    assert proj.dtype == want.dtype and field.equal(proj, want)
+    assert field.equal(linalg.kernel_basis(field, m.T), want.T)
+    assert field.is_zero(field.matmul(proj, m))
+    assert field.equal(field.matmul(proj, sect), field.eye(len(free)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_matrices(F3))
+def test_quotient_matches_sympy_gf3(m):
+    _check_quotient_against_sympy(F3, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_matrices(BIG, max_dim=4))
+def test_quotient_matches_sympy_large_prime(m):
+    assert m.dtype == object
+    _check_quotient_against_sympy(BIG, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_matrices(QQ, max_dim=4))
+def test_quotient_matches_sympy_rational(m):
+    _check_quotient_against_sympy(QQ, m)
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_solve_matrix_system_zero_and_empty_blocks(field):
+    from morita_lab.algebras import solve_matrix_system
+
+    n = 4
+    row = field.asmatrix([[1, 2, 0, 1]])
+    row2 = field.asmatrix([[0, 0, 1, 1]])
+    cases = [
+        ([], field.eye(n)),
+        ([field.zeros(0, n)], field.eye(n)),
+        ([field.zeros(3, n), field.zeros(0, n)], field.eye(n)),
+        ([field.zeros(2, n), row, field.zeros(0, n), field.zeros(1, n)],
+         linalg.kernel_basis(field, row)),
+        ([row, field.zeros(2, n), linalg.vstack(field, [field.zeros(1, n), row2])],
+         linalg.kernel_basis(field, linalg.vstack(field, [row, row2]))),
+    ]
+    for blocks, want in cases:
+        got = solve_matrix_system(field, blocks, n)
+        assert got.dtype == want.dtype and field.equal(got, want)
+    # a support restriction scatters the kernel back into full coordinates
+    got = solve_matrix_system(field, [field.zeros(2, n), row], n, support=[1, 3])
+    want = field.zeros(n, 1)
+    # restricted row (2, 1): the free coordinate is x_3, and x_1 = -1/2
+    want[1, 0], want[3, 0] = field.neg(field.inv(field.scalar(2))), field.one
+    assert field.equal(got, want)
+    assert solve_matrix_system(field, [field.zeros(2, 0)], 0).shape == (0, 0)
