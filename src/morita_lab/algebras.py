@@ -813,9 +813,8 @@ def hom_module(n: Bimodule, x: Module) -> HomModule:
 def kernel(phi: ModuleMorphism):
     """(kernel module, inclusion morphism)."""
     f = phi.field
-    k = linalg.kernel_basis(f, phi.matrix)
     r, pivots = linalg.rref(f, phi.matrix)
-    free = [j for j in range(phi.source.dim) if j not in pivots]
+    k, free = linalg.kernel_from_rref(f, r, pivots, phi.source.dim)
     acts = []
     for i in range(phi.source.algebra.dim):
         moved = f.matmul(phi.source.act(i), k)

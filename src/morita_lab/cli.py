@@ -23,19 +23,6 @@ from . import jsonio
 from .jsonio import DocumentStore, SchemaError
 
 
-def _worker_count():
-    raw = os.environ.get("MORITA_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SchemaError(f"MORITA_LAB_THREADS must be an integer >= 1, got {raw!r}")
-    if n < 1:
-        raise SchemaError("MORITA_LAB_THREADS must be >= 1")
-    return n
-
-
 def _print(obj, out=None):
     text = json.dumps(obj, indent=2) + "\n"
     if out:
@@ -433,7 +420,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_count()
         return args.fn(args)
     except SchemaError as exc:
         sys.stderr.write(f"error: {exc}\n")

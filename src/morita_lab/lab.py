@@ -178,13 +178,9 @@ class Sampler:
         return alg.zero_module(algebra)
 
     def _combo(self, field, basis, shape):
-        out = field.zeros(*shape)
-        for mat in basis:
-            c = self.rng.randrange(field.p) if field.kind == "prime" \
-                else self.rng.randrange(-3, 4)
-            if c:
-                out = out + field.scalar(c) * mat
-        return field.normalize(out)
+        coeffs = [self.rng.randrange(field.p) if field.kind == "prime"
+                  else self.rng.randrange(-3, 4) for _ in basis]
+        return _combination(field, [field.scalar(c) for c in coeffs], basis, shape)
 
     def quadruple(self, data, mono_bias=False) -> mor.LambdaModule:
         """Random (X, Y, f, g) with the compatibility conditions enforced and
@@ -221,25 +217,24 @@ class Sampler:
         return s
 
     def plain_projective(self, algebra) -> alg.Module:
-        projs = alg.indecomposable_projectives(algebra)
-        n = self.rng.randrange(1, self.rank_cap + 1)
-        p, _, _ = alg.direct_sum([self.rng.choice(projs) for _ in range(n)])
-        return p
+        return self._random_sum(alg.indecomposable_projectives(algebra))
 
     def plain_injective(self, algebra) -> alg.Module:
-        injs = alg.indecomposable_injectives(algebra)
-        n = self.rng.randrange(1, self.rank_cap + 1)
-        p, _, _ = alg.direct_sum([self.rng.choice(injs) for _ in range(n)])
-        return p
+        return self._random_sum(alg.indecomposable_injectives(algebra))
 
-    def componentwise(self, data, x, y) -> mor.LambdaModule:
-        return self.quadruple_on(data, x, y)
+    def _random_sum(self, indecomposables) -> alg.Module:
+        n = self.rng.randrange(1, self.rank_cap + 1)
+        return alg.direct_sum([self.rng.choice(indecomposables) for _ in range(n)])[0]
+
+
+def _sampler(cfg: SampleConfig, tag: str) -> Sampler:
+    return Sampler(cfg.child(tag), cfg.dim_cap, cfg.rank_cap)
 
 
 def sample_module(target, cfg: SampleConfig = SampleConfig()):
     """One seeded random module: a quadruple over Morita data, or a plain
     module over an algebra."""
-    sampler = Sampler(cfg.child("sample_module"), cfg.dim_cap, cfg.rank_cap)
+    sampler = _sampler(cfg, "sample_module")
     if isinstance(target, mor.MoritaData):
         return sampler.quadruple(target)
     return sampler.plain(target)
@@ -270,16 +265,17 @@ def _compatible_g_space(data, x, y, f, tx, ty):
         for j, v in enumerate(coeff_rows):
             m[:, j] = v
         rows.append(m)
-    stacked = linalg.vstack(fld, rows)
-    k = linalg.kernel_basis(fld, stacked)
-    out = []
-    for c in range(k.shape[1]):
-        g = fld.zeros(x.dim, ty.dim)
-        for j in range(len(basis)):
-            if k[j, c] != fld.zero:
-                g = g + k[j, c] * basis[j]
-        out.append(fld.normalize(g))
-    return out
+    k = linalg.kernel_basis(fld, linalg.vstack(fld, rows))
+    return [_combination(fld, k[:, c], basis, (x.dim, ty.dim)) for c in range(k.shape[1])]
+
+
+def _combination(fld, coeffs, basis, shape):
+    """sum_j coeffs[j] basis[j], normalized; shape is that of a zero sum."""
+    out = fld.zeros(*shape)
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out + c * b
+    return fld.normalize(out)
 
 
 # -- exhaustive enumeration oracle -----------------------------------------------
@@ -393,51 +389,16 @@ def enumerate_small(data: mor.MoritaData, max_total_dim: int, progress=None):
                     if fld.p ** len(f_basis) > ENUMERATION_STATE_CAP:
                         raise ValueError("enumeration state space exceeds the hard cap")
                     for f_coeffs in itertools.product(range(fld.p), repeat=len(f_basis)):
-                        f = fld.zeros(y.dim, tx.dim)
-                        for c, b in zip(f_coeffs, f_basis):
-                            if c:
-                                f = f + c * b
-                        f = fld.normalize(f)
+                        f = _combination(fld, f_coeffs, f_basis, (y.dim, tx.dim))
                         g_basis = _compatible_g_space(data, x, y, f, tx, ty)
                         for g_coeffs in itertools.product(range(fld.p),
                                                           repeat=len(g_basis)):
-                            g = fld.zeros(x.dim, ty.dim)
-                            for c, b in zip(g_coeffs, g_basis):
-                                if c:
-                                    g = g + c * b
-                            l = mor.LambdaModule(data, x, y, f,
-                                                 fld.normalize(g), tx=tx, ty=ty)
+                            g = _combination(fld, g_coeffs, g_basis, (x.dim, ty.dim))
+                            l = mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
                             if not any(bool(mor.lambda_isomorphism(l, other))
                                        for other in found):
                                 found.append(l)
     return found
-
-
-def _worker_cap():
-    """MORITA_LAB_THREADS caps the per-claim fanout; default 1."""
-    import os
-
-    raw = os.environ.get("MORITA_LAB_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("MORITA_LAB_THREADS must be >= 1")
-    return n
-
-
-def _parallel_filter(items, bad_predicate):
-    """Indices where the predicate holds; fans out across threads when the
-    environment allows it.  Results are index-ordered, so the report is
-    identical regardless of scheduling."""
-    workers = _worker_cap()
-    if workers <= 1 or len(items) < 4:
-        return [i for i, it in enumerate(items) if bad_predicate(it)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        flags = list(pool.map(bad_predicate, items))
-    return [i for i, flag in enumerate(flags) if flag]
 
 
 # -- reports -------------------------------------------------------------------
@@ -555,76 +516,141 @@ def _flat_exact_pair(first, second):
     return linalg.rank(fld, f1.matrix) == f1.target.dim - linalg.rank(fld, f2.matrix)
 
 
+def _split_ses(left, right):
+    """0 -> left -> left (+) right -> right -> 0."""
+    v, injs, projs = alg.direct_sum([left, right])
+    return hml.ShortExactSequence(left, v, right, injs[0], projs[1])
+
+
+def _roundtrip_fails(l):
+    return not mor.lambda_modules_equal(l, mor.unflatten(l.data, mor.flatten(l)))
+
+
+def _sides(xs, ys):
+    """Test modules as (side, module): the A-modules xs, then the B-modules ys."""
+    return [("A", x) for x in xs] + [("B", y) for y in ys]
+
+
+def _orthogonal(pairs):
+    """Ext^1(a, b) = 0 for every pair, evaluated in order up to the first
+    that does not vanish."""
+    return all(hml.ext_dim(a, b) == 0 for a, b in pairs)
+
+
+def _h_images_of_injectives(data):
+    return ([mor.functor_H(data, "A", i) for i in alg.indecomposable_injectives(data.A)]
+            + [mor.functor_H(data, "B", j) for j in alg.indecomposable_injectives(data.B)])
+
+
+# -- the claim runner -------------------------------------------------------------
+
+
+def _sampled_claim(rep, cid, anchor, cfg, tag, n, draw, check, *,
+                   counted="count", failed="failures", keep=None):
+    """Check one claim on n cases, record it in rep and return the cases.
+
+    draw(sampler, i) builds case i, counted from 0, with the sampler seeded
+    by tag; with tag None there is no sampler, and draw reads a fixed or
+    enumerated list.  A draw that returns None is rejected and not counted.
+    At most 60 * n draws are made, and a claim left short of n cases fails.
+
+    check(case) returns a false value when the case holds.  Otherwise a
+    string s fails it as (number, s), a tuple t as (number, *t), a list as
+    its items (True standing for the number), and any other true value as
+    the number alone.  Cases are numbered from 0, or from 1 when counted is
+    "checked".  A ValueError anywhere in a case, draw included, fails the
+    case with the exception text; an AssertionError is an internal
+    invariant breach and propagates.
+
+    The witness holds the number of cases checked under counted (left out
+    when counted is None) and the failures under failed, only the first
+    keep of them when keep is given.
+    """
+    sampler = None if tag is None else _sampler(cfg, tag)
+    first = 1 if counted == "checked" else 0
+    cases, failures = [], []
+    checked = attempts = 0
+    while checked < n and attempts < 60 * n:
+        attempts += 1
+        try:
+            case = draw(sampler, checked)
+            if case is None:
+                continue
+            cases.append(case)
+            failure = check(case)
+        except ValueError as exc:
+            failure = str(exc)
+        number = checked + first
+        checked += 1
+        if isinstance(failure, list):
+            failures.extend(number if f is True else f for f in failure)
+        elif isinstance(failure, tuple):
+            failures.append((number, *failure))
+        elif isinstance(failure, str):
+            failures.append((number, failure))
+        elif failure:
+            failures.append(number)
+    witness = {} if counted is None else {counted: checked}
+    witness[failed] = failures if keep is None else failures[:keep]
+    rep.record(cid, anchor, checked >= n and not failures, witness)
+    return cases
+
+
 # -- suites -----------------------------------------------------------------------
 
 
 def suite_green(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("green", instance.name, cfg)
     data = instance.data
-    sampler = Sampler(cfg.child("green"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    samples = [sampler.quadruple(data) for _ in range(cfg.count)]
-    for i, l in enumerate(samples):
-        back = mor.unflatten(data, mor.flatten(l))
-        if not mor.lambda_modules_equal(l, back):
-            bad.append(i)
-    rep.record("green.roundtrip", "modovermorita", not bad,
-               {"count": len(samples), "mismatches": bad})
+    fld = data.field
+    samples = _sampled_claim(rep, "green.roundtrip", "modovermorita", cfg, "green",
+                             cfg.count, lambda s, i: s.quadruple(data), _roundtrip_fails,
+                             failed="mismatches")
+    k = len(samples)
 
-    bad = []
-    pair_count = cfg.count
-    for i in range(pair_count):
-        l1 = samples[i % len(samples)]
-        l2 = samples[(i * 7 + 3) % len(samples)]
-        d_quad = mor.lambda_hom_dim(l1, l2)
-        d_flat = alg.hom_dim(mor.flatten(l1), mor.flatten(l2))
-        if d_quad != d_flat:
-            bad.append((i, d_quad, d_flat))
-    rep.record("green.hom-dimension", "modovermorita", not bad,
-               {"count": pair_count, "mismatches": bad})
+    def hom_dims_differ(pair):
+        d_quad = mor.lambda_hom_dim(*pair)
+        d_flat = alg.hom_dim(*map(mor.flatten, pair))
+        return (d_quad, d_flat) if d_quad != d_flat else None
 
-    bad = []
-    n_seq = max(50, cfg.count // 2)
-    for i in range(n_seq):
-        l = samples[i % len(samples)]
+    _sampled_claim(rep, "green.hom-dimension", "modovermorita", cfg, None, cfg.count,
+                   lambda _, i: (samples[i % k], samples[(i * 7 + 3) % k]),
+                   hom_dims_differ, failed="mismatches")
+
+    def exactness_differs(i):
+        l = samples[i % k]
         pres = hml.lambda_presentation(l)
-        chains = [(pres.incl, pres.proj)]
-        s3, injs, projs = mor.lambda_direct_sum([l, l, samples[(i + 1) % len(samples)]])
-        chains.append((injs[0], projs[2]))  # not exact unless the middle summand is 0
-        for first, second in chains:
-            quad_verdict = mor.is_exact_pair(first, second)
-            flat_verdict = _flat_exact_pair(first, second)
-            if quad_verdict != flat_verdict:
-                bad.append(i)
-    rep.record("green.exactness-correspondence", "modovermorita", not bad,
-               {"count": n_seq, "mismatches": bad})
+        _, injs, projs = mor.lambda_direct_sum([l, l, samples[(i + 1) % k]])
+        # the second pair is not exact unless the middle summand is 0
+        pairs = [(pres.incl, pres.proj), (injs[0], projs[2])]
+        return [True for first, second in pairs
+                if mor.is_exact_pair(first, second) != _flat_exact_pair(first, second)]
+
+    _sampled_claim(rep, "green.exactness-correspondence", "modovermorita", cfg, None,
+                   max(50, cfg.count // 2), lambda _, i: i, exactness_differs,
+                   failed="mismatches")
 
     # second expression: rebuilding from (f~, g~) recovers the quadruple,
     # and the two commuting-square conditions for morphisms agree
-    bad = []
-    n_second = min(len(samples), max(25, cfg.count // 4))
-    from .homology import _hom_post
-
-    for i in range(n_second):
+    def second_expression_fails(i):
         l = samples[i]
         back = mor.lambda_module_from_second_expression(data, l.X, l.Y,
                                                         l.f_tilde, l.g_tilde)
         if not mor.lambda_modules_equal(l, back):
-            bad.append((i, "roundtrip"))
-            continue
-        l2 = samples[(i + 1) % len(samples)]
+            return "roundtrip"
+        l2 = samples[(i + 1) % k]
         for phi in mor.lambda_hom_space(l, l2)[:3]:
-            post_b = _hom_post(data.field, l.hom_MY(), l2.hom_MY(), phi.b)
-            lhs = data.field.matmul(post_b, l.f_tilde)
-            rhs = data.field.matmul(l2.f_tilde, phi.a)
-            post_a = _hom_post(data.field, l.hom_NX(), l2.hom_NX(), phi.a)
-            lhs2 = data.field.matmul(post_a, l.g_tilde)
-            rhs2 = data.field.matmul(l2.g_tilde, phi.b)
-            if not (data.field.equal(lhs, rhs) and data.field.equal(lhs2, rhs2)):
-                bad.append((i, "squares"))
-                break
-    rep.record("green.second-expression", "modovermorita", not bad,
-               {"count": n_second, "mismatches": bad})
+            post_b = hml._hom_post(fld, l.hom_MY(), l2.hom_MY(), phi.b)
+            post_a = hml._hom_post(fld, l.hom_NX(), l2.hom_NX(), phi.a)
+            if not (fld.equal(fld.matmul(post_b, l.f_tilde), fld.matmul(l2.f_tilde, phi.a))
+                    and fld.equal(fld.matmul(post_a, l.g_tilde),
+                                  fld.matmul(l2.g_tilde, phi.b))):
+                return "squares"
+        return None
+
+    _sampled_claim(rep, "green.second-expression", "modovermorita", cfg, None,
+                   min(k, max(25, cfg.count // 4)), lambda _, i: i,
+                   second_expression_fails, failed="mismatches")
 
     simples_l = mor.lambda_simples(data)
     n_verts = len(data.A.quiver.vertices) + len(data.B.quiver.vertices)
@@ -639,8 +665,8 @@ def suite_green(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
 def suite_adjunction(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("adjunction", instance.name, cfg)
     data = instance.data
-    n_left = alg.Module(data.A, data.N.dim, data.N.left_action)
-    m_left = alg.Module(data.B, data.M.dim, data.M.left_action)
+    n_left = data.N.as_left_module()
+    m_left = data.M.as_left_module()
 
     checks = {
         "extadj1.1": lambda x, l: (hml.tor1(data.M, x)[0] == 0,
@@ -668,27 +694,19 @@ def suite_adjunction(instance: CatalogInstance, cfg: SampleConfig) -> Verificati
                                    lambda: hml.ext_dim(mor.functor_Z(data, "B", y), l)
                                    == hml.ext_dim(y, mor.functor_K("B", l)[0])),
     }
-    side_of = {"extadj1.1": "A", "extadj1.2": "B", "extadj1.3": "A", "extadj1.4": "B",
-               "extadj2.1": "A", "extadj2.2": "B", "extadj2.3": "A", "extadj2.4": "B"}
     for tag, make in checks.items():
-        sampler = Sampler(cfg.child(f"adjunction.{tag}"), cfg.dim_cap, cfg.rank_cap)
-        algebra = data.A if side_of[tag] == "A" else data.B
-        checked = 0
-        mismatches = []
-        attempts = 0
-        while checked < cfg.count and attempts < 60 * cfg.count:
-            attempts += 1
-            x = sampler.plain(algebra)
-            bias = tag.startswith("extadj2")
-            l = sampler.quadruple(data, mono_bias=bias)
+        # the odd-numbered identities sample an A-module, the even ones a B-module
+        algebra = data.A if tag[-1] in "13" else data.B
+
+        def draw(s, i):
+            x = s.plain(algebra)
+            l = s.quadruple(data, mono_bias=tag.startswith("extadj2"))
             hypothesis, verify = make(x, l)
-            if not hypothesis:
-                continue
-            checked += 1
-            if not verify():
-                mismatches.append(checked)
-        rep.record(f"adjunction.{tag}", tag, checked >= cfg.count and not mismatches,
-                   {"checked": checked, "mismatches": mismatches})
+            return verify if hypothesis else None
+
+        _sampled_claim(rep, f"adjunction.{tag}", tag, cfg, f"adjunction.{tag}", cfg.count,
+                       draw, lambda verify: not verify(), counted="checked",
+                       failed="mismatches")
     return rep
 
 
@@ -701,96 +719,74 @@ def _sample_test_list(sampler, algebra, max_len=5, extra=()):
 def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("orthogonality", instance.name, cfg)
     data = instance.data
+    tensoring = {"A": data.M, "B": data.N}
+    hom_source = {"A": data.N.as_left_module(), "B": data.M.as_left_module()}
+
+    def biconditional(name, anchor, differ, reject=None, extra=((), ()), bias=None):
+        # each case is (xs, ys, l): test lists, redrawn while reject holds on
+        # a member, then a quadruple; differ(xs, ys, l) is a mismatch
+        def draw(s, i):
+            xs = _sample_test_list(s, data.A, extra=extra[0])
+            ys = _sample_test_list(s, data.B, extra=extra[1])
+            if reject and any(reject(side, x) for side, x in _sides(xs, ys)):
+                return None
+            return xs, ys, s.quadruple(data, mono_bias=bias is not None and i % 2 == bias)
+
+        _sampled_claim(rep, f"orthogonality.{name}", anchor, cfg,
+                       "orthogonality." + name.replace(".", ""), cfg.count, draw,
+                       lambda case: differ(*case), counted="checked", failed="mismatches")
 
     # destheta(1): right-orthogonality against T-images describes the column
-    sampler = Sampler(cfg.child("orthogonality.destheta1"), cfg.dim_cap, cfg.rank_cap)
-    mism, checked = [], 0
-    while checked < cfg.count:
-        xs = _sample_test_list(sampler, data.A)
-        ys = _sample_test_list(sampler, data.B)
-        if any(hml.tor1(data.M, x)[0] for x in xs) or any(hml.tor1(data.N, y)[0] for y in ys):
-            continue
-        l = sampler.quadruple(data)
-        checked += 1
-        lhs = (all(hml.ext_dim(x, l.X) == 0 for x in xs)
-               and all(hml.ext_dim(y, l.Y) == 0 for y in ys))
-        rhs = (all(hml.ext_dim(mor.functor_T(data, "A", x), l) == 0 for x in xs)
-               and all(hml.ext_dim(mor.functor_T(data, "B", y), l) == 0 for y in ys))
-        if lhs != rhs:
-            mism.append(checked)
-    rep.record("orthogonality.destheta.1", "destheta(1)", not mism,
-               {"checked": checked, "mismatches": mism})
+    def theta1(xs, ys, l):
+        tests = _sides(xs, ys)
+        return (_orthogonal((x, mor.functor_U(side, l)) for side, x in tests)
+                != _orthogonal((mor.functor_T(data, side, x), l) for side, x in tests))
+
+    biconditional("destheta.1", "destheta(1)", theta1,
+                  reject=lambda side, x: hml.tor1(tensoring[side], x)[0])
 
     # destheta(2): left-orthogonality against H-images
-    sampler = Sampler(cfg.child("orthogonality.destheta2"), cfg.dim_cap, cfg.rank_cap)
-    n_left = alg.Module(data.A, data.N.dim, data.N.left_action)
-    m_left = alg.Module(data.B, data.M.dim, data.M.left_action)
-    mism, checked = [], 0
-    while checked < cfg.count:
-        xs = _sample_test_list(sampler, data.A)
-        ys = _sample_test_list(sampler, data.B)
-        if any(hml.ext_dim(n_left, x) for x in xs) or any(hml.ext_dim(m_left, y) for y in ys):
-            continue
-        l = sampler.quadruple(data)
-        checked += 1
-        lhs = (all(hml.ext_dim(l.X, x) == 0 for x in xs)
-               and all(hml.ext_dim(l.Y, y) == 0 for y in ys))
-        rhs = (all(hml.ext_dim(l, mor.functor_H(data, "A", x)) == 0 for x in xs)
-               and all(hml.ext_dim(l, mor.functor_H(data, "B", y)) == 0 for y in ys))
-        if lhs != rhs:
-            mism.append(checked)
-    rep.record("orthogonality.destheta.2", "destheta(2)", not mism,
-               {"checked": checked, "mismatches": mism})
+    def theta2(xs, ys, l):
+        tests = _sides(xs, ys)
+        return (_orthogonal((mor.functor_U(side, l), x) for side, x in tests)
+                != _orthogonal((l, mor.functor_H(data, side, x)) for side, x in tests))
+
+    biconditional("destheta.2", "destheta(2)", theta2,
+                  reject=lambda side, x: hml.ext_dim(hom_source[side], x))
 
     # desdelta(1): the mono class over perps vs orthogonality to Z-images
-    sampler = Sampler(cfg.child("orthogonality.desdelta1"), cfg.dim_cap, cfg.rank_cap)
-    inj_a = alg.indecomposable_injectives(data.A)
-    inj_b = alg.indecomposable_injectives(data.B)
-    mism, checked = [], 0
-    while checked < cfg.count:
-        xs = _sample_test_list(sampler, data.A, extra=inj_a)[: 5 + len(inj_a)]
-        ys = _sample_test_list(sampler, data.B, extra=inj_b)[: 5 + len(inj_b)]
-        l = sampler.quadruple(data, mono_bias=(checked % 2 == 0))
-        checked += 1
+    def delta1(xs, ys, l):
         uspec = cls.ClassSpec("left_perp", data.A, tuple(xs))
         vspec = cls.ClassSpec("left_perp", data.B, tuple(ys))
-        lhs = cls.in_delta(l, uspec, vspec)
-        rhs = (all(hml.ext_dim(l, mor.functor_Z(data, "A", x)) == 0 for x in xs)
-               and all(hml.ext_dim(l, mor.functor_Z(data, "B", y)) == 0 for y in ys))
-        if lhs != rhs:
-            mism.append(checked)
-    rep.record("orthogonality.desdelta.1", "desdelta(1)", not mism,
-               {"checked": checked, "mismatches": mism})
+        return (cls.in_delta(l, uspec, vspec)
+                != _orthogonal((l, mor.functor_Z(data, side, x)) for side, x in _sides(xs, ys)))
+
+    biconditional("desdelta.1", "desdelta(1)", delta1, bias=0,
+                  extra=(alg.indecomposable_injectives(data.A),
+                         alg.indecomposable_injectives(data.B)))
 
     # desdelta(2): the epi class over perps vs orthogonality from Z-images
-    sampler = Sampler(cfg.child("orthogonality.desdelta2"), cfg.dim_cap, cfg.rank_cap)
-    proj_a = alg.indecomposable_projectives(data.A)
-    proj_b = alg.indecomposable_projectives(data.B)
-    mism, checked = [], 0
-    while checked < cfg.count:
-        xs = _sample_test_list(sampler, data.A, extra=proj_a)[: 5 + len(proj_a)]
-        ys = _sample_test_list(sampler, data.B, extra=proj_b)[: 5 + len(proj_b)]
-        l = sampler.quadruple(data, mono_bias=(checked % 2 == 1))
-        checked += 1
+    def delta2(xs, ys, l):
         xspec = cls.ClassSpec("right_perp", data.A, tuple(xs))
         yspec = cls.ClassSpec("right_perp", data.B, tuple(ys))
-        lhs = cls.in_nabla(l, xspec, yspec)
-        rhs = (all(hml.ext_dim(mor.functor_Z(data, "A", x), l) == 0 for x in xs)
-               and all(hml.ext_dim(mor.functor_Z(data, "B", y), l) == 0 for y in ys))
-        if lhs != rhs:
-            mism.append(checked)
-    rep.record("orthogonality.desdelta.2", "desdelta(2)", not mism,
-               {"checked": checked, "mismatches": mism})
+        return (cls.in_nabla(l, xspec, yspec)
+                != _orthogonal((mor.functor_Z(data, side, x), l) for side, x in _sides(xs, ys)))
+
+    biconditional("desdelta.2", "desdelta(2)", delta2, bias=1,
+                  extra=(alg.indecomposable_projectives(data.A),
+                         alg.indecomposable_projectives(data.B)))
     return rep
 
 
 def suite_compare(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("compare", instance.name, cfg)
     data = instance.data
-    sampler = Sampler(cfg.child("compare"), cfg.dim_cap, cfg.rank_cap)
+    sampler = _sampler(cfg, "compare")
     families = {"TA-ZA": [], "TA-ZB": [], "TB-ZA": [], "TB-ZB": []}
-    checked = 0
-    while checked < cfg.count:
+    # one sample stream feeds the four claims, under the claim runner's cap
+    checked = attempts = 0
+    while checked < cfg.count and attempts < 60 * cfg.count:
+        attempts += 1
         xs = _sample_test_list(sampler, data.A, max_len=3)
         ys = _sample_test_list(sampler, data.B, max_len=3)
         u = sampler.plain(data.A)
@@ -812,9 +808,9 @@ def suite_compare(instance: CatalogInstance, cfg: SampleConfig) -> VerificationR
                 families["TA-ZB"].append(checked)
             if hml.ext_dim(tv, mor.functor_Z(data, "B", y)):
                 families["TB-ZB"].append(checked)
-    for fam, bad in families.items():
-        rep.record(f"compare.{fam}", "compare", not bad,
-                   {"checked": checked, "failures": bad})
+    for fam, failures in families.items():
+        rep.record(f"compare.{fam}", "compare", checked >= cfg.count and not failures,
+                   {"checked": checked, "failures": failures})
     return rep
 
 
@@ -912,6 +908,7 @@ def suite_char2(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     return rep
 
 
+
 def suite_ctp4(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("ctp4", instance.name, cfg)
     data = instance.data
@@ -926,8 +923,8 @@ def suite_ctp4(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRepo
               for p in alg.indecomposable_projectives(data.A)]
              + [mor.functor_T(data, "B", q)
                 for q in alg.indecomposable_projectives(data.B)])
-    bad = []
-    for i, t in enumerate(indec):
+
+    def routes_disagree(t):
         try:
             ses = hml.coresolution_ij(t)
             ses.validate()
@@ -938,113 +935,71 @@ def suite_ctp4(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRepo
         by_shape = cls.injective_by_shape(t)
         agree = (route1_bound == 1 and route2 is not None and route2 <= 1
                  and (route2 == 0) == by_shape)
-        if not agree:
-            bad.append((i, route1_bound, route2, by_shape))
-    rep.record("ctp4.injdim-projectives", "proj-injdim(2)", not bad,
-               {"count": len(indec), "failures": bad})
+        return None if agree else (route1_bound, route2, by_shape)
 
-    sampler = Sampler(cfg.child("ctp4.gp"), cfg.dim_cap, cfg.rank_cap)
+    _sampled_claim(rep, "ctp4.injdim-projectives", "proj-injdim(2)", cfg, None, len(indec),
+                   lambda _, i: indec[i], routes_disagree)
+
     n = max(cfg.count, 200)
-    samples = [sampler.quadruple(data, mono_bias=(i % 3 == 0)) for i in range(n)]
-    mismatches = _parallel_filter(
-        samples, lambda l: cls.gp_member(cert, l) != cls.in_mon(l))
-    rep.record("ctp4.gp-eq-mon", "ctp4(2)", not mismatches,
-               {"count": n, "mismatches": mismatches})
+    _sampled_claim(rep, "ctp4.gp-eq-mon", "ctp4(2)", cfg, "ctp4.gp", n,
+                   lambda s, i: s.quadruple(data, mono_bias=(i % 3 == 0)),
+                   lambda l: cls.gp_member(cert, l) != cls.in_mon(l), failed="mismatches")
+    _sampled_claim(rep, "ctp4.gi-eq-epi", "ctp4(2)'", cfg, "ctp4.gi", n,
+                   lambda s, i: s.quadruple(data, mono_bias=(i % 3 == 1)),
+                   lambda l: cls.gi_member(cert, l) != cls.in_epi(l), failed="mismatches")
 
-    sampler = Sampler(cfg.child("ctp4.gi"), cfg.dim_cap, cfg.rank_cap)
-    samples = [sampler.quadruple(data, mono_bias=(i % 3 == 1)) for i in range(n)]
-    mismatches = _parallel_filter(
-        samples, lambda l: cls.gi_member(cert, l) != cls.in_epi(l))
-    rep.record("ctp4.gi-eq-epi", "ctp4(2)'", not mismatches,
-               {"count": n, "mismatches": mismatches})
+    def mono_biased(s, i):
+        return s.quadruple(data, mono_bias=True)
 
     # a Gorenstein-projective member of finite nonzero projective dimension
     # would contradict the theory; report any such sample loudly
-    sampler = Sampler(cfg.child("ctp4.gp-pd"), cfg.dim_cap, cfg.rank_cap)
-    contradictions = []
-    n_pd = max(25, cfg.count // 4)
-    for i in range(n_pd):
-        l = sampler.quadruple(data, mono_bias=True)
+    def finite_nonzero_pd(l):
         if not cls.gp_member(cert, l):
-            continue
+            return None
         pd = hml.proj_dim_upto(l, 2)
-        if pd not in (0, None):
-            contradictions.append((i, pd))
-    rep.record("ctp4.gp-finite-pd-contradiction", "ctp4(2)", not contradictions,
-               {"count": n_pd, "contradictions": contradictions})
+        return None if pd in (0, None) else (pd,)
+
+    _sampled_claim(rep, "ctp4.gp-finite-pd-contradiction", "ctp4(2)", cfg, "ctp4.gp-pd",
+                   max(25, cfg.count // 4), mono_biased, finite_nonzero_pd,
+                   failed="contradictions")
 
     # kernels of epimorphisms between members of the mono class stay inside
     # (the flat-bimodule closure property)
-    sampler = Sampler(cfg.child("ctp4.deltaher"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    n_ker = max(25, cfg.count // 4)
-    for i in range(n_ker):
-        l = sampler.quadruple(data, mono_bias=True)
+    def leaves_mon(l):
         if not cls.in_mon(l):
-            continue
+            return None
         pres = hml.lambda_presentation(l)
         if not cls.in_mon(pres.middle):
-            bad.append((i, "middle"))
-        elif not cls.in_mon(pres.left):
-            bad.append((i, "kernel"))
-    rep.record("ctp4.mon-kernel-closure", "deltaher(1)", not bad,
-               {"count": n_ker, "failures": bad})
+            return "middle"
+        return None if cls.in_mon(pres.left) else "kernel"
+
+    _sampled_claim(rep, "ctp4.mon-kernel-closure", "deltaher(1)", cfg, "ctp4.deltaher",
+                   max(25, cfg.count // 4), mono_biased, leaves_mon)
 
     _resolution_claims(rep, data, cfg, max(50, cfg.count // 2))
     return rep
 
 
 def _resolution_claims(rep, data, cfg, n):
-    sampler = Sampler(cfg.child("resolutions.pq"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    for i in range(n):
-        p = sampler.plain_projective(data.A)
-        q = sampler.plain_projective(data.B)
-        l = sampler.componentwise(data, p, q)
-        try:
-            ses = hml.resolution_pq(l)
-            ses.validate()
-            ok = (cls.projective_by_shape(ses.left)
-                  and hml.is_projective_lambda(ses.left))
-        except (ValueError, AssertionError) as exc:
-            ok = False
-        if not ok:
-            bad.append(i)
-    rep.record("resolutions.pq", "proj-injdim(1)", not bad,
-               {"count": n, "failures": bad})
-
-    sampler = Sampler(cfg.child("resolutions.ij"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    for i in range(n):
-        x = sampler.plain_injective(data.A)
-        y = sampler.plain_injective(data.B)
-        l = sampler.componentwise(data, x, y)
-        try:
-            ses = hml.coresolution_ij(l)
-            ses.validate()
-            ok = (cls.injective_by_shape(ses.right)
-                  and hml.inj_dim_upto(ses.right, 0) == 0)
-        except (ValueError, AssertionError):
-            ok = False
-        if not ok:
-            bad.append(i)
-    rep.record("resolutions.ij", "proj-injdim(2)", not bad,
-               {"count": n, "failures": bad})
-
-    sampler = Sampler(cfg.child("resolutions.split"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    for i in range(10):
-        p = sampler.plain_projective(data.A)
-        q = sampler.plain_projective(data.B)
-        ta = mor.functor_T(data, "A", p)
-        tb = mor.functor_T(data, "B", q)
-        l, _, _ = mor.lambda_direct_sum([ta, tb])
+    def pq_fails(l):
         ses = hml.resolution_pq(l)
-        sp, _ = hml.splits(ses)
-        if not sp:
-            bad.append(i)
-    rep.record("resolutions.pq-split-for-f0g0-summands", "proj-injdim(1)", not bad,
-               {"failures": bad})
+        ses.validate()
+        return not (cls.projective_by_shape(ses.left) and hml.is_projective_lambda(ses.left))
+
+    def ij_fails(l):
+        ses = hml.coresolution_ij(l)
+        ses.validate()
+        return not (cls.injective_by_shape(ses.right) and hml.inj_dim_upto(ses.right, 0) == 0)
+
+    _sampled_claim(rep, "resolutions.pq", "proj-injdim(1)", cfg, "resolutions.pq", n,
+                   lambda s, i: s.quadruple_on(data, s.plain_projective(data.A),
+                                               s.plain_projective(data.B)), pq_fails)
+    _sampled_claim(rep, "resolutions.ij", "proj-injdim(2)", cfg, "resolutions.ij", n,
+                   lambda s, i: s.quadruple_on(data, s.plain_injective(data.A),
+                                               s.plain_injective(data.B)), ij_fails)
+    _sampled_claim(rep, "resolutions.pq-split-for-f0g0-summands", "proj-injdim(1)", cfg,
+                   "resolutions.split", 10, lambda s, i: s.projective_quadruple(data),
+                   lambda l: not hml.splits(hml.resolution_pq(l))[0], counted=None)
 
 
 def suite_resolutions(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
@@ -1058,10 +1013,19 @@ def suite_resolutions(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     return rep
 
 
+def _shape_ok(end, side, parts):
+    """Shape test of an approximation: the given side of its kernel (end
+    "left") or cokernel (end "right") is the direct sum of the named parts."""
+    def ok(res):
+        got = mor.functor_U(side, getattr(res.ses, end))
+        want, _, _ = alg.direct_sum([res.parts[p] for p in parts])
+        return got.dim == want.dim and bool(alg.module_isomorphism(got, want))
+    return ok
+
+
 def suite_completeness(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("completeness", instance.name, cfg)
     data = instance.data
-    fld = data.field
     hyp = {
         "c1": alg.is_projective_module(data.M.as_left_module()) or data.M.dim == 0,
         "c2": alg.is_projective_module(data.N.as_left_module()) or data.N.dim == 0,
@@ -1073,24 +1037,23 @@ def suite_completeness(instance: CatalogInstance, cfg: SampleConfig) -> Verifica
         return rep
 
     builders = {
-        "completeness.c1": (hml.approx_c1, "completeness1", _c1_shape_ok),
-        "completeness.c2": (hml.approx_c2, "completeness2", _c2_shape_ok),
-        "completeness.c3": (hml.approx_c3, "completeness3", _c3_shape_ok),
-        "completeness.c4": (hml.approx_c4, "completeness4", _c4_shape_ok),
+        "completeness.c1": (hml.approx_c1, "completeness1",
+                            _shape_ok("left", "B", ("MP", "Y"))),
+        "completeness.c2": (hml.approx_c2, "completeness2",
+                            _shape_ok("left", "A", ("X", "NQ"))),
+        "completeness.c3": (hml.approx_c3, "completeness3",
+                            _shape_ok("right", "B", ("HNI", "V"))),
+        "completeness.c4": (hml.approx_c4, "completeness4",
+                            _shape_ok("right", "A", ("U", "HMJ"))),
     }
     for cid, (builder, anchor, shape_ok) in builders.items():
-        sampler = Sampler(cfg.child(cid), cfg.dim_cap, cfg.rank_cap)
-        bad = []
-        for i in range(cfg.count):
-            l = sampler.quadruple(data)
-            try:
-                res = builder(l)
-                res.ses.validate()
-                if not shape_ok(res):
-                    bad.append((i, "shape"))
-            except (ValueError, AssertionError) as exc:
-                bad.append((i, str(exc)))
-        rep.record(cid, anchor, not bad, {"count": cfg.count, "failures": bad})
+        def shape_fails(l):
+            res = builder(l)
+            res.ses.validate()
+            return None if shape_ok(res) else "shape"
+
+        _sampled_claim(rep, cid, anchor, cfg, cid, cfg.count,
+                       lambda s, i: s.quadruple(data), shape_fails)
 
     _ctp23_claims(rep, data, cfg)
 
@@ -1103,163 +1066,79 @@ def suite_completeness(instance: CatalogInstance, cfg: SampleConfig) -> Verifica
     return rep
 
 
-def _c1_shape_ok(res):
-    k = res.ses.left
-    want, _, _ = alg.direct_sum([res.parts["MP"], res.parts["Y"]])
-    return k.Y.dim == want.dim and bool(alg.module_isomorphism(k.Y, want))
-
-
-def _c2_shape_ok(res):
-    k = res.ses.left
-    want, _, _ = alg.direct_sum([res.parts["X"], res.parts["NQ"]])
-    return k.X.dim == want.dim and bool(alg.module_isomorphism(k.X, want))
-
-
-def _c3_shape_ok(res):
-    c = res.ses.right
-    want, _, _ = alg.direct_sum([res.parts["HNI"], res.parts["V"]])
-    return c.Y.dim == want.dim and bool(alg.module_isomorphism(c.Y, want))
-
-
-def _c4_shape_ok(res):
-    c = res.ses.right
-    want, _, _ = alg.direct_sum([res.parts["U"], res.parts["HMJ"]])
-    return c.X.dim == want.dim and bool(alg.module_isomorphism(c.X, want))
-
-
 def _trivial_injective_left_approx(x):
-    """0 -> x -> I (+) x -> I -> 0 realizes a special sequence for the
-    injective cotorsion pair (everything, injectives)."""
-    env, mono = alg.injective_envelope(x)
-    v, injs, projs = alg.direct_sum([env, x])
-    return hml.ShortExactSequence(env, v, x, injs[0], projs[1])
+    """0 -> I -> I (+) x -> x -> 0, with I the injective envelope of x,
+    realizes a special sequence for the injective cotorsion pair
+    (everything, injectives)."""
+    return _split_ses(alg.injective_envelope(x)[0], x)
 
 
 def _ctp23_claims(rep, data, cfg):
-    fld = data.field
-    # ctp2(1) with the injective pair downstairs: middle T-shaped, kernel
-    # lands in the (everything; injectives) column
-    probe = cls.tensor_image_in(data, "A", cls.projectives_spec(data.A),
-                                cls.injectives_spec(data.B))
-    if probe is False:
-        rep.skip("completeness.ctp2-1", "ctp2(1)",
-                 "the image of the projectives misses the injectives")
-    else:
-        sampler = Sampler(cfg.child("ctp2.1"), cfg.dim_cap, cfg.rank_cap)
-        bad = []
-        n = max(20, cfg.count // 4)
-        for i in range(n):
-            l = sampler.quadruple(data)
-            res = hml.approx_c1(l, ses0=_trivial_injective_left_approx(l.Y))
-            try:
-                res.ses.validate()
-            except ValueError as exc:
-                bad.append((i, str(exc)))
-                continue
-            mid_ok = cls.delta_decompose(res.ses.middle, cls.projectives_spec(data.A),
-                                         cls.all_spec(data.B)) is not None
-            ker_ok = alg.is_injective_module(res.ses.left.Y)
-            if not (mid_ok and ker_ok):
-                bad.append((i, "membership"))
-        rep.record("completeness.ctp2-1", "ctp2(1)", not bad,
-                   {"count": n, "failures": bad})
+    """ctp2 on the B side and its ctp3 mirror on the A side: (1) with the
+    injective pair downstairs, the middle term is a T-sum and the kernel
+    lands in the injective column; (2) with the projective pair downstairs,
+    the left approximation by an H-sum keeps a projective cokernel part."""
+    a, b = data.A, data.B
+    proj, inj, every = cls.projectives_spec, cls.injectives_spec, cls.all_spec
 
-    # ctp2(2) with the projective pair downstairs: left approximation by an
-    # H-sum whose cokernel keeps a projective B-part
-    probe = cls.hom_image_in(data, "A", cls.injectives_spec(data.A),
-                             cls.projectives_spec(data.B))
-    if probe is False:
-        rep.skip("completeness.ctp2-2", "ctp2(2)",
-                 "Hom(N, injectives) misses the projectives")
-    else:
-        sampler = Sampler(cfg.child("ctp2.2"), cfg.dim_cap, cfg.rank_cap)
-        bad = []
-        n = max(20, cfg.count // 4)
-        for i in range(n):
-            l = sampler.quadruple(data)
-            q = sampler.plain_projective(data.B)
-            v, injs, projs = alg.direct_sum([l.Y, q])
-            ses0 = hml.ShortExactSequence(l.Y, v, q, injs[0], projs[1])
-            res = hml.approx_c3(l, ses0=ses0)
-            try:
-                res.ses.validate()
-            except ValueError as exc:
-                bad.append((i, str(exc)))
-                continue
-            mid_ok = cls.nabla_decompose(res.ses.middle, cls.injectives_spec(data.A),
-                                         cls.all_spec(data.B)) is not None
-            coker_ok = alg.is_projective_module(res.ses.right.Y)
-            if not (mid_ok and coker_ok):
-                bad.append((i, "membership"))
-        rep.record("completeness.ctp2-2", "ctp2(2)", not bad,
-                   {"count": n, "failures": bad})
+    def ctp2_1(l):
+        res = hml.approx_c1(l, ses0=_trivial_injective_left_approx(l.Y))
+        res.ses.validate()
+        return (cls.delta_decompose(res.ses.middle, proj(a), every(b)) is not None,
+                alg.is_injective_module(res.ses.left.Y))
 
-    # ctp3 mirrors on the A side
-    probe = cls.tensor_image_in(data, "B", cls.projectives_spec(data.B),
-                                cls.injectives_spec(data.A))
-    if probe is False:
-        rep.skip("completeness.ctp3-1", "ctp3(1)",
-                 "the image of the projectives misses the injectives")
-    else:
-        sampler = Sampler(cfg.child("ctp3.1"), cfg.dim_cap, cfg.rank_cap)
-        bad = []
-        n = max(20, cfg.count // 4)
-        for i in range(n):
-            l = sampler.quadruple(data)
-            res = hml.approx_c2(l, ses0=_trivial_injective_left_approx(l.X))
-            try:
-                res.ses.validate()
-            except ValueError as exc:
-                bad.append((i, str(exc)))
-                continue
-            mid_ok = cls.delta_decompose(res.ses.middle, cls.all_spec(data.A),
-                                         cls.projectives_spec(data.B)) is not None
-            ker_ok = alg.is_injective_module(res.ses.left.X)
-            if not (mid_ok and ker_ok):
-                bad.append((i, "membership"))
-        rep.record("completeness.ctp3-1", "ctp3(1)", not bad,
-                   {"count": n, "failures": bad})
+    def ctp2_2(case):
+        l, q = case
+        res = hml.approx_c3(l, ses0=_split_ses(l.Y, q))
+        res.ses.validate()
+        return (cls.nabla_decompose(res.ses.middle, inj(a), every(b)) is not None,
+                alg.is_projective_module(res.ses.right.Y))
 
-    probe = cls.hom_image_in(data, "B", cls.injectives_spec(data.B),
-                             cls.projectives_spec(data.A))
-    if probe is False:
-        rep.skip("completeness.ctp3-2", "ctp3(2)",
-                 "Hom(M, injectives) misses the projectives")
-    else:
-        sampler = Sampler(cfg.child("ctp3.2"), cfg.dim_cap, cfg.rank_cap)
-        bad = []
-        n = max(20, cfg.count // 4)
-        for i in range(n):
-            l = sampler.quadruple(data)
-            p = sampler.plain_projective(data.A)
-            x, injs, projs = alg.direct_sum([l.X, p])
-            ses0 = hml.ShortExactSequence(l.X, x, p, injs[0], projs[1])
-            res = hml.approx_c4(l, ses0=ses0)
-            try:
-                res.ses.validate()
-            except ValueError as exc:
-                bad.append((i, str(exc)))
-                continue
-            mid_ok = cls.nabla_decompose(res.ses.middle, cls.all_spec(data.A),
-                                         cls.injectives_spec(data.B)) is not None
-            coker_ok = alg.is_projective_module(res.ses.right.X)
-            if not (mid_ok and coker_ok):
-                bad.append((i, "membership"))
-        rep.record("completeness.ctp3-2", "ctp3(2)", not bad,
-                   {"count": n, "failures": bad})
+    def ctp3_1(l):
+        res = hml.approx_c2(l, ses0=_trivial_injective_left_approx(l.X))
+        res.ses.validate()
+        return (cls.delta_decompose(res.ses.middle, every(a), proj(b)) is not None,
+                alg.is_injective_module(res.ses.left.X))
+
+    def ctp3_2(case):
+        l, p = case
+        res = hml.approx_c4(l, ses0=_split_ses(l.X, p))
+        res.ses.validate()
+        return (cls.nabla_decompose(res.ses.middle, every(a), inj(b)) is not None,
+                alg.is_projective_module(res.ses.right.X))
+
+    misses_injectives = "the image of the projectives misses the injectives"
+    claims = (
+        ("ctp2-1", "ctp2(1)", "ctp2.1", ctp2_1, misses_injectives,
+         lambda: cls.tensor_image_in(data, "A", proj(a), inj(b)),
+         lambda s, i: s.quadruple(data)),
+        ("ctp2-2", "ctp2(2)", "ctp2.2", ctp2_2, "Hom(N, injectives) misses the projectives",
+         lambda: cls.hom_image_in(data, "A", inj(a), proj(b)),
+         lambda s, i: (s.quadruple(data), s.plain_projective(b))),
+        ("ctp3-1", "ctp3(1)", "ctp3.1", ctp3_1, misses_injectives,
+         lambda: cls.tensor_image_in(data, "B", proj(b), inj(a)),
+         lambda s, i: s.quadruple(data)),
+        ("ctp3-2", "ctp3(2)", "ctp3.2", ctp3_2, "Hom(M, injectives) misses the projectives",
+         lambda: cls.hom_image_in(data, "B", inj(b), proj(a)),
+         lambda s, i: (s.quadruple(data), s.plain_projective(a))),
+    )
+    for name, anchor, tag, members, reason, probe, draw in claims:
+        if probe() is False:
+            rep.skip(f"completeness.{name}", anchor, reason)
+            continue
+        _sampled_claim(rep, f"completeness.{name}", anchor, cfg, tag,
+                       max(20, cfg.count // 4), draw,
+                       lambda case: None if all(members(case)) else "membership")
 
 
 def _triangular_claims(rep, data, cfg):
     """Prop. triangular: horseshoe-merged approximations on the M = 0
     instance, middle in the mono class and kernel componentwise injective."""
     fld = data.field
-    sampler = Sampler(cfg.child("triangular"), cfg.dim_cap, cfg.rank_cap)
     inj_a = cls.injectives_spec(data.A)
     inj_b = cls.injectives_spec(data.B)
-    bad = []
-    n = max(10, cfg.count // 10)
-    for i in range(n):
-        l = sampler.quadruple(data)
+
+    def merged_fails(l):
         # canonical 0 -> Z_A L1 -> L -> Z_B L2 -> 0 for M = 0
         za = mor.functor_Z(data, "A", l.X)
         zb = mor.functor_Z(data, "B", l.Y)
@@ -1281,18 +1160,14 @@ def _triangular_claims(rep, data, cfg):
         epi = mor.LambdaMorphism(tbv, zb, fld.zeros(0, tbv.X.dim), projsy[1].matrix)
         kv, inclv = mor.lambda_kernel(epi)
         approx_r = hml.ShortExactSequence(kv, tbv, zb, inclv, epi)
-        try:
-            merged = hml.horseshoe_merge(s, approx_l, approx_r)
-            merged.ses.validate()
-        except (ValueError, AssertionError) as exc:
-            bad.append((i, str(exc)))
-            continue
+        merged = hml.horseshoe_merge(s, approx_l, approx_r)
+        merged.ses.validate()
         mid_ok = cls.in_mon(merged.ses.middle)
         ker_ok = cls.in_column(merged.ses.left, inj_a, inj_b)
-        if not (mid_ok and ker_ok):
-            bad.append((i, "membership"))
-    rep.record("completeness.triangular", "triangular", not bad,
-               {"count": n, "failures": bad})
+        return None if mid_ok and ker_ok else "membership"
+
+    _sampled_claim(rep, "completeness.triangular", "triangular", cfg, "triangular",
+                   max(10, cfg.count // 10), lambda s, i: s.quadruple(data), merged_fails)
 
 
 def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
@@ -1339,59 +1214,47 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     rep.record("differences.nongor3-epi-witness", "nongor3", ok, {})
 
     # flat components of projective quadruples (finite dimensional reading)
-    sampler = Sampler(cfg.child("differences.flat"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    for i in range(10):
-        l = sampler.projective_quadruple(data)
-        ca, _ = mor.functor_C("A", l)
-        cb, _ = mor.functor_C("B", l)
-        if not (alg.is_projective_module(ca) and alg.is_projective_module(cb)):
-            bad.append(i)
-    rep.record("differences.flat-components", "flat", not bad, {"failures": bad})
+    _sampled_claim(rep, "differences.flat-components", "flat", cfg, "differences.flat", 10,
+                   lambda s, i: s.projective_quadruple(data),
+                   lambda l: not (alg.is_projective_module(mor.functor_C("A", l)[0])
+                                  and alg.is_projective_module(mor.functor_C("B", l)[0])),
+                   counted=None)
 
     # non-projective T_A X is orthogonal to sampled componentwise injectives
-    sampler = Sampler(cfg.child("differences.newI"), cfg.dim_cap, cfg.rank_cap)
-    bad = []
-    checked = 0
-    while checked < 20:
-        x = sampler.plain(data.A)
-        if alg.is_projective_module(x) or hml.tor1(data.M, x)[0]:
-            continue
-        checked += 1
+    def non_flat(s, i):
+        x = s.plain(data.A)
+        return None if alg.is_projective_module(x) or hml.tor1(data.M, x)[0] else x
+
+    h_injectives = _h_images_of_injectives(data)
+
+    def not_a_witness(x):
         tx = mor.functor_T(data, "A", x)
-        if cls.projective_by_shape(tx) or hml.is_projective_lambda(tx):
-            bad.append(checked)
-            continue
-        witnesses = [mor.functor_H(data, "A", i)
-                     for i in alg.indecomposable_injectives(data.A)]
-        witnesses += [mor.functor_H(data, "B", j)
-                      for j in alg.indecomposable_injectives(data.B)]
-        if not cls.is_left_orthogonal(tx, witnesses):
-            bad.append(checked)
-    rep.record("differences.newI-nonflat-witness", "newI", not bad,
-               {"checked": checked, "failures": bad})
+        return (cls.projective_by_shape(tx) or hml.is_projective_lambda(tx)
+                or not cls.is_left_orthogonal(tx, h_injectives))
+
+    _sampled_claim(rep, "differences.newI-nonflat-witness", "newI", cfg, "differences.newI",
+                   20, non_flat, not_a_witness, counted="checked")
+
+    def injective_column(tag, d, k):
+        # k quadruples with a sampled X and a componentwise injective Y
+        s = _sampler(cfg, tag)
+        return [s.quadruple_on(d, s.plain(d.A), s.plain_injective(d.B)) for _ in range(k)]
 
     # the (A A; A A) instance: T_B Y with Y non-projective
     irem1 = catalog("irem1", field)
     d1 = irem1.data
     y = alg.simples(d1.B)[0]
     ty = mor.functor_T(d1, "B", y)
-    sampler = Sampler(cfg.child("differences.irem1"), cfg.dim_cap, cfg.rank_cap)
     ok = not alg.is_projective_module(y)
     ok = ok and hml.tor1(d1.N, y)[0] == 0
-    witnesses = []
-    for _ in range(10):
-        w = sampler.plain(d1.A)
-        j = sampler.plain_injective(d1.B)
-        witnesses.append(sampler.quadruple_on(d1, w, j))
+    witnesses = injective_column("differences.irem1", d1, 10)
     ok = ok and cls.is_left_orthogonal(ty, witnesses)
     ok = ok and not cls.in_column(ty, cls.projectives_spec(d1.A),
                                   cls.projectives_spec(d1.B))
     rep.record("differences.different-step4", "different", ok, {})
 
     # Z_A of the injective envelope of N fails the epi class
-    n_left = alg.Module(d1.A, d1.N.dim, d1.N.left_action)
-    env, _ = alg.injective_envelope(n_left)
+    env, _ = alg.injective_envelope(d1.N.as_left_module())
     zi = mor.functor_Z(d1, "A", env)
     rep.record("differences.different2", "different2", not cls.in_epi(zi), {})
 
@@ -1402,12 +1265,7 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     y2 = alg.simples(dn.B)[0]
     ok = not alg.is_projective_module(y2) and hml.tor1(dn.N, y2)[0] == 0
     ty2 = mor.functor_T(dn, "B", y2)
-    sampler = Sampler(cfg.child("differences.notgor2"), cfg.dim_cap, cfg.rank_cap)
-    witnesses = []
-    for _ in range(8):
-        w = sampler.plain(dn.A)
-        j2 = sampler.plain_injective(dn.B)
-        witnesses.append(sampler.quadruple_on(dn, w, j2))
+    witnesses = injective_column("differences.notgor2", dn, 8)
     ok = ok and cls.is_left_orthogonal(ty2, witnesses)
     ok = ok and not cls.in_column(ty2, cls.projectives_spec(dn.A),
                                   cls.projectives_spec(dn.B))
@@ -1416,11 +1274,7 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     x2 = alg.simples(dn.A)[0]
     tx2 = mor.functor_T(dn, "A", x2)
     ok = (not alg.is_projective_module(x2)
-          and cls.is_left_orthogonal(
-              tx2, [mor.functor_H(dn, "A", i) for i in
-                    alg.indecomposable_injectives(dn.A)]
-              + [mor.functor_H(dn, "B", j) for j in
-                 alg.indecomposable_injectives(dn.B)])
+          and cls.is_left_orthogonal(tx2, _h_images_of_injectives(dn))
           and not cls.in_column(tx2, cls.projectives_spec(dn.A),
                                 cls.all_spec(dn.B)))
     rep.record("differences.notgor2-TA-witness", "notgor2", ok, {})
@@ -1447,16 +1301,14 @@ def _frobenius_hovey_specs(data):
         return hml.approx_c2(l, ses0=_trivial_injective_left_approx(l.X)).ses
 
     def c3_proj_approx(l):
-        q, injs, projs = alg.direct_sum([l.Y, alg.indecomposable_projectives(data.B)[0]])
-        ses0 = hml.ShortExactSequence(l.Y, q, projs[1].target, injs[0], projs[1])
+        ses0 = _split_ses(l.Y, alg.indecomposable_projectives(data.B)[0])
         return hml.approx_c3(l, ses0=ses0).ses
 
     def c3_default(l):
         return hml.approx_c3(l).ses
 
     def c4_proj_approx(l):
-        x, injs, projs = alg.direct_sum([l.X, alg.indecomposable_projectives(data.A)[0]])
-        ses0 = hml.ShortExactSequence(l.X, x, projs[1].target, injs[0], projs[1])
+        ses0 = _split_ses(l.X, alg.indecomposable_projectives(data.A)[0])
         return hml.approx_c4(l, ses0=ses0).ses
 
     def c4_default(l):
@@ -1505,29 +1357,29 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     if not cert.ok:
         rep.record("preflight", "Htriple1", False, {"reasons": cert.reasons})
         return rep
-    sampler = Sampler(cfg.child("hovey"), cfg.dim_cap, cfg.rank_cap)
+    sampler = _sampler(cfg, "hovey")
     pool = [sampler.quadruple(data, mono_bias=(i % 2 == 0)) for i in range(12)]
     pool.append(sampler.projective_quadruple(data))
     sess = [hml.lambda_presentation(l) for l in pool[:6]]
+    pairs = [(l, t) for l in pool for t in pool]
     for name, spec in _frobenius_hovey_specs(data).items():
         entries = cls.hovey_ingredients_check(spec, pool, sess)
         for cid, ok, detail in entries:
             rep.record(f"hovey.{name}.{cid}", name, ok, detail)
+
         # heredity probe: second Ext vanishing across both constituent pairs
-        bad = []
-        for l in pool:
-            for t in pool:
-                if spec.cw_spec.contains(l) and spec.f_spec.contains(t):
-                    if hml.ext_dim(l, t, 2) != 0:
-                        bad.append("pair1")
-                if spec.c_spec.contains(l) and spec.fw_spec.contains(t):
-                    if hml.ext_dim(l, t, 2) != 0:
-                        bad.append("pair2")
-        rep.record(f"hovey.{name}.heredity", "heredity", not bad, {"failures": bad})
+        def second_ext(pair):
+            l, t = pair
+            return [which for which, left, right in (("pair1", spec.cw_spec, spec.f_spec),
+                                                     ("pair2", spec.c_spec, spec.fw_spec))
+                    if left.contains(l) and right.contains(t) and hml.ext_dim(l, t, 2) != 0]
+
+        _sampled_claim(rep, f"hovey.{name}.heredity", "heredity", cfg, None, len(pairs),
+                       lambda _, i: pairs[i], second_ext, counted=None)
 
     # degenerate product instance: both triples collapse and still pass
     prod = catalog("product", instance.field)
-    psampler = Sampler(cfg.child("hovey.product"), cfg.dim_cap, cfg.rank_cap)
+    psampler = _sampler(cfg, "hovey.product")
     ppool = [psampler.quadruple(prod.data) for _ in range(6)]
     psess = [hml.lambda_presentation(l) for l in ppool[:3]]
     for name, spec in _frobenius_hovey_specs(prod.data).items():
@@ -1564,50 +1416,47 @@ def suite_oracle(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRe
                {"counts": counts, "total": len(universe)})
 
     for tag, data, uni in (("product", prod.data, universe_p), ("ie", ie.data, universe)):
-        bad = []
-        for i, l in enumerate(uni):
-            back = mor.unflatten(data, mor.flatten(l))
-            if not mor.lambda_modules_equal(l, back):
-                bad.append(i)
-        rep.record(f"oracle.green-exhaustive-{tag}", "modovermorita", not bad,
-                   {"count": len(uni), "failures": bad})
+        def claim(cid, anchor, check, **kw):
+            _sampled_claim(rep, f"oracle.{cid}-{tag}", anchor, cfg, None, len(uni),
+                           lambda _, i: uni[i], check, **kw)
+
+        claim("green-exhaustive", "modovermorita", _roundtrip_fails)
 
         simple_flat, _, _ = alg.direct_sum([mor.flatten(s)
                                             for s in mor.lambda_simples(data)])
-        bad = []
-        for i, l in enumerate(uni):
+
+        def routes_disagree(l):
             by_shape = cls.projective_by_shape(l)
             by_ext = hml.is_projective_lambda(l)
             by_flat = (l.total_dim == 0
-                       or hml._plain_ext_dim(mor.flatten(l), simple_flat, 1,
-                                             "free") == 0)
-            if not (by_shape == by_ext == by_flat):
-                bad.append(i)
-        rep.record(f"oracle.projectivity-two-routes-{tag}", "ctp4", not bad,
-                   {"count": len(uni), "failures": bad})
+                       or hml._plain_ext_dim(mor.flatten(l), simple_flat, 1, "free") == 0)
+            return not (by_shape == by_ext == by_flat)
 
-        n_left = alg.Module(data.A, data.N.dim, data.N.left_action)
-        m_left = alg.Module(data.B, data.M.dim, data.M.left_action)
+        claim("projectivity-two-routes", "ctp4", routes_disagree)
+
+        n_left = data.N.as_left_module()
+        m_left = data.M.as_left_module()
         plain_a = _enumerate_plain(data.A, 1) + _enumerate_plain(data.A, 2)
         plain_b = _enumerate_plain(data.B, 1) + _enumerate_plain(data.B, 2)
-        bad = []
-        for l in uni:
+
+        def identity_failures(l):
             for x in plain_a:
                 if hml.tor1(data.M, x)[0] == 0:
                     if hml.ext_dim(mor.functor_T(data, "A", x), l) != hml.ext_dim(x, l.X):
-                        bad.append(("extadj1.1", x.dim, l.dims))
+                        yield ("extadj1.1", x.dim, l.dims)
                 if hml.ext_dim(n_left, x) == 0:
                     if hml.ext_dim(l.X, x) != hml.ext_dim(l, mor.functor_H(data, "A", x)):
-                        bad.append(("extadj1.3", x.dim, l.dims))
+                        yield ("extadj1.3", x.dim, l.dims)
             for y in plain_b:
                 if hml.tor1(data.N, y)[0] == 0:
                     if hml.ext_dim(mor.functor_T(data, "B", y), l) != hml.ext_dim(y, l.Y):
-                        bad.append(("extadj1.2", y.dim, l.dims))
+                        yield ("extadj1.2", y.dim, l.dims)
                 if hml.ext_dim(m_left, y) == 0:
                     if hml.ext_dim(l.Y, y) != hml.ext_dim(l, mor.functor_H(data, "B", y)):
-                        bad.append(("extadj1.4", y.dim, l.dims))
-        rep.record(f"oracle.adjunction-exhaustive-{tag}", "extadj1", not bad,
-                   {"count": len(uni), "failures": bad[:5]})
+                        yield ("extadj1.4", y.dim, l.dims)
+
+        claim("adjunction-exhaustive", "extadj1",
+              lambda l: list(identity_failures(l)), keep=5)
     return rep
 
 

@@ -46,7 +46,7 @@ def rank(field: FieldSpec, m: np.ndarray) -> int:
     return len(rref(field, m)[1])
 
 
-def _kernel_from_rref(field: FieldSpec, r: np.ndarray, pivots, ncols: int):
+def kernel_from_rref(field: FieldSpec, r: np.ndarray, pivots, ncols: int):
     """The canonical kernel basis read off an RREF, and the free coordinates:
     one column per free coordinate, identity there and -r on the pivots."""
     taken = set(pivots)
@@ -61,7 +61,7 @@ def kernel_basis(field: FieldSpec, m: np.ndarray) -> np.ndarray:
     """Columns span ker(m); the basis is the canonical one read off the RREF:
     one column per free coordinate, identity on the free coordinates."""
     r, pivots = rref(field, m)
-    return _kernel_from_rref(field, r, pivots, m.shape[1])[0]
+    return kernel_from_rref(field, r, pivots, m.shape[1])[0]
 
 
 def solve(field: FieldSpec, m: np.ndarray, b: np.ndarray):
@@ -94,7 +94,7 @@ def quotient(field: FieldSpec, ambient_dim: int, subspace: np.ndarray):
     # x = sum_i x_{p_i} r_i mod span, so project onto the free coordinates:
     # identity there, and e_{p_i} goes to -r_i read on the free coordinates.
     # That is the canonical kernel basis of subspace^T, transposed.
-    k, free = _kernel_from_rref(field, r, pivots, ambient_dim)
+    k, free = kernel_from_rref(field, r, pivots, ambient_dim)
     section = field.zeros(ambient_dim, len(free))
     section[free, range(len(free))] = field.one
     return k.T.copy(), section

@@ -591,6 +591,24 @@ def _square_rows(fld, src, tgt):
     return rows
 
 
+def _hom_rows(fld, src, tgt, gens_a, gens_b):
+    """Constraint rows of Hom_Lambda(src, tgt) over the unknowns
+    [vec_rm(a) | vec_rm(b)]: the intertwiner rows of a over gens_a and of b
+    over gens_b, zero-padded to both blocks, then the square rows."""
+    na = src.X.dim * tgt.X.dim
+    nb = src.Y.dim * tgt.Y.dim
+    rows = []
+    for s, t, gens, cols in ((src.X, tgt.X, gens_a, slice(None, na)),
+                             (src.Y, tgt.Y, gens_b, slice(na, None))):
+        for r in intertwiner_constraints(fld, [(s.act(i), t.act(i)) for i in gens],
+                                         s.dim, t.dim):
+            padded = fld.zeros(r.shape[0], na + nb)
+            padded[:, cols] = r
+            rows.append(padded)
+    rows.extend(_square_rows(fld, src, tgt))
+    return rows
+
+
 def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
     """Canonical basis of Hom_Lambda(src, tgt) as LambdaMorphisms."""
     fld = src.field
@@ -614,18 +632,7 @@ def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
         idem_b = {i for i, _ in enumerate_idempotent_basis(src.data.B)}
         gens_a = [g for g in gens_a if g not in idem_a]
         gens_b = [g for g in gens_b if g not in idem_b]
-    rows = []
-    for r in intertwiner_constraints(fld, [(src.X.act(i), tgt.X.act(i)) for i in gens_a],
-                                     dx1, dx2):
-        padded = fld.zeros(r.shape[0], na + nb)
-        padded[:, :na] = r
-        rows.append(padded)
-    for r in intertwiner_constraints(fld, [(src.Y.act(i), tgt.Y.act(i)) for i in gens_b],
-                                     dy1, dy2):
-        padded = fld.zeros(r.shape[0], na + nb)
-        padded[:, na:] = r
-        rows.append(padded)
-    rows.extend(_square_rows(fld, src, tgt))
+    rows = _hom_rows(fld, src, tgt, gens_a, gens_b)
     sols = solve_matrix_system(fld, rows, na + nb, support)
     out = []
     for i in range(sols.shape[1]):
@@ -646,20 +653,8 @@ def solve_lambda_hom_equation(src: LambdaModule, tgt: LambdaModule, extra):
     dx1, dy1 = src.X.dim, src.Y.dim
     dx2, dy2 = tgt.X.dim, tgt.Y.dim
     na, nb = dx1 * dx2, dy1 * dy2
-    rows = []
-    for r in intertwiner_constraints(
-            fld, [(src.X.act(i), tgt.X.act(i)) for i in src.data.A.generator_indices()],
-            dx1, dx2):
-        padded = fld.zeros(r.shape[0], na + nb)
-        padded[:, :na] = r
-        rows.append(padded)
-    for r in intertwiner_constraints(
-            fld, [(src.Y.act(i), tgt.Y.act(i)) for i in src.data.B.generator_indices()],
-            dy1, dy2):
-        padded = fld.zeros(r.shape[0], na + nb)
-        padded[:, na:] = r
-        rows.append(padded)
-    rows.extend(_square_rows(fld, src, tgt))
+    rows = _hom_rows(fld, src, tgt, src.data.A.generator_indices(),
+                     src.data.B.generator_indices())
     lhs_blocks = rows + [fld.normalize(np.array(m)) for m, _ in extra]
     rhs_blocks = [fld.zeros(r.shape[0], 1) for r in rows] + [
         fld.normalize(np.array(v).reshape(-1, 1)) for _, v in extra

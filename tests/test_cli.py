@@ -6,8 +6,9 @@ import pytest
 from morita_lab import cli
 from morita_lab import jsonio
 from morita_lab import lab
-from morita_lab.fields import F3
 from morita_lab import algebras as alg
+from morita_lab import classes as cls
+from morita_lab import homology as hml
 from morita_lab import morita as mor
 
 
@@ -152,23 +153,6 @@ def test_verify_report_round_trip(tmp_path):
     assert jsonio.canonical_dumps(doc) == text
 
 
-def test_threads_env_validation(monkeypatch, tmp_path):
-    monkeypatch.setenv("MORITA_LAB_THREADS", "zero")
-    assert run(["validate", tmp_path / "nope.json"]) == 2
-    monkeypatch.setenv("MORITA_LAB_THREADS", "0")
-    assert run(["validate", tmp_path / "nope.json"]) == 2
-
-
-def test_threads_parallel_matches_sequential(monkeypatch):
-    inst = lab.catalog("examctp4", F3, n=3, h=2, i=1, j=3)
-    cfg = lab.SampleConfig(count=3)
-    monkeypatch.delenv("MORITA_LAB_THREADS", raising=False)
-    seq = lab.run_suite("green", inst, cfg).to_dict()
-    monkeypatch.setenv("MORITA_LAB_THREADS", "4")
-    par = lab.run_suite("green", inst, cfg).to_dict()
-    assert seq == par
-
-
 def test_rational_documents_round_trip(tmp_path):
     assert run(["catalog", "ie", "--field", "Q", "--out", tmp_path / "ieq.json"]) == 0
     for name in ("ieq.json", "ieq.A.json", "ieq.M.json"):
@@ -208,3 +192,36 @@ def test_all_documents_emit_canonically(ie_files):
     m = store.bimodule(ie_files / "ie.M.json")
     rebuilt = jsonio.bimodule_to_json(m, "ie.B.json", "ie.A.json")
     assert jsonio.canonical_dumps(rebuilt) == (ie_files / "ie.M.json").read_text()
+
+
+def test_assertion_in_a_case_exits_3(monkeypatch, tmp_path):
+    """An internal invariant breach inside a sampled case is never an
+    ordinary claim failure."""
+    def breach(l):
+        raise AssertionError("injected invariant breach")
+
+    monkeypatch.setattr(cls, "projective_by_shape", breach)
+    assert run(["verify", "resolutions", "--instance", "ie", "--field", "3",
+                "--count", 1, "--out", tmp_path / "r.json"]) == 3
+
+
+def test_value_error_in_a_builder_is_a_claim_failure(monkeypatch, tmp_path):
+    """A refusal of the approximation builder itself, as ctp2(1) calls it,
+    fails that claim with the refusal text; the other claims still run."""
+    orig = hml.approx_c1
+
+    def approx_c1(l, pi=None, ses0=None):
+        if ses0 is not None:
+            raise ValueError("injected builder refusal")
+        return orig(l, pi=pi)
+
+    monkeypatch.setattr(hml, "approx_c1", approx_c1)
+    out = tmp_path / "r.json"
+    assert run(["verify", "completeness", "--instance", "examctp4", "--field", "3",
+                "--param", "n=3", "--param", "h=2", "--param", "i=1", "--param", "j=3",
+                "--count", 1, "--out", out]) == 1
+    claims = {c["id"]: c for c in json.loads(out.read_text())["claims"]}
+    ctp21 = claims.pop("completeness.ctp2-1")
+    assert ctp21["verdict"] == "fail"
+    assert ctp21["witness"]["failures"][0] == [0, "injected builder refusal"]
+    assert all(c["verdict"] == "pass" for c in claims.values())

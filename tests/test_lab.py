@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
-from morita_lab.fields import F2, F3
+from morita_lab.fields import F2, F3, field_from_token
 from morita_lab import algebras as alg
+from morita_lab import classes as cls
+from morita_lab import jsonio
 from morita_lab import morita as mor
 from morita_lab import homology as hml
 from morita_lab import lab
@@ -191,16 +195,6 @@ def test_green_suite_on_nonvanishing_tensors():
     assert rep.passed
 
 
-def test_parallel_filter_matches_sequential(monkeypatch):
-    items = list(range(40))
-    pred = lambda i: i % 7 == 3
-    monkeypatch.delenv("MORITA_LAB_THREADS", raising=False)
-    seq = lab._parallel_filter(items, pred)
-    monkeypatch.setenv("MORITA_LAB_THREADS", "5")
-    par = lab._parallel_filter(items, pred)
-    assert seq == par == [3, 10, 17, 24, 31, 38]
-
-
 def test_operation_aliases():
     from morita_lab.algebras import opposite_algebra
     from morita_lab.homology import ext, projective_presentation
@@ -245,27 +239,86 @@ def test_ctp4_instance_over_f2():
         assert cls.gp_member(cert, l) == cls.in_mon(l)
 
 
-def test_parallel_filter_ctp4_predicate_threads(monkeypatch):
-    """The ctp4 membership predicates through the thread fanout agree with
-    sequential evaluation.  Each run starts from a fresh instance, so the
-    threaded run fills the shared tensor memo concurrently."""
-    from morita_lab import classes as cls
+def test_claim_runner_rejection_cap_and_failure_entries():
+    rep = lab.VerificationReport("runner", "none", lab.SampleConfig())
+    draws = []
 
-    def run(threads):
-        if threads is None:
-            monkeypatch.delenv("MORITA_LAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MORITA_LAB_THREADS", str(threads))
-        data = lab.catalog("examctp4", F3, n=3, h=2, i=1, j=3).data
-        cert = cls.GorensteinCertificate(data)
-        sampler = lab.Sampler(lab.SampleConfig().child("ctp4.gp"), 12, 4)
-        samples = [sampler.quadruple(data, mono_bias=(i % 3 == 0)) for i in range(12)]
-        mismatches = lab._parallel_filter(
-            samples, lambda l: cls.gp_member(cert, l) != cls.in_mon(l))
-        members = lab._parallel_filter(samples, lambda l: cls.gp_member(cert, l))
-        return mismatches, members
+    def always_rejected(sampler, i):
+        assert isinstance(sampler, lab.Sampler)
+        draws.append(i)
+        return None
 
-    par = run(4)
-    seq = run(None)
-    assert seq == par
-    assert seq[0] == [] and 0 < len(seq[1]) < 12
+    lab._sampled_claim(rep, "runner.rejected", "t", rep.cfg, "runner", 3,
+                       always_rejected, lambda case: False, counted="checked")
+    assert len(draws) == 60 * 3
+
+    results = [False, True, (7, 8), "why", ["pair1", True], None]
+    cases = lab._sampled_claim(rep, "runner.fixed", "t", rep.cfg, None, len(results),
+                               lambda sampler, i: i, results.__getitem__)
+    assert cases == list(range(6))
+
+    def refuse(i):
+        raise ValueError(f"refused {i}")
+
+    lab._sampled_claim(rep, "runner.refused", "t", rep.cfg, None, 2,
+                       lambda sampler, i: i, refuse, counted="checked", failed="mismatches")
+    lab._sampled_claim(rep, "runner.holds", "t", rep.cfg, None, 2,
+                       lambda sampler, i: i, lambda i: None, counted=None, keep=1)
+    claims = {c.id: (c.verdict, c.witness) for c in rep.claims}
+    assert claims == {
+        "runner.rejected": ("fail", {"checked": 0, "failures": []}),
+        "runner.fixed": ("fail", {"count": 6,
+                                  "failures": [1, (2, 7, 8), (3, "why"), "pair1", 4]}),
+        "runner.refused": ("fail", {"checked": 2,
+                                    "mismatches": [(1, "refused 0"), (2, "refused 1")]}),
+        "runner.holds": ("pass", {"failures": []}),
+    }
+
+    def breach(i):
+        raise AssertionError("invariant")
+
+    with pytest.raises(AssertionError):
+        lab._sampled_claim(rep, "runner.breach", "t", rep.cfg, None, 1,
+                           lambda sampler, i: i, breach)
+
+
+# SHA-256 of jsonio.canonical_dumps(report.to_dict()) for the suites and
+# instances that tests/test_acceptance.py does not build, so every suite's
+# report bytes are pinned.  Update a digest only for a deliberate change of
+# report content, and record the change.
+GOLDEN = {
+    "differences/ie-F3/100": "ad31ef787bcac8d857aff962eaec6ef8f2ce6e5631e65b7122931b6c659d367b",
+    "hovey/examctp4-F3/100": "9029a4b8a7b3da147fd627fac4b01ab67a7f5c2c135e5f74dfd61db07706e1f1",
+    "resolutions/ie-F3/100": "7346f55b6947249e68d9dcf85f9f48d7c4b774c8a5b27700a3acc0c5e782e5ab",
+    "green/examctp4-F3/100": "fdfe0fa02ac621375901e3838d696e393b3aad0612312f1055ae954cb6c667be",
+}
+PARAMS = {"ie": {}, "examctp4": dict(n=3, h=2, i=1, j=3)}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_golden_digest(key):
+    suite, instance, count = key.split("/")
+    name, field = instance.split("-F")
+    inst = lab.catalog(name, field_from_token(field), **PARAMS[name])
+    rep = lab.run_suite(suite, inst, lab.SampleConfig(count=int(count)))
+    text = jsonio.canonical_dumps(rep.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[key]
+
+
+def test_every_suite_has_a_golden_digest():
+    from test_acceptance import GOLDEN as ACCEPTANCE_GOLDEN
+
+    pinned = {key.split("/")[0] for key in [*GOLDEN, *ACCEPTANCE_GOLDEN]}
+    assert set(lab.SUITES) <= pinned, sorted(set(lab.SUITES) - pinned)
+
+
+def test_value_error_in_a_case_records_its_text(monkeypatch):
+    def refuse(l):
+        raise ValueError("injected refusal")
+
+    monkeypatch.setattr(cls, "projective_by_shape", refuse)
+    rep = lab.run_suite("resolutions", lab.catalog("ie", F3), lab.SampleConfig(count=1))
+    claim = {c["id"]: c for c in rep.to_dict()["claims"]}["resolutions.pq"]
+    assert claim["verdict"] == "fail"
+    assert claim["witness"] == {"count": 50,
+                                "failures": [[i, "injected refusal"] for i in range(50)]}
