@@ -945,43 +945,63 @@ class IsoResult:
         return self.status == "isomorphic"
 
 
+def _monic_chunks(p, h):
+    """Coefficient rows to try, in search order, a chunk at a time.
+
+    The first chunk is the basis itself.  Then come the coefficient vectors
+    whose highest nonzero digit is 1, in counter order (digit i is the
+    coefficient of basis[i]); scaling by the inverse of the top digit maps
+    every other nonzero vector to an earlier monic one with the same rank,
+    so the first invertible combination in counter order is among these.
+    Chunks grow from 64 rows to 4096, so an early hit stays cheap.
+    """
+    yield np.eye(h, dtype=np.int64)
+    place = p ** np.arange(h, dtype=np.int64)
+    size = 64
+    for k in range(1, h):
+        # top digit 1 at position k: counter values p^k + m for 0 < m < p^k
+        for start in range(1, p ** k, size):
+            m = np.arange(start, min(start + size, p ** k), dtype=np.int64)
+            digits = m[:, None] // place[None, :] % p
+            digits[:, k] = 1
+            yield digits
+            size = min(2 * size, 4096)
+
+
 def _invertible_combination(field, basis, dim, rng):
-    """Search for an invertible linear combination of hom basis matrices."""
+    """The first invertible linear combination of hom basis matrices, and
+    whether the search was complete.
+
+    Over F_p with p^h <= ISO_EXHAUSTIVE_LIMIT the search is exhaustive: the
+    basis itself, then every combination in counter order, tested a chunk
+    at a time.  Otherwise the basis is followed by ISO_RANDOM_TRIALS random
+    combinations drawn from rng.
+    """
     h = len(basis)
     if h == 0:
         return None, True  # complete search, trivially
+    if field.kind == "prime" and field.p ** h <= ISO_EXHAUSTIVE_LIMIT:
+        p = field.p
+        stack = np.stack(basis) % p
+        for coeffs in _monic_chunks(p, h):
+            cands = np.tensordot(coeffs, stack, axes=1) % p
+            hits = np.flatnonzero(linalg.invertible_mask(field, cands))
+            if len(hits):
+                return cands[hits[0]].copy(), True
+        return None, True  # exhausted: definitely no iso
     for mat in basis:
         if linalg.is_invertible(field, mat):
             return mat, True
-    if field.kind == "prime" and field.p ** h <= ISO_EXHAUSTIVE_LIMIT:
-        coeffs = [0] * h
-        while True:
-            i = 0
-            while i < h and coeffs[i] == field.p - 1:
-                coeffs[i] = 0
-                i += 1
-            if i == h:
-                return None, True  # exhausted: definitely no iso
-            coeffs[i] += 1
-            cand = field.zeros(dim, dim)
-            for c, mat in zip(coeffs, basis):
-                if c:
-                    cand = cand + c * mat
-            cand = field.normalize(cand)
-            if linalg.is_invertible(field, cand):
-                return cand, True
-    else:
-        for _ in range(ISO_RANDOM_TRIALS):
-            cand = field.zeros(dim, dim)
-            for mat in basis:
-                c = rng.randrange(field.p) if field.kind == "prime" else rng.randrange(-5, 6)
-                if c:
-                    cand = cand + field.scalar(c) * mat
-            cand = field.normalize(cand)
-            if linalg.is_invertible(field, cand):
-                return cand, True
-        return None, False  # inconclusive
-    return None, True
+    for _ in range(ISO_RANDOM_TRIALS):
+        cand = field.zeros(dim, dim)
+        for mat in basis:
+            c = rng.randrange(field.p) if field.kind == "prime" else rng.randrange(-5, 6)
+            if c:
+                cand = cand + field.scalar(c) * mat
+        cand = field.normalize(cand)
+        if linalg.is_invertible(field, cand):
+            return cand, True
+    return None, False  # inconclusive
 
 
 def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:

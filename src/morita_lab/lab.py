@@ -784,30 +784,36 @@ def suite_compare(instance: CatalogInstance, cfg: SampleConfig) -> VerificationR
     sampler = _sampler(cfg, "compare")
     families = {"TA-ZA": [], "TA-ZB": [], "TB-ZA": [], "TB-ZB": []}
     # one sample stream feeds the four claims, under the claim runner's cap
+    # and exception policy: a ValueError anywhere in a case fails it in all
+    # four families with the exception text
     checked = attempts = 0
     while checked < cfg.count and attempts < 60 * cfg.count:
         attempts += 1
-        xs = _sample_test_list(sampler, data.A, max_len=3)
-        ys = _sample_test_list(sampler, data.B, max_len=3)
-        u = sampler.plain(data.A)
-        v = sampler.plain(data.B)
-        if hml.tor1(data.M, u)[0] or hml.tor1(data.N, v)[0]:
+        case = {fam: 0 for fam in families}
+        try:
+            xs = _sample_test_list(sampler, data.A, max_len=3)
+            ys = _sample_test_list(sampler, data.B, max_len=3)
+            u = sampler.plain(data.A)
+            v = sampler.plain(data.B)
+            if hml.tor1(data.M, u)[0] or hml.tor1(data.N, v)[0]:
+                continue
+            if any(hml.ext_dim(u, x) for x in xs) or any(hml.ext_dim(v, y) for y in ys):
+                continue  # u, v must be orthogonal to the sampled right classes
+            tu = mor.functor_T(data, "A", u)
+            tv = mor.functor_T(data, "B", v)
+            for side, tests in (("A", xs), ("B", ys)):
+                for t in tests:
+                    z = mor.functor_Z(data, side, t)
+                    case[f"TA-Z{side}"] += bool(hml.ext_dim(tu, z))
+                    case[f"TB-Z{side}"] += bool(hml.ext_dim(tv, z))
+        except ValueError as exc:
+            checked += 1
+            for failures in families.values():
+                failures.append((checked, str(exc)))
             continue
-        if any(hml.ext_dim(u, x) for x in xs) or any(hml.ext_dim(v, y) for y in ys):
-            continue  # u, v must be orthogonal to the sampled right classes
         checked += 1
-        tu = mor.functor_T(data, "A", u)
-        tv = mor.functor_T(data, "B", v)
-        for x in xs:
-            if hml.ext_dim(tu, mor.functor_Z(data, "A", x)):
-                families["TA-ZA"].append(checked)
-            if hml.ext_dim(tv, mor.functor_Z(data, "A", x)):
-                families["TB-ZA"].append(checked)
-        for y in ys:
-            if hml.ext_dim(tu, mor.functor_Z(data, "B", y)):
-                families["TA-ZB"].append(checked)
-            if hml.ext_dim(tv, mor.functor_Z(data, "B", y)):
-                families["TB-ZB"].append(checked)
+        for fam, count in case.items():
+            families[fam].extend([checked] * count)
     for fam, failures in families.items():
         rep.record(f"compare.{fam}", "compare", checked >= cfg.count and not failures,
                    {"checked": checked, "failures": failures})
@@ -1362,6 +1368,14 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     pool.append(sampler.projective_quadruple(data))
     sess = [hml.lambda_presentation(l) for l in pool[:6]]
     pairs = [(l, t) for l in pool for t in pool]
+    members = {}  # (id(class spec), id(pool member)) -> membership
+
+    def contains(side, l):
+        key = (id(side), id(l))
+        if key not in members:
+            members[key] = side.contains(l)  # a raised ValueError is not kept
+        return members[key]
+
     for name, spec in _frobenius_hovey_specs(data).items():
         entries = cls.hovey_ingredients_check(spec, pool, sess)
         for cid, ok, detail in entries:
@@ -1372,7 +1386,8 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
             l, t = pair
             return [which for which, left, right in (("pair1", spec.cw_spec, spec.f_spec),
                                                      ("pair2", spec.c_spec, spec.fw_spec))
-                    if left.contains(l) and right.contains(t) and hml.ext_dim(l, t, 2) != 0]
+                    if contains(left, l) and contains(right, t)
+                    and hml.ext_dim(l, t, 2) != 0]
 
         _sampled_claim(rep, f"hovey.{name}.heredity", "heredity", cfg, None, len(pairs),
                        lambda _, i: pairs[i], second_ext, counted=None)

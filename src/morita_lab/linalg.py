@@ -120,6 +120,39 @@ def is_invertible(field: FieldSpec, m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and rank(field, m) == m.shape[0]
 
 
+def invertible_mask(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
+    """Which of a stack of square int64 matrices over F_p are invertible.
+
+    One fraction-free elimination for the whole stack, one vectorized step
+    per column: the topmost nonzero entry at or below the diagonal is the
+    pivot, and each lower row r becomes pivot * r - r[c] * (pivot row), a
+    unit multiple of r minus a multiple of the pivot row.  Matrices without
+    a pivot in some column leave the stack at once.  Products stay below
+    p^2, so p must be small enough for p^2 to fit in int64.
+    """
+    p = field.p
+    n, d, _ = mats.shape
+    a = mats % p
+    alive = np.arange(n)
+    for c in range(d):
+        nonzero = a[:, c:, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.all():
+            a, alive, nonzero = a[has], alive[has], nonzero[has]
+            if not len(alive):
+                break
+        rows = np.arange(len(alive))
+        piv = c + nonzero.argmax(axis=1)
+        top = a[rows, piv, c:]
+        a[rows, piv, c:] = a[:, c, c:]
+        lower = a[:, c + 1 :, c:]
+        a[:, c + 1 :, c:] = (lower * top[:, None, :1]
+                             - lower[:, :, :1] * top[:, None, :]) % p
+    mask = np.zeros(n, dtype=bool)
+    mask[alive] = True
+    return mask
+
+
 def vstack(field: FieldSpec, blocks) -> np.ndarray:
     blocks = [b for b in blocks]
     if not blocks:
@@ -160,4 +193,6 @@ def block_diag(field: FieldSpec, blocks) -> np.ndarray:
 def kron(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         return field.zeros(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return field.normalize(np.kron(a, b))
+    (ar, ac), (br, bc) = a.shape, b.shape
+    out = a.reshape(ar, 1, ac, 1) * b.reshape(1, br, 1, bc)
+    return field.normalize(out.reshape(ar * br, ac * bc))

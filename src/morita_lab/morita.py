@@ -781,10 +781,12 @@ def lambda_modules_equal(l1: LambdaModule, l2: LambdaModule) -> bool:
 
 
 def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule, rng=None):
-    """Isomorphism test for quadruples; mirrors module_isomorphism."""
+    """Isomorphism test for quadruples: module_isomorphism's search, run on
+    the block-diagonal matrices diag(phi.a, phi.b) of the hom basis.  Such a
+    matrix is invertible exactly when both components are."""
     import random
 
-    from .algebras import IsoResult, ISO_EXHAUSTIVE_LIMIT, ISO_RANDOM_TRIALS
+    from .algebras import IsoResult, _invertible_combination
 
     if rng is None:
         rng = random.Random(0)
@@ -793,48 +795,12 @@ def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule, rng=None):
         return IsoResult("not_isomorphic")
     if l1.total_dim == 0:
         return IsoResult("isomorphic", lambda_identity(l1))
-    basis = lambda_hom_space(l1, l2)
-    h = len(basis)
-
-    def invertible(phi):
-        return (linalg.is_invertible(fld, phi.a) and linalg.is_invertible(fld, phi.b))
-
-    for phi in basis:
-        if invertible(phi):
-            return IsoResult("isomorphic", phi)
-    if h == 0:
-        return IsoResult("not_isomorphic")
-    if fld.kind == "prime" and fld.p ** h <= ISO_EXHAUSTIVE_LIMIT:
-        coeffs = [0] * h
-        while True:
-            i = 0
-            while i < h and coeffs[i] == fld.p - 1:
-                coeffs[i] = 0
-                i += 1
-            if i == h:
-                return IsoResult("not_isomorphic")
-            coeffs[i] += 1
-            a = fld.zeros(l2.X.dim, l1.X.dim)
-            b = fld.zeros(l2.Y.dim, l1.Y.dim)
-            for c, phi in zip(coeffs, basis):
-                if c:
-                    a = a + c * phi.a
-                    b = b + c * phi.b
-            cand = LambdaMorphism(l1, l2, fld.normalize(a), fld.normalize(b))
-            if invertible(cand):
-                return IsoResult("isomorphic", cand)
-    for _ in range(ISO_RANDOM_TRIALS):
-        a = fld.zeros(l2.X.dim, l1.X.dim)
-        b = fld.zeros(l2.Y.dim, l1.Y.dim)
-        for phi in basis:
-            c = rng.randrange(fld.p) if fld.kind == "prime" else rng.randrange(-5, 6)
-            if c:
-                a = a + fld.scalar(c) * phi.a
-                b = b + fld.scalar(c) * phi.b
-        cand = LambdaMorphism(l1, l2, fld.normalize(a), fld.normalize(b))
-        if invertible(cand):
-            return IsoResult("isomorphic", cand)
-    return IsoResult("undetermined")
+    basis = [linalg.block_diag(fld, [phi.a, phi.b]) for phi in lambda_hom_space(l1, l2)]
+    mat, complete = _invertible_combination(fld, basis, l1.total_dim, rng)
+    if mat is not None:
+        dx = l1.X.dim
+        return IsoResult("isomorphic", LambdaMorphism(l1, l2, mat[:dx, :dx], mat[dx:, dx:]))
+    return IsoResult("not_isomorphic" if complete else "undetermined")
 
 
 def opposite_morita(data: MoritaData) -> MoritaData:

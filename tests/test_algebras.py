@@ -430,3 +430,116 @@ def test_tensor_memo_under_thread_contention():
         fresh = alg._tensor_presentation(reg, _arrow_module(a, entry))
         assert F3.equal(fresh.surjection, t.surjection)
         assert all(F3.equal(p, q) for p, q in zip(fresh.module.action, t.module.action))
+
+
+# -- the isomorphism search ----------------------------------------------------
+
+
+def _sequential_combination(field, basis, dim):
+    """The exhaustive search as a plain loop, kept as the reference: each
+    basis matrix, then every coefficient vector in counter order (digit i is
+    the coefficient of basis[i]), one rank computation per candidate."""
+    h = len(basis)
+    if h == 0:
+        return None, True
+    for mat in basis:
+        if linalg.is_invertible(field, mat):
+            return mat, True
+    coeffs = [0] * h
+    while True:
+        i = 0
+        while i < h and coeffs[i] == field.p - 1:
+            coeffs[i] = 0
+            i += 1
+        if i == h:
+            return None, True
+        coeffs[i] += 1
+        cand = field.zeros(dim, dim)
+        for c, mat in zip(coeffs, basis):
+            if c:
+                cand = cand + c * mat
+        cand = field.normalize(cand)
+        if linalg.is_invertible(field, cand):
+            return cand, True
+
+
+@st.composite
+def _hom_bases(draw, max_dim=6, max_candidates=2000):
+    """(field, basis, dim): h low-rank d x d matrices over a small F_p, with
+    p^h kept small enough for the reference loop.  Some bases share a zero
+    column, so no combination of them is invertible."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    field = FieldSpec("prime", p)
+    d = draw(st.integers(1, max_dim))
+    h_max = 1
+    while p ** (h_max + 1) <= max_candidates:
+        h_max += 1
+    h = draw(st.integers(0, h_max))
+    assert p ** h <= alg.ISO_EXHAUSTIVE_LIMIT
+    entry = st.integers(0, p - 1)
+    basis = []
+    for _ in range(h):
+        r = draw(st.integers(0, d))
+        u = np.array(draw(st.lists(entry, min_size=d * r, max_size=d * r)),
+                     dtype=np.int64).reshape(d, r)
+        v = np.array(draw(st.lists(entry, min_size=r * d, max_size=r * d)),
+                     dtype=np.int64).reshape(r, d)
+        basis.append(field.matmul(u, v) if r else field.zeros(d, d))
+    if draw(st.booleans()):
+        col = draw(st.integers(0, d - 1))
+        for mat in basis:
+            mat[:, col] = 0
+    return field, basis, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hom_bases())
+def test_batched_search_matches_sequential_witness(case):
+    field, basis, d = case
+    want, want_complete = _sequential_combination(field, basis, d)
+    got, complete = alg._invertible_combination(field, basis, d, random.Random(0))
+    assert complete and want_complete
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batched_search_exhausts_at_the_limit():
+    # 2^16 <= ISO_EXHAUSTIVE_LIMIT combinations, none invertible: a shared
+    # zero column
+    rng = np.random.default_rng(5)
+    basis = [F2.normalize(rng.integers(0, 2, size=(4, 4))) for _ in range(16)]
+    for mat in basis:
+        mat[:, 2] = 0
+    assert 2 ** 16 <= alg.ISO_EXHAUSTIVE_LIMIT
+    assert alg._invertible_combination(F2, basis, 4, random.Random(0)) == (None, True)
+    # one invertible combination, reached only after most of the counter:
+    # the matrix units e_00, e_11, e_22, e_33 sit in the last four slots
+    units = [F2.zeros(4, 4) for _ in range(4)]
+    for i, u in enumerate(units):
+        u[i, i] = 1
+    basis = [F2.zeros(4, 4) for _ in range(12)] + units
+    got, complete = alg._invertible_combination(F2, basis, 4, random.Random(0))
+    assert complete and got.tobytes() == F2.eye(4).tobytes()
+
+
+def test_lambda_isomorphism_witness_is_a_valid_isomorphism(a2_f3):
+    """On L (+) L no hom basis element is invertible, so the witness comes
+    from a combination; split from its block-diagonal form it is still a
+    morphism of quadruples with invertible components."""
+    from morita_lab import morita as mor
+
+    data = mor.MoritaData(a2_f3, a2_f3, _corner_m(a2_f3), _corner_m(a2_f3), name="ie")
+    p1 = alg.indecomposable_projectives(a2_f3)[0]
+    l = mor.functor_T(data, "A", p1)
+    ll, _, _ = mor.lambda_direct_sum([l, l])
+    assert not any(linalg.is_invertible(F3, phi.a) and linalg.is_invertible(F3, phi.b)
+                   for phi in mor.lambda_hom_space(ll, ll))
+    iso = mor.lambda_isomorphism(ll, ll)
+    assert iso.status == "isomorphic"
+    phi = iso.witness
+    assert phi.source is ll and phi.target is ll
+    phi.validate()
+    assert linalg.is_invertible(F3, phi.a) and linalg.is_invertible(F3, phi.b)

@@ -225,3 +225,29 @@ def test_value_error_in_a_builder_is_a_claim_failure(monkeypatch, tmp_path):
     assert ctp21["verdict"] == "fail"
     assert ctp21["witness"]["failures"][0] == [0, "injected builder refusal"]
     assert all(c["verdict"] == "pass" for c in claims.values())
+
+
+def test_value_error_in_a_compare_case_fails_all_four_families(monkeypatch, tmp_path):
+    """compare follows the claim runner's policy: a refused case counts as
+    checked and fails every family with its text; a breach still exits 3."""
+    def tor1(m, u):
+        raise ValueError("injected tor refusal")
+
+    monkeypatch.setattr(hml, "tor1", tor1)
+    out = tmp_path / "r.json"
+    assert run(["verify", "compare", "--instance", "ie", "--field", "3",
+                "--count", 3, "--out", out]) == 1
+    claims = json.loads(out.read_text())["claims"]
+    assert [c["id"] for c in claims] == [f"compare.{fam}" for fam in
+                                         ("TA-ZA", "TA-ZB", "TB-ZA", "TB-ZB")]
+    for c in claims:
+        assert c["verdict"] == "fail"
+        assert c["witness"] == {"checked": 3, "failures": [
+            [i, "injected tor refusal"] for i in (1, 2, 3)]}
+
+    def breach(m, u):
+        raise AssertionError("injected invariant breach")
+
+    monkeypatch.setattr(hml, "tor1", breach)
+    assert run(["verify", "compare", "--instance", "ie", "--field", "3",
+                "--count", 3, "--out", tmp_path / "r2.json"]) == 3

@@ -322,3 +322,27 @@ def test_value_error_in_a_case_records_its_text(monkeypatch):
     assert claim["verdict"] == "fail"
     assert claim["witness"] == {"count": 50,
                                 "failures": [[i, "injected refusal"] for i in range(50)]}
+
+
+def test_hovey_heredity_probe_asks_each_membership_once(monkeypatch):
+    """The heredity probe decides each (class spec, pool member) membership
+    once for the whole suite, not once per pair."""
+    pools = []
+
+    def no_ingredients(spec, pool, sess):
+        pools.append(len(pool))
+        return []
+
+    calls = []
+    contains = cls.LambdaClassSpec.contains
+
+    def counting(self, l):
+        calls.append(self)
+        return contains(self, l)
+
+    monkeypatch.setattr(cls, "hovey_ingredients_check", no_ingredients)
+    monkeypatch.setattr(cls.LambdaClassSpec, "contains", counting)
+    inst = lab.catalog("examctp4", F3, **PARAMS["examctp4"])
+    lab.run_suite("hovey", inst, lab.SampleConfig(count=100))
+    specs = len(lab._frobenius_hovey_specs(inst.data))
+    assert calls and len(calls) <= specs * 4 * pools[0]

@@ -188,11 +188,14 @@ def _sympy_rref(field, m):
     return (r if pivots else field.zeros(0, cols)), list(pivots)
 
 
-def _field_matrices(field, max_dim=5):
+def _entries(field):
     if field.kind == "prime":
-        entry = st.integers(0, field.p - 1)
-    else:
-        entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+        return st.integers(0, field.p - 1)
+    return st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _field_matrices(field, max_dim=5):
+    entry = _entries(field)
     return st.integers(0, max_dim).flatmap(
         lambda r: st.integers(0, max_dim).flatmap(
             lambda c: st.lists(
@@ -266,3 +269,74 @@ def test_solve_matrix_system_zero_and_empty_blocks(field):
     want[1, 0], want[3, 0] = field.neg(field.inv(field.scalar(2))), field.one
     assert field.equal(got, want)
     assert solve_matrix_system(field, [field.zeros(2, 0)], 0).shape == (0, 0)
+
+
+FIELDS = [F2, F3, BIG, QQ]
+FIELD_IDS = ["F2", "F3", "bigprime", "QQ"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_and_rank_match_sympy(field, data):
+    m = data.draw(_field_matrices(field))
+    r, pivots = linalg.rref(field, m)
+    want, want_pivots = _sympy_rref(field, m)
+    assert pivots == want_pivots
+    assert r.dtype == want.dtype and field.equal(r, want)
+    assert linalg.rank(field, m) == len(want_pivots)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_matches_sympy(field, data):
+    m = data.draw(_field_matrices(field, max_dim=4))
+    k = data.draw(st.integers(1, 2))
+    rows = data.draw(st.lists(st.lists(_entries(field), min_size=k, max_size=k),
+                              min_size=m.shape[0], max_size=m.shape[0]))
+    b = field.asmatrix(rows) if rows else field.zeros(0, k)
+    x = linalg.solve(field, m, b)
+    ncols = m.shape[1]
+    r, pivots = _sympy_rref(field, linalg.hstack(field, [m, b]))
+    if any(p >= ncols for p in pivots):
+        assert x is None
+        return
+    # the solution with every free variable 0, read off sympy's RREF
+    want = field.zeros(ncols, b.shape[1])
+    for i, p in enumerate(pivots):
+        want[p, :] = r[i, ncols:]
+    assert x is not None and x.dtype == want.dtype and field.equal(x, want)
+
+
+def _stacks(p, max_dim=6):
+    return st.integers(0, max_dim).flatmap(
+        lambda d: st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.integers(0, p - 1), min_size=n * d * d,
+                               max_size=n * d * d).map(
+                lambda flat: np.array(flat, dtype=np.int64).reshape(n, d, d))))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 99991])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_invertible_mask_matches_rank(p, data):
+    field = FieldSpec("prime", p)
+    mats = data.draw(_stacks(p))
+    if mats.shape[1] > 1 and data.draw(st.booleans()):
+        mats[::2, -1] = mats[::2, 0]  # repeated rows: rank drops
+    want = [linalg.rank(field, m) == m.shape[0] for m in mats]
+    assert linalg.invertible_mask(field, mats).tolist() == want
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_kron_matches_numpy_kron(field):
+    rng = np.random.default_rng(7)
+    for shape in [(2, 3, 1, 2), (3, 1, 2, 2), (0, 2, 2, 2), (2, 2, 3, 0), (1, 1, 1, 1)]:
+        ar, ac, br, bc = shape
+        a = field.asmatrix(rng.integers(-9, 9, size=(ar, ac)).tolist()) if ar else field.zeros(0, ac)
+        b = field.asmatrix(rng.integers(-9, 9, size=(br, bc)).tolist()) if br else field.zeros(0, bc)
+        got = linalg.kron(field, a, b)
+        assert got.dtype == a.dtype and got.shape == (ar * br, ac * bc)
+        if a.size and b.size:
+            assert field.equal(got, field.normalize(np.kron(a, b)))
