@@ -59,7 +59,7 @@ class PresentedAlgebra:
     mult[i][j] is the coordinate vector of basis_i * basis_j.  When the
     algebra comes from a quiver, the presentation metadata (vertex
     idempotents, arrows, path words) is kept so that simples, projectives and
-    the fast block solver are available.
+    the vertex classes of the hom solver are available.
     """
 
     def __init__(self, field, basis_labels, mult, unit, quiver=None,
@@ -364,8 +364,8 @@ class Module:
 
     def vertex_classes(self):
         """Class index per coordinate when the distinguished idempotents act
-        as 0/1 diagonal matrices summing to the identity, else None.  This is
-        what enables the blocked intertwiner solver."""
+        as 0/1 diagonal matrices summing to the identity, else None.  The
+        classes cut the unknowns of the hom solver (intertwiner_system)."""
         if "classes" in self._cache:
             return self._cache["classes"]
         res = None
@@ -413,18 +413,17 @@ def free_module(algebra, n=1):
 
 
 def simples(algebra):
-    """One 1-dimensional module per vertex (quiver-presented algebras only)."""
+    """One 1-dimensional module per vertex (quiver-presented algebras only),
+    built once per algebra; each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("simples are only defined for quiver-presented algebras")
-    f = algebra.field
-    out = []
-    for v in algebra.quiver.vertices:
-        acts = []
-        for i, (word, src, tgt) in enumerate(algebra.path_words):
-            one_here = (not word) and src == v
-            acts.append(f.asmatrix([[1 if one_here else 0]]))
-        out.append(Module(algebra, 1, acts))
-    return out
+    if "simples" not in algebra._cache:
+        f = algebra.field
+        algebra._cache["simples"] = tuple(
+            Module(algebra, 1, [f.asmatrix([[1 if not word and src == v else 0]])
+                                for word, src, tgt in algebra.path_words])
+            for v in algebra.quiver.vertices)
+    return list(algebra._cache["simples"])
 
 
 def indecomposable_projectives(algebra):
@@ -565,51 +564,70 @@ def zero_morphism(x, y):
     return ModuleMorphism(x, y, x.field.zeros(y.dim, x.dim))
 
 
-# -- the intertwiner solver ----------------------------------------------
+# -- the intertwiner system ----------------------------------------------
 
-def _blocked_support(src_classes, tgt_classes):
-    """Indices into vec_rm(H) where tgt_class[r] == src_class[c]."""
-    sup = []
-    n = len(src_classes)
-    for r, cr in enumerate(tgt_classes):
-        base = r * n
-        for c, cc in enumerate(src_classes):
-            if cr == cc:
-                sup.append(base + c)
-    return sup
+def intertwiner_system(x: Module, y: Module):
+    """(support, pairs) for the intertwiners H: x -> y, H x(g) = y(g) H.
 
-
-def solve_matrix_system(field, rows_blocks, n_unknowns, support=None):
-    """Kernel of the stacked constraint rows, optionally restricted to a
-    support set of unknown coordinates.  Returns vectors as columns in the
-    full coordinate system."""
-    if support is not None:
-        rows_blocks = [b[:, support] for b in rows_blocks]
-        n_cols = len(support)
+    support lists, ascending, the coordinates (r, c) of vec_rm(H) with
+    class_y(r) == class_x(c); every intertwiner vanishes off it.  A module
+    without vertex classes counts as one class, so then the support is every
+    coordinate.  pairs holds (x(g), y(g)) per generator g; the idempotents of
+    the system only restate the support, so they are dropped when both sides
+    have classes.
+    """
+    xc, yc = x.vertex_classes(), y.vertex_classes()
+    gens = x.algebra.generator_indices()
+    if xc is None or yc is None:
+        support = np.arange(x.dim * y.dim)
     else:
-        n_cols = n_unknowns
-    if rows_blocks:
-        stacked = field.normalize(linalg.vstack(field, rows_blocks))
-        stacked = stacked[np.any(stacked != field.zero, axis=1)]
-    else:
-        stacked = field.zeros(0, n_cols)
-    k = linalg.kernel_basis(field, stacked)
-    if support is None:
-        return k
+        support = np.flatnonzero(np.equal.outer(yc, xc))
+        idem = {i for i, _ in enumerate_idempotent_basis(x.algebra)}
+        gens = [g for g in gens if g not in idem]
+    return support, [(x.act(g), y.act(g)) for g in gens]
+
+
+def intertwiner_constraints(field, pairs, dim_src, dim_tgt, support):
+    """Rows of H A_g = B_g H, one block per pair (A_g, B_g), over the
+    coordinates support of vec_rm(H).  Row (i, j), column (r, c) holds
+    [i = r] A_g[c, j] - B_g[i, r] [j = c]."""
+    r, c = np.divmod(support, dim_src)
+    k = np.arange(len(support))
+    rows = []
+    for a_g, b_g in pairs:
+        blk = field.zeros(dim_tgt * dim_src, len(k)).reshape(dim_tgt, dim_src, len(k))
+        blk[r, :, k] = a_g[c, :]
+        blk[:, c, k] -= b_g[:, r]
+        rows.append(field.normalize(blk.reshape(dim_tgt * dim_src, len(k))))
+    return rows
+
+
+def solve_matrix_system(field, rows_blocks, n_unknowns, support):
+    """Kernel of the stacked constraint rows, whose columns are the
+    coordinates support (ascending) of n_unknowns unknowns.  Returns the
+    canonical kernel basis as columns in all n_unknowns coordinates."""
+    stacked = field.normalize(linalg.vstack(field, [field.zeros(0, len(support)), *rows_blocks]))
+    k = linalg.kernel_basis(field, stacked[np.any(stacked != field.zero, axis=1)])
     full = field.zeros(n_unknowns, k.shape[1])
-    for local, pos in enumerate(support):
-        full[pos, :] = k[local, :]
+    full[support, :] = k
     return full
 
 
-def intertwiner_constraints(field, pairs, dim_src, dim_tgt):
-    """Rows of the linear system H A_g = B_g H over vec_rm(H)."""
-    rows = []
-    i_src = field.eye(dim_src)
-    i_tgt = field.eye(dim_tgt)
-    for a_g, b_g in pairs:
-        rows.append(linalg.kron(field, i_tgt, a_g.T) - linalg.kron(field, b_g, i_src))
-    return [field.normalize(r) for r in rows]
+def solve_affine_system(field, rows_blocks, n_unknowns, support, extra):
+    """The solution (free variables 0) of the homogeneous constraint rows on
+    support plus the affine conditions extra, a list of (coefficient matrix
+    over all n_unknowns coordinates, rhs), as a column in all coordinates;
+    None when there is none."""
+    lhs = linalg.vstack(field, [field.zeros(0, len(support)), *rows_blocks, *(
+        field.normalize(np.array(m)[:, support]) for m, _ in extra)])
+    rhs = linalg.vstack(field, [field.zeros(sum(r.shape[0] for r in rows_blocks), 1), *(
+        field.normalize(np.array(v).reshape(-1, 1)) for _, v in extra)])
+    sol = linalg.solve(field, lhs, rhs)
+    if sol is None:
+        return None
+    full = field.zeros(n_unknowns, 1)
+    full[support, :] = sol
+    return full
 
 
 def hom_space(x: Module, y: Module):
@@ -617,27 +635,18 @@ def hom_space(x: Module, y: Module):
     if x.algebra is not y.algebra:
         raise ValueError("hom between modules over different algebras")
     f = x.field
-    if x.dim == 0 or y.dim == 0:
+    support, pairs = intertwiner_system(x, y)
+    if not len(support):
         return []
-    gens = x.algebra.generator_indices()
-    xc, yc = x.vertex_classes(), y.vertex_classes()
-    support = None
-    pairs = []
-    if xc is not None and yc is not None:
-        support = _blocked_support(xc, yc)
-        if not support:
-            return []
-        idem = {i for i, vec in enumerate_idempotent_basis(x.algebra)}
-        gens = [g for g in gens if g not in idem]
-    pairs = [(x.act(g), y.act(g)) for g in gens]
-    rows = intertwiner_constraints(f, pairs, x.dim, y.dim)
+    rows = intertwiner_constraints(f, pairs, x.dim, y.dim, support)
     sols = solve_matrix_system(f, rows, x.dim * y.dim, support)
     return [f.freeze(sols[:, i].reshape(y.dim, x.dim)) for i in range(sols.shape[1])]
 
 
 def enumerate_idempotent_basis(algebra):
     """(basis index, vector) for idempotent-system vectors that are single
-    basis elements; used to drop redundant constraints in blocked mode."""
+    basis elements; intertwiner_system drops these generators when both
+    modules have vertex classes."""
     system = algebra.idempotent_system()
     out = []
     if system is None:
@@ -662,17 +671,9 @@ def solve_hom_equation(x: Module, y: Module, extra):
     epimorphisms and finding retractions/sections.
     """
     f = x.field
-    n_unknowns = x.dim * y.dim
-    gens = x.algebra.generator_indices()
-    pairs = [(x.act(g), y.act(g)) for g in gens]
-    rows = intertwiner_constraints(f, pairs, x.dim, y.dim)
-    lhs_blocks = list(rows) + [f.normalize(np.array(m)) for m, _ in extra]
-    rhs_blocks = [f.zeros(r.shape[0], 1) for r in rows] + [
-        f.normalize(np.array(v).reshape(-1, 1)) for _, v in extra
-    ]
-    lhs = linalg.vstack(f, lhs_blocks) if lhs_blocks else f.zeros(0, n_unknowns)
-    rhs = linalg.vstack(f, rhs_blocks) if rhs_blocks else f.zeros(0, 1)
-    sol = linalg.solve(f, lhs, rhs)
+    support, pairs = intertwiner_system(x, y)
+    rows = intertwiner_constraints(f, pairs, x.dim, y.dim, support)
+    sol = solve_affine_system(f, rows, x.dim * y.dim, support, extra)
     if sol is None:
         return None
     return ModuleMorphism(x, y, sol.reshape(y.dim, x.dim))

@@ -145,23 +145,26 @@ def lambda_presentation(l: LambdaModule, cover=True) -> ShortExactSequence:
 
 
 class _HomSpaceCoords:
-    """A hom space with coefficient extraction in the canonical basis."""
+    """A hom space with coefficient extraction in the canonical basis;
+    flat maps a basis element or any other element to its coordinate
+    vector in the unknowns of the hom solver."""
 
-    def __init__(self, field, basis):
+    def __init__(self, field, basis, flat):
         self.field = field
         self.basis = basis
-        self.pivots = basis_pivots(field, basis) if basis else []
+        self.flat = flat
+        self.pivots = basis_pivots(field, [flat(b) for b in basis])
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def coords(self, mat):
-        return pivot_coordinates(self.pivots, mat)
+    def coords(self, elt):
+        return pivot_coordinates(self.pivots, self.flat(elt))
 
     def matrix_of_map(self, images):
         """Coordinate matrix of a linear map into this hom space, given the
-        image matrices of some domain basis."""
+        images of some domain basis."""
         out = self.field.zeros(self.dim, len(images))
         for j, img in enumerate(images):
             c = self.coords(img)
@@ -171,39 +174,12 @@ class _HomSpaceCoords:
 
 
 def _hom_coords_plain(x, y):
-    return _HomSpaceCoords(x.field, hom_space(x, y))
+    return _HomSpaceCoords(x.field, hom_space(x, y), lambda mat: mat.reshape(-1))
 
 
 def _hom_coords_lambda(l1, l2):
-    basis = lambda_hom_space(l1, l2)
-    fld = l1.field
-
-    class _Pair:
-        def __init__(self, basis):
-            self.basis = basis
-            na = l2.X.dim * l1.X.dim
-            self._vecs = [np.concatenate([phi.a.reshape(-1), phi.b.reshape(-1)])
-                          for phi in basis]
-            self.pivots = basis_pivots(fld, [v.reshape(1, -1) for v in self._vecs]) \
-                if basis else []
-
-        @property
-        def dim(self):
-            return len(self.basis)
-
-        def coords(self, phi):
-            return pivot_coordinates(
-                self.pivots, np.concatenate([phi.a.reshape(-1), phi.b.reshape(-1)]))
-
-        def matrix_of_map(self, images):
-            out = fld.zeros(self.dim, len(images))
-            for j, img in enumerate(images):
-                c = self.coords(img)
-                for r in range(self.dim):
-                    out[r, j] = c[r]
-            return out
-
-    return _Pair(basis)
+    return _HomSpaceCoords(l1.field, lambda_hom_space(l1, l2), lambda phi: np.concatenate(
+        [phi.a.reshape(-1), phi.b.reshape(-1)]))
 
 
 # -- Ext ----------------------------------------------------------------------

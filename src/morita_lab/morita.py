@@ -17,9 +17,9 @@ import numpy as np
 from . import linalg
 from .algebras import (
     Bimodule, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
-    cokernel, direct_sum, enumerate_idempotent_basis,
-    hom_module, intertwiner_constraints, kernel,
-    solve_matrix_system, tensor_over, zero_module,
+    cokernel, direct_sum, hom_module, intertwiner_constraints,
+    intertwiner_system, kernel, solve_affine_system, solve_matrix_system,
+    tensor_over, zero_module,
 )
 
 
@@ -591,22 +591,24 @@ def _square_rows(fld, src, tgt):
     return rows
 
 
-def _hom_rows(fld, src, tgt, gens_a, gens_b):
-    """Constraint rows of Hom_Lambda(src, tgt) over the unknowns
-    [vec_rm(a) | vec_rm(b)]: the intertwiner rows of a over gens_a and of b
-    over gens_b, zero-padded to both blocks, then the square rows."""
-    na = src.X.dim * tgt.X.dim
-    nb = src.Y.dim * tgt.Y.dim
+def _hom_rows(fld, src, tgt):
+    """(support, rows) of Hom_Lambda(src, tgt) over the unknowns
+    [vec_rm(a) | vec_rm(b)]: the intertwiner rows of a and of b, each on its
+    own support and zero-padded to both, then the square rows on the joint
+    support."""
+    sup_a, pairs_a = intertwiner_system(src.X, tgt.X)
+    sup_b, pairs_b = intertwiner_system(src.Y, tgt.Y)
+    support = np.concatenate([sup_a, src.X.dim * tgt.X.dim + sup_b])
     rows = []
-    for s, t, gens, cols in ((src.X, tgt.X, gens_a, slice(None, na)),
-                             (src.Y, tgt.Y, gens_b, slice(na, None))):
-        for r in intertwiner_constraints(fld, [(s.act(i), t.act(i)) for i in gens],
-                                         s.dim, t.dim):
-            padded = fld.zeros(r.shape[0], na + nb)
+    for s, t, sup, pairs, cols in (
+            (src.X, tgt.X, sup_a, pairs_a, slice(None, len(sup_a))),
+            (src.Y, tgt.Y, sup_b, pairs_b, slice(len(sup_a), None))):
+        for r in intertwiner_constraints(fld, pairs, s.dim, t.dim, sup):
+            padded = fld.zeros(r.shape[0], len(support))
             padded[:, cols] = r
             rows.append(padded)
-    rows.extend(_square_rows(fld, src, tgt))
-    return rows
+    rows.extend(r[:, support] for r in _square_rows(fld, src, tgt))
+    return support, rows
 
 
 def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
@@ -617,22 +619,7 @@ def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
     na, nb = dx1 * dx2, dy1 * dy2
     if na + nb == 0:
         return []
-    cls = (src.X.vertex_classes(), tgt.X.vertex_classes(),
-           src.Y.vertex_classes(), tgt.Y.vertex_classes())
-    blocked = all(c is not None for c in cls)
-    gens_a = src.data.A.generator_indices()
-    gens_b = src.data.B.generator_indices()
-    support = None
-    if blocked:
-        from .algebras import _blocked_support
-        sup_a = _blocked_support(cls[0], cls[1])
-        sup_b = _blocked_support(cls[2], cls[3])
-        support = sup_a + [na + s for s in sup_b]
-        idem_a = {i for i, _ in enumerate_idempotent_basis(src.data.A)}
-        idem_b = {i for i, _ in enumerate_idempotent_basis(src.data.B)}
-        gens_a = [g for g in gens_a if g not in idem_a]
-        gens_b = [g for g in gens_b if g not in idem_b]
-    rows = _hom_rows(fld, src, tgt, gens_a, gens_b)
+    support, rows = _hom_rows(fld, src, tgt)
     sols = solve_matrix_system(fld, rows, na + nb, support)
     out = []
     for i in range(sols.shape[1]):
@@ -653,15 +640,8 @@ def solve_lambda_hom_equation(src: LambdaModule, tgt: LambdaModule, extra):
     dx1, dy1 = src.X.dim, src.Y.dim
     dx2, dy2 = tgt.X.dim, tgt.Y.dim
     na, nb = dx1 * dx2, dy1 * dy2
-    rows = _hom_rows(fld, src, tgt, src.data.A.generator_indices(),
-                     src.data.B.generator_indices())
-    lhs_blocks = rows + [fld.normalize(np.array(m)) for m, _ in extra]
-    rhs_blocks = [fld.zeros(r.shape[0], 1) for r in rows] + [
-        fld.normalize(np.array(v).reshape(-1, 1)) for _, v in extra
-    ]
-    lhs = linalg.vstack(fld, lhs_blocks)
-    rhs = linalg.vstack(fld, rhs_blocks)
-    sol = linalg.solve(fld, lhs, rhs)
+    support, rows = _hom_rows(fld, src, tgt)
+    sol = solve_affine_system(fld, rows, na + nb, support, extra)
     if sol is None:
         return None
     a = sol[:na, 0].reshape(dx2, dx1)

@@ -56,6 +56,10 @@ def test_simples(a2_f3, nakayama_f3):
     assert [m.dim for m in s] == [1, 1]
     for m in s:
         m.validate()
+    # built once per algebra, handed out as a fresh list each time
+    s.pop()
+    again = alg.simples(a2_f3)
+    assert len(again) == 2 and again[0] is s[0] and again is not alg.simples(a2_f3)
     assert len(alg.simples(nakayama_f3)) == 3
     k = alg.ground_field_algebra(F3)
     (only,) = alg.simples(k)
@@ -543,3 +547,102 @@ def test_lambda_isomorphism_witness_is_a_valid_isomorphism(a2_f3):
     assert phi.source is ll and phi.target is ll
     phi.validate()
     assert linalg.is_invertible(F3, phi.a) and linalg.is_invertible(F3, phi.b)
+
+
+# -- the intertwiner system ------------------------------------------------------
+
+
+def _kron_rows(field, a_g, b_g):
+    """The dense intertwiner rows of H A_g = B_g H over all of vec_rm(H),
+    kept as the reference: kron(I, A_g^T) - kron(B_g, I)."""
+    dx, dy = a_g.shape[0], b_g.shape[0]
+    return field.normalize(np.kron(field.eye(dy), a_g.T) - np.kron(b_g, field.eye(dx)))
+
+
+def _bytes(m):
+    """dtype, shape and exact entries (with their Python types)."""
+    return m.dtype.str, m.shape, repr(m.tolist())
+
+
+def _rand_matrix(field, rng, rows, cols):
+    pick = (lambda: rng.randrange(field.p)) if field.kind == "prime" else (
+        lambda: rng.randrange(-3, 4))
+    return field.asmatrix([[pick() for _ in range(cols)] for _ in range(rows)]) \
+        if rows else field.zeros(0, cols)
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_intertwiner_rows_match_sliced_kron_rows(field):
+    rng = random.Random(17)
+    for _ in range(60):
+        dx, dy = rng.randrange(0, 5), rng.randrange(0, 5)
+        pairs = [(_rand_matrix(field, rng, dx, dx), _rand_matrix(field, rng, dy, dy))
+                 for _ in range(rng.randrange(0, 3))]
+        support = np.array(sorted(rng.sample(range(dx * dy), rng.randrange(dx * dy + 1))),
+                           dtype=np.int64)
+        got = alg.intertwiner_constraints(field, pairs, dx, dy, support)
+        assert len(got) == len(pairs)
+        for rows, (a_g, b_g) in zip(got, pairs):
+            assert _bytes(rows) == _bytes(_kron_rows(field, a_g, b_g)[:, support])
+
+
+def _hom_solver_problems(field, seed):
+    """Module pairs over kA2 and Nak(3,2), with vertex classes, and affine
+    conditions for solve_hom_equation: some copied from a random
+    homomorphism, one lift along a projective cover, and a section of the
+    non-split cover P_1 -> S_1, which has no solution."""
+    from morita_lab import lab
+
+    rng = random.Random(seed)
+    out = []
+    for algebra in (lab._two_vertex_algebra(field), lab._nakayama(field, 3, 2)):
+        sampler = lab.Sampler(seed, dim_cap=6, rank_cap=3)
+        mods = [sampler.plain(algebra) for _ in range(4)]
+        mods += alg.simples(algebra) + alg.indecomposable_injectives(algebra)
+        for x in mods:
+            for y in rng.sample(mods, 3):
+                basis = alg.hom_space(x, y)
+                h0 = field.zeros(y.dim, x.dim)
+                for mat in basis:
+                    h0 = h0 + field.scalar(rng.randrange(-2, 3)) * mat
+                n = x.dim * y.dim
+                picked = sorted(rng.sample(range(n), min(n, 3)))
+                coeff = field.zeros(len(picked), n)
+                for i, k in enumerate(picked):
+                    coeff[i, k] = field.one
+                rhs = field.normalize(h0).reshape(-1)[picked]
+                out.append((x, y, [(coeff, rhs)]))
+        p1 = alg.indecomposable_projectives(algebra)[0]
+        s1 = alg.simples(algebra)[0]
+        cover = alg.projective_cover(s1)[1]
+        out.append((s1, p1, [(linalg.kron(field, cover.matrix, field.eye(1)),
+                              field.eye(1).reshape(-1))]))
+        x = mods[0]
+        p, epi = alg.projective_cover(x)
+        q = alg.free_module(algebra, 1)
+        phi = alg.hom_space(q, x)[-1]
+        out.append((q, p, [(linalg.kron(field, epi.matrix, field.eye(q.dim)),
+                            phi.reshape(-1))]))
+    return out
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_one_class_path_gives_the_same_bytes(field, monkeypatch):
+    """With every module counted as one class, the support is all of
+    vec_rm(H) and no generator is dropped; the canonical bases and the
+    solutions must not change."""
+    problems = _hom_solver_problems(field, 7)
+    assert all(x.vertex_classes() is not None and y.vertex_classes() is not None
+               for x, y, _ in problems)
+
+    def run():
+        homs = [[_bytes(m) for m in alg.hom_space(x, y)] for x, y, _ in problems]
+        sols = [alg.solve_hom_equation(x, y, extra) for x, y, extra in problems]
+        return homs, [None if s is None else _bytes(s.matrix) for s in sols]
+
+    classed = run()
+    monkeypatch.setattr(alg.Module, "vertex_classes", lambda self: None)
+    assert run() == classed
+    homs, sols = classed
+    assert max(map(len, homs)) >= 3
+    assert sols[-2] is None and sols[-1] is not None  # the section, the lift

@@ -260,15 +260,15 @@ def test_solve_matrix_system_zero_and_empty_blocks(field):
          linalg.kernel_basis(field, linalg.vstack(field, [row, row2]))),
     ]
     for blocks, want in cases:
-        got = solve_matrix_system(field, blocks, n)
+        got = solve_matrix_system(field, blocks, n, list(range(n)))
         assert got.dtype == want.dtype and field.equal(got, want)
-    # a support restriction scatters the kernel back into full coordinates
-    got = solve_matrix_system(field, [field.zeros(2, n), row], n, support=[1, 3])
+    # rows on a support scatter the kernel back into full coordinates
+    got = solve_matrix_system(field, [field.zeros(2, 2), row[:, [1, 3]]], n, support=[1, 3])
     want = field.zeros(n, 1)
     # restricted row (2, 1): the free coordinate is x_3, and x_1 = -1/2
     want[1, 0], want[3, 0] = field.neg(field.inv(field.scalar(2))), field.one
     assert field.equal(got, want)
-    assert solve_matrix_system(field, [field.zeros(2, 0)], 0).shape == (0, 0)
+    assert solve_matrix_system(field, [field.zeros(2, 0)], 0, []).shape == (0, 0)
 
 
 FIELDS = [F2, F3, BIG, QQ]

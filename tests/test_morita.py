@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from morita_lab.fields import F2, F3
+from morita_lab.fields import F2, F3, QQ, FieldSpec
 from morita_lab import algebras as alg
 from morita_lab import morita as mor
 from morita_lab import linalg
@@ -370,3 +370,59 @@ def test_large_prime_flow():
     assert mor.lambda_hom_dim(t, t) >= 1
     back = mor.unflatten(data, mor.flatten(t))
     assert mor.lambda_modules_equal(t, back)
+
+
+def _bytes(m):
+    """dtype, shape and exact entries (with their Python types)."""
+    return m.dtype.str, m.shape, repr(m.tolist())
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
+                         ids=["F3", "bigprime", "QQ"])
+def test_lambda_one_class_path_gives_the_same_bytes(field, monkeypatch):
+    """With every component counted as one class, lambda_hom_space and
+    solve_lambda_hom_equation give the same bases and solutions."""
+    from morita_lab import lab
+
+    rng = random.Random(11)
+    mods = []
+    for inst in (lab.catalog("ie", field), lab.catalog("examctp4", field)):
+        sampler = lab.Sampler(3, dim_cap=5, rank_cap=2)
+        mods.append(mor.lambda_simples(inst.data) + [sampler.quadruple(inst.data)
+                                                     for _ in range(4)])
+    problems = []
+    for ms in mods:
+        for src in ms:
+            for tgt in rng.sample(ms, 3):
+                na = src.X.dim * tgt.X.dim
+                n = na + src.Y.dim * tgt.Y.dim
+                h0 = field.zeros(n, 1)
+                for phi in mor.lambda_hom_space(src, tgt):
+                    c = field.scalar(rng.randrange(-2, 3))
+                    h0[:na, 0] += c * phi.a.reshape(-1)
+                    h0[na:, 0] += c * phi.b.reshape(-1)
+                picked = sorted(rng.sample(range(n), min(n, 3)))
+                coeff = field.zeros(len(picked), n)
+                for i, k in enumerate(picked):
+                    coeff[i, k] = field.one
+                problems.append((src, tgt, [(coeff, field.normalize(h0)[picked, 0])]))
+    # Hom(S_1, S_2) = 0 between the simples at the two vertices of A, so
+    # asking for a = 1 has no solution
+    s1, s2 = mods[0][:2]
+    assert s1.X.dim == s2.X.dim == 1 and mor.lambda_hom_dim(s1, s2) == 0
+    problems.append((s1, s2, [(field.eye(1), field.eye(1).reshape(-1))]))
+    assert all(c is not None for src, tgt, _ in problems
+               for c in (src.X.vertex_classes(), tgt.Y.vertex_classes()))
+
+    def run():
+        homs = [[(_bytes(phi.a), _bytes(phi.b)) for phi in mor.lambda_hom_space(src, tgt)]
+                for src, tgt, _ in problems]
+        sols = [mor.solve_lambda_hom_equation(src, tgt, extra) for src, tgt, extra in problems]
+        return homs, [None if s is None else (_bytes(s.a), _bytes(s.b)) for s in sols]
+
+    classed = run()
+    monkeypatch.setattr(alg.Module, "vertex_classes", lambda self: None)
+    assert run() == classed
+    homs, sols = classed
+    assert max(map(len, homs)) >= 2
+    assert sols[-1] is None and sols.count(None) < len(sols) // 2
