@@ -537,6 +537,11 @@ class ModuleMorphism:
         if check:
             self.validate()
 
+    @property
+    def components(self):
+        """The blocks of the morphism, (matrix,); a LambdaMorphism has (a, b)."""
+        return (self.matrix,)
+
     def validate(self):
         f = self.field
         if self.source.algebra is not self.target.algebra:
@@ -677,15 +682,6 @@ def solve_hom_equation(x: Module, y: Module, extra):
     if sol is None:
         return None
     return ModuleMorphism(x, y, sol.reshape(y.dim, x.dim))
-
-
-def lift_through_epi(phi: ModuleMorphism, epi: ModuleMorphism):
-    """h with epi . h = phi, when it exists (always, if phi.source is
-    projective and epi is onto)."""
-    f = phi.field
-    coeff = linalg.kron(f, epi.matrix, f.eye(phi.source.dim))
-    return solve_hom_equation(phi.source, epi.source,
-                              [(coeff, phi.matrix.reshape(-1))])
 
 
 # -- tensor and hom functors ----------------------------------------------

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebras import (
-    Module, direct_sum, is_injective_module, is_projective_module,
+    Module, free_module, hom_module, indecomposable_injectives,
+    indecomposable_projectives, is_injective_module, is_projective_module,
     module_isomorphism, solve_hom_equation,
 )
-from .homology import ext_dim
+from .homology import _hom_post, coresolution_ij, ext_dim
 from .morita import (
-    LambdaModule, LambdaMorphism, MoritaData, functor_C, functor_H, functor_T,
-    lambda_direct_sum, tensor_over, _tensor_map,
+    LambdaModule, LambdaMorphism, MoritaData, functor_C, functor_H, functor_K,
+    functor_T, lambda_direct_sum, tensor_over, _tensor_map,
 )
 
 
@@ -103,8 +104,6 @@ def in_nabla(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec) -> bool:
     """f~, g~ epi with Ker f~ in the A-side class and Ker g~ in the B-side."""
     if not in_epi(l):
         return False
-    from .morita import functor_K
-
     ker_f, _ = functor_K("A", l)
     ker_g, _ = functor_K("B", l)
     return xspec.contains(ker_f) and yspec.contains(ker_g)
@@ -168,9 +167,6 @@ def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
         return None
     if not in_nabla(l, xspec, yspec):
         return None
-    from .algebras import hom_module
-    from .morita import functor_K
-
     fld = l.field
     kx, ix = functor_K("A", l)   # Ker f~ -> L1
     ky, iy = functor_K("B", l)   # Ker g~ -> L2
@@ -192,8 +188,6 @@ def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
     # transports Hom(M, Ker g~) ~ Hom(M, L2) and Hom(N, Ker f~) ~ Hom(N, L1)
     hom_m_ky = hom_module(l.data.M, ky)
     hom_n_kx = hom_module(l.data.N, kx)
-    from .homology import _hom_post
-
     t_m = _hom_post(fld, hom_m_ky, l.hom_MY(), iy.matrix)    # iso by MN = 0
     t_n = _hom_post(fld, hom_n_kx, l.hom_NX(), ix.matrix)
     if not linalg.is_invertible(fld, t_m) or not linalg.is_invertible(fld, t_n):
@@ -241,8 +235,6 @@ def tensor_image_in(data: MoritaData, side: str, source_spec: ClassSpec,
 
     Returns True (certified on generators), False (refuted by a witness), or
     None (not decidable from the finite content)."""
-    from .algebras import indecomposable_projectives
-
     bim = data.M if side == "A" else data.N
     if source_spec.kind == "finite_list":
         probes = list(source_spec.modules)
@@ -271,8 +263,6 @@ def hom_image_in(data: MoritaData, side: str, source_spec: ClassSpec,
                  target_spec: ClassSpec):
     """Best-effort Hom_B(M, source_spec) <= target_spec (side "B") or
     Hom_A(N, source_spec) <= target_spec (side "A")."""
-    from .algebras import hom_module, indecomposable_injectives
-
     bim = data.M if side == "B" else data.N
     if source_spec.kind == "finite_list":
         probes = list(source_spec.modules)
@@ -307,10 +297,6 @@ class GorensteinCertificate:
     dimension at most one (witnessed by the two-term coresolution)."""
 
     def __init__(self, data: MoritaData):
-        from .algebras import (indecomposable_injectives,
-                               indecomposable_projectives)
-        from .homology import coresolution_ij
-
         self.data = data
         self.reasons = []
         if not data.tensor_vanishing:
@@ -329,8 +315,6 @@ class GorensteinCertificate:
         self.regular = None
         self.injective_cogenerator = None
         if not self.reasons:
-            from .algebras import free_module
-
             reg_a = functor_T(data, "A", free_module(data.A, 1))
             reg_b = functor_T(data, "B", free_module(data.B, 1))
             self.regular, _, _ = lambda_direct_sum([reg_a, reg_b])
@@ -351,8 +335,6 @@ class GorensteinCertificate:
 
 
 def _quasi_frobenius(algebra) -> bool:
-    from .algebras import indecomposable_injectives, indecomposable_projectives
-
     projs = indecomposable_projectives(algebra)
     injs = indecomposable_injectives(algebra)
     matched = set()

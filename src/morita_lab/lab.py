@@ -1444,7 +1444,7 @@ def suite_oracle(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRe
             by_shape = cls.projective_by_shape(l)
             by_ext = hml.is_projective_lambda(l)
             by_flat = (l.total_dim == 0
-                       or hml._plain_ext_dim(mor.flatten(l), simple_flat, 1, "free") == 0)
+                       or hml.ext_dim(mor.flatten(l), simple_flat, 1, presentation_kind="free") == 0)
             return not (by_shape == by_ext == by_flat)
 
         claim("projectivity-two-routes", "ctp4", routes_disagree)

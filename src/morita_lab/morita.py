@@ -16,10 +16,10 @@ import numpy as np
 
 from . import linalg
 from .algebras import (
-    Bimodule, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
-    cokernel, direct_sum, hom_module, intertwiner_constraints,
-    intertwiner_system, kernel, solve_affine_system, solve_matrix_system,
-    tensor_over, zero_module,
+    Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
+    _invertible_combination, cokernel, direct_sum, dual_module, free_module,
+    hom_module, intertwiner_constraints, intertwiner_system, kernel, simples,
+    solve_affine_system, solve_matrix_system, tensor_over, zero_module,
 )
 
 
@@ -251,6 +251,11 @@ class LambdaMorphism:
             raise ValueError("component b has the wrong shape")
         if check:
             self.validate()
+
+    @property
+    def components(self):
+        """The blocks (a, b), in the order of the constructor arguments."""
+        return (self.a, self.b)
 
     def a_morphism(self):
         return ModuleMorphism(self.source.X, self.target.X, self.a)
@@ -766,8 +771,6 @@ def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule, rng=None):
     matrix is invertible exactly when both components are."""
     import random
 
-    from .algebras import IsoResult, _invertible_combination
-
     if rng is None:
         rng = random.Random(0)
     fld = l1.field
@@ -806,8 +809,6 @@ def dual_lambda(l: LambdaModule) -> LambdaModule:
     """D(L) as a quadruple over the opposite Morita data: components are the
     dual modules and the structure maps are the transposed blocks of the
     regular action (f of the dual comes from g, and conversely)."""
-    from .algebras import dual_module
-
     data = l.data
     dop = opposite_morita(data)
     fld = l.field
@@ -833,16 +834,12 @@ def dual_lambda(l: LambdaModule) -> LambdaModule:
 
 def lambda_simples(data: MoritaData):
     """Z_A(simples of A) followed by Z_B(simples of B)."""
-    from .algebras import simples
-
     return ([functor_Z(data, "A", s) for s in simples(data.A)]
             + [functor_Z(data, "B", s) for s in simples(data.B)])
 
 
 def regular_lambda_module(data: MoritaData) -> LambdaModule:
     """T_A A (+) T_B B, which flattens to the left regular representation."""
-    from .algebras import free_module
-
     s, _, _ = lambda_direct_sum([functor_T(data, "A", free_module(data.A, 1)),
                                  functor_T(data, "B", free_module(data.B, 1))])
     return s

@@ -345,8 +345,8 @@ def test_presentation_exactness_property(d1, d2, entries):
     cov = hml.cover_presentation(x)
     assert cov.middle.dim <= pres.middle.dim
     for y in alg.simples(a):
-        d_free = hml._plain_ext_dim(x, y, 1, "free")
-        d_cover = hml._plain_ext_dim(x, y, 1, "cover")
+        d_free = hml.ext_dim(x, y, 1, presentation_kind="free")
+        d_cover = hml.ext_dim(x, y, 1, presentation_kind="cover")
         assert d_free == d_cover
 
 

@@ -63,7 +63,7 @@ def test_ext_simples_a2(a2_f3):
     assert hml.ext_dim(s2, s1, 1) == 0
     assert hml.ext_dim(s1, s1, 1) == 0
     # both presentations agree
-    assert hml._plain_ext_dim(s1, s2, 1, "free") == 1
+    assert hml.ext_dim(s1, s2, 1, presentation_kind="free") == 1
 
 
 def test_ext_from_projective_vanishes(a2_f3, ie):
@@ -337,8 +337,8 @@ def test_presentation_independence_random(ie):
     for _ in range(6):
         x = rng.choice(pool)
         y = rng.choice(pool)
-        free = hml._plain_ext_dim(x, y, 1, "free")
-        cover = hml._plain_ext_dim(x, y, 1, "cover")
+        free = hml.ext_dim(x, y, 1, presentation_kind="free")
+        cover = hml.ext_dim(x, y, 1, presentation_kind="cover")
         assert free == cover
     for _ in range(4):
         x, _, _ = alg.direct_sum([rng.choice(pool), rng.choice(pool)])
@@ -414,3 +414,62 @@ def test_ext_routes_agree_over_nonvanishing_tensors(a2_f3):
         l1 = sampler.quadruple(irem1)
         l2 = sampler.quadruple(irem1)
         assert hml.ext_dim(l1, l2, 1) == hml.lambda_ext_dim_flatten(l1, l2, 1)
+
+
+def test_ext_group_rejects_degrees_below_one(a2_f3, ie, big_L):
+    s1, s2 = alg.simples(a2_f3)
+    for x, y in ((s1, s2), (big_L, big_L)):
+        for degree in (0, -1):
+            with pytest.raises(ValueError):
+                hml.ext_group(x, y, degree)
+            with pytest.raises(ValueError):
+                hml.ext_dim(x, y, degree)
+
+
+def _ext_cases(a2):
+    """(name, pairs): plain kA2 modules over F_3, and sampled quadruples on
+    ie, irem1 and examctp4(3,2,1,3), each paired with itself, the next sample
+    and a sum of structural simples."""
+    from morita_lab import lab
+
+    sampler = lab.Sampler(89, 6, 3)
+    plain = list(alg.simples(a2)) + list(alg.indecomposable_injectives(a2))
+    plain += [sampler.plain(a2, 4) for _ in range(2)]
+    yield "kA2", [(x, y) for x in plain for y in plain]
+    for name, params in (("ie", {}), ("irem1", {}), ("examctp4", dict(n=3, h=2, i=1, j=3))):
+        data = lab.catalog(name, F3, **params).data
+        quads = [sampler.quadruple(data, mono_bias=(i % 2 == 0)) for i in range(3)]
+        simple_sum, _, _ = mor.lambda_direct_sum(mor.lambda_simples(data))
+        yield name, [(l, t) for i, l in enumerate(quads)
+                     for t in (l, quads[(i + 1) % len(quads)], simple_sum)]
+
+
+def test_ext_group_dimension_matches_ext_dim(a2_f3):
+    checked = 0
+    for name, pairs in _ext_cases(a2_f3):
+        for x, y in pairs:
+            for degree in (1, 2):
+                eg = hml.ext_group(x, y, degree)
+                assert eg.dimension == hml.ext_dim(x, y, degree), (name, degree)
+                checked += eg.dimension > 0
+            # every realized class is a non-split extension with a nonzero class
+            classes = hml.ext_group(x, y, 1).classes
+            assert len(classes) == hml.ext_dim(x, y, 1)
+            for ses in classes:
+                assert ses.left is y and ses.right is x
+                assert not hml.splits(ses)[0], name
+                assert not hml.ext_class_is_zero(ses), name
+    assert checked > 0
+
+
+def test_approx_c1_default_is_the_lambda_presentation(ie, big_L):
+    from morita_lab import lab
+
+    data = lab.catalog("examctp4", F3, n=3, h=2, i=1, j=3).data
+    sampler = lab.Sampler(97, 6, 3)
+    for l in [big_L, *(sampler.quadruple(d) for d in (ie, ie, data, data))]:
+        got = hml.approx_c1(l).ses.proj
+        want = hml.lambda_presentation(l).proj
+        for g, w in zip(got.components, want.components):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()

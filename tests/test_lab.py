@@ -197,7 +197,7 @@ def test_green_suite_on_nonvanishing_tensors():
 
 def test_operation_aliases():
     from morita_lab.algebras import opposite_algebra
-    from morita_lab.homology import ext, projective_presentation
+    from morita_lab.homology import ext_group, projective_presentation
 
     inst = lab.catalog("ie", F3)
     assert opposite_algebra(inst.data.A) is inst.data.A.opposite()
@@ -206,7 +206,7 @@ def test_operation_aliases():
     assert x.algebra is inst.data.A and l.data is inst.data
     pres = projective_presentation(x)
     assert pres.middle.dim == inst.data.A.dim * x.dim  # tautological free cover
-    eg = ext(l, l, 1)
+    eg = ext_group(l, l, 1)
     assert eg.dimension >= 0
     lpres = projective_presentation(l)
     assert lpres.right is l
