@@ -4,11 +4,21 @@ modules, bimodules and morphisms.
 
 Path composition is written right to left: a path p from vertex i to vertex j
 satisfies e_j * p * e_i = p, and p * q means "q first, then p".  Stored words
-list arrow names in that composition order (leftmost applied last).
+list arrow names in that composition order (leftmost applied last);
+quiver_module is the one place that turns words into products of arrow
+matrices.
+
+A module stores the action of the whole algebra basis as one frozen array of
+shape (algebra.dim, dim, dim), and a bimodule stores each side the same way;
+module constructions work on these stacks with array operations.  The plain
+tensor M (x) X behind a TensorModule has the pure tensors as its basis, and
+only TensorModule knows their order.  Coordinates in a canonical hom basis
+are read by coordinates(), at the pivots found by basis_pivots().
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,30 +100,38 @@ class PresentedAlgebra:
             return self.field.zeros(1, self.dim)[0]
         return v
 
-    def left_mult_matrix(self, i):
-        key = ("lmult", i)
-        if key not in self._cache:
-            m = self.field.zeros(self.dim, self.dim)
-            for j in range(self.dim):
-                m[:, j] = self.product(i, j)
-            self._cache[key] = self.field.freeze(m)
-        return self._cache[key]
+    def structure_constants(self):
+        """Frozen (dim, dim, dim) array: [i, j] is the coordinate vector of
+        basis_i * basis_j."""
+        if "structure" not in self._cache:
+            c = self.field.zeros(self.dim, self.dim, self.dim)
+            for (i, j), v in self.mult.items():
+                c[i, j] = v
+            self._cache["structure"] = self.field.freeze(c)
+        return self._cache["structure"]
 
-    def right_mult_matrix(self, i):
-        key = ("rmult", i)
-        if key not in self._cache:
-            m = self.field.zeros(self.dim, self.dim)
-            for j in range(self.dim):
-                m[:, j] = self.product(j, i)
-            self._cache[key] = self.field.freeze(m)
-        return self._cache[key]
+    def left_mult(self):
+        """Read-only stack of the left multiplications by the basis elements."""
+        return self.structure_constants().transpose(0, 2, 1)
+
+    def right_mult(self):
+        """Read-only stack of the right multiplications by the basis elements."""
+        return self.structure_constants().transpose(1, 2, 0)
 
     def generator_indices(self):
-        """Basis indices generating the algebra multiplicatively."""
-        if self.is_quiver_presented:
-            idem = [self.vertex_idempotents[v] for v in self.quiver.vertices]
-            return idem + [self.arrow_indices[a[0]] for a in self.quiver.arrows]
-        return list(range(self.dim))
+        """Basis indices generating the algebra multiplicatively: those given
+        to set_generator_indices, else the vertices and arrows of the quiver,
+        else the whole basis."""
+        if "generators" not in self._cache:
+            gens = list(range(self.dim))
+            if self.is_quiver_presented:
+                gens = ([self.vertex_idempotents[v] for v in self.quiver.vertices]
+                        + [self.arrow_indices[a[0]] for a in self.quiver.arrows])
+            self._cache["generators"] = tuple(gens)
+        return list(self._cache["generators"])
+
+    def set_generator_indices(self, indices):
+        self._cache["generators"] = tuple(indices)
 
     def idempotent_system(self):
         """Coordinate vectors of a complete orthogonal idempotent system,
@@ -154,12 +172,9 @@ class PresentedAlgebra:
                               relations=tuple(tuple(reversed(w)) for w in self.relations),
                               name=self.name + "^op")
         op._cache["op"] = self
-        if self._cache.get("idem") is not None:
-            op._cache["idem"] = self._cache["idem"]
-        if "lambda_generators" in self._cache:
-            gens = list(self._cache["lambda_generators"])
-            op._cache["lambda_generators"] = gens
-            op.generator_indices = lambda: list(gens)  # type: ignore[method-assign]
+        for key in ("idem", "generators"):
+            if self._cache.get(key) is not None:
+                op._cache[key] = self._cache[key]
         self._cache["op"] = op
         return op
 
@@ -312,20 +327,69 @@ def nakayama_relations(quiver: Quiver, h: int):
     return [w for (w, s, t) in words]
 
 
+def _frozen_stack(field, mats, count, dim):
+    """The matrices as one frozen (count, dim, dim) array in the field's
+    dtype; a frozen array of that shape and dtype is kept as it is."""
+    if (isinstance(mats, np.ndarray) and not mats.flags.writeable
+            and mats.dtype == field._dtype and mats.shape == (count, dim, dim)):
+        return mats
+    if len(mats) != count:
+        raise ValueError("need one action matrix per basis element")
+    if any(np.shape(a) != (dim, dim) for a in mats):
+        raise ValueError("action matrices must be dim x dim")
+    return field.freeze(_stack(field, mats, (dim, dim)))
+
+
+def _stack(field, mats, shape):
+    """A list of matrices of the given shape as one array in the field's
+    dtype, also when the list is empty."""
+    out = field.zeros(len(mats), *shape)
+    if len(mats):
+        out[...] = mats
+    return out
+
+
+def _times(field, stack, right):
+    """stack[i] @ right for every i, as one stack."""
+    n, r, c = stack.shape
+    return field.matmul(stack.reshape(n * r, c), right).reshape(n, r, right.shape[1])
+
+
+def _left_times(field, left, stack):
+    """left @ stack[i] for every i, as one stack."""
+    n, r, c = stack.shape
+    out = field.matmul(left, stack.transpose(1, 0, 2).reshape(r, n * c))
+    return out.reshape(left.shape[0], n, c).transpose(1, 0, 2)
+
+
+def _pairwise(field, a, b):
+    """a[i] @ b[j] at [i, j], for stacks a and b."""
+    nb, r, c = b.shape
+    out = _times(field, a, b.transpose(1, 0, 2).reshape(r, nb * c))
+    return out.reshape(a.shape[0], a.shape[1], nb, c).transpose(0, 2, 1, 3)
+
+
+def _block_diagonal(field, count, stacks):
+    """Stacks of count square matrices each, placed block-diagonally into one
+    stack."""
+    ofs = np.cumsum([0, *(s.shape[1] for s in stacks)])
+    out = field.zeros(count, ofs[-1], ofs[-1])
+    for s, lo, hi in zip(stacks, ofs[:-1], ofs[1:]):
+        out[:, lo:hi, lo:hi] = s
+    return out
+
+
 class Module:
-    """Left module over a PresentedAlgebra: dim + one action matrix per basis
-    element.  Immutable after construction."""
+    """Left module over a PresentedAlgebra: dim and the action of every basis
+    element, kept as one frozen array action of shape (algebra.dim, dim,
+    dim); action[i] and act(i) are read-only views.  Immutable after
+    construction."""
 
     def __init__(self, algebra, dim, action, check=False):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
-        self.action = tuple(self.field.freeze(np.array(a)) for a in action)
-        if len(self.action) != algebra.dim:
-            raise ValueError("need one action matrix per basis element")
-        for a in self.action:
-            if a.shape != (dim, dim):
-                raise ValueError("action matrices must be dim x dim")
+        self.action = _frozen_stack(self.field, action, algebra.dim, dim)
         self._cache = {}
         if check:
             self.validate()
@@ -338,28 +402,27 @@ class Module:
         action matrices.  Object-dtype entries (Q, large primes) are keyed by
         value: their raw bytes would be object pointers."""
         if "content" not in self._cache:
-            self._cache["content"] = (self.dim, tuple(
-                tuple(a.flat) if a.dtype == object else (a.dtype.str, a.tobytes())
-                for a in self.action))
+            a = self.action
+            self._cache["content"] = (self.dim, tuple(a.flat) if a.dtype == object
+                                      else (a.dtype.str, a.tobytes()))
         return self._cache["content"]
 
     def act_vec(self, vec):
         """Action of an algebra element given by its coordinate vector."""
-        out = self.field.zeros(self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            if vec[i] != self.field.zero:
-                out = out + vec[i] * self.action[i]
-        return self.field.normalize(out)
+        return linalg.combine(self.field, np.reshape(vec, (1, -1)), self.action)[0]
 
     def validate(self):
         f = self.field
-        if not f.equal(self.act_vec(self.algebra.unit), f.eye(self.dim)):
+        n, d = self.algebra.dim, self.dim
+        if not f.equal(self.act_vec(self.algebra.unit), f.eye(d)):
             raise ValueError("unit does not act as the identity")
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                prod = self.act_vec(self.algebra.product(i, j))
-                if not f.equal(f.matmul(self.action[i], self.action[j]), prod):
-                    raise ValueError(f"structure constants violated at ({i},{j})")
+        # action[i] action[j] against the action of basis_i basis_j, all pairs
+        products = _pairwise(f, self.action, self.action)
+        expected = linalg.combine(f, self.algebra.structure_constants().reshape(n * n, n),
+                                  self.action).reshape(n, n, d, d)
+        bad = np.flatnonzero(np.any((products != expected).reshape(n * n, -1), axis=1))
+        if len(bad):
+            raise ValueError("structure constants violated at (%d,%d)" % divmod(bad[0], n))
         return True
 
     def vertex_classes(self):
@@ -372,26 +435,13 @@ class Module:
         system = self.algebra.idempotent_system()
         if system is not None:
             f = self.field
-            classes = [-1] * self.dim
-            ok = True
-            for ci, vec in enumerate(system):
-                m = self.act_vec(vec)
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        v = m[i, j]
-                        if i == j:
-                            if v == f.one:
-                                if classes[i] != -1:
-                                    ok = False
-                                classes[i] = ci
-                            elif v != f.zero:
-                                ok = False
-                        elif v != f.zero:
-                            ok = False
-                if not ok:
-                    break
-            if ok and all(c >= 0 for c in classes):
-                res = classes
+            images = linalg.combine(f, np.stack(system), self.action)
+            diag = np.arange(self.dim)
+            ones = images[:, diag, diag] == f.one
+            expected = f.zeros(*images.shape)
+            expected[:, diag, diag] = np.where(ones, f.one, f.zero)
+            if np.all(ones.sum(axis=0) == 1) and np.all(images == expected):
+                res = ones.argmax(axis=0).tolist()
         self._cache["classes"] = res
         return res
 
@@ -400,16 +450,24 @@ class Module:
 
 
 def zero_module(algebra):
-    return Module(algebra, 0, [algebra.field.zeros(0, 0)] * algebra.dim)
+    return Module(algebra, 0, algebra.field.zeros(algebra.dim, 0, 0))
 
 
 def free_module(algebra, n=1):
     """A^n with basis (copy, algebra-basis) ordered copy-major."""
+    return Module(algebra, algebra.dim * n,
+                  _block_diagonal(algebra.field, algebra.dim, [algebra.left_mult()] * n))
+
+
+def quiver_module(algebra, dim, vertex_action, arrow_action):
+    """The module over a quiver-presented algebra on which e_v acts as
+    vertex_action[v] and the arrow named a as arrow_action[a]: a path acts as
+    the product of the matrices of its word, in composition order."""
     f = algebra.field
-    acts = []
-    for i in range(algebra.dim):
-        acts.append(linalg.block_diag(f, [algebra.left_mult_matrix(i)] * n))
-    return Module(algebra, algebra.dim * n, acts)
+    return Module(algebra, dim, [
+        functools.reduce(f.matmul, [arrow_action[a] for a in word]) if word
+        else vertex_action[src]
+        for word, src, _ in algebra.path_words])
 
 
 def simples(algebra):
@@ -426,39 +484,48 @@ def simples(algebra):
     return list(algebra._cache["simples"])
 
 
+def _vertex_paths(algebra, end):
+    """For each vertex v, the basis indices of the paths whose source (end
+    0) or target (end 1) is v."""
+    return [[i for i, path in enumerate(algebra.path_words) if path[1 + end] == v]
+            for v in algebra.quiver.vertices]
+
+
 def indecomposable_projectives(algebra):
-    """Ae_v for each vertex v: paths with source v, left multiplication."""
+    """Ae_v for each vertex v: paths with source v, left multiplication.
+    Built once per algebra; each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("projectives by shape need a quiver presentation")
-    f = algebra.field
-    out = []
-    for v in algebra.quiver.vertices:
-        idx = [i for i, (w, s, t) in enumerate(algebra.path_words) if s == v]
-        acts = [algebra.left_mult_matrix(i)[np.ix_(idx, idx)] for i in range(algebra.dim)]
-        out.append(Module(algebra, len(idx), acts))
-    return out
+    if "projectives" not in algebra._cache:
+        left = algebra.left_mult()
+        algebra._cache["projectives"] = tuple(
+            Module(algebra, len(idx), left[:, idx][:, :, idx])
+            for idx in _vertex_paths(algebra, 0))
+    return list(algebra._cache["projectives"])
 
 
 def indecomposable_injectives(algebra):
-    """D(e_v A): dual of the right projective at v."""
+    """D(e_v A): dual of the right projective at v.  Built once per algebra;
+    each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("injectives by shape need a quiver presentation")
-    out = []
-    for v in algebra.quiver.vertices:
-        idx = [i for i, (w, s, t) in enumerate(algebra.path_words) if t == v]
-        acts = [algebra.right_mult_matrix(i)[np.ix_(idx, idx)].T for i in range(algebra.dim)]
-        out.append(Module(algebra, len(idx), acts))
-    return out
+    if "injectives" not in algebra._cache:
+        right = algebra.right_mult()
+        algebra._cache["injectives"] = tuple(
+            Module(algebra, len(idx), right[:, idx][:, :, idx].transpose(0, 2, 1))
+            for idx in _vertex_paths(algebra, 1))
+    return list(algebra._cache["injectives"])
 
 
 def dual_module(x: Module) -> Module:
     """D(X) over the opposite algebra: transposed action, same dimension."""
-    return Module(x.algebra.opposite(), x.dim, [a.T for a in x.action])
+    return Module(x.algebra.opposite(), x.dim, x.action.transpose(0, 2, 1))
 
 
 class Bimodule:
-    """B-A-bimodule: left action of B, right action of A.  The right action
-    is stored as matrices R(a) with v . a = R(a) v, so R(a1 a2) = R(a2) R(a1)."""
+    """B-A-bimodule: left action of B, right action of A, each one frozen
+    stack like Module.action.  The right action is stored as matrices R(a)
+    with v . a = R(a) v, so R(a1 a2) = R(a2) R(a1)."""
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action, check=False):
         if left_algebra.field != right_algebra.field:
@@ -467,27 +534,35 @@ class Bimodule:
         self.right_algebra = right_algebra
         self.field = left_algebra.field
         self.dim = dim
-        self.left_action = tuple(self.field.freeze(np.array(a)) for a in left_action)
-        self.right_action = tuple(self.field.freeze(np.array(a)) for a in right_action)
+        self.left_action = _frozen_stack(self.field, left_action, left_algebra.dim, dim)
+        self.right_action = _frozen_stack(self.field, right_action, right_algebra.dim, dim)
+        self._cache = {}
         self._tensors = {}  # Module.content_key() -> TensorModule, see tensor_over
         if check:
             self.validate()
 
     def as_left_module(self):
-        return Module(self.left_algebra, self.dim, self.left_action)
+        """The left B-structure, built once per bimodule."""
+        if "left" not in self._cache:
+            self._cache["left"] = Module(self.left_algebra, self.dim, self.left_action)
+        return self._cache["left"]
 
     def right_as_left_module(self):
-        """The right A-structure as a left module over A^op."""
-        return Module(self.right_algebra.opposite(), self.dim, self.right_action)
+        """The right A-structure as a left module over A^op, built once per
+        bimodule."""
+        if "right" not in self._cache:
+            self._cache["right"] = Module(self.right_algebra.opposite(), self.dim,
+                                          self.right_action)
+        return self._cache["right"]
 
     def validate(self):
         self.as_left_module().validate()
         self.right_as_left_module().validate()
         f = self.field
-        for l in self.left_action:
-            for r in self.right_action:
-                if not f.equal(f.matmul(l, r), f.matmul(r, l)):
-                    raise ValueError("left and right actions do not commute")
+        lr = _pairwise(f, self.left_action, self.right_action)
+        rl = _pairwise(f, self.right_action, self.left_action)
+        if not f.equal(lr, rl.transpose(1, 0, 2, 3)):
+            raise ValueError("left and right actions do not commute")
         return True
 
     def __repr__(self):
@@ -496,16 +571,14 @@ class Bimodule:
 
 
 def zero_bimodule(left_algebra, right_algebra):
-    z = left_algebra.field.zeros(0, 0)
+    f = left_algebra.field
     return Bimodule(left_algebra, right_algebra, 0,
-                    [z] * left_algebra.dim, [z] * right_algebra.dim)
+                    f.zeros(left_algebra.dim, 0, 0), f.zeros(right_algebra.dim, 0, 0))
 
 
 def regular_bimodule(algebra):
     """A as an A-A-bimodule."""
-    return Bimodule(algebra, algebra, algebra.dim,
-                    [algebra.left_mult_matrix(i) for i in range(algebra.dim)],
-                    [algebra.right_mult_matrix(i) for i in range(algebra.dim)])
+    return Bimodule(algebra, algebra, algebra.dim, algebra.left_mult(), algebra.right_mult())
 
 
 def corner_bimodule(algebra, v, w):
@@ -514,15 +587,12 @@ def corner_bimodule(algebra, v, w):
     Basis: pairs (p, q) with source(p) = v, target(q) = w, ordered p-major.
     """
     f = algebra.field
-    pidx = [i for i, (wd, s, t) in enumerate(algebra.path_words) if s == v]
-    qidx = [i for i, (wd, s, t) in enumerate(algebra.path_words) if t == w]
+    verts = algebra.quiver.vertices
+    pidx = _vertex_paths(algebra, 0)[verts.index(v)]
+    qidx = _vertex_paths(algebra, 1)[verts.index(w)]
     np_, nq = len(pidx), len(qidx)
-    left, right = [], []
-    for i in range(algebra.dim):
-        lm = algebra.left_mult_matrix(i)[np.ix_(pidx, pidx)]
-        left.append(linalg.kron(f, lm, f.eye(nq)))
-        rm = algebra.right_mult_matrix(i)[np.ix_(qidx, qidx)]
-        right.append(linalg.kron(f, f.eye(np_), rm))
+    left = [linalg.kron(f, lm, f.eye(nq)) for lm in algebra.left_mult()[:, pidx][:, :, pidx]]
+    right = [linalg.kron(f, f.eye(np_), rm) for rm in algebra.right_mult()[:, qidx][:, :, qidx]]
     return Bimodule(algebra, algebra, np_ * nq, left, right)
 
 
@@ -546,10 +616,12 @@ class ModuleMorphism:
         f = self.field
         if self.source.algebra is not self.target.algebra:
             raise ValueError("morphism between modules over different algebras")
-        for i in self.source.algebra.generator_indices():
-            if not f.equal(f.matmul(self.matrix, self.source.act(i)),
-                           f.matmul(self.target.act(i), self.matrix)):
-                raise ValueError(f"not an intertwiner at basis element {i}")
+        gens = self.source.algebra.generator_indices()
+        left = _left_times(f, self.matrix, self.source.action[gens])
+        right = _times(f, self.target.action[gens], self.matrix)
+        bad = np.flatnonzero(np.any((left != right).reshape(len(gens), -1), axis=1))
+        if len(bad):
+            raise ValueError(f"not an intertwiner at basis element {gens[bad[0]]}")
         return True
 
     def compose(self, other):
@@ -690,19 +762,51 @@ class TensorModule:
     """M (x)_A X for a B-A-bimodule M and a left A-module X.
 
     module: the left B-module on the quotient of the plain vector-space
-    tensor (pure tensors ordered m-major) by the bilinearity relations;
-    surjection/section present the quotient.  Instances are shared through
-    the memo of tensor_over, so surjection and section are read-only.
+    tensor by the bilinearity relations; surjection/section present the
+    quotient.  The plain tensor has the pure tensors m_i (x) x_j as its
+    basis, i < outer = dim M and j < inner = dim X, and only this class knows
+    their order: pure_values reads a map out of the tensor on the pure
+    tensors, descend builds one from such values, and pure_surjection and
+    pure_section are the two presenting matrices indexed by (i, j).
+    Instances are shared through the memo of tensor_over, so surjection and
+    section are read-only.
     """
 
-    def __init__(self, module, surjection, section):
+    def __init__(self, module, surjection, section, outer, inner):
         self.module = module
         self.surjection = surjection
         self.section = section
+        self.outer = outer
+        self.inner = inner
 
     @property
     def dim(self):
         return self.module.dim
+
+    @property
+    def pure_surjection(self):
+        """The class of m_i (x) x_j at [:, i, j]."""
+        return self.surjection.reshape(self.dim, self.outer, self.inner)
+
+    @property
+    def pure_section(self):
+        """The coefficient of m_i (x) x_j in the lift of basis vector s at
+        [i, j, s]."""
+        return self.section.reshape(self.outer, self.inner, self.dim)
+
+    def pure_values(self, fmap):
+        """fmap(m_i (x) x_j) at [:, i, j], for a map fmap out of the tensor
+        given on its quotient coordinates."""
+        f = self.module.field
+        return f.matmul(fmap, self.surjection).reshape(fmap.shape[0], self.outer, self.inner)
+
+    def descend(self, values):
+        """The map out of the tensor, on its quotient coordinates, whose value
+        at m_i (x) x_j is values[:, i, j]; the values must vanish on the
+        bilinearity relations."""
+        f = self.module.field
+        rows = values.shape[0]
+        return f.matmul(values.reshape(rows, self.outer * self.inner), self.section)
 
 
 def tensor_over(m: Bimodule, x: Module) -> TensorModule:
@@ -729,18 +833,17 @@ def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
         rel_blocks.append(f.normalize(r))
     relations = linalg.hstack(f, rel_blocks) if rel_blocks else f.zeros(full, 0)
     proj, sect = linalg.quotient(f, full, relations)
-    acts = []
-    for i in range(m.left_algebra.dim):
-        big = linalg.kron(f, m.left_action[i], f.eye(dx))
-        acts.append(f.matmul(proj, f.matmul(big, sect)))
+    big = _stack(f, [linalg.kron(f, a, f.eye(dx)) for a in m.left_action], (full, full))
+    acts = _left_times(f, proj, _times(f, big, sect))
     return TensorModule(Module(m.left_algebra, proj.shape[0], acts),
-                        f.freeze(proj), f.freeze(sect))
+                        f.freeze(proj), f.freeze(sect), dm, dx)
 
 
 class HomModule:
     """Hom_A(N, X) for an A-B-bimodule N and a left A-module X, as a left
     B-module via the right action on N.  basis holds the intertwiner
-    matrices; pivots give coordinate extraction for arbitrary intertwiners."""
+    matrices as one read-only stack; pivots give coordinate extraction for
+    arbitrary intertwiners (see coordinates)."""
 
     def __init__(self, module, basis, pivots, n, x):
         self.module = module
@@ -753,55 +856,42 @@ class HomModule:
     def dim(self):
         return self.module.dim
 
-    def coordinates(self, phi):
-        """Coordinates of an intertwiner phi: N -> X in the canonical basis."""
-        return pivot_coordinates(self.pivots, phi)
-
 
 def basis_pivots(field, basis):
-    """For each matrix in a canonical solution basis, a coordinate where it
-    is 1 and all the others vanish; gives coefficient extraction."""
-    pivots = []
-    taken = set()
-    for mat in basis:
-        vec = mat.reshape(-1)
-        for p in range(vec.shape[0]):
-            if vec[p] == field.one and p not in taken and all(
-                other.reshape(-1)[p] == field.zero for other in basis if other is not mat
-            ):
-                pivots.append(p)
-                taken.add(p)
-                break
-        else:
-            raise AssertionError("canonical basis lost its pivot structure")
-    return pivots
+    """For each matrix of a canonical solution basis, the first coordinate
+    where it is 1 and all the others vanish; the coordinates of a matrix in
+    the span are its entries there (see coordinates)."""
+    if not len(basis):
+        return []
+    flat = np.reshape(basis, (len(basis), -1))
+    alone = np.count_nonzero(flat != field.zero, axis=0) == 1
+    marks = (flat == field.one) & alone
+    if not marks.any(axis=1).all():
+        raise AssertionError("canonical basis lost its pivot structure")
+    return marks.argmax(axis=1).tolist()
 
 
-def pivot_coordinates(pivots, mat):
-    """Coefficients of mat in a canonical basis, read off at the basis
-    pivots (see basis_pivots)."""
-    vec = mat.reshape(-1)
-    return np.array([vec[p] for p in pivots], dtype=object)
+def coordinates(field, pivots, mats):
+    """The coordinates of each of mats, one column per matrix, in the
+    canonical basis with the given pivots, as a matrix in the field's
+    dtype."""
+    out = field.zeros(len(pivots), len(mats))
+    if len(mats) and len(pivots):
+        out[...] = np.reshape(mats, (len(mats), -1))[:, pivots].T
+    return out
 
 
 def hom_module(n: Bimodule, x: Module) -> HomModule:
     if n.left_algebra is not x.algebra:
         raise ValueError("hom needs matching algebra on the outside")
     f = n.field
-    basis = hom_space(n.as_left_module(), x)
-    h = len(basis)
+    basis = f.freeze(_stack(f, hom_space(n.as_left_module(), x), (x.dim, n.dim)))
     pivots = basis_pivots(f, basis)
-    acts = []
-    for i in range(n.right_algebra.dim):
-        cols = []
-        for mat in basis:
-            moved = f.matmul(mat, n.right_action[i])
-            cols.append(pivot_coordinates(pivots, moved))
-        act = f.zeros(h, h)
-        for j, col in enumerate(cols):
-            for r in range(h):
-                act[r, j] = col[r]
-        acts.append(act)
+    h, nr = len(basis), n.right_algebra.dim
+    # column j of act(i) holds the coordinates of basis[j] n(i)
+    moved = _pairwise(f, basis, n.right_action).transpose(1, 0, 2, 3)
+    coords = coordinates(f, pivots, moved.reshape(nr * h, x.dim, n.dim))
+    acts = coords.reshape(h, nr, h).transpose(1, 0, 2)
     return HomModule(Module(n.right_algebra, h, acts), basis, pivots, n, x)
 
 
@@ -812,11 +902,7 @@ def kernel(phi: ModuleMorphism):
     f = phi.field
     r, pivots = linalg.rref(f, phi.matrix)
     k, free = linalg.kernel_from_rref(f, r, pivots, phi.source.dim)
-    acts = []
-    for i in range(phi.source.algebra.dim):
-        moved = f.matmul(phi.source.act(i), k)
-        acts.append(moved[free, :] if free else f.zeros(0, 0))
-    kmod = Module(phi.source.algebra, k.shape[1], acts)
+    kmod = Module(phi.source.algebra, k.shape[1], _times(f, phi.source.action, k)[:, free, :])
     return kmod, ModuleMorphism(kmod, phi.source, k)
 
 
@@ -824,8 +910,7 @@ def cokernel(phi: ModuleMorphism):
     """(cokernel module, projection morphism)."""
     f = phi.field
     proj, sect = linalg.quotient(f, phi.target.dim, phi.matrix)
-    acts = [f.matmul(proj, f.matmul(phi.target.act(i), sect))
-            for i in range(phi.target.algebra.dim)]
+    acts = _left_times(f, proj, _times(f, phi.target.action, sect))
     cmod = Module(phi.target.algebra, proj.shape[0], acts)
     return cmod, ModuleMorphism(phi.target, cmod, proj)
 
@@ -835,38 +920,31 @@ def direct_sum(mods):
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum needs an algebra; use zero_module")
-    alg = mods[0].algebra
-    f = alg.field
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    acts = [linalg.block_diag(f, [m.act(i) for m in mods]) for i in range(alg.dim)]
-    s = Module(alg, total, acts)
-    injs, projs = [], []
-    ofs = 0
-    for m in mods:
-        inj = f.zeros(total, m.dim)
-        pr = f.zeros(m.dim, total)
-        for j in range(m.dim):
-            inj[ofs + j, j] = f.one
-            pr[j, ofs + j] = f.one
-        injs.append(ModuleMorphism(m, s, inj))
-        projs.append(ModuleMorphism(s, m, pr))
-        ofs += m.dim
+    f = mods[0].field
+    s = Module(mods[0].algebra, sum(m.dim for m in mods),
+               _block_diagonal(f, mods[0].algebra.dim, [m.action for m in mods]))
+    eye = f.eye(s.dim)
+    ofs = np.cumsum([0, *(m.dim for m in mods)])
+    injs = [ModuleMorphism(m, s, eye[:, lo:hi]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
+    projs = [ModuleMorphism(s, m, eye[lo:hi, :]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
     return s, injs, projs
 
 
 # -- projective covers and projectivity -------------------------------------
 
-def radical_span(x: Module):
-    """Columns spanning rad(x) = sum of arrow images (quiver-presented)."""
+def _arrow_actions(x: Module):
+    """The stack of the arrow actions on x (quiver-presented)."""
     alg = x.algebra
     if not alg.is_quiver_presented:
         raise ValueError("radical needs a quiver presentation")
-    cols = [x.act(alg.arrow_indices[a[0]]) for a in alg.quiver.arrows
-            if a[0] in alg.arrow_indices]
-    if not cols:
-        return x.field.zeros(x.dim, 0)
-    return linalg.hstack(x.field, cols)
+    return x.action[[alg.arrow_indices[a[0]] for a in alg.quiver.arrows
+                     if a[0] in alg.arrow_indices]]
+
+
+def radical_span(x: Module):
+    """Columns spanning rad(x) = sum of arrow images (quiver-presented)."""
+    arrows = _arrow_actions(x)
+    return arrows.transpose(1, 0, 2).reshape(x.dim, len(arrows) * x.dim)
 
 
 def projective_cover(x: Module):
@@ -876,32 +954,23 @@ def projective_cover(x: Module):
     if x.dim == 0:
         z = zero_module(alg)
         return z, ModuleMorphism(z, x, f.zeros(0, 0))
-    rad = radical_span(x)
-    proj_top, sect_top = linalg.quotient(f, x.dim, rad)
+    proj_top, sect_top = linalg.quotient(f, x.dim, radical_span(x))
     projectives = indecomposable_projectives(alg)
-    idem = [alg.vertex_idempotents[v] for v in alg.quiver.vertices]
-    summands, generators = [], []
-    for vi, v in enumerate(alg.quiver.vertices):
+    summands, blocks = [], []
+    for p, v, paths in zip(projectives, alg.quiver.vertices, _vertex_paths(alg, 0)):
         # e_v-part of the top, pulled back to distinguished generators of x
-        ev_top = f.matmul(f.matmul(proj_top, f.matmul(x.act(idem[vi]), sect_top)),
-                          f.eye(proj_top.shape[0]))
-        basis = linalg.column_space_basis(f, ev_top)
-        for bcol in range(basis.shape[1]):
-            gen = f.matmul(x.act(idem[vi]), f.matmul(sect_top, basis[:, bcol : bcol + 1]))
-            summands.append(projectives[vi])
-            generators.append((vi, gen))
+        e_v = x.act(alg.vertex_idempotents[v])
+        basis = linalg.column_space_basis(f, f.matmul(proj_top, f.matmul(e_v, sect_top)))
+        gens = f.matmul(e_v, f.matmul(sect_top, basis))
+        # the copy of P_v for generator c sends its path k to path_k . gen_c
+        images = _times(f, x.action[paths], gens)
+        for c in range(gens.shape[1]):
+            summands.append(p)
+            blocks.append(images[:, :, c].T)
     if not summands:
         raise AssertionError("nonzero module with zero top")
-    p, injs, projs = direct_sum(summands)
-    cols = []
-    for (vi, gen), summand in zip(generators, summands):
-        v = alg.quiver.vertices[vi]
-        pidx = [i for i, (w, s, t) in enumerate(alg.path_words) if s == v]
-        block = f.zeros(x.dim, summand.dim)
-        for local, i in enumerate(pidx):
-            block[:, local : local + 1] = f.matmul(x.act(i), gen)
-        cols.append(block)
-    epi = linalg.hstack(f, cols)
+    p, _, _ = direct_sum(summands)
+    epi = linalg.hstack(f, blocks)
     if linalg.rank(f, epi) != x.dim:
         raise AssertionError("projective cover failed to surject")
     return p, ModuleMorphism(p, x, epi)
@@ -920,7 +989,6 @@ def is_injective_module(x: Module) -> bool:
 
 def injective_envelope(x: Module):
     """(I, mono x -> I): dual of the projective cover of the dual."""
-    f = x.field
     dx = dual_module(x)
     p, epi = projective_cover(dx)
     i = dual_module(p)
@@ -1001,6 +1069,26 @@ def _invertible_combination(field, basis, dim, rng):
     return None, False  # inconclusive
 
 
+def simple_multiplicities(x: Module):
+    """(dim Hom(x, S_v), dim Hom(S_v, x)) for each vertex v, read off ranks:
+    the multiplicity of S_v in the top of x is rank E_v - rank(E_v rad x),
+    and in its socle dim x - rank [E_v - 1; arrow actions], with E_v the
+    action of e_v (Assem, Simson & Skowronski, Elements I, ch. III)."""
+    if "simple_multiplicities" not in x._cache:
+        f = x.field
+        rad = radical_span(x)
+        arrows = _arrow_actions(x)
+        arrows = arrows.reshape(len(arrows) * x.dim, x.dim)
+        out = []
+        for v in x.algebra.quiver.vertices:
+            e_v = x.act(x.algebra.vertex_idempotents[v])
+            top = linalg.rank(f, e_v) - linalg.rank(f, f.matmul(e_v, rad))
+            fixed = linalg.vstack(f, [f.normalize(e_v - f.eye(x.dim)), arrows])
+            out.append((top, x.dim - linalg.rank(f, fixed)))
+        x._cache["simple_multiplicities"] = tuple(out)
+    return x._cache["simple_multiplicities"]
+
+
 def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:
     """Never reports "isomorphic" falsely; "undetermined" when the random
     search gives up."""
@@ -1014,10 +1102,8 @@ def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:
         return IsoResult("not_isomorphic")
     if x.dim == 0:
         return IsoResult("isomorphic", x.field.zeros(0, 0))
-    if x.algebra.is_quiver_presented:
-        for s in simples(x.algebra):
-            if hom_dim(x, s) != hom_dim(y, s) or hom_dim(s, x) != hom_dim(s, y):
-                return IsoResult("not_isomorphic")
+    if x.algebra.is_quiver_presented and simple_multiplicities(x) != simple_multiplicities(y):
+        return IsoResult("not_isomorphic")
     basis = hom_space(x, y)
     mat, complete = _invertible_combination(x.field, basis, x.dim, rng)
     if mat is not None:

@@ -147,8 +147,8 @@ def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
     tb_v = functor_T(l.data, "B", v)
     target, injs, projs = lambda_direct_sum([ta_u, tb_v])
     # a = [p2 ; (1 (x) p1) r_g],  b = [(1 (x) p2) r_f ; p1]
-    one_pf = _tensor_map(fld, l.tY, tb_v.tY, l.data.N.dim, pf.matrix)
-    one_pg = _tensor_map(fld, l.tX, ta_u.tX, l.data.M.dim, pg.matrix)
+    one_pf = _tensor_map(fld, l.tY, tb_v.tY, pf.matrix)
+    one_pg = _tensor_map(fld, l.tX, ta_u.tX, pg.matrix)
     a = fld.normalize(fld.matmul(injs[0].a, pg.matrix)
                       + fld.matmul(injs[1].a, fld.matmul(one_pf, r_g.matrix)))
     b = fld.normalize(fld.matmul(injs[0].b, fld.matmul(one_pg, r_f.matrix))

@@ -96,8 +96,8 @@ class FieldSpec:
             return np.int64
         return object
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        a = np.zeros((rows, cols), dtype=self._dtype)
+    def zeros(self, *shape: int) -> np.ndarray:
+        a = np.zeros(shape, dtype=self._dtype)
         if self._dtype is object:
             a[...] = self.zero
         return a

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import linalg
 from .algebras import (
-    Module, ModuleMorphism, basis_pivots, cokernel, direct_sum, dual_module,
-    free_module, hom_dim, hom_module, hom_space, injective_envelope,
-    is_injective_module, is_projective_module, kernel, pivot_coordinates,
-    projective_cover, solve_hom_equation,
+    Module, ModuleMorphism, _left_times, _stack, basis_pivots, cokernel,
+    coordinates, direct_sum, dual_module, free_module, hom_dim, hom_module,
+    hom_space, injective_envelope, is_injective_module, is_projective_module,
+    kernel, projective_cover, solve_hom_equation,
 )
 from .morita import (
     LambdaModule, LambdaMorphism, dual_lambda, flatten, functor_H, functor_T,
@@ -110,14 +110,10 @@ def _hom_dim(x, y):
 
 def free_presentation(x: Module) -> ShortExactSequence:
     """0 -> K -> A^(dim x) -> x -> 0 with the tautological epi a (x) v -> av."""
-    alg = x.algebra
-    fld = x.field
-    p = free_module(alg, x.dim)
-    epi = fld.zeros(x.dim, p.dim)
-    for i in range(x.dim):
-        for j in range(alg.dim):
-            epi[:, i * alg.dim + j] = x.act(j)[:, i]
-    epi_m = ModuleMorphism(p, x, epi)
+    p = free_module(x.algebra, x.dim)
+    # the basis element (i, j) of the free module, copy i and algebra basis
+    # element j, goes to basis_j x_i
+    epi_m = ModuleMorphism(p, x, x.action.transpose(1, 2, 0).reshape(x.dim, p.dim))
     k, incl = kernel(epi_m)
     return ShortExactSequence(k, p, x, incl, epi_m)
 
@@ -180,8 +176,8 @@ def _t_cover(l: LambdaModule, pi_a: ModuleMorphism, pi_b: ModuleMorphism) -> Sho
     mid, _, projs = lambda_direct_sum([tap, tbv])
     # T_A P has Y-part M (x) P and T_B V has X-part N (x) V on the nose, so
     # the projections land directly in tensor coordinates.
-    one_pi_a = _tensor_map(fld, tap.tX, l.tX, data.M.dim, pi_a.matrix)
-    one_pi_b = _tensor_map(fld, tbv.tY, l.tY, data.N.dim, pi_b.matrix)
+    one_pi_a = _tensor_map(fld, tap.tX, l.tX, pi_a.matrix)
+    one_pi_b = _tensor_map(fld, tbv.tY, l.tY, pi_b.matrix)
     a = fld.normalize(fld.matmul(pi_a.matrix, projs[0].a)
                       + fld.matmul(fld.matmul(l.g, one_pi_b), projs[1].a))
     b = fld.normalize(fld.matmul(pi_b.matrix, projs[1].b)
@@ -215,30 +211,19 @@ class _HomSpaceCoords:
     def dim(self):
         return len(self.basis)
 
-    def coords(self, phi):
-        return pivot_coordinates(self.pivots, _flat(phi))
-
     def matrix_of_map(self, images):
         """Coordinate matrix of a linear map into this hom space, given the
         images of some domain basis."""
-        out = self.field.zeros(self.dim, len(images))
-        for j, img in enumerate(images):
-            c = self.coords(img)
-            for r in range(self.dim):
-                out[r, j] = c[r]
-        return out
+        return coordinates(self.field, self.pivots, [_flat(img) for img in images])
 
     def element(self, coeffs):
         """The morphism sum_j coeffs[j] basis[j]."""
         fld = self.field
-        blocks = []
-        for k, (s, t) in enumerate(zip(_dims(self.source), _dims(self.target))):
-            acc = fld.zeros(t, s)
-            for c, phi in zip(coeffs, self.basis):
-                if c != fld.zero:
-                    acc = acc + c * phi.components[k]
-            blocks.append(fld.normalize(acc))
-        return _morphism(self.source, self.target, blocks)
+        coeffs = np.reshape(coeffs, (1, -1))
+        return _morphism(self.source, self.target, [
+            linalg.combine(fld, coeffs, _stack(fld, [phi.components[k] for phi in self.basis],
+                                               (t, s)))[0]
+            for k, (s, t) in enumerate(zip(_dims(self.source), _dims(self.target)))])
 
 
 # -- Ext ----------------------------------------------------------------------
@@ -393,7 +378,7 @@ def tor1(m, x: Module):
     tk = tensor_over(m, pres.left)
     tp = tensor_over(m, pres.middle)
     fld = x.field
-    induced = _tensor_map(fld, tk, tp, m.dim, pres.incl.matrix)
+    induced = _tensor_map(fld, tk, tp, pres.incl.matrix)
     basis = linalg.kernel_basis(fld, induced)
     return basis.shape[1], basis
 
@@ -405,8 +390,10 @@ def is_projective_lambda(l: LambdaModule) -> bool:
     """Ext^1 against all the structural simples vanishes."""
     if l.total_dim == 0:
         return True
-    s, _, _ = lambda_direct_sum(lambda_simples(l.data))
-    return _ext_dim(l, s, 1, "cover") == 0
+    cache = l.data._cache
+    if "simples_sum" not in cache:
+        cache["simples_sum"] = lambda_direct_sum(lambda_simples(l.data))[0]
+    return _ext_dim(l, cache["simples_sum"], 1, "cover") == 0
 
 
 def proj_dim_upto(x, bound=DEFAULT_DIM_BOUND):
@@ -493,14 +480,7 @@ def injective_presentation(x: Module) -> ShortExactSequence:
 def _hom_post(field, hom_src, hom_tgt, phi):
     """Postcomposition Hom(bim, Y1) -> Hom(bim, Y2) along phi: Y1 -> Y2,
     in the canonical hom coordinates."""
-    cols = []
-    for mat in hom_src.basis:
-        cols.append(hom_tgt.coordinates(field.matmul(phi, mat)))
-    out = field.zeros(hom_tgt.dim, hom_src.dim)
-    for j, c in enumerate(cols):
-        for r in range(hom_tgt.dim):
-            out[r, j] = c[r]
-    return out
+    return coordinates(field, hom_tgt.pivots, _left_times(field, phi, hom_src.basis))
 
 
 # -- the four approximation constructions -----------------------------------------

@@ -147,8 +147,7 @@ def module_to_json(x: alg.Module, algebra_ref):
     a = x.algebra
     doc = {"version": DOC_VERSION, "kind": "module", "algebra_ref": algebra_ref,
            "dim": x.dim}
-    doc["generator_action"] = _actions_to_json(a, [x.act(i) for i in range(a.dim)],
-                                                x.field)
+    doc["generator_action"] = _actions_to_json(a, x.action, x.field)
     return doc
 
 
@@ -163,41 +162,32 @@ def _actions_to_json(a, action, field):
     return {"basis": [matrix_to_json(field, m) for m in action]}
 
 
-def _actions_from_json(a, doc, dim, field):
-    """Rebuild the action of every basis element from generator matrices."""
+def _module_from_json(a, doc, dim, field):
+    """The module given by the matrices of the generators: per vertex and per
+    arrow over a quiver-presented algebra, else per basis element."""
     if a.is_quiver_presented:
-        if "vertices" not in doc or "arrows" not in doc:
+        if not isinstance(doc, dict) or "vertices" not in doc or "arrows" not in doc:
             raise SchemaError("generator_action needs vertices and arrows")
         vert = {v: matrix_from_json(field, m, (dim, dim))
                 for v, m in doc["vertices"].items()}
         arr = {n: matrix_from_json(field, m, (dim, dim))
                for n, m in doc["arrows"].items()}
-        acts = []
-        for word, src, tgt in a.path_words:
-            if not word:
-                if src not in vert:
-                    raise SchemaError(f"missing action of the idempotent at {src}")
-                acts.append(vert[src])
-            else:
-                m = None
-                for name in reversed(word):
-                    if name not in arr:
-                        raise SchemaError(f"missing action of arrow {name}")
-                    step = arr[name]
-                    m = step if m is None else field.matmul(step, m)
-                acts.append(m)
-        return acts
+        for v in a.quiver.vertices:
+            if v not in vert:
+                raise SchemaError(f"missing action of the idempotent at {v}")
+        for name in a.arrow_indices:
+            if name not in arr:
+                raise SchemaError(f"missing action of arrow {name}")
+        return alg.quiver_module(a, dim, vert, arr)
     mats = doc.get("basis")
     if not isinstance(mats, list) or len(mats) != a.dim:
         raise SchemaError("basis_action must list one matrix per basis element")
-    return [matrix_from_json(field, m, (dim, dim)) for m in mats]
+    return alg.Module(a, dim, [matrix_from_json(field, m, (dim, dim)) for m in mats])
 
 
 def module_from_json(doc, algebra):
     _require(doc, "module")
-    dim = int(doc["dim"])
-    acts = _actions_from_json(algebra, doc["generator_action"], dim, algebra.field)
-    x = alg.Module(algebra, dim, acts)
+    x = _module_from_json(algebra, doc["generator_action"], int(doc["dim"]), algebra.field)
     x.validate()
     return x
 
@@ -210,55 +200,19 @@ def bimodule_to_json(m: alg.Bimodule, left_ref, right_ref):
         "version": DOC_VERSION, "kind": "bimodule",
         "left_algebra": left_ref, "right_algebra": right_ref,
         "dim": m.dim,
-        "left_action": _actions_to_json(m.left_algebra, list(m.left_action), m.field),
-        "right_action": _right_actions_to_json(m),
+        "left_action": _actions_to_json(m.left_algebra, m.left_action, m.field),
+        "right_action": _actions_to_json(m.right_algebra, m.right_action, m.field),
     }
-
-
-def _right_actions_to_json(m):
-    a = m.right_algebra
-    field = m.field
-    if a.is_quiver_presented:
-        out = {"vertices": {}, "arrows": {}}
-        for v, idx in sorted(a.vertex_idempotents.items()):
-            out["vertices"][v] = matrix_to_json(field, m.right_action[idx])
-        for name, idx in sorted(a.arrow_indices.items()):
-            out["arrows"][name] = matrix_to_json(field, m.right_action[idx])
-        return out
-    return {"basis": [matrix_to_json(field, x) for x in m.right_action]}
-
-
-def _right_actions_from_json(a, doc, dim, field):
-    if a.is_quiver_presented:
-        vert = {v: matrix_from_json(field, m, (dim, dim))
-                for v, m in doc["vertices"].items()}
-        arr = {n: matrix_from_json(field, m, (dim, dim))
-               for n, m in doc["arrows"].items()}
-        acts = []
-        for word, src, tgt in a.path_words:
-            if not word:
-                acts.append(vert[src])
-            else:
-                # right action is an antihomomorphism: compose in word order
-                m = None
-                for name in word:
-                    step = arr[name]
-                    m = step if m is None else field.matmul(step, m)
-                acts.append(m)
-        return acts
-    mats = doc.get("basis")
-    if not isinstance(mats, list) or len(mats) != a.dim:
-        raise SchemaError("basis right action must list one matrix per element")
-    return [matrix_from_json(field, m, (dim, dim)) for m in mats]
 
 
 def bimodule_from_json(doc, left_algebra, right_algebra):
     _require(doc, "bimodule")
     dim = int(doc["dim"])
     field = left_algebra.field
-    left = _actions_from_json(left_algebra, doc["left_action"], dim, field)
-    right = _right_actions_from_json(right_algebra, doc["right_action"], dim, field)
-    m = alg.Bimodule(left_algebra, right_algebra, dim, left, right)
+    left = _module_from_json(left_algebra, doc["left_action"], dim, field)
+    # the right action is the left action of the opposite algebra
+    right = _module_from_json(right_algebra.opposite(), doc["right_action"], dim, field)
+    m = alg.Bimodule(left_algebra, right_algebra, dim, left.action, right.action)
     m.validate()
     return m
 
@@ -277,13 +231,9 @@ def lambda_module_to_json(l: mor.LambdaModule, morita_ref):
         "version": DOC_VERSION, "kind": "lambda_module",
         "morita_ref": morita_ref,
         "X": {"dim": l.X.dim,
-              "generator_action": _actions_to_json(data.A,
-                                                   [l.X.act(i) for i in range(data.A.dim)],
-                                                   l.field)},
+              "generator_action": _actions_to_json(data.A, l.X.action, l.field)},
         "Y": {"dim": l.Y.dim,
-              "generator_action": _actions_to_json(data.B,
-                                                   [l.Y.act(i) for i in range(data.B.dim)],
-                                                   l.field)},
+              "generator_action": _actions_to_json(data.B, l.Y.action, l.field)},
         "f": matrix_to_json(l.field, l.f),
         "g": matrix_to_json(l.field, l.g),
     }
@@ -294,12 +244,8 @@ def lambda_module_from_json(doc, data: mor.MoritaData):
     fld = data.field
     xd = doc["X"]
     yd = doc["Y"]
-    x = alg.Module(data.A, int(xd["dim"]),
-                   _actions_from_json(data.A, xd["generator_action"],
-                                      int(xd["dim"]), fld))
-    y = alg.Module(data.B, int(yd["dim"]),
-                   _actions_from_json(data.B, yd["generator_action"],
-                                      int(yd["dim"]), fld))
+    x = _module_from_json(data.A, xd["generator_action"], int(xd["dim"]), fld)
+    y = _module_from_json(data.B, yd["generator_action"], int(yd["dim"]), fld)
     x.validate()
     y.validate()
     tx = mor.tensor_over(data.M, x)

@@ -9,6 +9,7 @@ carry witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -249,7 +250,7 @@ def _compatible_g_space(data, x, y, f, tx, ty):
         return basis
     rows = []
     t_n_mx = mor.tensor_over(data.N, tx.module)
-    one_f = mor._tensor_map(fld, t_n_mx, ty, data.N.dim, f)
+    one_f = mor._tensor_map(fld, t_n_mx, ty, f)
     # g . (1 (x) f) = 0: rows over coefficients of the basis
     t_m_ny = mor.tensor_over(data.M, ty.module)
     for cond in ("gf", "fg"):
@@ -258,7 +259,7 @@ def _compatible_g_space(data, x, y, f, tx, ty):
             if cond == "gf":
                 val = fld.matmul(b, one_f)
             else:
-                one_b = mor._tensor_map(fld, t_m_ny, tx, data.M.dim, b)
+                one_b = mor._tensor_map(fld, t_m_ny, tx, b)
                 val = fld.matmul(f, one_b)
             coeff_rows.append(val.reshape(-1))
         m = fld.zeros(len(coeff_rows[0]) if coeff_rows else 0, len(basis))
@@ -271,11 +272,7 @@ def _compatible_g_space(data, x, y, f, tx, ty):
 
 def _combination(fld, coeffs, basis, shape):
     """sum_j coeffs[j] basis[j], normalized; shape is that of a zero sum."""
-    out = fld.zeros(*shape)
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = out + c * b
-    return fld.normalize(out)
+    return linalg.combine(fld, [coeffs], alg._stack(fld, basis, shape))[0]
 
 
 # -- exhaustive enumeration oracle -----------------------------------------------
@@ -292,7 +289,6 @@ def _enumerate_plain(algebra, dim):
     arrows = algebra.quiver.arrows
     reps = []
     for dims in _compositions(dim, len(verts)):
-        offs = np.cumsum([0] + list(dims))
         shapes = [(dims[verts.index(t)], dims[verts.index(s)])
                   for (_, s, t) in arrows]
         total_entries = sum(r * c for r, c in shapes)
@@ -302,9 +298,8 @@ def _enumerate_plain(algebra, dim):
             mats = []
             pos = 0
             for r, c in shapes:
-                mats.append(fld.asmatrix(
-                    [[assignment[pos + ri * c + ci] for ci in range(c)]
-                     for ri in range(r)]) if r * c else fld.zeros(r, c))
+                mats.append(fld.asmatrix(np.reshape(assignment[pos:pos + r * c], (r, c)))
+                            if r * c else fld.zeros(r, c))
                 pos += r * c
             mod = _module_from_quiver_data(algebra, dims, mats)
             if mod is None:
@@ -327,47 +322,23 @@ def _module_from_quiver_data(algebra, dims, arrow_mats):
     """Module with vertex-adapted coordinates from per-arrow matrices, or
     None when a monomial relation fails."""
     fld = algebra.field
-    verts = list(algebra.quiver.vertices)
-    offs = {}
-    run = 0
-    for v, d in zip(verts, dims):
-        offs[v] = run
-        run += d
-    total = run
-    arrow_of = {a[0]: (a[1], a[2], m)
-                for a, m in zip(algebra.quiver.arrows, arrow_mats)}
-    acts = []
-    for word, src, tgt in algebra.path_words:
+    verts = algebra.quiver.vertices
+    offs = dict(zip(verts, np.cumsum([0, *dims])))
+    total = sum(dims)
+
+    def placed(block, src, tgt):
         m = fld.zeros(total, total)
-        if not word:
-            d = dims[verts.index(src)]
-            for i in range(d):
-                m[offs[src] + i, offs[src] + i] = fld.one
-        else:
-            block = None
-            cur_src = src
-            for name in reversed(word):
-                s, t, mat = arrow_of[name]
-                block = mat if block is None else fld.matmul(mat, block)
-                cur_src = t
-            r, c = block.shape
-            if r and c:
-                m[offs[tgt] : offs[tgt] + r, offs[src] : offs[src] + c] = block
-        acts.append(m)
+        m[offs[tgt]:offs[tgt] + block.shape[0], offs[src]:offs[src] + block.shape[1]] = block
+        return m
+
+    vertex = {v: placed(fld.eye(d), v, v) for v, d in zip(verts, dims)}
+    arrows = {name: placed(mat, src, tgt)
+              for (name, src, tgt), mat in zip(algebra.quiver.arrows, arrow_mats)}
     # monomial relations: forbidden words must act as zero
     for word in algebra.relations:
-        block = None
-        ok_path = True
-        for name in reversed(word):
-            s, t, mat = arrow_of[name]
-            block = mat if block is None else (
-                fld.matmul(mat, block) if mat.shape[1] == block.shape[0] else None)
-            if block is None:
-                ok_path = False
-                break
-        if ok_path and block is not None and not fld.is_zero(block):
+        if not fld.is_zero(functools.reduce(fld.matmul, [arrows[a] for a in word])):
             return None
-    return alg.Module(algebra, total, acts)
+    return alg.quiver_module(algebra, total, vertex, arrows)
 
 
 def enumerate_small(data: mor.MoritaData, max_total_dim: int, progress=None):

@@ -153,6 +153,17 @@ def invertible_mask(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return mask
 
 
+def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[r, k] stack[k] for each row r of coeffs, normalized, with
+    only the nonzero coefficients multiplied out."""
+    coeffs = np.asarray(coeffs)
+    rows, ks = np.nonzero(coeffs != field.zero)
+    out = field.zeros(coeffs.shape[0], *stack.shape[1:])
+    terms = coeffs[rows, ks].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ks]
+    np.add.at(out, rows, terms.astype(out.dtype, copy=False))
+    return field.normalize(out)
+
+
 def vstack(field: FieldSpec, blocks) -> np.ndarray:
     blocks = [b for b in blocks]
     if not blocks:

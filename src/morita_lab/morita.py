@@ -8,6 +8,11 @@ f in Hom_B(M (x)_A X, Y) and g in Hom_A(N (x)_B Y, X) with the zero-pairing
 compatibility f(1(x)g) = 0 = g(1(x)f).  The adjoint transposes live in
 f~ : X -> Hom_B(M, Y) and g~ : Y -> Hom_A(N, X); the pair (f~, g~) is the
 "second expression" of the module.
+
+Structure maps are read and built on the pure tensors only through
+TensorModule.pure_values and TensorModule.descend, as arrays indexed
+[row, i, j] for m_i (x) x_j, so no code here knows the order of the pure
+tensors.  Hom coordinates are read with algebras.coordinates.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import numpy as np
 from . import linalg
 from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
-    _invertible_combination, cokernel, direct_sum, dual_module, free_module,
-    hom_module, intertwiner_constraints, intertwiner_system, kernel, simples,
-    solve_affine_system, solve_matrix_system, tensor_over, zero_module,
+    _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
+    dual_module, free_module, hom_module, intertwiner_constraints,
+    intertwiner_system, kernel, simples, solve_affine_system,
+    solve_matrix_system, tensor_over, zero_module,
 )
 
 
@@ -78,10 +84,11 @@ class MoritaData:
         return f"MoritaData({self.name or '?'})"
 
 
-def _tensor_map(field, tsrc: TensorModule, ttgt: TensorModule, outer_dim, a):
-    """The induced map 1 (x) a between tensor quotients, for a: X -> X'."""
-    big = linalg.kron(field, field.eye(outer_dim), a)
-    return field.matmul(ttgt.surjection, field.matmul(big, tsrc.section))
+def _tensor_map(field, tsrc: TensorModule, ttgt: TensorModule, a):
+    """The induced map 1 (x) a between tensor quotients, for a: X -> X'.  It
+    sends m_i (x) x_j to the class of m_i (x) a x_j, so it descends the
+    classes of the target's pure tensors with a applied to the inner index."""
+    return tsrc.descend(_times(field, ttgt.pure_surjection, a))
 
 
 class LambdaModule:
@@ -154,11 +161,11 @@ class LambdaModule:
         fld = self.field
         # g o (1_N (x) f) = 0 on N (x) (M (x) X), and symmetrically
         t_n_mx = tensor_over(self.data.N, self.tX.module)
-        one_f = _tensor_map(fld, t_n_mx, self.tY, self.data.N.dim, self.f)
+        one_f = _tensor_map(fld, t_n_mx, self.tY, self.f)
         if not fld.is_zero(fld.matmul(self.g, one_f)):
             raise ValueError("compatibility g(1(x)f) = 0 fails")
         t_m_ny = tensor_over(self.data.M, self.tY.module)
-        one_g = _tensor_map(fld, t_m_ny, self.tX, self.data.M.dim, self.g)
+        one_g = _tensor_map(fld, t_m_ny, self.tX, self.g)
         if not fld.is_zero(fld.matmul(self.f, one_g)):
             raise ValueError("compatibility f(1(x)g) = 0 fails")
         return True
@@ -169,37 +176,17 @@ class LambdaModule:
 
 def transpose_structure_map(bim, x, y, tx, f, hom_by):
     """eta(f): the adjoint transpose of f: bim (x) x -> y, as a matrix
-    Hom(bim, y) <- x in the canonical hom basis."""
+    Hom(bim, y) <- x in the canonical hom basis; column j holds the
+    coordinates of m -> f(m (x) x_j)."""
     fld = x.field
-    dm, dx = bim.dim, x.dim
-    full = fld.matmul(f, tx.surjection)  # y.dim x (dm*dx), pure-tensor values
-    cols = []
-    for j in range(dx):
-        phi = fld.zeros(y.dim, dm)
-        for i in range(dm):
-            phi[:, i] = full[:, i * dx + j]
-        cols.append(hom_by.coordinates(phi))
-    out = fld.zeros(hom_by.dim, dx)
-    for j, c in enumerate(cols):
-        for r in range(hom_by.dim):
-            out[r, j] = c[r]
-    return fld.freeze(out)
+    return fld.freeze(coordinates(fld, hom_by.pivots, tx.pure_values(f).transpose(2, 0, 1)))
 
 
 def untranspose_structure_map(bim, x, y, tx, f_tilde, hom_by):
     """eta^{-1}: rebuild f: bim (x) x -> y from its adjoint transpose."""
     fld = x.field
-    dm, dx = bim.dim, x.dim
-    full = fld.zeros(y.dim, dm * dx)
-    for j in range(dx):
-        phi = fld.zeros(y.dim, dm)
-        for k in range(hom_by.dim):
-            if f_tilde[k, j] != fld.zero:
-                phi = phi + f_tilde[k, j] * hom_by.basis[k]
-        phi = fld.normalize(phi)
-        for i in range(dm):
-            full[:, i * dx + j] = phi[:, i]
-    return fld.matmul(full, tx.section)
+    phis = linalg.combine(fld, f_tilde.T, hom_by.basis)  # phi_j = f~(x_j)
+    return tx.descend(phis.transpose(1, 2, 0))
 
 
 def adjoint_transpose_f(data: MoritaData, x: Module, y: Module, f):
@@ -268,10 +255,10 @@ class LambdaMorphism:
         self.b_morphism().validate()
         fld = self.field
         src, tgt = self.source, self.target
-        one_a = _tensor_map(fld, src.tX, tgt.tX, src.data.M.dim, self.a)
+        one_a = _tensor_map(fld, src.tX, tgt.tX, self.a)
         if not fld.equal(fld.matmul(self.b, src.f), fld.matmul(tgt.f, one_a)):
             raise ValueError("square over f does not commute")
-        one_b = _tensor_map(fld, src.tY, tgt.tY, src.data.N.dim, self.b)
+        one_b = _tensor_map(fld, src.tY, tgt.tY, self.b)
         if not fld.equal(fld.matmul(self.a, src.g), fld.matmul(tgt.g, one_b)):
             raise ValueError("square over g does not commute")
         return True
@@ -335,27 +322,22 @@ def functor_H(data: MoritaData, side: str, x: Module) -> LambdaModule:
         tx = tensor_over(data.M, x)
         ty = tensor_over(data.N, y)
         # g = evaluation: N (x) Hom_A(N, X) -> X
-        g = _evaluation_map(data.N, x, hom_nx, ty)
+        g = _evaluation_map(hom_nx, ty)
         return LambdaModule(data, x, y, fld.zeros(y.dim, tx.dim), g, tx=tx, ty=ty)
     if side == "B":
         hom_my = hom_module(data.M, x)
         xa = hom_my.module
         tx = tensor_over(data.M, xa)
         ty = tensor_over(data.N, x)
-        f = _evaluation_map(data.M, x, hom_my, tx)
+        f = _evaluation_map(hom_my, tx)
         return LambdaModule(data, xa, x, f, fld.zeros(xa.dim, ty.dim), tx=tx, ty=ty)
     raise ValueError("side must be 'A' or 'B'")
 
 
-def _evaluation_map(bim, x, hom_bx, tensor_with_hom):
-    """bim (x) Hom(bim, x) -> x, (n, phi) -> phi(n), on the tensor quotient."""
-    fld = x.field
-    dn, h = bim.dim, hom_bx.dim
-    full = fld.zeros(x.dim, dn * h)
-    for i in range(dn):
-        for j in range(h):
-            full[:, i * h + j] = hom_bx.basis[j][:, i]
-    return fld.matmul(full, tensor_with_hom.section)
+def _evaluation_map(hom_bx, tensor_with_hom):
+    """bim (x) Hom(bim, x) -> x, (n, phi) -> phi(n), on the tensor quotient:
+    n_i (x) phi_j goes to column i of phi_j."""
+    return tensor_with_hom.descend(hom_bx.basis.transpose(1, 2, 0))
 
 
 def functor_Z(data: MoritaData, side: str, x: Module) -> LambdaModule:
@@ -404,64 +386,35 @@ def materialize(data: MoritaData) -> PresentedAlgebra:
               + tuple(f"N:{i}" for i in range(dn))
               + tuple(f"M:{i}" for i in range(dm))
               + tuple(f"B:{s}" for s in data.B.basis_labels))
-    mult = {}
-
-    def put(i, j, block_offset, vec):
-        if fld.is_zero(vec.reshape(1, -1)):
-            return
-        out = fld.zeros(1, total)[0]
-        out[block_offset : block_offset + vec.shape[0]] = vec
-        mult[(i, j)] = fld.freeze(out)
-
-    for i in range(da):
-        for j in range(da):
-            v = data.A.mult.get((i, j))
-            if v is not None:
-                put(oa + i, oa + j, oa, np.array(v))
-        for j in range(dn):  # a . n: left A-action on N
-            put(oa + i, on + j, on, np.array(data.N.left_action[i][:, j]))
-    for i in range(dn):
-        for j in range(db):  # n . b: right B-action on N
-            put(on + i, ob + j, on, np.array(data.N.right_action[j][:, i]))
-    for i in range(dm):
-        for j in range(da):  # m . a: right A-action on M
-            put(om + i, oa + j, om, np.array(data.M.right_action[j][:, i]))
-    for i in range(db):
-        for j in range(dm):  # b . m: left B-action on M
-            put(ob + i, om + j, om, np.array(data.M.left_action[i][:, j]))
-        for j in range(db):
-            v = data.B.mult.get((i, j))
-            if v is not None:
-                put(ob + i, ob + j, ob, np.array(v))
-    unit = fld.zeros(1, total)[0]
-    unit[oa : oa + da] = data.A.unit
-    unit[ob : ob + db] = data.B.unit
+    # structure constants block by block: [i, j] holds basis_i basis_j
+    c = fld.zeros(total, total, total)
+    c[oa:on, oa:on, oa:on] = data.A.structure_constants()
+    c[oa:on, on:om, on:om] = data.N.left_action.transpose(0, 2, 1)    # a . n
+    c[on:om, ob:, on:om] = data.N.right_action.transpose(2, 0, 1)     # n . b
+    c[om:ob, oa:on, om:ob] = data.M.right_action.transpose(2, 0, 1)   # m . a
+    c[ob:, om:ob, om:ob] = data.M.left_action.transpose(0, 2, 1)      # b . m
+    c[ob:, ob:, ob:] = data.B.structure_constants()
+    mult = {(int(i), int(j)): fld.freeze(c[i, j])
+            for i, j in zip(*np.nonzero(np.any(c != fld.zero, axis=2)))}
+    unit = fld.zeros(total)
+    unit[oa:on] = data.A.unit
+    unit[ob:] = data.B.unit
     alg = PresentedAlgebra(fld, labels, mult, unit,
                            name=f"Lambda({data.name or '?'})")
     # distinguished idempotents: vertex systems of A and B when available
     system = []
-    sys_a = data.A.idempotent_system()
-    sys_b = data.B.idempotent_system()
-    if sys_a is None:
-        sys_a = (data.A.unit,)
-    if sys_b is None:
-        sys_b = (data.B.unit,)
-    for vec in sys_a:
-        v = fld.zeros(1, total)[0]
-        v[oa : oa + da] = vec
-        system.append(fld.freeze(v))
-    for vec in sys_b:
-        v = fld.zeros(1, total)[0]
-        v[ob : ob + db] = vec
-        system.append(fld.freeze(v))
+    for corner, lo, hi in ((data.A, oa, on), (data.B, ob, total)):
+        for vec in corner.idempotent_system() or (corner.unit,):
+            v = fld.zeros(total)
+            v[lo:hi] = vec
+            system.append(fld.freeze(v))
     alg.set_idempotent_system(system)
     # generators: generators of A and B plus all of M and N
     gens = ([oa + i for i in data.A.generator_indices()]
             + [on + i for i in range(dn)]
             + [om + i for i in range(dm)]
             + [ob + i for i in data.B.generator_indices()])
-    alg._cache["lambda_generators"] = gens
-    alg.generator_indices = lambda: list(gens)  # type: ignore[method-assign]
+    alg.set_generator_indices(gens)
     alg._cache["morita_data"] = data
     alg._cache["offsets"] = (oa, on, om, ob)
     data._cache["materialized"] = alg
@@ -469,35 +422,17 @@ def materialize(data: MoritaData) -> PresentedAlgebra:
 
 
 def flatten(l: LambdaModule) -> Module:
-    """The plain module over materialize(data): X-coordinates then Y."""
-    data = l.data
-    alg = materialize(data)
-    fld = l.field
-    da, db, dm, dn = data.A.dim, data.B.dim, data.M.dim, data.N.dim
+    """The plain module over materialize(data): X-coordinates then Y.  The
+    element n_i acts by y -> g(n_i (x) y), and m_i by x -> f(m_i (x) x)."""
+    alg = materialize(l.data)
+    oa, on, om, ob = alg._cache["offsets"]
     dx, dy = l.X.dim, l.Y.dim
-    total = dx + dy
-    acts = []
-    f_full = fld.matmul(l.f, l.tX.surjection)  # on pure tensors of M (x) X
-    g_full = fld.matmul(l.g, l.tY.surjection)
-    for i in range(da):
-        m = fld.zeros(total, total)
-        m[:dx, :dx] = l.X.act(i)
-        acts.append(m)
-    for i in range(dn):
-        m = fld.zeros(total, total)
-        for j in range(dy):
-            m[:dx, dx + j] = g_full[:, i * dy + j]
-        acts.append(m)
-    for i in range(dm):
-        m = fld.zeros(total, total)
-        for j in range(dx):
-            m[dx : dx + dy, j] = f_full[:, i * dx + j]
-        acts.append(m)
-    for i in range(db):
-        m = fld.zeros(total, total)
-        m[dx:, dx:] = l.Y.act(i)
-        acts.append(m)
-    return Module(alg, total, acts)
+    acts = l.field.zeros(alg.dim, dx + dy, dx + dy)
+    acts[oa:on, :dx, :dx] = l.X.action
+    acts[on:om, :dx, dx:] = l.tY.pure_values(l.g).transpose(1, 0, 2)
+    acts[om:ob, dx:, :dx] = l.tX.pure_values(l.f).transpose(1, 0, 2)
+    acts[ob:, dx:, dx:] = l.Y.action
+    return Module(alg, dx + dy, acts)
 
 
 def flatten_morphism(phi: LambdaMorphism) -> ModuleMorphism:
@@ -516,39 +451,25 @@ def unflatten(data: MoritaData, z: Module) -> LambdaModule:
     if z.algebra is not alg:
         raise ValueError("module is not over the materialized algebra")
     fld = data.field
-    da, db, dm, dn = data.A.dim, data.B.dim, data.M.dim, data.N.dim
     oa, on, om, ob = alg._cache["offsets"]
-    pa = fld.zeros(1, alg.dim)[0]
-    pa[oa : oa + da] = data.A.unit
-    pb = fld.zeros(1, alg.dim)[0]
-    pb[ob : ob + db] = data.B.unit
-    proj_a = z.act_vec(pa)
-    proj_b = z.act_vec(pb)
-    basis_a = linalg.column_space_basis(fld, proj_a)
-    basis_b = linalg.column_space_basis(fld, proj_b)
+    pa = fld.zeros(alg.dim)
+    pa[oa:on] = data.A.unit
+    pb = fld.zeros(alg.dim)
+    pb[ob:] = data.B.unit
+    basis_a = linalg.column_space_basis(fld, z.act_vec(pa))
+    basis_b = linalg.column_space_basis(fld, z.act_vec(pb))
     dx, dy = basis_a.shape[1], basis_b.shape[1]
     if dx + dy != z.dim:
         raise ValueError("unit idempotents do not decompose the module")
     t = linalg.hstack(fld, [basis_a, basis_b])
-    ti = linalg.invert(fld, t)
-    x_act = [fld.matmul(ti, fld.matmul(z.act(oa + i), t))[:dx, :dx] for i in range(da)]
-    y_act = [fld.matmul(ti, fld.matmul(z.act(ob + i), t))[dx:, dx:] for i in range(db)]
-    x = Module(data.A, dx, x_act)
-    y = Module(data.B, dy, y_act)
+    # the action in the basis t, whose blocks are read as flatten writes them
+    acts = _left_times(fld, linalg.invert(fld, t), _times(fld, z.action, t))
+    x = Module(data.A, dx, acts[oa:on, :dx, :dx])
+    y = Module(data.B, dy, acts[ob:, dx:, dx:])
     tx = tensor_over(data.M, x)
     ty = tensor_over(data.N, y)
-    f_full = fld.zeros(dy, dm * dx)
-    for i in range(dm):
-        blk = fld.matmul(ti, fld.matmul(z.act(om + i), t))
-        for j in range(dx):
-            f_full[:, i * dx + j] = blk[dx:, j]
-    g_full = fld.zeros(dx, dn * dy)
-    for i in range(dn):
-        blk = fld.matmul(ti, fld.matmul(z.act(on + i), t))
-        for j in range(dy):
-            g_full[:, i * dy + j] = blk[:dx, dx + j]
-    f = fld.matmul(f_full, tx.section)
-    g = fld.matmul(g_full, ty.section)
+    f = tx.descend(acts[om:ob, dx:, :dx].transpose(1, 0, 2))
+    g = ty.descend(acts[on:om, :dx, dx:].transpose(1, 0, 2))
     return LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
 
 
@@ -557,42 +478,22 @@ def unflatten(data: MoritaData, z: Module) -> LambdaModule:
 
 def _square_rows(fld, src, tgt):
     """Constraint rows tying (a, b) to the structure maps, over the unknowns
-    [vec_rm(a) | vec_rm(b)]."""
-    dx1, dy1 = src.X.dim, src.Y.dim
-    dx2, dy2 = tgt.X.dim, tgt.Y.dim
-    na, nb = dx1 * dx2, dy1 * dy2
-    dm, dn = src.data.M.dim, src.data.N.dim
+    [vec_rm(a) | vec_rm(b)]: b f_1 = f_2 (1_M (x) a) and a g_1 = g_2 (1_N (x) b)."""
     rows = []
-
-    # b f_1 = f_2 (1_M (x) a)
-    t1 = src.tX.dim
-    lhs_b = linalg.kron(fld, fld.eye(dy2), src.f.T)  # (dy2*t1) x nb
-    f2pi = fld.matmul(tgt.f, tgt.tX.surjection)  # dy2 x (dm*dx2)
-    phi = fld.zeros(dy2 * t1, na)
-    for i in range(dm):
-        p_blk = f2pi[:, i * dx2 : (i + 1) * dx2]
-        s_blk = src.tX.section[i * dx1 : (i + 1) * dx1, :]
-        phi = phi + linalg.kron(fld, p_blk, s_blk.T)
-    phi = fld.normalize(phi)
-    row = fld.zeros(dy2 * t1, na + nb)
-    row[:, :na] = fld.normalize(-phi)
-    row[:, na:] = lhs_b
-    rows.append(fld.normalize(row))
-
-    # a g_1 = g_2 (1_N (x) b)
-    t2 = src.tY.dim
-    lhs_a = linalg.kron(fld, fld.eye(dx2), src.g.T)  # (dx2*t2) x na
-    g2pi = fld.matmul(tgt.g, tgt.tY.surjection)  # dx2 x (dn*dy2)
-    psi = fld.zeros(dx2 * t2, nb)
-    for i in range(dn):
-        p_blk = g2pi[:, i * dy2 : (i + 1) * dy2]
-        s_blk = src.tY.section[i * dy1 : (i + 1) * dy1, :]
-        psi = psi + linalg.kron(fld, p_blk, s_blk.T)
-    psi = fld.normalize(psi)
-    row = fld.zeros(dx2 * t2, na + nb)
-    row[:, :na] = lhs_a
-    row[:, na:] = fld.normalize(-psi)
-    rows.append(fld.normalize(row))
+    for k, (map1, map2, t1, t2) in enumerate(((src.f, tgt.f, src.tX, tgt.tX),
+                                              (src.g, tgt.g, src.tY, tgt.tY))):
+        # h_out map1 = map2 (1 (x) h_in), rows indexed by (r, s) for the
+        # rows r of map2 and the quotient basis s of t1
+        d_out = map2.shape[0]
+        out_rows = linalg.kron(fld, fld.eye(d_out), map1.T)
+        # map2 (1 (x) h_in) at (r, s) is sum_i,c,d vals[r, i, c] h_in[c, d] sec[i, d, s]
+        vals, sec = t2.pure_values(map2), t1.pure_section
+        outer, d_in2, d_in1 = vals.shape[1], vals.shape[2], sec.shape[1]
+        phi = fld.matmul(vals.transpose(0, 2, 1).reshape(d_out * d_in2, outer),
+                         sec.reshape(outer, d_in1 * t1.dim))
+        phi = phi.reshape(d_out, d_in2, d_in1, t1.dim).transpose(0, 3, 1, 2)
+        in_rows = fld.normalize(-phi.reshape(d_out * t1.dim, d_in2 * d_in1))
+        rows.append(linalg.hstack(fld, [in_rows, out_rows] if k == 0 else [out_rows, in_rows]))
     return rows
 
 
@@ -666,12 +567,12 @@ def lambda_kernel(phi: LambdaMorphism):
     tkx = tensor_over(data.M, kx)
     tky = tensor_over(data.N, ky)
     # induced f: M (x) KX -> KY corestricts f_src along incl_y
-    one_ix = _tensor_map(fld, tkx, phi.source.tX, data.M.dim, incl_x.matrix)
+    one_ix = _tensor_map(fld, tkx, phi.source.tX, incl_x.matrix)
     f_to_y = fld.matmul(phi.source.f, one_ix)
     f_k = linalg.solve(fld, incl_y.matrix, f_to_y)
     if f_k is None:
         raise AssertionError("kernel structure map failed to corestrict")
-    one_iy = _tensor_map(fld, tky, phi.source.tY, data.N.dim, incl_y.matrix)
+    one_iy = _tensor_map(fld, tky, phi.source.tY, incl_y.matrix)
     g_to_x = fld.matmul(phi.source.g, one_iy)
     g_k = linalg.solve(fld, incl_x.matrix, g_to_x)
     if g_k is None:
@@ -689,12 +590,12 @@ def lambda_cokernel(phi: LambdaMorphism):
     tcx = tensor_over(data.M, cx)
     tcy = tensor_over(data.N, cy)
     # induced f: M (x) CX -> CY descends through the epi 1 (x) proj_x
-    one_px = _tensor_map(fld, phi.target.tX, tcx, data.M.dim, proj_x.matrix)
+    one_px = _tensor_map(fld, phi.target.tX, tcx, proj_x.matrix)
     rhs = fld.matmul(proj_y.matrix, phi.target.f)
     f_c_t = linalg.solve(fld, one_px.T, rhs.T)
     if f_c_t is None:
         raise AssertionError("cokernel structure map failed to descend")
-    one_py = _tensor_map(fld, phi.target.tY, tcy, data.N.dim, proj_y.matrix)
+    one_py = _tensor_map(fld, phi.target.tY, tcy, proj_y.matrix)
     rhs2 = fld.matmul(proj_x.matrix, phi.target.g)
     g_c_t = linalg.solve(fld, one_py.T, rhs2.T)
     if g_c_t is None:
@@ -717,9 +618,9 @@ def lambda_direct_sum(mods):
     f = fld.zeros(ys.dim, txs.dim)
     g = fld.zeros(xs.dim, tys.dim)
     for l, xi, xp, yi, yp in zip(mods, x_injs, x_projs, y_injs, y_projs):
-        one_xp = _tensor_map(fld, txs, l.tX, data.M.dim, xp.matrix)
+        one_xp = _tensor_map(fld, txs, l.tX, xp.matrix)
         f = f + fld.matmul(yi.matrix, fld.matmul(l.f, one_xp))
-        one_yp = _tensor_map(fld, tys, l.tY, data.N.dim, yp.matrix)
+        one_yp = _tensor_map(fld, tys, l.tY, yp.matrix)
         g = g + fld.matmul(xi.matrix, fld.matmul(l.g, one_yp))
     s = LambdaModule(data, xs, ys, fld.normalize(f), fld.normalize(g), tx=txs, ty=tys)
     injs = [LambdaMorphism(l, s, xi.matrix, yi.matrix)
@@ -754,15 +655,9 @@ def is_exact_sequence(morphisms) -> bool:
 def lambda_modules_equal(l1: LambdaModule, l2: LambdaModule) -> bool:
     """Literal equality of quadruples (same components and structure maps)."""
     fld = l1.field
-    if l1.dims != l2.dims:
-        return False
-    for a1, a2 in zip(l1.X.action, l2.X.action):
-        if not fld.equal(a1, a2):
-            return False
-    for b1, b2 in zip(l1.Y.action, l2.Y.action):
-        if not fld.equal(b1, b2):
-            return False
-    return fld.equal(l1.f, l2.f) and fld.equal(l1.g, l2.g)
+    return (l1.dims == l2.dims and fld.equal(l1.X.action, l2.X.action)
+            and fld.equal(l1.Y.action, l2.Y.action)
+            and fld.equal(l1.f, l2.f) and fld.equal(l1.g, l2.g))
 
 
 def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule, rng=None):
@@ -794,10 +689,8 @@ def opposite_morita(data: MoritaData) -> MoritaData:
         return data._cache["opposite"]
     a_op = data.A.opposite()
     b_op = data.B.opposite()
-    m_slot = Bimodule(b_op, a_op, data.N.dim,
-                      list(data.N.right_action), list(data.N.left_action))
-    n_slot = Bimodule(a_op, b_op, data.M.dim,
-                      list(data.M.right_action), list(data.M.left_action))
+    m_slot = Bimodule(b_op, a_op, data.N.dim, data.N.right_action, data.N.left_action)
+    n_slot = Bimodule(a_op, b_op, data.M.dim, data.M.right_action, data.M.left_action)
     dop = MoritaData(a_op, b_op, m_slot, n_slot,
                      name=(data.name or "?") + "^op")
     dop._cache["opposite"] = data
@@ -811,24 +704,13 @@ def dual_lambda(l: LambdaModule) -> LambdaModule:
     regular action (f of the dual comes from g, and conversely)."""
     data = l.data
     dop = opposite_morita(data)
-    fld = l.field
-    dx, dy = l.X.dim, l.Y.dim
     x_star = dual_module(l.X)
     y_star = dual_module(l.Y)
     tx_star = tensor_over(dop.M, x_star)   # N-space (x) X*
     ty_star = tensor_over(dop.N, y_star)   # M-space (x) Y*
-    g_full = fld.matmul(l.g, l.tY.surjection)   # dx x (dn*dy)
-    f_full = fld.matmul(l.f, l.tX.surjection)   # dy x (dm*dx)
-    fd_full = fld.zeros(dy, data.N.dim * dx)
-    for i in range(data.N.dim):
-        blk = g_full[:, i * dy : (i + 1) * dy]   # dx x dy
-        fd_full[:, i * dx : (i + 1) * dx] = blk.T
-    gd_full = fld.zeros(dx, data.M.dim * dy)
-    for i in range(data.M.dim):
-        blk = f_full[:, i * dx : (i + 1) * dx]   # dy x dx
-        gd_full[:, i * dy : (i + 1) * dy] = blk.T
-    f_d = fld.matmul(fd_full, tx_star.section)
-    g_d = fld.matmul(gd_full, ty_star.section)
+    # the value of f_d at n_i (x) x*_j is row j of g(n_i (x) -), transposed
+    f_d = tx_star.descend(l.tY.pure_values(l.g).transpose(2, 1, 0))
+    g_d = ty_star.descend(l.tX.pure_values(l.f).transpose(2, 1, 0))
     return LambdaModule(dop, x_star, y_star, f_d, g_d, tx=tx_star, ty=ty_star)
 
 

@@ -646,3 +646,78 @@ def test_one_class_path_gives_the_same_bytes(field, monkeypatch):
     homs, sols = classed
     assert max(map(len, homs)) >= 3
     assert sols[-2] is None and sols[-1] is not None  # the section, the lift
+
+
+def test_fixed_structure_is_built_once(a2_f3):
+    """Projectives, injectives and the one-sided modules of a bimodule are
+    built once per owner; the algebra hands out a fresh list each call."""
+    for build in (alg.indecomposable_projectives, alg.indecomposable_injectives):
+        first = build(a2_f3)
+        first.pop()
+        again = build(a2_f3)
+        assert len(again) == 2 and again[0] is first[0] and again is not build(a2_f3)
+    m = alg.regular_bimodule(a2_f3)
+    assert m.as_left_module() is m.as_left_module()
+    assert m.right_as_left_module() is m.right_as_left_module()
+    assert m.right_as_left_module().algebra is a2_f3.opposite()
+
+
+def test_generator_indices_are_stored_once(a2_f3):
+    from morita_lab import morita as mor
+
+    q = alg.cyclic_quiver(3)
+    a = alg.path_algebra(q, alg.nakayama_relations(q, 3), F3)
+    z = alg.zero_bimodule(a, a)
+    lam = mor.materialize(mor.MoritaData(a, a, z, z))
+    gens = lam.generator_indices()
+    assert gens == a.generator_indices() + [a.dim + i for i in a.generator_indices()]
+    assert len(gens) < lam.dim
+    assert "generator_indices" not in vars(lam) and "lambda_generators" not in lam._cache
+    gens.pop()
+    assert len(lam.generator_indices()) == len(gens) + 1
+    assert lam.opposite().generator_indices() == lam.generator_indices()
+    assert a2_f3.opposite().generator_indices() == a2_f3.generator_indices() == [0, 1, 2]
+
+
+def _multiplicity_cases(algebra, rng):
+    """Sampled modules with their cover kernels and duals, plus conjugated
+    copies on which the vertex idempotents are not diagonal."""
+    from morita_lab import lab
+
+    f = algebra.field
+    sampler = lab.Sampler(rng, 6, 3)
+    mods = alg.simples(algebra) + alg.indecomposable_injectives(algebra)
+    for _ in range(3):
+        x = sampler.plain(algebra)
+        mods += [x, alg.kernel(alg.projective_cover(x)[1])[0]]
+    out = []
+    for x in mods:
+        out += [x, alg.dual_module(x)]
+        if x.dim:
+            while True:
+                g = f.asmatrix([[rng.randrange(-3, 4) for _ in range(x.dim)]
+                                for _ in range(x.dim)])
+                if linalg.is_invertible(f, g):
+                    break
+            out.append(_conjugate(x, g))
+    return out
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
+                         ids=["3", "33554467", "Q"])
+def test_simple_multiplicities_match_hom_dim(field):
+    """dim Hom(x, S_v) and dim Hom(S_v, x) from top and socle ranks equal the
+    hom solver's counts, also on modules without vertex classes."""
+    from morita_lab import lab
+
+    rng = random.Random(5)
+    ie = lab.catalog("ie", field).data
+    ex = lab.catalog("examctp4", field, n=3, h=2, i=1, j=3).data
+    seen_unclassed = 0
+    for algebra in (ie.A, ie.B, ex.A, ex.B):
+        for x in _multiplicity_cases(algebra, rng):
+            seen_unclassed += x.vertex_classes() is None
+            want = tuple((alg.hom_dim(x, s), alg.hom_dim(s, x))
+                         for s in alg.simples(x.algebra))
+            assert alg.simple_multiplicities(x) == want
+    assert seen_unclassed > 10

@@ -251,3 +251,33 @@ def test_value_error_in_a_compare_case_fails_all_four_families(monkeypatch, tmp_
     monkeypatch.setattr(hml, "tor1", breach)
     assert run(["verify", "compare", "--instance", "ie", "--field", "3",
                 "--count", 3, "--out", tmp_path / "r2.json"]) == 3
+
+
+def test_missing_or_malformed_generators_are_schema_errors():
+    """Module and bimodule documents name every generator; a missing or
+    malformed one is a SchemaError, on the left and on the right side."""
+    data = lab.catalog("ie", lab.F3).data
+    x = alg.indecomposable_projectives(data.A)[0]
+    doc = json.loads(json.dumps(jsonio.module_to_json(x, "a.json")))
+    assert jsonio.canonical_dumps(jsonio.module_to_json(jsonio.module_from_json(doc, data.A),
+                                                        "a.json")) == jsonio.canonical_dumps(doc)
+    bdoc = json.loads(json.dumps(jsonio.bimodule_to_json(data.M, "b.json", "a.json")))
+    back = jsonio.bimodule_from_json(bdoc, data.B, data.A)
+    assert back.left_action.tobytes() == data.M.left_action.tobytes()
+    assert back.right_action.tobytes() == data.M.right_action.tobytes()
+    breakages = [
+        (lambda d: d["vertices"].pop("1"), "idempotent at 1"),
+        (lambda d: d["arrows"].pop("a1"), "arrow a1"),
+        (lambda d: d.pop("arrows"), "vertices and arrows"),
+        (lambda d: d["arrows"].update(a1=[[1, 0, 0]]), "shape"),
+    ]
+    for brk, text in breakages:
+        for target, key in ((doc, "generator_action"), (bdoc, "left_action"),
+                            (bdoc, "right_action")):
+            broken = json.loads(json.dumps(target))
+            brk(broken[key])
+            with pytest.raises(jsonio.SchemaError, match=text):
+                if target is doc:
+                    jsonio.module_from_json(broken, data.A)
+                else:
+                    jsonio.bimodule_from_json(broken, data.B, data.A)

@@ -142,7 +142,7 @@ def test_tor_examples(a2_f3, ie):
     pres = hml.free_presentation(k_mod)
     tk = mor.tensor_over(right_k, pres.left)
     tp = mor.tensor_over(right_k, pres.middle)
-    induced = hml._tensor_map(f, tk, tp, 1, pres.incl.matrix)
+    induced = hml._tensor_map(f, tk, tp, pres.incl.matrix)
     assert linalg.kernel_basis(f, induced).shape[1] == 1
 
 
@@ -473,3 +473,19 @@ def test_approx_c1_default_is_the_lambda_presentation(ie, big_L):
         for g, w in zip(got.components, want.components):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+
+def test_projectivity_builds_the_simples_sum_once(monkeypatch):
+    """is_projective_lambda keeps the sum of the structural simples on the
+    Morita data, so repeated calls do not rebuild it."""
+    from morita_lab import lab
+
+    data = lab.catalog("ie", F3).data
+    sampler = lab.Sampler(3, 6, 3)
+    quads = [sampler.quadruple(data) for _ in range(4)]
+    calls = []
+    monkeypatch.setattr(hml, "lambda_simples", lambda d: calls.append(d) or mor.lambda_simples(d))
+    verdicts = [hml.is_projective_lambda(l) for l in quads + quads]
+    assert len(calls) == 1 and verdicts[:4] == verdicts[4:]
+    simple_sum, _, _ = mor.lambda_direct_sum(mor.lambda_simples(data))
+    assert verdicts[:4] == [hml.ext_dim(l, simple_sum) == 0 for l in quads]

@@ -333,7 +333,7 @@ def test_lambda_hom_generic_path_agrees(ie):
     assert xc.vertex_classes() is None
     tx = mor.tensor_over(ie.M, xc)
     gi = linalg.invert(ie.field, g)
-    one_gi = mor._tensor_map(ie.field, tx, l1.tX, ie.M.dim, gi)
+    one_gi = mor._tensor_map(ie.field, tx, l1.tX, gi)
     f_c = ie.field.matmul(l1.f, one_gi)
     g_c = ie.field.matmul(g, l1.g)
     l1c = mor.LambdaModule(ie, xc, l1.Y, f_c, g_c, tx=tx, check=True)
