@@ -29,6 +29,18 @@ from . import linalg
 MAX_PATHS = 100_000
 MAX_PATH_LENGTH = 512
 
+_MISSING = object()
+
+
+def memo(store, key, build):
+    """store[key], calling build() to fill it only on a miss; a cached None
+    counts as a hit.  The one home of every cache of derived structure."""
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        # threads racing on one key may both build; all keep the first entry
+        value = store.setdefault(key, build())
+    return value
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -103,12 +115,12 @@ class PresentedAlgebra:
     def structure_constants(self):
         """Frozen (dim, dim, dim) array: [i, j] is the coordinate vector of
         basis_i * basis_j."""
-        if "structure" not in self._cache:
+        def build():
             c = self.field.zeros(self.dim, self.dim, self.dim)
             for (i, j), v in self.mult.items():
                 c[i, j] = v
-            self._cache["structure"] = self.field.freeze(c)
-        return self._cache["structure"]
+            return self.field.freeze(c)
+        return memo(self._cache, "structure", build)
 
     def left_mult(self):
         """Read-only stack of the left multiplications by the basis elements."""
@@ -122,13 +134,12 @@ class PresentedAlgebra:
         """Basis indices generating the algebra multiplicatively: those given
         to set_generator_indices, else the vertices and arrows of the quiver,
         else the whole basis."""
-        if "generators" not in self._cache:
-            gens = list(range(self.dim))
-            if self.is_quiver_presented:
-                gens = ([self.vertex_idempotents[v] for v in self.quiver.vertices]
-                        + [self.arrow_indices[a[0]] for a in self.quiver.arrows])
-            self._cache["generators"] = tuple(gens)
-        return list(self._cache["generators"])
+        def build():
+            if not self.is_quiver_presented:
+                return tuple(range(self.dim))
+            return tuple([self.vertex_idempotents[v] for v in self.quiver.vertices]
+                         + [self.arrow_indices[a[0]] for a in self.quiver.arrows])
+        return list(memo(self._cache, "generators", build))
 
     def set_generator_indices(self, indices):
         self._cache["generators"] = tuple(indices)
@@ -136,18 +147,12 @@ class PresentedAlgebra:
     def idempotent_system(self):
         """Coordinate vectors of a complete orthogonal idempotent system,
         or None when no distinguished system is known."""
-        if "idem" in self._cache:
-            return self._cache["idem"]
-        system = None
-        if self.is_quiver_presented:
-            system = []
-            for v in self.quiver.vertices:
-                vec = self.field.zeros(1, self.dim)[0]
-                vec[self.vertex_idempotents[v]] = self.field.one
-                system.append(vec)
-            system = tuple(system)
-        self._cache["idem"] = system
-        return system
+        def build():
+            if not self.is_quiver_presented:
+                return None
+            eye = self.field.eye(self.dim)
+            return tuple(eye[self.vertex_idempotents[v]] for v in self.quiver.vertices)
+        return memo(self._cache, "idem", build)
 
     def set_idempotent_system(self, vectors):
         self._cache["idem"] = tuple(vectors)
@@ -155,8 +160,9 @@ class PresentedAlgebra:
     def opposite(self):
         """Same basis, structure constants transposed in the lower indices.
         Involutive: the opposite of the opposite is this very object."""
-        if "op" in self._cache:
-            return self._cache["op"]
+        return memo(self._cache, "op", self._build_opposite)
+
+    def _build_opposite(self):
         mult_op = {(j, i): v for (i, j), v in self.mult.items()}
         quiver_op = None
         idem = arrows = words = None
@@ -175,7 +181,6 @@ class PresentedAlgebra:
         for key in ("idem", "generators"):
             if self._cache.get(key) is not None:
                 op._cache[key] = self._cache[key]
-        self._cache["op"] = op
         return op
 
     def validate(self):
@@ -370,12 +375,13 @@ def _pairwise(field, a, b):
 
 
 def _block_diagonal(field, count, stacks):
-    """Stacks of count square matrices each, placed block-diagonally into one
+    """Stacks of count matrices each, placed block-diagonally into one
     stack."""
-    ofs = np.cumsum([0, *(s.shape[1] for s in stacks)])
-    out = field.zeros(count, ofs[-1], ofs[-1])
-    for s, lo, hi in zip(stacks, ofs[:-1], ofs[1:]):
-        out[:, lo:hi, lo:hi] = s
+    rows = np.cumsum([0, *(s.shape[1] for s in stacks)])
+    cols = np.cumsum([0, *(s.shape[2] for s in stacks)])
+    out = field.zeros(count, rows[-1], cols[-1])
+    for s, r0, r1, c0, c1 in zip(stacks, rows[:-1], rows[1:], cols[:-1], cols[1:]):
+        out[:, r0:r1, c0:c1] = s
     return out
 
 
@@ -401,11 +407,9 @@ class Module:
         """Hashable key, equal exactly for modules with the same dimension and
         action matrices.  Object-dtype entries (Q, large primes) are keyed by
         value: their raw bytes would be object pointers."""
-        if "content" not in self._cache:
-            a = self.action
-            self._cache["content"] = (self.dim, tuple(a.flat) if a.dtype == object
-                                      else (a.dtype.str, a.tobytes()))
-        return self._cache["content"]
+        a = self.action
+        return memo(self._cache, "content", lambda: (
+            self.dim, tuple(a.flat) if a.dtype == object else (a.dtype.str, a.tobytes())))
 
     def act_vec(self, vec):
         """Action of an algebra element given by its coordinate vector."""
@@ -429,21 +433,21 @@ class Module:
         """Class index per coordinate when the distinguished idempotents act
         as 0/1 diagonal matrices summing to the identity, else None.  The
         classes cut the unknowns of the hom solver (intertwiner_system)."""
-        if "classes" in self._cache:
-            return self._cache["classes"]
-        res = None
+        return memo(self._cache, "classes", self._build_vertex_classes)
+
+    def _build_vertex_classes(self):
         system = self.algebra.idempotent_system()
-        if system is not None:
-            f = self.field
-            images = linalg.combine(f, np.stack(system), self.action)
-            diag = np.arange(self.dim)
-            ones = images[:, diag, diag] == f.one
-            expected = f.zeros(*images.shape)
-            expected[:, diag, diag] = np.where(ones, f.one, f.zero)
-            if np.all(ones.sum(axis=0) == 1) and np.all(images == expected):
-                res = ones.argmax(axis=0).tolist()
-        self._cache["classes"] = res
-        return res
+        if system is None:
+            return None
+        f = self.field
+        images = linalg.combine(f, np.stack(system), self.action)
+        diag = np.arange(self.dim)
+        ones = images[:, diag, diag] == f.one
+        expected = f.zeros(*images.shape)
+        expected[:, diag, diag] = np.where(ones, f.one, f.zero)
+        if np.all(ones.sum(axis=0) == 1) and np.all(images == expected):
+            return tuple(ones.argmax(axis=0).tolist())
+        return None
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra.name or '?'})"
@@ -475,13 +479,11 @@ def simples(algebra):
     built once per algebra; each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("simples are only defined for quiver-presented algebras")
-    if "simples" not in algebra._cache:
-        f = algebra.field
-        algebra._cache["simples"] = tuple(
-            Module(algebra, 1, [f.asmatrix([[1 if not word and src == v else 0]])
-                                for word, src, tgt in algebra.path_words])
-            for v in algebra.quiver.vertices)
-    return list(algebra._cache["simples"])
+    f = algebra.field
+    return list(memo(algebra._cache, "simples", lambda: tuple(
+        Module(algebra, 1, [f.asmatrix([[1 if not word and src == v else 0]])
+                            for word, src, tgt in algebra.path_words])
+        for v in algebra.quiver.vertices)))
 
 
 def _vertex_paths(algebra, end):
@@ -496,12 +498,10 @@ def indecomposable_projectives(algebra):
     Built once per algebra; each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("projectives by shape need a quiver presentation")
-    if "projectives" not in algebra._cache:
-        left = algebra.left_mult()
-        algebra._cache["projectives"] = tuple(
-            Module(algebra, len(idx), left[:, idx][:, :, idx])
-            for idx in _vertex_paths(algebra, 0))
-    return list(algebra._cache["projectives"])
+    left = algebra.left_mult()
+    return list(memo(algebra._cache, "projectives", lambda: tuple(
+        Module(algebra, len(idx), left[:, idx][:, :, idx])
+        for idx in _vertex_paths(algebra, 0))))
 
 
 def indecomposable_injectives(algebra):
@@ -509,12 +509,10 @@ def indecomposable_injectives(algebra):
     each call returns a fresh list."""
     if not algebra.is_quiver_presented:
         raise ValueError("injectives by shape need a quiver presentation")
-    if "injectives" not in algebra._cache:
-        right = algebra.right_mult()
-        algebra._cache["injectives"] = tuple(
-            Module(algebra, len(idx), right[:, idx][:, :, idx].transpose(0, 2, 1))
-            for idx in _vertex_paths(algebra, 1))
-    return list(algebra._cache["injectives"])
+    right = algebra.right_mult()
+    return list(memo(algebra._cache, "injectives", lambda: tuple(
+        Module(algebra, len(idx), right[:, idx][:, :, idx].transpose(0, 2, 1))
+        for idx in _vertex_paths(algebra, 1))))
 
 
 def dual_module(x: Module) -> Module:
@@ -543,17 +541,14 @@ class Bimodule:
 
     def as_left_module(self):
         """The left B-structure, built once per bimodule."""
-        if "left" not in self._cache:
-            self._cache["left"] = Module(self.left_algebra, self.dim, self.left_action)
-        return self._cache["left"]
+        return memo(self._cache, "left",
+                    lambda: Module(self.left_algebra, self.dim, self.left_action))
 
     def right_as_left_module(self):
         """The right A-structure as a left module over A^op, built once per
         bimodule."""
-        if "right" not in self._cache:
-            self._cache["right"] = Module(self.right_algebra.opposite(), self.dim,
-                                          self.right_action)
-        return self._cache["right"]
+        return memo(self._cache, "right", lambda: Module(self.right_algebra.opposite(),
+                                                        self.dim, self.right_action))
 
     def validate(self):
         self.as_left_module().validate()
@@ -814,12 +809,7 @@ def tensor_over(m: Bimodule, x: Module) -> TensorModule:
     dimension and action matrices share one TensorModule."""
     if m.right_algebra is not x.algebra:
         raise ValueError("tensor needs matching algebra on the inside")
-    key = x.content_key()
-    t = m._tensors.get(key)
-    if t is None:
-        # threads racing on one key may both compute; all keep the first entry
-        t = m._tensors.setdefault(key, _tensor_presentation(m, x))
-    return t
+    return memo(m._tensors, x.content_key(), lambda: _tensor_presentation(m, x))
 
 
 def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
@@ -843,14 +833,13 @@ class HomModule:
     """Hom_A(N, X) for an A-B-bimodule N and a left A-module X, as a left
     B-module via the right action on N.  basis holds the intertwiner
     matrices as one read-only stack; pivots give coordinate extraction for
-    arbitrary intertwiners (see coordinates)."""
+    arbitrary intertwiners (see coordinates).  Instances are shared through
+    the memo of hom_module, so they carry no caller's module."""
 
-    def __init__(self, module, basis, pivots, n, x):
+    def __init__(self, module, basis, pivots):
         self.module = module
         self.basis = basis
         self.pivots = pivots
-        self.n = n
-        self.x = x
 
     @property
     def dim(self):
@@ -882,17 +871,22 @@ def coordinates(field, pivots, mats):
 
 
 def hom_module(n: Bimodule, x: Module) -> HomModule:
+    """Hom_A(N, X), memoized on n by the content of x like tensor_over."""
     if n.left_algebra is not x.algebra:
         raise ValueError("hom needs matching algebra on the outside")
+    return memo(n._cache, ("hom", x.content_key()), lambda: _hom_presentation(n, x))
+
+
+def _hom_presentation(n: Bimodule, x: Module) -> HomModule:
     f = n.field
     basis = f.freeze(_stack(f, hom_space(n.as_left_module(), x), (x.dim, n.dim)))
-    pivots = basis_pivots(f, basis)
+    pivots = tuple(basis_pivots(f, basis))
     h, nr = len(basis), n.right_algebra.dim
     # column j of act(i) holds the coordinates of basis[j] n(i)
     moved = _pairwise(f, basis, n.right_action).transpose(1, 0, 2, 3)
     coords = coordinates(f, pivots, moved.reshape(nr * h, x.dim, n.dim))
     acts = coords.reshape(h, nr, h).transpose(1, 0, 2)
-    return HomModule(Module(n.right_algebra, h, acts), basis, pivots, n, x)
+    return HomModule(Module(n.right_algebra, h, acts), basis, pivots)
 
 
 # -- kernels, cokernels, sums ----------------------------------------------
@@ -948,12 +942,19 @@ def radical_span(x: Module):
 
 
 def projective_cover(x: Module):
-    """(P, epi P -> x) with P minimal projective mapping onto x."""
+    """(P, epi P -> x) with P minimal projective mapping onto x.  P and the
+    epi matrix are memoized on the algebra by the content of x, so modules
+    with equal content share P; the epi always targets x itself."""
+    p, epi = memo(x.algebra._cache, ("cover", x.content_key()), lambda: _cover(x))
+    return p, ModuleMorphism(p, x, epi)
+
+
+def _cover(x: Module):
+    """(P, frozen epi matrix) of the projective cover of x."""
     alg = x.algebra
     f = x.field
     if x.dim == 0:
-        z = zero_module(alg)
-        return z, ModuleMorphism(z, x, f.zeros(0, 0))
+        return zero_module(alg), f.freeze(f.zeros(0, 0))
     proj_top, sect_top = linalg.quotient(f, x.dim, radical_span(x))
     projectives = indecomposable_projectives(alg)
     summands, blocks = [], []
@@ -970,10 +971,10 @@ def projective_cover(x: Module):
     if not summands:
         raise AssertionError("nonzero module with zero top")
     p, _, _ = direct_sum(summands)
-    epi = linalg.hstack(f, blocks)
+    epi = f.freeze(linalg.hstack(f, blocks))
     if linalg.rank(f, epi) != x.dim:
         raise AssertionError("projective cover failed to surject")
-    return p, ModuleMorphism(p, x, epi)
+    return p, epi
 
 
 def is_projective_module(x: Module) -> bool:
@@ -1074,19 +1075,21 @@ def simple_multiplicities(x: Module):
     the multiplicity of S_v in the top of x is rank E_v - rank(E_v rad x),
     and in its socle dim x - rank [E_v - 1; arrow actions], with E_v the
     action of e_v (Assem, Simson & Skowronski, Elements I, ch. III)."""
-    if "simple_multiplicities" not in x._cache:
-        f = x.field
-        rad = radical_span(x)
-        arrows = _arrow_actions(x)
-        arrows = arrows.reshape(len(arrows) * x.dim, x.dim)
-        out = []
-        for v in x.algebra.quiver.vertices:
-            e_v = x.act(x.algebra.vertex_idempotents[v])
-            top = linalg.rank(f, e_v) - linalg.rank(f, f.matmul(e_v, rad))
-            fixed = linalg.vstack(f, [f.normalize(e_v - f.eye(x.dim)), arrows])
-            out.append((top, x.dim - linalg.rank(f, fixed)))
-        x._cache["simple_multiplicities"] = tuple(out)
-    return x._cache["simple_multiplicities"]
+    return memo(x._cache, "simple_multiplicities", lambda: _simple_multiplicities(x))
+
+
+def _simple_multiplicities(x: Module):
+    f = x.field
+    rad = radical_span(x)
+    arrows = _arrow_actions(x)
+    arrows = arrows.reshape(len(arrows) * x.dim, x.dim)
+    out = []
+    for v in x.algebra.quiver.vertices:
+        e_v = x.act(x.algebra.vertex_idempotents[v])
+        top = linalg.rank(f, e_v) - linalg.rank(f, f.matmul(e_v, rad))
+        fixed = linalg.vstack(f, [f.normalize(e_v - f.eye(x.dim)), arrows])
+        out.append((top, x.dim - linalg.rank(f, fixed)))
+    return tuple(out)
 
 
 def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:

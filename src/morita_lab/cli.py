@@ -9,6 +9,7 @@ violations and preflight failures, 3 for internal invariant breaches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -326,7 +327,10 @@ def cmd_verify(args):
     return 0 if doc["passed"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parse_args leaves it
+    unchanged, so every main call can share it."""
     p = argparse.ArgumentParser(prog="morita-lab",
                                 description="exact workbench for modules over "
                                             "Morita rings with zero pairings")

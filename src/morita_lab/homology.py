@@ -25,7 +25,7 @@ from .algebras import (
     Module, ModuleMorphism, _left_times, _stack, basis_pivots, cokernel,
     coordinates, direct_sum, dual_module, free_module, hom_dim, hom_module,
     hom_space, injective_envelope, is_injective_module, is_projective_module,
-    kernel, projective_cover, solve_hom_equation,
+    kernel, memo, projective_cover, solve_hom_equation,
 )
 from .morita import (
     LambdaModule, LambdaMorphism, dual_lambda, flatten, functor_H, functor_T,
@@ -132,13 +132,9 @@ def presentation(x, kind="cover") -> ShortExactSequence:
     else the free one (cached on the module)."""
     if isinstance(x, LambdaModule):
         return lambda_presentation(x)
+    cover = kind == "cover" and x.algebra.is_quiver_presented
     key = ("presentation", kind if x.algebra.is_quiver_presented else "free")
-    if key not in x._cache:
-        if kind == "cover" and x.algebra.is_quiver_presented:
-            x._cache[key] = cover_presentation(x)
-        else:
-            x._cache[key] = free_presentation(x)
-    return x._cache[key]
+    return memo(x._cache, key, lambda: (cover_presentation if cover else free_presentation)(x))
 
 
 def projective_presentation(x) -> ShortExactSequence:
@@ -160,9 +156,8 @@ def _cover_epi(x: Module) -> ModuleMorphism:
 def lambda_presentation(l: LambdaModule) -> ShortExactSequence:
     """The T-cover of a quadruple by the covers (_cover_epi) of its two
     components, with its kernel; cached on the quadruple."""
-    if "lambda_presentation" not in l._cache:
-        l._cache["lambda_presentation"] = _t_cover(l, _cover_epi(l.X), _cover_epi(l.Y))
-    return l._cache["lambda_presentation"]
+    return memo(l._cache, "lambda_presentation",
+                lambda: _t_cover(l, _cover_epi(l.X), _cover_epi(l.Y)))
 
 
 def _t_cover(l: LambdaModule, pi_a: ModuleMorphism, pi_b: ModuleMorphism) -> ShortExactSequence:
@@ -390,10 +385,9 @@ def is_projective_lambda(l: LambdaModule) -> bool:
     """Ext^1 against all the structural simples vanishes."""
     if l.total_dim == 0:
         return True
-    cache = l.data._cache
-    if "simples_sum" not in cache:
-        cache["simples_sum"] = lambda_direct_sum(lambda_simples(l.data))[0]
-    return _ext_dim(l, cache["simples_sum"], 1, "cover") == 0
+    simples_sum = memo(l.data._cache, "simples_sum",
+                       lambda: lambda_direct_sum(lambda_simples(l.data))[0])
+    return _ext_dim(l, simples_sum, 1, "cover") == 0
 
 
 def proj_dim_upto(x, bound=DEFAULT_DIM_BOUND):

@@ -23,8 +23,8 @@ from . import linalg
 from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
     _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
-    dual_module, free_module, hom_module, intertwiner_constraints,
-    intertwiner_system, kernel, simples, solve_affine_system,
+    _block_diagonal, dual_module, free_module, hom_module, intertwiner_constraints,
+    intertwiner_system, kernel, memo, simples, solve_affine_system,
     solve_matrix_system, tensor_over, zero_module,
 )
 
@@ -50,15 +50,11 @@ class MoritaData:
         self._cache = {}
 
     def tensor_MN(self):
-        """M (x)_A N as a left B-module (stores only the dimension matters)."""
-        if "MN" not in self._cache:
-            self._cache["MN"] = tensor_over(self.M, self.N.as_left_module())
-        return self._cache["MN"]
+        """M (x)_A N as a left B-module (only its dimension matters)."""
+        return tensor_over(self.M, self.N.as_left_module())
 
     def tensor_NM(self):
-        if "NM" not in self._cache:
-            self._cache["NM"] = tensor_over(self.N, self.M.as_left_module())
-        return self._cache["NM"]
+        return tensor_over(self.N, self.M.as_left_module())
 
     @property
     def tensor_vanishing(self):
@@ -123,29 +119,21 @@ class LambdaModule:
     # -- second expression ---------------------------------------------------
 
     def hom_MY(self):
-        if "hom_MY" not in self._cache:
-            self._cache["hom_MY"] = hom_module(self.data.M, self.Y)
-        return self._cache["hom_MY"]
+        return hom_module(self.data.M, self.Y)
 
     def hom_NX(self):
-        if "hom_NX" not in self._cache:
-            self._cache["hom_NX"] = hom_module(self.data.N, self.X)
-        return self._cache["hom_NX"]
+        return hom_module(self.data.N, self.X)
 
     @property
     def f_tilde(self):
         """Matrix of f~ : X -> Hom_B(M, Y) in the canonical hom basis."""
-        if "f_tilde" not in self._cache:
-            self._cache["f_tilde"] = transpose_structure_map(
-                self.data.M, self.X, self.Y, self.tX, self.f, self.hom_MY())
-        return self._cache["f_tilde"]
+        return memo(self._cache, "f_tilde", lambda: transpose_structure_map(
+            self.data.M, self.X, self.Y, self.tX, self.f, self.hom_MY()))
 
     @property
     def g_tilde(self):
-        if "g_tilde" not in self._cache:
-            self._cache["g_tilde"] = transpose_structure_map(
-                self.data.N, self.Y, self.X, self.tY, self.g, self.hom_NX())
-        return self._cache["g_tilde"]
+        return memo(self._cache, "g_tilde", lambda: transpose_structure_map(
+            self.data.N, self.Y, self.X, self.tY, self.g, self.hom_NX()))
 
     # -- validation ------------------------------------------------------
 
@@ -375,9 +363,12 @@ def functor_K(side: str, l: LambdaModule):
 
 
 def materialize(data: MoritaData) -> PresentedAlgebra:
-    """Lambda as a plain algebra; basis ordered (A, N, M, B)."""
-    if "materialized" in data._cache:
-        return data._cache["materialized"]
+    """Lambda as a plain algebra; basis ordered (A, N, M, B), built once per
+    Morita data."""
+    return memo(data._cache, "materialized", lambda: _materialize(data))
+
+
+def _materialize(data: MoritaData) -> PresentedAlgebra:
     fld = data.field
     da, db, dm, dn = data.A.dim, data.B.dim, data.M.dim, data.N.dim
     oa, on, om, ob = 0, da, da + dn, da + dn + dm
@@ -415,9 +406,7 @@ def materialize(data: MoritaData) -> PresentedAlgebra:
             + [om + i for i in range(dm)]
             + [ob + i for i in data.B.generator_indices()])
     alg.set_generator_indices(gens)
-    alg._cache["morita_data"] = data
     alg._cache["offsets"] = (oa, on, om, ob)
-    data._cache["materialized"] = alg
     return alg
 
 
@@ -615,14 +604,13 @@ def lambda_direct_sum(mods):
     ys, y_injs, y_projs = direct_sum([l.Y for l in mods])
     txs = tensor_over(data.M, xs)
     tys = tensor_over(data.N, ys)
-    f = fld.zeros(ys.dim, txs.dim)
-    g = fld.zeros(xs.dim, tys.dim)
-    for l, xi, xp, yi, yp in zip(mods, x_injs, x_projs, y_injs, y_projs):
-        one_xp = _tensor_map(fld, txs, l.tX, xp.matrix)
-        f = f + fld.matmul(yi.matrix, fld.matmul(l.f, one_xp))
-        one_yp = _tensor_map(fld, tys, l.tY, yp.matrix)
-        g = g + fld.matmul(xi.matrix, fld.matmul(l.g, one_yp))
-    s = LambdaModule(data, xs, ys, fld.normalize(f), fld.normalize(g), tx=txs, ty=tys)
+    # the value of the sum's f at m_i (x) x_j is the summand's, so the pure
+    # values sit block-diagonally in (row, column) for every i; likewise g
+    f = txs.descend(_block_diagonal(fld, data.M.dim, [
+        l.tX.pure_values(l.f).transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+    g = tys.descend(_block_diagonal(fld, data.N.dim, [
+        l.tY.pure_values(l.g).transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+    s = LambdaModule(data, xs, ys, f, g, tx=txs, ty=tys)
     injs = [LambdaMorphism(l, s, xi.matrix, yi.matrix)
             for l, xi, yi in zip(mods, x_injs, y_injs)]
     projs = [LambdaMorphism(s, l, xp.matrix, yp.matrix)
@@ -685,8 +673,10 @@ def opposite_morita(data: MoritaData) -> MoritaData:
     """The opposite ring as a Morita ring: corners become opposites and the
     two bimodule slots trade places, each carrying its actions through the
     relevant opposite algebras.  Involutive up to object identity."""
-    if "opposite" in data._cache:
-        return data._cache["opposite"]
+    return memo(data._cache, "opposite", lambda: _opposite_morita(data))
+
+
+def _opposite_morita(data: MoritaData) -> MoritaData:
     a_op = data.A.opposite()
     b_op = data.B.opposite()
     m_slot = Bimodule(b_op, a_op, data.N.dim, data.N.right_action, data.N.left_action)
@@ -694,7 +684,6 @@ def opposite_morita(data: MoritaData) -> MoritaData:
     dop = MoritaData(a_op, b_op, m_slot, n_slot,
                      name=(data.name or "?") + "^op")
     dop._cache["opposite"] = data
-    data._cache["opposite"] = dop
     return dop
 
 

@@ -436,6 +436,63 @@ def test_tensor_memo_under_thread_contention():
         assert all(F3.equal(p, q) for p, q in zip(fresh.module.action, t.module.action))
 
 
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_hom_and_cover_memos_key_on_content(field):
+    a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
+    reg = alg.regular_bimodule(a)
+    x1, x2 = _arrow_module(a, 1), _arrow_module(a, 1)
+    h1 = alg.hom_module(reg, x1)
+    assert alg.hom_module(reg, x2) is h1
+    (p1, e1), (p2, e2) = alg.projective_cover(x1), alg.projective_cover(x2)
+    assert p2 is p1 and e1.source is p1 and e2.source is p1
+    # the epi targets the caller's module, not the one that filled the entry
+    assert e1.target is x1 and e2.target is x2
+    e2.validate()
+    # the shared entries are what a fresh computation gives
+    fresh = alg._hom_presentation(reg, x2)
+    assert field.equal(fresh.basis, h1.basis) and fresh.pivots == h1.pivots
+    assert field.equal(fresh.module.action, h1.module.action)
+    p0, m0 = alg._cover(x2)
+    assert field.equal(p0.action, p1.action) and field.equal(m0, e2.matrix)
+    # different content never shares an entry, even at equal dimension
+    others = [_arrow_module(a, 0), _arrow_module(a, 2)]
+    homs = [h1] + [alg.hom_module(reg, x) for x in others]
+    covers = [p1] + [alg.projective_cover(x)[0] for x in others]
+    assert len(set(map(id, homs))) == 3 and len(set(map(id, covers))) == 3
+    assert sum(isinstance(k, tuple) and k[0] == "hom" for k in reg._cache) == 3
+    assert sum(isinstance(k, tuple) and k[0] == "cover" for k in a._cache) == 3
+
+
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_hom_and_cover_memo_entries_are_read_only(field):
+    a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
+    x = _arrow_module(a, 1)
+    h = alg.hom_module(alg.regular_bimodule(a), x)
+    p, epi = alg.projective_cover(x)
+    assert isinstance(h.pivots, tuple) and not hasattr(h, "x") and not hasattr(h, "n")
+    for arr in (h.basis[0], h.module.action[0], p.action[0], epi.matrix,
+                alg.projective_cover(x)[1].matrix):
+        with pytest.raises(ValueError):
+            arr[0, 0] = field.one
+
+
+def test_a_cached_none_is_not_rebuilt(a2_f3, monkeypatch):
+    f = a2_f3.field
+    x = _arrow_module(a2_f3, 1)
+    g = f.asmatrix([[1, 1], [0, 1]])
+    gi = linalg.invert(f, g)
+    # e_1 acts as a non-diagonal idempotent, so the module has no classes
+    y = alg.Module(a2_f3, 2, [f.matmul(g, f.matmul(m, gi)) for m in x.action], check=True)
+    builds = []
+    build = alg.Module._build_vertex_classes
+    monkeypatch.setattr(alg.Module, "_build_vertex_classes",
+                        lambda self: builds.append(self) or build(self))
+    assert y.vertex_classes() is None and y.vertex_classes() is None
+    assert builds == [y]
+    assert alg.memo({"k": None}, "k", lambda: builds.append("rebuilt")) is None
+    assert builds == [y]
+
+
 # -- the isomorphism search ----------------------------------------------------
 
 

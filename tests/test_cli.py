@@ -281,3 +281,17 @@ def test_missing_or_malformed_generators_are_schema_errors():
                     jsonio.module_from_json(broken, data.A)
                 else:
                     jsonio.bimodule_from_json(broken, data.B, data.A)
+
+
+def test_one_parser_keeps_each_calls_params(tmp_path, capsys):
+    """main shares one parser per process; an appended --param list still
+    belongs to its own call."""
+    assert cli.build_parser() is cli.build_parser()
+    vertices = []
+    for params in (["n=4", "h=2", "i=1", "j=4"], ["n=3"]):
+        argv = ["catalog", "examctp4", "--field", "3", "--out", tmp_path / "c.json"]
+        assert run(argv + [a for p in params for a in ("--param", p)]) == 0
+        doc = json.loads((tmp_path / "c.A.json").read_text())
+        vertices.append(len(doc["quiver"]["vertices"]))
+    # a leaked n=4, j=4 would make the second call fail with j > n
+    assert vertices == [4, 3]
