@@ -391,14 +391,12 @@ class Module:
     dim); action[i] and act(i) are read-only views.  Immutable after
     construction."""
 
-    def __init__(self, algebra, dim, action, check=False):
+    def __init__(self, algebra, dim, action):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
         self.action = _frozen_stack(self.field, action, algebra.dim, dim)
         self._cache = {}
-        if check:
-            self.validate()
 
     def act(self, i):
         return self.action[i]
@@ -525,7 +523,7 @@ class Bimodule:
     stack like Module.action.  The right action is stored as matrices R(a)
     with v . a = R(a) v, so R(a1 a2) = R(a2) R(a1)."""
 
-    def __init__(self, left_algebra, right_algebra, dim, left_action, right_action, check=False):
+    def __init__(self, left_algebra, right_algebra, dim, left_action, right_action):
         if left_algebra.field != right_algebra.field:
             raise ValueError("bimodule algebras must share the field")
         self.left_algebra = left_algebra
@@ -536,8 +534,6 @@ class Bimodule:
         self.right_action = _frozen_stack(self.field, right_action, right_algebra.dim, dim)
         self._cache = {}
         self._tensors = {}  # Module.content_key() -> TensorModule, see tensor_over
-        if check:
-            self.validate()
 
     def as_left_module(self):
         """The left B-structure, built once per bimodule."""
@@ -592,15 +588,13 @@ def corner_bimodule(algebra, v, w):
 
 
 class ModuleMorphism:
-    def __init__(self, source: Module, target: Module, matrix, check=False):
+    def __init__(self, source: Module, target: Module, matrix):
         self.source = source
         self.target = target
         self.field = source.field
         self.matrix = self.field.freeze(np.array(matrix))
         if self.matrix.shape != (target.dim, source.dim):
             raise ValueError("morphism matrix has the wrong shape")
-        if check:
-            self.validate()
 
     @property
     def components(self):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebras import (
-    Module, free_module, hom_module, indecomposable_injectives,
-    indecomposable_projectives, is_injective_module, is_projective_module,
-    module_isomorphism, solve_hom_equation,
+    Module, ModuleMorphism, free_module, hom_module, identity_morphism,
+    indecomposable_injectives, indecomposable_projectives, is_injective_module,
+    is_projective_module, module_isomorphism,
 )
-from .homology import _hom_post, coresolution_ij, ext_dim
+from .homology import _extend_along, _hom_post, _lift_along, coresolution_ij, ext_dim
 from .morita import (
     LambdaModule, LambdaMorphism, MoritaData, functor_C, functor_H, functor_K,
     functor_T, lambda_direct_sum, tensor_over, _tensor_map,
@@ -120,13 +120,6 @@ def is_right_orthogonal(l: LambdaModule, tests) -> bool:
 # -- splitting-based decompositions --------------------------------------------------
 
 
-def _retraction(field, incl, source_mod, target_mod):
-    """Module retraction r with r . incl = id, or None."""
-    coeff = linalg.kron(field, field.eye(source_mod.dim), incl.T)
-    return solve_hom_equation(target_mod, source_mod,
-                              [(coeff, field.eye(source_mod.dim).reshape(-1))])
-
-
 def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
     """When l lies in the mono class over (uspec, vspec) and both canonical
     sequences split, realize l as T_A(Coker g) (+) T_B(Coker f) and return
@@ -139,8 +132,8 @@ def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
     u, pg = functor_C("A", l)   # Coker g with epi p2 : L1 ->> U
     v, pf = functor_C("B", l)   # Coker f with epi p1 : L2 ->> V
     # splittings of 0 -> M(x)L1 -> L2 -> V -> 0 and its g-counterpart
-    r_f = _retraction(fld, l.f, l.tX.module, l.Y)
-    r_g = _retraction(fld, l.g, l.tY.module, l.X)
+    r_f = _extend_along(l.f_morphism(), identity_morphism(l.tX.module))
+    r_g = _extend_along(l.g_morphism(), identity_morphism(l.tY.module))
     if r_f is None or r_g is None:
         return None
     ta_u = functor_T(l.data, "A", u)
@@ -155,7 +148,8 @@ def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
                       + fld.matmul(injs[1].b, pf.matrix))
     if not (linalg.is_invertible(fld, a) and linalg.is_invertible(fld, b)):
         return None
-    iso = LambdaMorphism(l, target, a, b, check=True)
+    iso = LambdaMorphism(l, target, a, b)
+    iso.validate()
     inv = LambdaMorphism(target, l, linalg.invert(fld, a), linalg.invert(fld, b))
     return u, v, iso, inv
 
@@ -171,8 +165,9 @@ def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
     kx, ix = functor_K("A", l)   # Ker f~ -> L1
     ky, iy = functor_K("B", l)   # Ker g~ -> L2
     # sections of f~ and g~
-    s_f = _section(fld, l.f_tilde, l.X, l.hom_MY().module)
-    s_g = _section(fld, l.g_tilde, l.Y, l.hom_NX().module)
+    hom_my, hom_nx = l.hom_MY().module, l.hom_NX().module
+    s_f = _lift_along(ModuleMorphism(l.X, hom_my, l.f_tilde), identity_morphism(hom_my))
+    s_g = _lift_along(ModuleMorphism(l.Y, hom_nx, l.g_tilde), identity_morphism(hom_nx))
     if s_f is None or s_g is None:
         return None
     ha = functor_H(l.data, "A", kx)
@@ -200,17 +195,10 @@ def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
                       + fld.matmul(injs[1].b, pi2))
     if not (linalg.is_invertible(fld, a) and linalg.is_invertible(fld, b)):
         return None
-    iso = LambdaMorphism(l, target, a, b, check=True)
+    iso = LambdaMorphism(l, target, a, b)
+    iso.validate()
     inv = LambdaMorphism(target, l, linalg.invert(fld, a), linalg.invert(fld, b))
     return kx, ky, iso, inv
-
-
-def _section(field, epi_matrix, source_mod, target_mod):
-    """Module section s with epi . s = id, or None."""
-    n = target_mod.dim
-    coeff = linalg.kron(field, epi_matrix, field.eye(n))
-    return solve_hom_equation(target_mod, source_mod,
-                              [(coeff, field.eye(n).reshape(-1))])
 
 
 def projective_by_shape(l: LambdaModule) -> bool:
@@ -445,32 +433,20 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
     bad = [i for i, m in mem.items() if m["fw"] != (m["f"] and m["w"])]
     entries.append(("intersection-fw", not bad, {"mismatches": bad}))
 
-    bad = []
-    checked = 0
-    for i, l in enumerate(modules):
-        if not mem[i]["cw"]:
-            continue
-        for j, t in enumerate(modules):
-            if not mem[j]["f"]:
+    for tag, left, right in (("orthogonality-pair1", "cw", "f"),
+                             ("orthogonality-pair2", "c", "fw")):
+        bad = []
+        checked = 0
+        for i, l in enumerate(modules):
+            if not mem[i][left]:
                 continue
-            checked += 1
-            if ext_dim(l, t, 1) != 0:
-                bad.append((i, j))
-    entries.append(("orthogonality-pair1", not bad,
-                    {"checked": checked, "failures": bad}))
-    bad = []
-    checked = 0
-    for i, l in enumerate(modules):
-        if not mem[i]["c"]:
-            continue
-        for j, t in enumerate(modules):
-            if not mem[j]["fw"]:
-                continue
-            checked += 1
-            if ext_dim(l, t, 1) != 0:
-                bad.append((i, j))
-    entries.append(("orthogonality-pair2", not bad,
-                    {"checked": checked, "failures": bad}))
+            for j, t in enumerate(modules):
+                if not mem[j][right]:
+                    continue
+                checked += 1
+                if ext_dim(l, t, 1) != 0:
+                    bad.append((i, j))
+        entries.append((tag, not bad, {"checked": checked, "failures": bad}))
 
     # thickness of W: two out of three in sampled short exact sequences
     bad = []
@@ -498,9 +474,8 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
             continue
         bad = []
         for i, l in enumerate(modules):
-            ses = approx(l)
             try:
-                ses.validate()
+                ses = approx(l)  # a ShortExactSequence checks itself when built
             except ValueError as exc:
                 bad.append((i, f"not exact: {exc}"))
                 continue

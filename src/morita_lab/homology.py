@@ -5,7 +5,9 @@ constructions for quadruple modules.
 Plain modules and quadruples share one code path: a construction reads a
 morphism's blocks through its ``components``, (matrix,) or (a, b), and does
 to each block of a quadruple map what it does to the matrix of a plain one.
-``ext_group`` and ``ext_dim`` are the only Ext entry points.
+``ext_group`` and ``ext_dim`` are the only Ext entry points.  Exactness is
+decided the same way: a ShortExactSequence checks itself once, when it is
+built, block by block, and no other code re-checks it.
 
 Ext^1(x, y) is read off a fixed projective presentation 0 -> K -> P -> x -> 0
 as coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along syzygies.
@@ -29,49 +31,40 @@ from .algebras import (
 )
 from .morita import (
     LambdaModule, LambdaMorphism, dual_lambda, flatten, functor_H, functor_T,
-    is_exact_pair, lambda_cokernel, lambda_direct_sum, lambda_hom_dim,
-    lambda_hom_space, lambda_kernel, lambda_simples, solve_lambda_hom_equation,
-    tensor_over, _tensor_map,
+    lambda_cokernel, lambda_direct_sum, lambda_hom_dim, lambda_hom_space,
+    lambda_kernel, lambda_simples, solve_lambda_hom_equation, tensor_over,
+    _tensor_map,
 )
 
 DEFAULT_DIM_BOUND = 4
 
 
 class ShortExactSequence:
-    """0 -> left -> middle -> right -> 0, plain or quadruple."""
+    """0 -> left -> middle -> right -> 0, plain or quadruple; checked exact
+    when built."""
 
-    def __init__(self, left, middle, right, incl, proj, check=True):
+    def __init__(self, left, middle, right, incl, proj):
         self.left = left
         self.middle = middle
         self.right = right
         self.incl = incl
         self.proj = proj
-        if check:
-            self.validate()
-
-    @property
-    def is_lambda(self):
-        return isinstance(self.left, LambdaModule)
+        self.validate()
 
     def validate(self):
         self.incl.validate()
         self.proj.validate()
         fld = self.incl.field
-        if self.is_lambda:
-            if not self.incl.is_mono():
+        for i, p, left, middle, right in zip(self.incl.components, self.proj.components,
+                                             _dims(self.left), _dims(self.middle),
+                                             _dims(self.right)):
+            if linalg.rank(fld, i) != left:
                 raise ValueError("left map is not mono")
-            if not self.proj.is_epi():
+            if linalg.rank(fld, p) != right:
                 raise ValueError("right map is not epi")
-            if not is_exact_pair(self.incl, self.proj):
-                raise ValueError("image != kernel at the middle")
-        else:
-            if linalg.rank(fld, self.incl.matrix) != self.left.dim:
-                raise ValueError("left map is not mono")
-            if linalg.rank(fld, self.proj.matrix) != self.right.dim:
-                raise ValueError("right map is not epi")
-            if not fld.is_zero(fld.matmul(self.proj.matrix, self.incl.matrix)):
+            if not fld.is_zero(fld.matmul(p, i)):
                 raise ValueError("composite is nonzero")
-            if self.left.dim + self.right.dim != self.middle.dim:
+            if left + right != middle:
                 raise ValueError("dimensions do not add up")
         return True
 
@@ -263,7 +256,7 @@ def lambda_ext_dim_flatten(l, t, degree=1):
     return ext_dim(flatten(l), flatten(t), degree, presentation_kind="free")
 
 
-def ext_group(x, y, degree=1, realize=True) -> ExtGroup:
+def ext_group(x, y, degree=1) -> ExtGroup:
     """Ext^degree(x, y) along projective_presentation, with the extension
     classes realized in degree 1."""
     if degree < 1:
@@ -277,7 +270,7 @@ def ext_group(x, y, degree=1, realize=True) -> ExtGroup:
     fld = y.field
     dim = hom_k.dim - linalg.rank(fld, restr)
     classes = []
-    if realize and degree == 1 and dim:
+    if degree == 1 and dim:
         _, sect_q = linalg.quotient(fld, hom_k.dim, restr)
         classes = [pushout_extension(pres, hom_k.element(sect_q[:, c]))[0]
                    for c in range(sect_q.shape[1])]
@@ -331,16 +324,13 @@ def _extend_along(incl, psi):
 
 
 def _lift_along(epi, phi):
-    """h: phi.source -> epi.source with epi . h = phi; it exists when
-    phi.source is projective and epi is onto."""
+    """h: phi.source -> epi.source with epi . h = phi, or None; it exists
+    when phi.source is projective and epi is onto."""
     fld = phi.field
-    h = _solve_blocks(
+    return _solve_blocks(
         phi.source, epi.source,
         _blockwise(lambda e, p: linalg.kron(fld, e, fld.eye(p.shape[1])), epi, phi),
         [p.reshape(-1) for p in phi.components])
-    if h is None:
-        raise AssertionError("projective failed to lift through an epi")
-    return h
 
 
 def splits(ses: ShortExactSequence):
@@ -356,6 +346,8 @@ def ext_class_is_zero(ses: ShortExactSequence) -> bool:
     presentation of its right term; zero iff split (cross-check for splits)."""
     pres = projective_presentation(ses.right)
     lift = _lift_along(ses.proj, pres.proj)
+    if lift is None:
+        raise AssertionError("projective failed to lift through an epi")
     fld = lift.field
     psi = _morphism(pres.left, ses.left, _blockwise(
         lambda i, k: linalg.solve(fld, i, k), ses.incl, lift.compose(pres.incl)))
@@ -489,18 +481,17 @@ class ApproxResult:
         self.parts = parts
 
 
-def approx_c1(l: LambdaModule, pi=None, ses0=None) -> ApproxResult:
-    """Epi T_A P (+) T_B V ->> L with kernel of shape (K; (M(x)P) (+) Y).
+def approx_c1(l: LambdaModule, ses0=None) -> ApproxResult:
+    """Epi T_A P (+) T_B V ->> L with kernel of shape (K; (M(x)P) (+) Y),
+    where P ->> X is the projective cover.
 
-    pi: a chosen epi P ->> X with P projective (default: projective cover);
     ses0: a chosen exact sequence 0 -> Y -> V -> L_2 -> 0 (default: the
     cover presentation).  Hypothesis: M projective as a left module.
     """
     data = l.data
     if not is_projective_module(data.M.as_left_module()):
         raise ValueError("construction needs M projective as a left module")
-    if pi is None:
-        _, pi = projective_cover(l.X)
+    _, pi = projective_cover(l.X)
     if ses0 is None:
         ses0 = cover_presentation(l.Y)
     out = _t_cover(l, pi, ses0.proj)
@@ -508,14 +499,14 @@ def approx_c1(l: LambdaModule, pi=None, ses0=None) -> ApproxResult:
     return ApproxResult(out, {"P": pi.source, "V": ses0.middle, "Y": ses0.left, "MP": mp.module})
 
 
-def approx_c2(l: LambdaModule, pi=None, ses0=None) -> ApproxResult:
-    """Epi T_A U (+) T_B Q ->> L with kernel of shape (X (+) (N(x)Q); K).
-    Hypothesis: N projective as a left module."""
+def approx_c2(l: LambdaModule, ses0=None) -> ApproxResult:
+    """Epi T_A U (+) T_B Q ->> L with kernel of shape (X (+) (N(x)Q); K),
+    where Q ->> Y is the projective cover.  Hypothesis: N projective as a
+    left module."""
     data = l.data
     if not is_projective_module(data.N.as_left_module()):
         raise ValueError("construction needs N projective as a left module")
-    if pi is None:
-        _, pi = projective_cover(l.Y)
+    _, pi = projective_cover(l.Y)
     if ses0 is None:
         ses0 = cover_presentation(l.X)
     out = _t_cover(l, ses0.proj, pi)
@@ -549,14 +540,14 @@ def _h_envelope(l: LambdaModule, sigma_a: ModuleMorphism, sigma_b: ModuleMorphis
     return ShortExactSequence(l, mid, c, mono, proj), hom_mj, hom_ni
 
 
-def approx_c3(l: LambdaModule, sigma=None, ses0=None) -> ApproxResult:
-    """Mono L -> H_A I (+) H_B Y with cokernel of shape (C; Hom(N,I) (+) V).
-    Hypothesis: N flat (= projective here) as a right module."""
+def approx_c3(l: LambdaModule, ses0=None) -> ApproxResult:
+    """Mono L -> H_A I (+) H_B Y with cokernel of shape (C; Hom(N,I) (+) V),
+    where X >-> I is the injective envelope.  Hypothesis: N flat
+    (= projective here) as a right module."""
     data = l.data
     if not is_projective_module(data.N.right_as_left_module()):
         raise ValueError("construction needs N flat as a right module")
-    if sigma is None:
-        _, sigma = injective_envelope(l.X)
+    _, sigma = injective_envelope(l.X)
     if ses0 is None:
         ses0 = injective_presentation(l.Y)
     out, _, hom_ni = _h_envelope(l, sigma, ses0.incl)
@@ -564,14 +555,14 @@ def approx_c3(l: LambdaModule, sigma=None, ses0=None) -> ApproxResult:
                               "HNI": hom_ni.module})
 
 
-def approx_c4(l: LambdaModule, sigma=None, ses0=None) -> ApproxResult:
-    """Mono L -> H_A X (+) H_B J with cokernel of shape (U (+) Hom(M,J); C).
-    Hypothesis: M flat (= projective here) as a right module."""
+def approx_c4(l: LambdaModule, ses0=None) -> ApproxResult:
+    """Mono L -> H_A X (+) H_B J with cokernel of shape (U (+) Hom(M,J); C),
+    where Y >-> J is the injective envelope.  Hypothesis: M flat
+    (= projective here) as a right module."""
     data = l.data
     if not is_projective_module(data.M.right_as_left_module()):
         raise ValueError("construction needs M flat as a right module")
-    if sigma is None:
-        _, sigma = injective_envelope(l.Y)
+    _, sigma = injective_envelope(l.Y)
     if ses0 is None:
         ses0 = injective_presentation(l.X)
     out, hom_mj, _ = _h_envelope(l, ses0.incl, sigma)
@@ -613,6 +604,8 @@ def horseshoe_merge(s: ShortExactSequence, approx_left: ShortExactSequence,
 
     pres = lambda_presentation(a2)
     h = _lift_along(e_a2, pres.proj)
+    if h is None:
+        raise AssertionError("projective failed to lift through an epi")
     psi_xi = _blockwise(lambda jc, hc, k: linalg.solve(fld, jc, fld.matmul(hc, k)),
                         j, h, pres.incl)
     if any(c is None for c in psi_xi):

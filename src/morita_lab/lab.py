@@ -903,8 +903,7 @@ def suite_ctp4(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRepo
 
     def routes_disagree(t):
         try:
-            ses = hml.coresolution_ij(t)
-            ses.validate()
+            hml.coresolution_ij(t)  # the sequence checks itself when built
             route1_bound = 1
         except ValueError:
             route1_bound = None
@@ -960,12 +959,10 @@ def suite_ctp4(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRepo
 def _resolution_claims(rep, data, cfg, n):
     def pq_fails(l):
         ses = hml.resolution_pq(l)
-        ses.validate()
         return not (cls.projective_by_shape(ses.left) and hml.is_projective_lambda(ses.left))
 
     def ij_fails(l):
         ses = hml.coresolution_ij(l)
-        ses.validate()
         return not (cls.injective_by_shape(ses.right) and hml.inj_dim_upto(ses.right, 0) == 0)
 
     _sampled_claim(rep, "resolutions.pq", "proj-injdim(1)", cfg, "resolutions.pq", n,
@@ -1026,7 +1023,6 @@ def suite_completeness(instance: CatalogInstance, cfg: SampleConfig) -> Verifica
     for cid, (builder, anchor, shape_ok) in builders.items():
         def shape_fails(l):
             res = builder(l)
-            res.ses.validate()
             return None if shape_ok(res) else "shape"
 
         _sampled_claim(rep, cid, anchor, cfg, cid, cfg.count,
@@ -1060,27 +1056,23 @@ def _ctp23_claims(rep, data, cfg):
 
     def ctp2_1(l):
         res = hml.approx_c1(l, ses0=_trivial_injective_left_approx(l.Y))
-        res.ses.validate()
         return (cls.delta_decompose(res.ses.middle, proj(a), every(b)) is not None,
                 alg.is_injective_module(res.ses.left.Y))
 
     def ctp2_2(case):
         l, q = case
         res = hml.approx_c3(l, ses0=_split_ses(l.Y, q))
-        res.ses.validate()
         return (cls.nabla_decompose(res.ses.middle, inj(a), every(b)) is not None,
                 alg.is_projective_module(res.ses.right.Y))
 
     def ctp3_1(l):
         res = hml.approx_c2(l, ses0=_trivial_injective_left_approx(l.X))
-        res.ses.validate()
         return (cls.delta_decompose(res.ses.middle, every(a), proj(b)) is not None,
                 alg.is_injective_module(res.ses.left.X))
 
     def ctp3_2(case):
         l, p = case
         res = hml.approx_c4(l, ses0=_split_ses(l.X, p))
-        res.ses.validate()
         return (cls.nabla_decompose(res.ses.middle, every(a), inj(b)) is not None,
                 alg.is_projective_module(res.ses.right.X))
 
@@ -1138,7 +1130,6 @@ def _triangular_claims(rep, data, cfg):
         kv, inclv = mor.lambda_kernel(epi)
         approx_r = hml.ShortExactSequence(kv, tbv, zb, inclv, epi)
         merged = hml.horseshoe_merge(s, approx_l, approx_r)
-        merged.ses.validate()
         mid_ok = cls.in_mon(merged.ses.middle)
         ker_ok = cls.in_column(merged.ses.left, inj_a, inj_b)
         return None if mid_ok and ker_ok else "membership"
@@ -1342,10 +1333,8 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     members = {}  # (id(class spec), id(pool member)) -> membership
 
     def contains(side, l):
-        key = (id(side), id(l))
-        if key not in members:
-            members[key] = side.contains(l)  # a raised ValueError is not kept
-        return members[key]
+        # memo keeps nothing when contains raises, so a ValueError is not kept
+        return alg.memo(members, (id(side), id(l)), lambda: side.contains(l))
 
     for name, spec in _frobenius_hovey_specs(data).items():
         entries = cls.hovey_ingredients_check(spec, pool, sess)

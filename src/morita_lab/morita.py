@@ -88,8 +88,7 @@ def _tensor_map(field, tsrc: TensorModule, ttgt: TensorModule, a):
 
 
 class LambdaModule:
-    def __init__(self, data: MoritaData, x: Module, y: Module, f, g,
-                 tx=None, ty=None, check=False):
+    def __init__(self, data: MoritaData, x: Module, y: Module, f, g, tx=None, ty=None):
         self.data = data
         self.field = data.field
         self.X = x
@@ -105,8 +104,6 @@ class LambdaModule:
         self.f = f
         self.g = g
         self._cache = {}
-        if check:
-            self.validate()
 
     @property
     def dims(self):
@@ -203,18 +200,18 @@ def adjoint_untranspose_g(data: MoritaData, x: Module, y: Module, g_tilde):
     return untranspose_structure_map(data.N, y, x, ty, np.array(g_tilde), hom_nx)
 
 
-def lambda_module_from_second_expression(data, x, y, f_tilde, g_tilde, check=False):
+def lambda_module_from_second_expression(data, x, y, f_tilde, g_tilde):
     hom_my = hom_module(data.M, y)
     hom_nx = hom_module(data.N, x)
     tx = tensor_over(data.M, x)
     ty = tensor_over(data.N, y)
     f = untranspose_structure_map(data.M, x, y, tx, np.array(f_tilde), hom_my)
     g = untranspose_structure_map(data.N, y, x, ty, np.array(g_tilde), hom_nx)
-    return LambdaModule(data, x, y, f, g, tx=tx, ty=ty, check=check)
+    return LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
 
 
 class LambdaMorphism:
-    def __init__(self, source: LambdaModule, target: LambdaModule, a, b, check=False):
+    def __init__(self, source: LambdaModule, target: LambdaModule, a, b):
         self.source = source
         self.target = target
         self.field = source.field
@@ -224,8 +221,6 @@ class LambdaMorphism:
             raise ValueError("component a has the wrong shape")
         if self.b.shape != (target.Y.dim, source.Y.dim):
             raise ValueError("component b has the wrong shape")
-        if check:
-            self.validate()
 
     @property
     def components(self):
@@ -255,16 +250,6 @@ class LambdaMorphism:
         return LambdaMorphism(other.source, self.target,
                               self.field.matmul(self.a, other.a),
                               self.field.matmul(self.b, other.b))
-
-    def is_mono(self):
-        fld = self.field
-        return (linalg.rank(fld, self.a) == self.source.X.dim
-                and linalg.rank(fld, self.b) == self.source.Y.dim)
-
-    def is_epi(self):
-        fld = self.field
-        return (linalg.rank(fld, self.a) == self.target.X.dim
-                and linalg.rank(fld, self.b) == self.target.Y.dim)
 
     def __repr__(self):
         return f"LambdaMorphism({self.source.dims} -> {self.target.dims})"

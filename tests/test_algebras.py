@@ -286,7 +286,7 @@ def test_injective_envelope(a2_f3):
 def test_module_validation_rejects_garbage(a2_f3):
     bad = [F3.eye(1)] * a2_f3.dim
     with pytest.raises(ValueError):
-        alg.Module(a2_f3, 1, bad, check=True)
+        alg.Module(a2_f3, 1, bad).validate()
 
 
 from hypothesis import given, settings, strategies as st
@@ -365,7 +365,9 @@ def _arrow_module(algebra, entry):
             acts.append(f.asmatrix([[1, 0], [0, 0]] if src == "1" else [[0, 0], [0, 1]]))
         else:
             acts.append(f.asmatrix([[0, 0], [entry, 0]]))
-    return alg.Module(algebra, 2, acts, check=True)
+    x = alg.Module(algebra, 2, acts)
+    x.validate()
+    return x
 
 
 @pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
@@ -482,7 +484,8 @@ def test_a_cached_none_is_not_rebuilt(a2_f3, monkeypatch):
     g = f.asmatrix([[1, 1], [0, 1]])
     gi = linalg.invert(f, g)
     # e_1 acts as a non-diagonal idempotent, so the module has no classes
-    y = alg.Module(a2_f3, 2, [f.matmul(g, f.matmul(m, gi)) for m in x.action], check=True)
+    y = alg.Module(a2_f3, 2, [f.matmul(g, f.matmul(m, gi)) for m in x.action])
+    y.validate()
     builds = []
     build = alg.Module._build_vertex_classes
     monkeypatch.setattr(alg.Module, "_build_vertex_classes",

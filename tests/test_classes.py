@@ -19,7 +19,9 @@ def ie(a2_f3):
 def big_L(ie):
     p1 = alg.indecomposable_projectives(ie.A)[0]
     sigma = ie.field.asmatrix([[0], [1]])
-    return mor.LambdaModule(ie, p1, p1, sigma, sigma, check=True)
+    l = mor.LambdaModule(ie, p1, p1, sigma, sigma)
+    l.validate()
+    return l
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,26 @@ def test_hovey_ingredients_detect_corruption(nak_morita):
     assert failed
 
 
+def test_hovey_ingredients_report_a_non_exact_approximation(nak_morita):
+    """An approximation builder whose sequence is not exact fails its own
+    entry with the reason, case by case; every other entry is still made."""
+    data = nak_morita
+    s1 = alg.simples(data.A)[0]
+    pool = [mor.functor_T(data, "A", s1), mor.functor_Z(data, "B", s1)]
+    spec = _frob_b_spec(data)
+    spec.pair1_approx = lambda l: hml.ShortExactSequence(
+        l, l, l, mor.lambda_identity(l), mor.lambda_identity(l))
+    entries = cls.hovey_ingredients_check(spec, pool, [])
+    assert [e[0] for e in entries] == [
+        "intersection-cw", "intersection-fw", "orthogonality-pair1", "orthogonality-pair2",
+        "thickness-two-of-three", "thickness-summands", "approximations-pair1",
+        "approximations-pair2"]
+    tag, ok, detail = entries[6]
+    assert not ok
+    assert detail["failures"] == [(0, "not exact: composite is nonzero"),
+                                  (1, "not exact: composite is nonzero")]
+
+
 def test_delta_decompose_hidden_sum_triangular(a2_f3):
     """Over the upper-triangular instance every member of the mono class
     with projective A-cokernel decomposes, even after a change of basis
@@ -261,7 +283,8 @@ def test_delta_decompose_hidden_sum_triangular(a2_f3):
     gi = linalg.invert(tri.field, g)
     xc = alg.Module(tri.A, s.X.dim,
                     [tri.field.matmul(g, tri.field.matmul(m, gi)) for m in s.X.action])
-    hidden = mor.LambdaModule(tri, xc, s.Y, s.f, tri.field.matmul(g, s.g), check=True)
+    hidden = mor.LambdaModule(tri, xc, s.Y, s.f, tri.field.matmul(g, s.g))
+    hidden.validate()
     out = cls.delta_decompose(hidden, cls.projectives_spec(tri.A),
                               cls.all_spec(tri.B))
     assert out is not None

@@ -210,10 +210,10 @@ def test_value_error_in_a_builder_is_a_claim_failure(monkeypatch, tmp_path):
     fails that claim with the refusal text; the other claims still run."""
     orig = hml.approx_c1
 
-    def approx_c1(l, pi=None, ses0=None):
+    def approx_c1(l, ses0=None):
         if ses0 is not None:
             raise ValueError("injected builder refusal")
-        return orig(l, pi=pi)
+        return orig(l)
 
     monkeypatch.setattr(hml, "approx_c1", approx_c1)
     out = tmp_path / "r.json"

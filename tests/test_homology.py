@@ -20,7 +20,9 @@ def big_L(ie):
     """(Ae1; Ae1) with both structure maps the socle inclusion."""
     p1 = alg.indecomposable_projectives(ie.A)[0]
     sigma = ie.field.asmatrix([[0], [1]])
-    return mor.LambdaModule(ie, p1, p1, sigma, sigma, check=True)
+    l = mor.LambdaModule(ie, p1, p1, sigma, sigma)
+    l.validate()
+    return l
 
 
 def test_free_presentation_shapes(a2_f3):
@@ -185,7 +187,8 @@ def test_resolution_pq(ie):
     for _ in range(5):
         f = _random_combo(ie.field, alg.hom_space(tx.module, y), (y.dim, tx.dim), rng)
         g = _random_combo(ie.field, alg.hom_space(ty.module, x), (x.dim, ty.dim), rng)
-        l = mor.LambdaModule(ie, x, y, f, g, tx=tx, ty=ty, check=True)
+        l = mor.LambdaModule(ie, x, y, f, g, tx=tx, ty=ty)
+        l.validate()
         ses = hml.resolution_pq(l)
         ses.validate()
         assert hml.is_projective_lambda(ses.left)
@@ -202,7 +205,8 @@ def test_coresolution_ij(ie):
     for _ in range(5):
         f = _random_combo(ie.field, alg.hom_space(tx.module, y), (y.dim, tx.dim), rng)
         g = _random_combo(ie.field, alg.hom_space(ty.module, x), (x.dim, ty.dim), rng)
-        l = mor.LambdaModule(ie, x, y, f, g, tx=tx, ty=ty, check=True)
+        l = mor.LambdaModule(ie, x, y, f, g, tx=tx, ty=ty)
+        l.validate()
         ses = hml.coresolution_ij(l)
         ses.validate()
         assert _is_injective_lambda(ses.right)
@@ -292,16 +296,18 @@ def _triangular_module(tri, x, y):
     basis = alg.hom_space(ty.module, x)
     if basis:
         g = basis[0]
-    return mor.LambdaModule(tri, x, y, tri.field.zeros(y.dim, 0), g, check=True)
+    l = mor.LambdaModule(tri, x, y, tri.field.zeros(y.dim, 0), g)
+    l.validate()
+    return l
 
 
 def _canonical_triangular_ses(tri, l):
     za = mor.functor_Z(tri, "A", l.X)
     zb = mor.functor_Z(tri, "B", l.Y)
-    incl = mor.LambdaMorphism(za, l, tri.field.eye(l.X.dim),
-                              tri.field.zeros(l.Y.dim, 0), check=True)
-    proj = mor.LambdaMorphism(l, zb, tri.field.zeros(0, l.X.dim),
-                              tri.field.eye(l.Y.dim), check=True)
+    incl = mor.LambdaMorphism(za, l, tri.field.eye(l.X.dim), tri.field.zeros(l.Y.dim, 0))
+    incl.validate()
+    proj = mor.LambdaMorphism(l, zb, tri.field.zeros(0, l.X.dim), tri.field.eye(l.Y.dim))
+    proj.validate()
     return hml.ShortExactSequence(za, l, zb, incl, proj)
 
 
@@ -323,8 +329,8 @@ def _tb_injective_approx(tri, y):
     v, injs, projs = alg.direct_sum([env, y])
     tbv = mor.functor_T(tri, "B", v)
     zby = mor.functor_Z(tri, "B", y)
-    epi = mor.LambdaMorphism(tbv, zby, tri.field.zeros(0, tbv.X.dim),
-                             projs[1].matrix, check=True)
+    epi = mor.LambdaMorphism(tbv, zby, tri.field.zeros(0, tbv.X.dim), projs[1].matrix)
+    epi.validate()
     k, incl = mor.lambda_kernel(epi)
     return hml.ShortExactSequence(k, tbv, zby, incl, epi)
 

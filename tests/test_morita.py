@@ -44,7 +44,9 @@ def _random_quadruple(data, x, y, rng):
     ty = mor.tensor_over(data.N, y)
     f = _random_combo(data.field, alg.hom_space(tx.module, y), (y.dim, tx.dim), rng)
     g = _random_combo(data.field, alg.hom_space(ty.module, x), (x.dim, ty.dim), rng)
-    return mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty, check=True)
+    l = mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
+    l.validate()
+    return l
 
 
 def _random_combo(field, basis, shape, rng):
@@ -126,7 +128,8 @@ def test_adjoint_transpose_of_sigma_is_pi(ie):
     assert t.dim == 1
     # sigma: M (x) Ae1 -> Ae1 hits the socle coordinate (the arrow path)
     sigma = ie.field.asmatrix([[0], [1]])
-    l = mor.LambdaModule(ie, p1, p1, sigma, sigma, check=True)
+    l = mor.LambdaModule(ie, p1, p1, sigma, sigma)
+    l.validate()
     ft = l.f_tilde
     hom = l.hom_MY()
     assert hom.dim == 1
@@ -232,8 +235,8 @@ def test_lambda_kernel_shape(ie):
     p1 = _proj(ie)[0]
     t = mor.functor_T(ie, "A", p1)
     z = mor.functor_Z(ie, "A", p1)
-    phi = mor.LambdaMorphism(t, z, ie.field.eye(p1.dim),
-                             ie.field.zeros(0, t.Y.dim), check=True)
+    phi = mor.LambdaMorphism(t, z, ie.field.eye(p1.dim), ie.field.zeros(0, t.Y.dim))
+    phi.validate()
     k, incl = mor.lambda_kernel(phi)
     assert k.dims == (0, 1)
     incl.validate()
@@ -284,16 +287,15 @@ def test_compatibility_enforced(irem1):
     ty = mor.tensor_over(irem1.N, reg)
     assert tx.dim == reg.dim and ty.dim == reg.dim
     with pytest.raises(ValueError):
-        mor.LambdaModule(irem1, reg, reg, irem1.field.eye(3), irem1.field.eye(3),
-                         check=True)
+        mor.LambdaModule(irem1, reg, reg, irem1.field.eye(3), irem1.field.eye(3)).validate()
 
 
 def test_second_expression_roundtrip(ie):
     rng = random.Random(23)
     p1 = _proj(ie)[0]
     l = _random_quadruple(ie, p1, p1, rng)
-    rebuilt = mor.lambda_module_from_second_expression(
-        ie, l.X, l.Y, l.f_tilde, l.g_tilde, check=True)
+    rebuilt = mor.lambda_module_from_second_expression(ie, l.X, l.Y, l.f_tilde, l.g_tilde)
+    rebuilt.validate()
     assert mor.lambda_modules_equal(l, rebuilt)
 
 
@@ -336,7 +338,8 @@ def test_lambda_hom_generic_path_agrees(ie):
     one_gi = mor._tensor_map(ie.field, tx, l1.tX, gi)
     f_c = ie.field.matmul(l1.f, one_gi)
     g_c = ie.field.matmul(g, l1.g)
-    l1c = mor.LambdaModule(ie, xc, l1.Y, f_c, g_c, tx=tx, check=True)
+    l1c = mor.LambdaModule(ie, xc, l1.Y, f_c, g_c, tx=tx)
+    l1c.validate()
     iso = mor.lambda_isomorphism(l1, l1c)
     assert iso.status == "isomorphic"
     l2 = _random_quadruple(ie, _proj(ie)[1], _simp(ie)[0], rng)
