@@ -430,20 +430,27 @@ class Module:
     def vertex_classes(self):
         """Class index per coordinate when the distinguished idempotents act
         as 0/1 diagonal matrices summing to the identity, else None.  The
-        classes cut the unknowns of the hom solver (intertwiner_system)."""
-        return memo(self._cache, "classes", self._build_vertex_classes)
+        classes cut the unknowns of the hom solver and the tensor (see
+        class_support).  Memoized on the algebra by content, so modules with
+        equal content share one entry; a direct sum takes its classes from
+        its summands."""
+        return memo(self._cache, "classes", lambda: memo(
+            self.algebra._cache, ("classes", self.content_key()), self._build_vertex_classes))
 
     def _build_vertex_classes(self):
         system = self.algebra.idempotent_system()
         if system is None:
             return None
         f = self.field
-        images = linalg.combine(f, np.stack(system), self.action)
+        units = enumerate_idempotent_basis(self.algebra)
+        if len(units) == len(system):  # each e_v is a basis element: its action is stored
+            images = self.action[[i for i, _ in units]]
+        else:
+            images = linalg.combine(f, np.stack(system), self.action)
         diag = np.arange(self.dim)
         ones = images[:, diag, diag] == f.one
-        expected = f.zeros(*images.shape)
-        expected[:, diag, diag] = np.where(ones, f.one, f.zero)
-        if np.all(ones.sum(axis=0) == 1) and np.all(images == expected):
+        # one 1 on the diagonal per coordinate, and no other nonzero entry
+        if np.all(ones.sum(axis=0) == 1) and np.count_nonzero(images != f.zero) == self.dim:
             return tuple(ones.argmax(axis=0).tolist())
         return None
 
@@ -632,24 +639,33 @@ def zero_morphism(x, y):
 
 # -- the intertwiner system ----------------------------------------------
 
+def class_support(algebra, src_classes, tgt_classes, dim_src, dim_tgt):
+    """(support, gens): the one support rule of the hom solver and the tensor.
+
+    support lists, ascending, the coordinates (r, c) of a row-major
+    dim_tgt x dim_src unknown with tgt_classes[r] == src_classes[c]; gens are
+    the generators of algebra whose conditions still need rows.  A side
+    without vertex classes (None) counts as one class: then the support is
+    every coordinate and every generator is kept.  Otherwise the idempotents
+    of the system only restate the support, so they are dropped.
+    """
+    gens = algebra.generator_indices()
+    if src_classes is None or tgt_classes is None:
+        return np.arange(dim_src * dim_tgt), gens
+    idem = {i for i, _ in enumerate_idempotent_basis(algebra)}
+    return (np.flatnonzero(np.equal.outer(tgt_classes, src_classes)),
+            [g for g in gens if g not in idem])
+
+
 def intertwiner_system(x: Module, y: Module):
     """(support, pairs) for the intertwiners H: x -> y, H x(g) = y(g) H.
 
-    support lists, ascending, the coordinates (r, c) of vec_rm(H) with
-    class_y(r) == class_x(c); every intertwiner vanishes off it.  A module
-    without vertex classes counts as one class, so then the support is every
-    coordinate.  pairs holds (x(g), y(g)) per generator g; the idempotents of
-    the system only restate the support, so they are dropped when both sides
-    have classes.
+    Every intertwiner vanishes off the support that class_support gives for
+    the coordinates (r, c) of vec_rm(H); pairs holds (x(g), y(g)) for each
+    generator g it keeps.
     """
-    xc, yc = x.vertex_classes(), y.vertex_classes()
-    gens = x.algebra.generator_indices()
-    if xc is None or yc is None:
-        support = np.arange(x.dim * y.dim)
-    else:
-        support = np.flatnonzero(np.equal.outer(yc, xc))
-        idem = {i for i, _ in enumerate_idempotent_basis(x.algebra)}
-        gens = [g for g in gens if g not in idem]
+    support, gens = class_support(x.algebra, x.vertex_classes(), y.vertex_classes(),
+                                  x.dim, y.dim)
     return support, [(x.act(g), y.act(g)) for g in gens]
 
 
@@ -672,11 +688,16 @@ def solve_matrix_system(field, rows_blocks, n_unknowns, support):
     """Kernel of the stacked constraint rows, whose columns are the
     coordinates support (ascending) of n_unknowns unknowns.  Returns the
     canonical kernel basis as columns in all n_unknowns coordinates."""
-    stacked = field.normalize(linalg.vstack(field, [field.zeros(0, len(support)), *rows_blocks]))
-    k = linalg.kernel_basis(field, stacked[np.any(stacked != field.zero, axis=1)])
+    k = linalg.kernel_basis(field, _nonzero_rows(field, rows_blocks, len(support)))
     full = field.zeros(n_unknowns, k.shape[1])
     full[support, :] = k
     return full
+
+
+def _nonzero_rows(field, rows_blocks, ncols):
+    """The constraint rows stacked into one matrix, zero rows dropped."""
+    stacked = field.normalize(linalg.vstack(field, [field.zeros(0, ncols), *rows_blocks]))
+    return stacked[np.any(stacked != field.zero, axis=1)]
 
 
 def solve_affine_system(field, rows_blocks, n_unknowns, support, extra):
@@ -711,8 +732,8 @@ def hom_space(x: Module, y: Module):
 
 def enumerate_idempotent_basis(algebra):
     """(basis index, vector) for idempotent-system vectors that are single
-    basis elements; intertwiner_system drops these generators when both
-    modules have vertex classes."""
+    basis elements; class_support drops these generators when both sides
+    have vertex classes."""
     system = algebra.idempotent_system()
     out = []
     if system is None:
@@ -752,7 +773,10 @@ class TensorModule:
 
     module: the left B-module on the quotient of the plain vector-space
     tensor by the bilinearity relations; surjection/section present the
-    quotient.  The plain tensor has the pure tensors m_i (x) x_j as its
+    quotient.  Both vanish off the vertex-class support (see
+    _tensor_presentation): the section is the unit columns at the free
+    coordinates there, and the surjection is zero at every pure tensor whose
+    classes disagree.  The plain tensor has the pure tensors m_i (x) x_j as its
     basis, i < outer = dim M and j < inner = dim X, and only this class knows
     their order: pure_values reads a map out of the tensor on the pure
     tensors, descend builds one from such values, and pure_surjection and
@@ -807,19 +831,37 @@ def tensor_over(m: Bimodule, x: Module) -> TensorModule:
 
 
 def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
+    """M (x)_A X as the quotient of the plain tensor by the relations
+    m a (x) x - m (x) a x, built on the vertex-class support.
+
+    A pure tensor m_u (x) x_j whose classes differ, class_M(u) = c !=
+    class_X(j), is itself the relation for a = e_c, so it is its own pivot
+    row in the RREF of the relations, and every other pivot and every free
+    coordinate lies on the support of class_support.  There the relation of
+    generator g at (a, b) is row (a, b) of the intertwiner rows of
+    (X(g), R_M(g)^T), column (u, j) holding [u = a] X(g)[j, b] -
+    R_M(g)[u, a] [j = b] (the relation negated).  One RREF of these rows
+    gives the projection on the support and the free coordinates, the same
+    ones that the relations on all dim M * dim X coordinates give."""
     f = m.field
     dm, dx = m.dim, x.dim
-    full = dm * dx
-    gens = x.algebra.generator_indices()
-    rel_blocks = []
-    for g in gens:
-        r = linalg.kron(f, m.right_action[g], f.eye(dx)) - linalg.kron(f, f.eye(dm), x.act(g))
-        rel_blocks.append(f.normalize(r))
-    relations = linalg.hstack(f, rel_blocks) if rel_blocks else f.zeros(full, 0)
-    proj, sect = linalg.quotient(f, full, relations)
-    big = _stack(f, [linalg.kron(f, a, f.eye(dx)) for a in m.left_action], (full, full))
-    acts = _left_times(f, proj, _times(f, big, sect))
-    return TensorModule(Module(m.left_algebra, proj.shape[0], acts),
+    support, gens = class_support(x.algebra, x.vertex_classes(),
+                                  m.right_as_left_module().vertex_classes(), dx, dm)
+    rows = intertwiner_constraints(f, [(x.act(g), m.right_action[g].T) for g in gens],
+                                   dx, dm, support)
+    r, pivots = linalg.rref(f, _nonzero_rows(f, rows, len(support)))
+    k, free = linalg.kernel_from_rref(f, r, pivots, len(support))
+    kept = support[free]
+    proj = f.zeros(len(free), dm * dx)
+    proj[:, support] = k.T
+    sect = f.zeros(dm * dx, len(free))
+    sect[kept, np.arange(len(free))] = f.one
+    # act(i) = proj (L_i (x) 1) sect: column s, the free pure tensor
+    # m_u (x) x_j, goes to the class of (L_i m_u) (x) x_j
+    u, j = np.divmod(kept, dx)
+    acts = f.matmul_each(proj.reshape(len(free), dm, dx)[:, :, j].transpose(2, 0, 1),
+                         m.left_action[:, :, u].transpose(2, 1, 0))
+    return TensorModule(Module(m.left_algebra, len(free), acts.transpose(2, 1, 0)),
                         f.freeze(proj), f.freeze(sect), dm, dx)
 
 
@@ -911,11 +953,18 @@ def direct_sum(mods):
     f = mods[0].field
     s = Module(mods[0].algebra, sum(m.dim for m in mods),
                _block_diagonal(f, mods[0].algebra.dim, [m.action for m in mods]))
+    # the idempotents act block-diagonally, so the classes are the summands'
+    memo(s._cache, "classes", lambda: _joined_classes([m.vertex_classes() for m in mods]))
     eye = f.eye(s.dim)
     ofs = np.cumsum([0, *(m.dim for m in mods)])
     injs = [ModuleMorphism(m, s, eye[:, lo:hi]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
     projs = [ModuleMorphism(s, m, eye[lo:hi, :]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
     return s, injs, projs
+
+
+def _joined_classes(parts):
+    """The vertex classes of a direct sum from those of its summands."""
+    return None if any(c is None for c in parts) else tuple(c for p in parts for c in p)
 
 
 # -- projective covers and projectivity -------------------------------------
@@ -1068,8 +1117,11 @@ def simple_multiplicities(x: Module):
     """(dim Hom(x, S_v), dim Hom(S_v, x)) for each vertex v, read off ranks:
     the multiplicity of S_v in the top of x is rank E_v - rank(E_v rad x),
     and in its socle dim x - rank [E_v - 1; arrow actions], with E_v the
-    action of e_v (Assem, Simson & Skowronski, Elements I, ch. III)."""
-    return memo(x._cache, "simple_multiplicities", lambda: _simple_multiplicities(x))
+    action of e_v (Assem, Simson & Skowronski, Elements I, ch. III).
+    Memoized on the algebra by content, like vertex_classes."""
+    return memo(x._cache, "simple_multiplicities", lambda: memo(
+        x.algebra._cache, ("simple_multiplicities", x.content_key()),
+        lambda: _simple_multiplicities(x)))
 
 
 def _simple_multiplicities(x: Module):

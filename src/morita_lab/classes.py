@@ -460,10 +460,9 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
     bad = []
     pool = list(modules)[:6]
     for i, l1 in enumerate(pool):
-        for l2 in pool[i:]:
+        for j, l2 in enumerate(pool[i:], start=i):
             s, _, _ = lambda_direct_sum([l1, l2])
-            if spec.w_spec.contains(s) != (spec.w_spec.contains(l1)
-                                           and spec.w_spec.contains(l2)):
+            if spec.w_spec.contains(s) != (mem[i]["w"] and mem[j]["w"]):
                 bad.append((l1.dims, l2.dims))
     entries.append(("thickness-summands", not bad, {"failures": bad}))
 

@@ -147,6 +147,20 @@ class FieldSpec:
             return acc
         return self.normalize(np.dot(a, b))
 
+    def matmul_each(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a[k] @ b[k] for every k, for two stacks of matrices, as one stack."""
+        n, r, k = a.shape
+        if b.shape[:2] != (n, k):
+            raise ValueError(f"matmul_each shape mismatch {a.shape} x {b.shape}")
+        if k == 0:
+            return self.zeros(n, r, b.shape[2])
+        if self.kind == "prime" and a.dtype != object and b.dtype != object:
+            acc = np.zeros((n, r, b.shape[2]), dtype=np.int64)
+            for s in range(0, k, _MATMUL_CHUNK):
+                acc = (acc + a[:, :, s : s + _MATMUL_CHUNK] @ b[:, s : s + _MATMUL_CHUNK]) % self.p
+            return acc
+        return self.normalize(np.matmul(a, b))
+
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         if a.shape != b.shape:
             return False

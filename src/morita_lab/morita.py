@@ -450,24 +450,29 @@ def unflatten(data: MoritaData, z: Module) -> LambdaModule:
 # -- hom spaces of quadruples -------------------------------------------------
 
 
-def _square_rows(fld, src, tgt):
-    """Constraint rows tying (a, b) to the structure maps, over the unknowns
-    [vec_rm(a) | vec_rm(b)]: b f_1 = f_2 (1_M (x) a) and a g_1 = g_2 (1_N (x) b)."""
+def _square_rows(fld, src, tgt, sup_a, sup_b):
+    """Constraint rows tying (a, b) to the structure maps, over the joint
+    support [sup_a | sup_b] of the unknowns [vec_rm(a) | vec_rm(b)]:
+    b f_1 = f_2 (1_M (x) a) and a g_1 = g_2 (1_N (x) b)."""
     rows = []
-    for k, (map1, map2, t1, t2) in enumerate(((src.f, tgt.f, src.tX, tgt.tX),
-                                              (src.g, tgt.g, src.tY, tgt.tY))):
+    for k, (map1, map2, t1, t2, sup_in, sup_out) in enumerate((
+            (src.f, tgt.f, src.tX, tgt.tX, sup_a, sup_b),
+            (src.g, tgt.g, src.tY, tgt.tY, sup_b, sup_a))):
         # h_out map1 = map2 (1 (x) h_in), rows indexed by (r, s) for the
         # rows r of map2 and the quotient basis s of t1
         d_out = map2.shape[0]
-        out_rows = linalg.kron(fld, fld.eye(d_out), map1.T)
+        # h_out map1 at (r, s) is sum_c h_out[r, c] map1[c, s]
+        r, c = np.divmod(sup_out, map1.shape[0])
+        out_rows = fld.zeros(d_out, t1.dim, len(sup_out))
+        out_rows[r, :, np.arange(len(sup_out))] = map1[c, :]
         # map2 (1 (x) h_in) at (r, s) is sum_i,c,d vals[r, i, c] h_in[c, d] sec[i, d, s]
         vals, sec = t2.pure_values(map2), t1.pure_section
-        outer, d_in2, d_in1 = vals.shape[1], vals.shape[2], sec.shape[1]
-        phi = fld.matmul(vals.transpose(0, 2, 1).reshape(d_out * d_in2, outer),
-                         sec.reshape(outer, d_in1 * t1.dim))
-        phi = phi.reshape(d_out, d_in2, d_in1, t1.dim).transpose(0, 3, 1, 2)
-        in_rows = fld.normalize(-phi.reshape(d_out * t1.dim, d_in2 * d_in1))
-        rows.append(linalg.hstack(fld, [in_rows, out_rows] if k == 0 else [out_rows, in_rows]))
+        c, d = np.divmod(sup_in, sec.shape[1])
+        phi = fld.matmul_each(vals[:, :, c].transpose(2, 0, 1), sec[:, d, :].transpose(1, 0, 2))
+        in_rows = fld.normalize(-phi).transpose(1, 2, 0)
+        blocks = [in_rows, out_rows] if k == 0 else [out_rows, in_rows]
+        rows.append(np.concatenate(blocks, axis=2).reshape(d_out * t1.dim,
+                                                             len(sup_a) + len(sup_b)))
     return rows
 
 
@@ -487,7 +492,7 @@ def _hom_rows(fld, src, tgt):
             padded = fld.zeros(r.shape[0], len(support))
             padded[:, cols] = r
             rows.append(padded)
-    rows.extend(r[:, support] for r in _square_rows(fld, src, tgt))
+    rows.extend(_square_rows(fld, src, tgt, sup_a, sup_b))
     return support, rows
 
 

@@ -496,6 +496,90 @@ def test_a_cached_none_is_not_rebuilt(a2_f3, monkeypatch):
     assert builds == [y]
 
 
+def _reference_vertex_classes(x):
+    """Classes from the images of the whole idempotent system, each checked
+    against the 0/1 diagonal matrix it must be."""
+    system = x.algebra.idempotent_system()
+    if system is None:
+        return None
+    f = x.field
+    images = [x.act_vec(vec) for vec in system]
+    classes = []
+    for c in range(x.dim):
+        hits = [v for v, im in enumerate(images) if im[c, c] == f.one]
+        if len(hits) != 1:
+            return None
+        classes.append(hits[0])
+    for v, im in enumerate(images):
+        want = f.zeros(x.dim, x.dim)
+        for c in range(x.dim):
+            want[c, c] = f.one if classes[c] == v else f.zero
+        if not f.equal(im, want):
+            return None
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_vertex_classes_match_the_reference(field):
+    """Stored idempotent actions (a system of basis elements) and combined
+    ones (a system given by other vectors) give the reference classes."""
+    q = alg.cyclic_quiver(3)
+    nak = alg.path_algebra(q, alg.nakayama_relations(q, 2), field)
+    whole = alg.path_algebra(q, alg.nakayama_relations(q, 2), field)
+    whole.set_idempotent_system([whole.unit])
+    seen = set()
+    for a in (nak, whole):
+        projs = alg.indecomposable_projectives(a)
+        x = alg.direct_sum([projs[0], alg.simples(a)[1], projs[2]])[0]
+        g = field.asmatrix([[1 if c >= r else 0 for c in range(x.dim)] for r in range(x.dim)])
+        gi = linalg.invert(field, g)
+        conj = alg.Module(a, x.dim, [field.matmul(g, field.matmul(m, gi)) for m in x.action])
+        for m in [*projs, *alg.indecomposable_injectives(a), x, conj, alg.zero_module(a)]:
+            got = alg.Module(a, m.dim, m.action)._build_vertex_classes()
+            assert got == _reference_vertex_classes(m)
+            seen.add(got is None)
+        # a direct sum takes its classes from the summands, None from any
+        for parts in ([x, projs[1]], [projs[2], conj], [alg.zero_module(a), x]):
+            s = alg.direct_sum(parts)[0]
+            assert s.vertex_classes() == _reference_vertex_classes(s)
+    assert seen == {True, False}
+    assert alg.Module(whole, x.dim, x.action).vertex_classes() == (0,) * x.dim
+
+
+@pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
+def test_vertex_structure_memos_key_on_content(field, monkeypatch):
+    """Modules with equal content share one vertex_classes entry and one
+    simple_multiplicities entry on the algebra; a cached None is a hit."""
+    a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
+    classes, mults = [], []
+    build_classes = alg.Module._build_vertex_classes
+    build_mults = alg._simple_multiplicities
+    monkeypatch.setattr(alg.Module, "_build_vertex_classes",
+                        lambda self: classes.append(self) or build_classes(self))
+    monkeypatch.setattr(alg, "_simple_multiplicities",
+                        lambda x: mults.append(x) or build_mults(x))
+    x1, x2 = _arrow_module(a, 1), _arrow_module(a, 1)
+    assert x1 is not x2
+    assert x1.vertex_classes() == x2.vertex_classes() == (0, 1)
+    assert alg.simple_multiplicities(x1) == alg.simple_multiplicities(x2)
+    assert classes == [x1] and mults == [x1]
+    # different content never shares an entry
+    x0 = _arrow_module(a, 0)
+    assert x0.vertex_classes() == (0, 1)
+    assert alg.simple_multiplicities(x0) != alg.simple_multiplicities(x1)
+    assert classes == [x1, x0] and mults == [x1, x0]
+    # a cached None is a hit, also for a second module with that content
+    g = field.asmatrix([[1, 1], [0, 1]])
+    gi = linalg.invert(field, g)
+    y1, y2 = ([field.matmul(g, field.matmul(m, gi)) for m in x1.action] for _ in range(2))
+    y1, y2 = alg.Module(a, 2, y1), alg.Module(a, 2, y2)
+    assert y1.vertex_classes() is None and y2.vertex_classes() is None
+    assert classes == [x1, x0, y1]
+    assert sum(isinstance(k, tuple) and k[0] == "classes" for k in a._cache) == 3
+    assert sum(isinstance(k, tuple) and k[0] == "simple_multiplicities"
+               for k in a._cache) == 2
+
+
 # -- the isomorphism search ----------------------------------------------------
 
 

@@ -219,6 +219,33 @@ def test_hovey_ingredients_frob_b(nak_morita):
     assert all(ok for _, ok, _ in entries), entries
 
 
+def test_hovey_thickness_summands_read_memberships_once(nak_morita, monkeypatch):
+    """The summand-closure loop reads the pool's W-memberships from the
+    table built at the start: W is asked once per pool module and once per
+    pairwise sum."""
+    data = nak_morita
+    p1 = alg.indecomposable_projectives(data.A)[0]
+    s1 = alg.simples(data.A)[0]
+    pool = [mor.functor_T(data, "A", p1), mor.functor_Z(data, "A", s1),
+            mor.functor_Z(data, "B", s1), mor.functor_H(data, "A", p1)]
+    spec = _frob_b_spec(data)
+    asked = []
+    contains = cls.LambdaClassSpec.contains
+
+    def counting(self, l):
+        if self is spec.w_spec:
+            asked.append(l)
+        return contains(self, l)
+
+    monkeypatch.setattr(cls.LambdaClassSpec, "contains", counting)
+    entries = cls.hovey_ingredients_check(spec, pool, [])
+    assert all(ok for _, ok, _ in entries), entries
+    n = len(pool)
+    assert len(asked) == n + n * (n + 1) // 2
+    assert asked[:n] == pool
+    assert not any(l in pool for l in asked[n:])  # only sums after the table
+
+
 def test_hovey_ingredients_detect_corruption(nak_morita):
     data = nak_morita
     s1 = alg.simples(data.A)[0]
