@@ -432,8 +432,7 @@ class Module:
         as 0/1 diagonal matrices summing to the identity, else None.  The
         classes cut the unknowns of the hom solver and the tensor (see
         class_support).  Memoized on the algebra by content, so modules with
-        equal content share one entry; a direct sum takes its classes from
-        its summands."""
+        equal content share one entry."""
         return memo(self._cache, "classes", lambda: memo(
             self.algebra._cache, ("classes", self.content_key()), self._build_vertex_classes))
 
@@ -442,11 +441,7 @@ class Module:
         if system is None:
             return None
         f = self.field
-        units = enumerate_idempotent_basis(self.algebra)
-        if len(units) == len(system):  # each e_v is a basis element: its action is stored
-            images = self.action[[i for i, _ in units]]
-        else:
-            images = linalg.combine(f, np.stack(system), self.action)
+        images = linalg.combine(f, np.stack(system), self.action)
         diag = np.arange(self.dim)
         ones = images[:, diag, diag] == f.one
         # one 1 on the diagonal per coordinate, and no other nonzero entry
@@ -859,7 +854,7 @@ def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
     # act(i) = proj (L_i (x) 1) sect: column s, the free pure tensor
     # m_u (x) x_j, goes to the class of (L_i m_u) (x) x_j
     u, j = np.divmod(kept, dx)
-    acts = f.matmul_each(proj.reshape(len(free), dm, dx)[:, :, j].transpose(2, 0, 1),
+    acts = f.matmul(proj.reshape(len(free), dm, dx)[:, :, j].transpose(2, 0, 1),
                          m.left_action[:, :, u].transpose(2, 1, 0))
     return TensorModule(Module(m.left_algebra, len(free), acts.transpose(2, 1, 0)),
                         f.freeze(proj), f.freeze(sect), dm, dx)
@@ -953,18 +948,11 @@ def direct_sum(mods):
     f = mods[0].field
     s = Module(mods[0].algebra, sum(m.dim for m in mods),
                _block_diagonal(f, mods[0].algebra.dim, [m.action for m in mods]))
-    # the idempotents act block-diagonally, so the classes are the summands'
-    memo(s._cache, "classes", lambda: _joined_classes([m.vertex_classes() for m in mods]))
     eye = f.eye(s.dim)
     ofs = np.cumsum([0, *(m.dim for m in mods)])
     injs = [ModuleMorphism(m, s, eye[:, lo:hi]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
     projs = [ModuleMorphism(s, m, eye[lo:hi, :]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
     return s, injs, projs
-
-
-def _joined_classes(parts):
-    """The vertex classes of a direct sum from those of its summands."""
-    return None if any(c is None for c in parts) else tuple(c for p in parts for c in p)
 
 
 # -- projective covers and projectivity -------------------------------------

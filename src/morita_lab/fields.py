@@ -133,31 +133,20 @@ class FieldSpec:
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[1] != b.shape[0]:
+        """a @ b; for stacks [..., r, k] and [..., k, c] with the same
+        leading dimensions, the product of each pair of matrices."""
+        if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
             raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
-        if a.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
+        k = a.shape[-1]
+        if k == 0:
+            return self.zeros(*a.shape[:-1], b.shape[-1])
         if self.kind == "prime" and a.dtype != object and b.dtype != object:
-            k = a.shape[1]
             if k <= _MATMUL_CHUNK:
                 return (a @ b) % self.p
-            acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+            acc = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
             for s in range(0, k, _MATMUL_CHUNK):
-                acc = (acc + a[:, s : s + _MATMUL_CHUNK] @ b[s : s + _MATMUL_CHUNK]) % self.p
-            return acc
-        return self.normalize(np.dot(a, b))
-
-    def matmul_each(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a[k] @ b[k] for every k, for two stacks of matrices, as one stack."""
-        n, r, k = a.shape
-        if b.shape[:2] != (n, k):
-            raise ValueError(f"matmul_each shape mismatch {a.shape} x {b.shape}")
-        if k == 0:
-            return self.zeros(n, r, b.shape[2])
-        if self.kind == "prime" and a.dtype != object and b.dtype != object:
-            acc = np.zeros((n, r, b.shape[2]), dtype=np.int64)
-            for s in range(0, k, _MATMUL_CHUNK):
-                acc = (acc + a[:, :, s : s + _MATMUL_CHUNK] @ b[:, s : s + _MATMUL_CHUNK]) % self.p
+                chunk = slice(s, s + _MATMUL_CHUNK)
+                acc = (acc + a[..., chunk] @ b[..., chunk, :]) % self.p
             return acc
         return self.normalize(np.matmul(a, b))
 

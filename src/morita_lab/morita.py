@@ -468,7 +468,7 @@ def _square_rows(fld, src, tgt, sup_a, sup_b):
         # map2 (1 (x) h_in) at (r, s) is sum_i,c,d vals[r, i, c] h_in[c, d] sec[i, d, s]
         vals, sec = t2.pure_values(map2), t1.pure_section
         c, d = np.divmod(sup_in, sec.shape[1])
-        phi = fld.matmul_each(vals[:, :, c].transpose(2, 0, 1), sec[:, d, :].transpose(1, 0, 2))
+        phi = fld.matmul(vals[:, :, c].transpose(2, 0, 1), sec[:, d, :].transpose(1, 0, 2))
         in_rows = fld.normalize(-phi).transpose(1, 2, 0)
         blocks = [in_rows, out_rows] if k == 0 else [out_rows, in_rows]
         rows.append(np.concatenate(blocks, axis=2).reshape(d_out * t1.dim,

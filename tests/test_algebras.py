@@ -521,8 +521,8 @@ def _reference_vertex_classes(x):
 
 @pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
 def test_vertex_classes_match_the_reference(field):
-    """Stored idempotent actions (a system of basis elements) and combined
-    ones (a system given by other vectors) give the reference classes."""
+    """A system of basis elements and a system given by other vectors both
+    give the reference classes."""
     q = alg.cyclic_quiver(3)
     nak = alg.path_algebra(q, alg.nakayama_relations(q, 2), field)
     whole = alg.path_algebra(q, alg.nakayama_relations(q, 2), field)
@@ -538,7 +538,7 @@ def test_vertex_classes_match_the_reference(field):
             got = alg.Module(a, m.dim, m.action)._build_vertex_classes()
             assert got == _reference_vertex_classes(m)
             seen.add(got is None)
-        # a direct sum takes its classes from the summands, None from any
+        # a direct sum has classes exactly when every summand has
         for parts in ([x, projs[1]], [projs[2], conj], [alg.zero_module(a), x]):
             s = alg.direct_sum(parts)[0]
             assert s.vertex_classes() == _reference_vertex_classes(s)

@@ -340,3 +340,24 @@ def test_kron_matches_numpy_kron(field):
         assert got.dtype == a.dtype and got.shape == (ar * br, ac * bc)
         if a.size and b.size:
             assert field.equal(got, field.normalize(np.kron(a, b)))
+
+
+@pytest.mark.parametrize("field", [FieldSpec("prime", 33554393), BIG, QQ],
+                         ids=["int64prime", "bigprime", "QQ"])
+def test_matmul_of_stacks_multiplies_each_pair(field):
+    """Stacks [n, r, k] and [n, k, c] give the product of each pair of
+    matrices, in the dtype and with the entries of the exact product, also
+    when the sums run in more than one chunk."""
+    rng = np.random.default_rng(3)
+    for n, r, k, c in [(3, 2, 4, 2), (2, 1, 2049, 1), (2, 2, 0, 3), (0, 2, 2, 2)]:
+        a = rng.integers(0, 1 << 24, size=(n, r, k)).astype(object).astype(field._dtype)
+        b = rng.integers(0, 1 << 24, size=(n, k, c)).astype(object).astype(field._dtype)
+        a, b = field.normalize(a), field.normalize(b)
+        got = field.matmul(a, b)
+        assert got.shape == (n, r, c) and got.dtype == field._dtype
+        exact = np.matmul(a.astype(object), b.astype(object)) if k else np.zeros((n, r, c), int)
+        if field.kind == "prime":
+            exact = exact % field.p
+        assert np.array_equal(got.astype(object), exact.astype(object))
+    with pytest.raises(ValueError):
+        field.matmul(field.zeros(2, 1, 2), field.zeros(3, 2, 1))
