@@ -695,23 +695,6 @@ def _nonzero_rows(field, rows_blocks, ncols):
     return stacked[np.any(stacked != field.zero, axis=1)]
 
 
-def solve_affine_system(field, rows_blocks, n_unknowns, support, extra):
-    """The solution (free variables 0) of the homogeneous constraint rows on
-    support plus the affine conditions extra, a list of (coefficient matrix
-    over all n_unknowns coordinates, rhs), as a column in all coordinates;
-    None when there is none."""
-    lhs = linalg.vstack(field, [field.zeros(0, len(support)), *rows_blocks, *(
-        field.normalize(np.array(m)[:, support]) for m, _ in extra)])
-    rhs = linalg.vstack(field, [field.zeros(sum(r.shape[0] for r in rows_blocks), 1), *(
-        field.normalize(np.array(v).reshape(-1, 1)) for _, v in extra)])
-    sol = linalg.solve(field, lhs, rhs)
-    if sol is None:
-        return None
-    full = field.zeros(n_unknowns, 1)
-    full[support, :] = sol
-    return full
-
-
 def hom_space(x: Module, y: Module):
     """Canonical basis of Hom_A(x, y) as a list of matrices (y.dim x x.dim)."""
     if x.algebra is not y.algebra:
@@ -743,22 +726,6 @@ def enumerate_idempotent_basis(algebra):
 
 def hom_dim(x, y):
     return len(hom_space(x, y))
-
-
-def solve_hom_equation(x: Module, y: Module, extra):
-    """A module morphism h: x -> y subject to affine conditions, or None.
-
-    extra is a list of (coefficient matrix on vec_rm(h), rhs column); the
-    intertwining conditions are imposed on top.  Used for lifting along
-    epimorphisms and finding retractions/sections.
-    """
-    f = x.field
-    support, pairs = intertwiner_system(x, y)
-    rows = intertwiner_constraints(f, pairs, x.dim, y.dim, support)
-    sol = solve_affine_system(f, rows, x.dim * y.dim, support, extra)
-    if sol is None:
-        return None
-    return ModuleMorphism(x, y, sol.reshape(y.dim, x.dim))
 
 
 # -- tensor and hom functors ----------------------------------------------

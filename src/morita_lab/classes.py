@@ -17,7 +17,7 @@ from . import linalg
 from .algebras import (
     Module, ModuleMorphism, free_module, hom_module, identity_morphism,
     indecomposable_injectives, indecomposable_projectives, is_injective_module,
-    is_projective_module, module_isomorphism,
+    is_projective_module, memo, module_isomorphism,
 )
 from .homology import _extend_along, _hom_post, _lift_along, coresolution_ij, ext_dim
 from .morita import (
@@ -400,6 +400,13 @@ class LambdaClassSpec:
         return is_right_orthogonal(l, self.tests)
 
 
+def membership(members, spec: LambdaClassSpec, l: LambdaModule) -> bool:
+    """spec.contains(l), decided once per (spec, module) pair of objects in
+    the table members.  An entry holds both objects, so their ids are not
+    reused while the table lives."""
+    return memo(members, (id(spec), id(l)), lambda: (spec, l, spec.contains(l)))[2]
+
+
 @dataclass
 class HoveySpec:
     """The three classes of a Hovey triple plus the closed forms of its two
@@ -415,18 +422,24 @@ class HoveySpec:
     pair2_approx: object = None  # for (C, F cap W)
 
 
-def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
+def hovey_ingredients_check(spec: HoveySpec, modules, sequences, members) -> list:
     """Sample-level verification of the triple's ingredients.  Returns a
-    list of (check id, ok, detail) entries; failures carry witnesses."""
+    list of (check id, ok, detail) entries; failures carry witnesses.  Every
+    membership is read through the table members (see membership), which a
+    suite shares across its checks."""
     entries = []
+
+    def has(class_spec, l):
+        return membership(members, class_spec, l)
+
     mem = {}
     for i, l in enumerate(modules):
         mem[i] = {
-            "c": spec.c_spec.contains(l),
-            "f": spec.f_spec.contains(l),
-            "w": spec.w_spec.contains(l),
-            "cw": spec.cw_spec.contains(l),
-            "fw": spec.fw_spec.contains(l),
+            "c": has(spec.c_spec, l),
+            "f": has(spec.f_spec, l),
+            "w": has(spec.w_spec, l),
+            "cw": has(spec.cw_spec, l),
+            "fw": has(spec.fw_spec, l),
         }
     bad = [i for i, m in mem.items() if m["cw"] != (m["c"] and m["w"])]
     entries.append(("intersection-cw", not bad, {"mismatches": bad}))
@@ -451,8 +464,8 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
     # thickness of W: two out of three in sampled short exact sequences
     bad = []
     for idx, ses in enumerate(sequences):
-        verdicts = [spec.w_spec.contains(ses.left), spec.w_spec.contains(ses.middle),
-                    spec.w_spec.contains(ses.right)]
+        verdicts = [has(spec.w_spec, ses.left), has(spec.w_spec, ses.middle),
+                    has(spec.w_spec, ses.right)]
         if sum(verdicts) == 2 and not all(verdicts):
             bad.append(idx)
     entries.append(("thickness-two-of-three", not bad, {"failures": bad}))
@@ -462,7 +475,7 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
     for i, l1 in enumerate(pool):
         for j, l2 in enumerate(pool[i:], start=i):
             s, _, _ = lambda_direct_sum([l1, l2])
-            if spec.w_spec.contains(s) != (mem[i]["w"] and mem[j]["w"]):
+            if has(spec.w_spec, s) != (mem[i]["w"] and mem[j]["w"]):
                 bad.append((l1.dims, l2.dims))
     entries.append(("thickness-summands", not bad, {"failures": bad}))
 
@@ -480,12 +493,12 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences) -> list:
                 continue
             if ses.right is l:
                 # right approximation 0 -> F' -> C' -> l -> 0
-                mid_ok = left_spec.contains(ses.middle)
-                outer_ok = right_spec.contains(ses.left)
+                mid_ok = has(left_spec, ses.middle)
+                outer_ok = has(right_spec, ses.left)
             elif ses.left is l:
                 # left approximation 0 -> l -> F' -> C' -> 0
-                mid_ok = right_spec.contains(ses.middle)
-                outer_ok = left_spec.contains(ses.right)
+                mid_ok = has(right_spec, ses.middle)
+                outer_ok = has(left_spec, ses.right)
             else:
                 bad.append((i, "approximation does not involve the module"))
                 continue

@@ -98,12 +98,8 @@ def cmd_functor(args):
             result, _ = mor.functor_C(side, l)
         else:
             result, _ = mor.functor_K(side, l)
-        doc = jsonio.load_raw(args.infile)
-        morita_doc = jsonio.load_raw(store._resolve(args.infile, doc["morita_ref"]))
-        alg_ref = morita_doc["A" if side == "A" else "B"]
-        morita_dir = os.path.dirname(os.path.abspath(
-            store._resolve(args.infile, doc["morita_ref"])))
-        alg_path = os.path.normpath(os.path.join(morita_dir, alg_ref))
+        morita_path = store._resolve(args.infile, jsonio.load_raw(args.infile), "morita_ref")
+        alg_path = store._resolve(morita_path, jsonio.load_raw(morita_path), side)
         ref = os.path.relpath(alg_path, os.path.dirname(os.path.abspath(args.out)) or ".")
         jsonio.emit(jsonio.module_to_json(result, ref), args.out)
     else:
@@ -153,9 +149,10 @@ def cmd_tor(args):
 
 def _class_spec_from_json(store, base_path, doc, algebra):
     t = doc.get("type")
+    refs = doc.get("modules", [])
     mods = []
-    for ref in doc.get("modules", []):
-        x, a = store.module(store._resolve(base_path, ref))
+    for i in range(len(refs)):
+        x, a = store.module(store._resolve(base_path, refs, i))
         if a is not algebra:
             raise SchemaError("spec test module is over the wrong algebra")
         mods.append(x)

@@ -12,10 +12,12 @@ built, block by block, and no other code re-checks it.
 Ext^1(x, y) is read off a fixed projective presentation 0 -> K -> P -> x -> 0
 as coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along syzygies.
 Extension classes are realized by pushout along a representative K -> y, so
-splitting and class vanishing agree by construction.  The approximation
-sequences come from two builders: the T-cover T_A P (+) T_B V ->> L of a pair
-of epis P ->> X, V ->> Y, and the H-envelope L >-> H_A I (+) H_B J of a pair
-of monos X >-> I, Y >-> J.
+splitting and class vanishing agree by construction.  Extending along a mono
+and lifting along an epi solve for coefficients in the canonical basis of
+the hom space, so every morphism solved for is a combination of that basis.
+The approximation sequences come from two builders: the T-cover
+T_A P (+) T_B V ->> L of a pair of epis P ->> X, V ->> Y, and the H-envelope
+L >-> H_A I (+) H_B J of a pair of monos X >-> I, Y >-> J.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ import numpy as np
 
 from . import linalg
 from .algebras import (
-    Module, ModuleMorphism, _left_times, _stack, basis_pivots, cokernel,
+    Module, ModuleMorphism, _left_times, _stack, _times, basis_pivots, cokernel,
     coordinates, direct_sum, dual_module, free_module, hom_dim, hom_module,
     hom_space, injective_envelope, is_injective_module, is_projective_module,
-    kernel, memo, projective_cover, solve_hom_equation,
+    kernel, memo, projective_cover,
 )
 from .morita import (
     LambdaModule, LambdaMorphism, dual_lambda, flatten, functor_H, functor_T,
     lambda_cokernel, lambda_direct_sum, lambda_hom_dim, lambda_hom_space,
-    lambda_kernel, lambda_simples, solve_lambda_hom_equation, tensor_over,
-    _tensor_map,
+    lambda_kernel, lambda_simples, tensor_over, _tensor_map,
 )
 
 DEFAULT_DIM_BOUND = 4
@@ -184,6 +185,21 @@ def _flat(phi):
     return np.concatenate([c.reshape(-1) for c in phi.components])
 
 
+def _basis_blocks(source, target, basis):
+    """The blocks of the morphisms in basis, one (len(basis), t, s) stack per
+    block."""
+    fld = source.field
+    return [_stack(fld, [phi.components[k] for phi in basis], (t, s))
+            for k, (s, t) in enumerate(zip(_dims(source), _dims(target)))]
+
+
+def _combination(source, target, blocks, coeffs):
+    """The morphism sum_j coeffs[j] basis[j], given the basis blocks."""
+    coeffs = np.reshape(coeffs, (1, -1))
+    return _morphism(source, target,
+                     [linalg.combine(source.field, coeffs, blk)[0] for blk in blocks])
+
+
 class _HomSpaceCoords:
     """Hom(source, target) with coefficient extraction in its canonical
     basis."""
@@ -206,12 +222,8 @@ class _HomSpaceCoords:
 
     def element(self, coeffs):
         """The morphism sum_j coeffs[j] basis[j]."""
-        fld = self.field
-        coeffs = np.reshape(coeffs, (1, -1))
-        return _morphism(self.source, self.target, [
-            linalg.combine(fld, coeffs, _stack(fld, [phi.components[k] for phi in self.basis],
-                                               (t, s)))[0]
-            for k, (s, t) in enumerate(zip(_dims(self.source), _dims(self.target)))])
+        return _combination(self.source, self.target,
+                            _basis_blocks(self.source, self.target, self.basis), coeffs)
 
 
 # -- Ext ----------------------------------------------------------------------
@@ -299,38 +311,34 @@ def pushout_extension(pres: ShortExactSequence, psi):
 # -- splitting -----------------------------------------------------------------
 
 
-def _solve_blocks(source, target, rows, rhs):
-    """A morphism source -> target whose k-th block B satisfies
-    rows[k] vec_rm(B) = rhs[k], or None."""
-    fld = source.field
-    ofs = np.cumsum([0, *(s * t for s, t in zip(_dims(source), _dims(target)))])
-    extra = []
-    for k, (r, v) in enumerate(zip(rows, rhs)):
-        padded = fld.zeros(r.shape[0], ofs[-1])
-        padded[:, ofs[k]:ofs[k + 1]] = r
-        extra.append((padded, v))
-    if isinstance(source, LambdaModule):
-        return solve_lambda_hom_equation(source, target, extra)
-    return solve_hom_equation(source, target, extra)
+def _solve_in_hom_basis(source, target, image, goal):
+    """e = sum_k c_k b_k over the canonical basis b_k of Hom(source, target)
+    with image(e) = goal, or None.  image(k, stack) maps a stack of k-th
+    blocks to the stack of the k-th blocks of their images, linearly.
+
+    b_k is 1 at its free coordinate f_k, 0 at the other free coordinates and
+    nonzero only before f_k, so the solution with free coefficients 0 is the
+    solution with free variables 0 of the intertwiner rows and the rows of
+    image(e) = goal together, over the coordinates of e's blocks."""
+    basis = _hom_basis(source, target)
+    blocks = _basis_blocks(source, target, basis)
+    images = [image(k, blk).reshape(len(basis), g.size)
+              for k, (blk, g) in enumerate(zip(blocks, goal.components))]
+    coeffs = linalg.solve(goal.field, np.concatenate(images, axis=1).T, _flat(goal))
+    return None if coeffs is None else _combination(source, target, blocks, coeffs[:, 0])
 
 
 def _extend_along(incl, psi):
     """e: incl.target -> psi.target with e . incl = psi, or None."""
-    fld = psi.field
-    return _solve_blocks(
-        incl.target, psi.target,
-        _blockwise(lambda i, p: linalg.kron(fld, fld.eye(p.shape[0]), i.T), incl, psi),
-        [p.reshape(-1) for p in psi.components])
+    return _solve_in_hom_basis(incl.target, psi.target, lambda k, blk: _times(
+        psi.field, blk, incl.components[k]), psi)
 
 
 def _lift_along(epi, phi):
     """h: phi.source -> epi.source with epi . h = phi, or None; it exists
     when phi.source is projective and epi is onto."""
-    fld = phi.field
-    return _solve_blocks(
-        phi.source, epi.source,
-        _blockwise(lambda e, p: linalg.kron(fld, e, fld.eye(p.shape[1])), epi, phi),
-        [p.reshape(-1) for p in phi.components])
+    return _solve_in_hom_basis(phi.source, epi.source, lambda k, blk: _left_times(
+        phi.field, epi.components[k], blk), phi)
 
 
 def splits(ses: ShortExactSequence):

@@ -289,7 +289,11 @@ def emit(doc, path):
 
 
 def load_raw(path):
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot open: {exc.strerror}") from exc
+    with fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -304,9 +308,14 @@ class DocumentStore:
         self._algebras = {}
         self._moritas = {}
 
-    def _resolve(self, base_path, ref):
-        return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(base_path)),
-                                             ref))
+    def _resolve(self, path, doc, key):
+        """The file that the reference doc[key] names, relative to the
+        document's own path; doc is a JSON object, or a list of references
+        that key indexes."""
+        ref = doc.get(key) if isinstance(doc, dict) else doc[key]
+        if not isinstance(ref, str) or not ref:
+            raise SchemaError(f"reference {key!r} must name a file relative to the document")
+        return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
 
     def algebra(self, path):
         path = os.path.normpath(os.path.abspath(path))
@@ -317,14 +326,14 @@ class DocumentStore:
     def module(self, path):
         doc = load_raw(path)
         _require(doc, "module")
-        a = self.algebra(self._resolve(path, doc["algebra_ref"]))
+        a = self.algebra(self._resolve(path, doc, "algebra_ref"))
         return module_from_json(doc, a), a
 
     def bimodule(self, path):
         doc = load_raw(path)
         _require(doc, "bimodule")
-        left = self.algebra(self._resolve(path, doc["left_algebra"]))
-        right = self.algebra(self._resolve(path, doc["right_algebra"]))
+        left = self.algebra(self._resolve(path, doc, "left_algebra"))
+        right = self.algebra(self._resolve(path, doc, "right_algebra"))
         return bimodule_from_json(doc, left, right)
 
     def morita(self, path):
@@ -333,10 +342,10 @@ class DocumentStore:
             return self._moritas[path]
         doc = load_raw(path)
         _require(doc, "morita")
-        a = self.algebra(self._resolve(path, doc["A"]))
-        b = self.algebra(self._resolve(path, doc["B"]))
-        m = self.bimodule(self._resolve(path, doc["M"]))
-        n = self.bimodule(self._resolve(path, doc["N"]))
+        a = self.algebra(self._resolve(path, doc, "A"))
+        b = self.algebra(self._resolve(path, doc, "B"))
+        m = self.bimodule(self._resolve(path, doc, "M"))
+        n = self.bimodule(self._resolve(path, doc, "N"))
         if m.left_algebra is not b or m.right_algebra is not a:
             raise SchemaError("M must be a bimodule over (B, A)")
         if n.left_algebra is not a or n.right_algebra is not b:
@@ -348,7 +357,7 @@ class DocumentStore:
     def lambda_module(self, path):
         doc = load_raw(path)
         _require(doc, "lambda_module")
-        data = self.morita(self._resolve(path, doc["morita_ref"]))
+        data = self.morita(self._resolve(path, doc, "morita_ref"))
         return lambda_module_from_json(doc, data), data
 
     def any_document(self, path):

@@ -1330,14 +1330,9 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     pool.append(sampler.projective_quadruple(data))
     sess = [hml.lambda_presentation(l) for l in pool[:6]]
     pairs = [(l, t) for l in pool for t in pool]
-    members = {}  # (id(class spec), id(pool member)) -> membership
-
-    def contains(side, l):
-        # memo keeps nothing when contains raises, so a ValueError is not kept
-        return alg.memo(members, (id(side), id(l)), lambda: side.contains(l))
-
+    members = {}  # the suite's one membership table, see cls.membership
     for name, spec in _frobenius_hovey_specs(data).items():
-        entries = cls.hovey_ingredients_check(spec, pool, sess)
+        entries = cls.hovey_ingredients_check(spec, pool, sess, members)
         for cid, ok, detail in entries:
             rep.record(f"hovey.{name}.{cid}", name, ok, detail)
 
@@ -1346,7 +1341,7 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
             l, t = pair
             return [which for which, left, right in (("pair1", spec.cw_spec, spec.f_spec),
                                                      ("pair2", spec.c_spec, spec.fw_spec))
-                    if contains(left, l) and contains(right, t)
+                    if cls.membership(members, left, l) and cls.membership(members, right, t)
                     and hml.ext_dim(l, t, 2) != 0]
 
         _sampled_claim(rep, f"hovey.{name}.heredity", "heredity", cfg, None, len(pairs),
@@ -1358,7 +1353,7 @@ def suite_hovey(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
     ppool = [psampler.quadruple(prod.data) for _ in range(6)]
     psess = [hml.lambda_presentation(l) for l in ppool[:3]]
     for name, spec in _frobenius_hovey_specs(prod.data).items():
-        entries = cls.hovey_ingredients_check(spec, ppool, psess)
+        entries = cls.hovey_ingredients_check(spec, ppool, psess, members)
         ok = all(e[1] for e in entries)
         rep.record(f"hovey.product.{name}", name, ok,
                    {} if ok else {"entries": [(e[0], e[1]) for e in entries]})

@@ -24,8 +24,7 @@ from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
     _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
     _block_diagonal, dual_module, free_module, hom_module, intertwiner_constraints,
-    intertwiner_system, kernel, memo, simples, solve_affine_system,
-    solve_matrix_system, tensor_over, zero_module,
+    intertwiner_system, kernel, memo, simples, solve_matrix_system, tensor_over, zero_module,
 )
 
 
@@ -516,22 +515,6 @@ def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
 
 def lambda_hom_dim(src, tgt):
     return len(lambda_hom_space(src, tgt))
-
-
-def solve_lambda_hom_equation(src: LambdaModule, tgt: LambdaModule, extra):
-    """A LambdaMorphism src -> tgt subject to affine conditions on
-    [vec_rm(a) | vec_rm(b)], or None."""
-    fld = src.field
-    dx1, dy1 = src.X.dim, src.Y.dim
-    dx2, dy2 = tgt.X.dim, tgt.Y.dim
-    na, nb = dx1 * dx2, dy1 * dy2
-    support, rows = _hom_rows(fld, src, tgt)
-    sol = solve_affine_system(fld, rows, na + nb, support, extra)
-    if sol is None:
-        return None
-    a = sol[:na, 0].reshape(dx2, dx1)
-    b = sol[na:, 0].reshape(dy2, dy1)
-    return LambdaMorphism(src, tgt, a, b)
 
 
 # -- kernels, cokernels, sums, exactness -------------------------------------

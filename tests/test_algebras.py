@@ -731,57 +731,50 @@ def test_intertwiner_rows_match_sliced_kron_rows(field):
 
 
 def _hom_solver_problems(field, seed):
-    """Module pairs over kA2 and Nak(3,2), with vertex classes, and affine
-    conditions for solve_hom_equation: some copied from a random
-    homomorphism, one lift along a projective cover, and a section of the
+    """Module pairs over kA2 and Nak(3,2), with vertex classes, for
+    hom_space, and extend or lift problems for homology: retractions of
+    random split sequences (into direct sums) and of non-split ones (cover
+    presentations), a lift along a projective cover, and a section of the
     non-split cover P_1 -> S_1, which has no solution."""
+    from morita_lab import homology as hml
     from morita_lab import lab
 
     rng = random.Random(seed)
-    out = []
+    pairs, problems = [], []
     for algebra in (lab._two_vertex_algebra(field), lab._nakayama(field, 3, 2)):
         sampler = lab.Sampler(seed, dim_cap=6, rank_cap=3)
         mods = [sampler.plain(algebra) for _ in range(4)]
         mods += alg.simples(algebra) + alg.indecomposable_injectives(algebra)
         for x in mods:
             for y in rng.sample(mods, 3):
-                basis = alg.hom_space(x, y)
-                h0 = field.zeros(y.dim, x.dim)
-                for mat in basis:
-                    h0 = h0 + field.scalar(rng.randrange(-2, 3)) * mat
-                n = x.dim * y.dim
-                picked = sorted(rng.sample(range(n), min(n, 3)))
-                coeff = field.zeros(len(picked), n)
-                for i, k in enumerate(picked):
-                    coeff[i, k] = field.one
-                rhs = field.normalize(h0).reshape(-1)[picked]
-                out.append((x, y, [(coeff, rhs)]))
-        p1 = alg.indecomposable_projectives(algebra)[0]
+                pairs.append((x, y))
+                _, injs, _ = alg.direct_sum([x, y])
+                problems.append((hml._extend_along, injs[0], alg.identity_morphism(x)))
+            pres = hml.cover_presentation(x)
+            problems.append((hml._extend_along, pres.incl, alg.identity_morphism(pres.left)))
         s1 = alg.simples(algebra)[0]
         cover = alg.projective_cover(s1)[1]
-        out.append((s1, p1, [(linalg.kron(field, cover.matrix, field.eye(1)),
-                              field.eye(1).reshape(-1))]))
+        problems.append((hml._lift_along, cover, alg.identity_morphism(s1)))
         x = mods[0]
         p, epi = alg.projective_cover(x)
         q = alg.free_module(algebra, 1)
-        phi = alg.hom_space(q, x)[-1]
-        out.append((q, p, [(linalg.kron(field, epi.matrix, field.eye(q.dim)),
-                            phi.reshape(-1))]))
-    return out
+        phi = alg.ModuleMorphism(q, x, alg.hom_space(q, x)[-1])
+        problems.append((hml._lift_along, epi, phi))
+    return pairs, problems
 
 
 @pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
 def test_one_class_path_gives_the_same_bytes(field, monkeypatch):
     """With every module counted as one class, the support is all of
     vec_rm(H) and no generator is dropped; the canonical bases and the
-    solutions must not change."""
-    problems = _hom_solver_problems(field, 7)
+    morphisms that extend and lift solve for must not change."""
+    pairs, problems = _hom_solver_problems(field, 7)
     assert all(x.vertex_classes() is not None and y.vertex_classes() is not None
-               for x, y, _ in problems)
+               for x, y in pairs)
 
     def run():
-        homs = [[_bytes(m) for m in alg.hom_space(x, y)] for x, y, _ in problems]
-        sols = [alg.solve_hom_equation(x, y, extra) for x, y, extra in problems]
+        homs = [[_bytes(m) for m in alg.hom_space(x, y)] for x, y in pairs]
+        sols = [solve(along, goal) for solve, along, goal in problems]
         return homs, [None if s is None else _bytes(s.matrix) for s in sols]
 
     classed = run()
@@ -790,6 +783,8 @@ def test_one_class_path_gives_the_same_bytes(field, monkeypatch):
     homs, sols = classed
     assert max(map(len, homs)) >= 3
     assert sols[-2] is None and sols[-1] is not None  # the section, the lift
+    retractions = sols[:-2]
+    assert None in retractions and retractions.count(None) < len(retractions) // 2
 
 
 def test_fixed_structure_is_built_once(a2_f3):

@@ -215,7 +215,7 @@ def test_hovey_ingredients_frob_b(nak_morita):
     ]
     sess = [hml.lambda_presentation(l) for l in pool[:3]]
     spec = _frob_b_spec(data)
-    entries = cls.hovey_ingredients_check(spec, pool, sess)
+    entries = cls.hovey_ingredients_check(spec, pool, sess, {})
     assert all(ok for _, ok, _ in entries), entries
 
 
@@ -238,7 +238,7 @@ def test_hovey_thickness_summands_read_memberships_once(nak_morita, monkeypatch)
         return contains(self, l)
 
     monkeypatch.setattr(cls.LambdaClassSpec, "contains", counting)
-    entries = cls.hovey_ingredients_check(spec, pool, [])
+    entries = cls.hovey_ingredients_check(spec, pool, [], {})
     assert all(ok for _, ok, _ in entries), entries
     n = len(pool)
     assert len(asked) == n + n * (n + 1) // 2
@@ -260,7 +260,7 @@ def test_hovey_ingredients_detect_corruption(nak_morita):
                                     cls.projectives_spec(data.B)),
         fw_spec=spec.fw_spec,
     )
-    entries = cls.hovey_ingredients_check(corrupted, pool, [])
+    entries = cls.hovey_ingredients_check(corrupted, pool, [], {})
     failed = [e for e in entries if not e[1]]
     assert failed
 
@@ -274,7 +274,7 @@ def test_hovey_ingredients_report_a_non_exact_approximation(nak_morita):
     spec = _frob_b_spec(data)
     spec.pair1_approx = lambda l: hml.ShortExactSequence(
         l, l, l, mor.lambda_identity(l), mor.lambda_identity(l))
-    entries = cls.hovey_ingredients_check(spec, pool, [])
+    entries = cls.hovey_ingredients_check(spec, pool, [], {})
     assert [e[0] for e in entries] == [
         "intersection-cw", "intersection-fw", "orthogonality-pair1", "orthogonality-pair2",
         "thickness-two-of-three", "thickness-summands", "approximations-pair1",

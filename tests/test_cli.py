@@ -295,3 +295,34 @@ def test_one_parser_keeps_each_calls_params(tmp_path, capsys):
         vertices.append(len(doc["quiver"]["vertices"]))
     # a leaked n=4, j=4 would make the second call fail with j > n
     assert vertices == [4, 3]
+
+
+# the document and the reference key it holds: a morita document (A, B, M, N),
+# a bimodule document (left_algebra, right_algebra), a module document
+# (algebra_ref) and a lambda_module document (morita_ref)
+REFERENCES = [("ie.json", key) for key in ("A", "B", "M", "N")] + [
+    ("ie.M.json", "left_algebra"), ("ie.M.json", "right_algebra"),
+    ("p1.json", "algebra_ref"), ("L.json", "morita_ref")]
+
+
+@pytest.mark.parametrize("change", ["deleted", "null", "1.5", "missing file"])
+@pytest.mark.parametrize("name,key", REFERENCES, ids=[k for _, k in REFERENCES])
+def test_malformed_references_exit_2(ie_files, capsys, name, key, change):
+    """A reference that is absent, not a string or names no file is a schema
+    error (exit 2) that names the key or the file, never a traceback."""
+    store = jsonio.DocumentStore()
+    data = store.morita(ie_files / "ie.json")
+    jsonio.emit(jsonio.module_to_json(alg.indecomposable_projectives(data.A)[0], "ie.A.json"),
+                ie_files / "p1.json")
+    jsonio.emit(jsonio.lambda_module_to_json(lab._ie_big_module(data), "ie.json"),
+                ie_files / "L.json")
+    doc = json.loads((ie_files / name).read_text())
+    if change == "deleted":
+        del doc[key]
+    else:
+        doc[key] = {"null": None, "1.5": 1.5, "missing file": "nowhere.json"}[change]
+    bad = ie_files / f"bad.{name}"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", bad]) == 2
+    err = capsys.readouterr().err
+    assert ("nowhere.json" if change == "missing file" else repr(key)) in err

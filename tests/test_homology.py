@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from morita_lab.fields import F2, F3
+from morita_lab.fields import F2, F3, QQ, FieldSpec
 from morita_lab import algebras as alg
+from morita_lab import lab
 from morita_lab import morita as mor
 from morita_lab import homology as hml
 from morita_lab import linalg
@@ -495,3 +497,171 @@ def test_projectivity_builds_the_simples_sum_once(monkeypatch):
     assert len(calls) == 1 and verdicts[:4] == verdicts[4:]
     simple_sum, _, _ = mor.lambda_direct_sum(mor.lambda_simples(data))
     assert verdicts[:4] == [hml.ext_dim(l, simple_sum) == 0 for l in quads]
+
+
+# -- extend and lift against the dense affine system ------------------------------
+
+
+def _kron_intertwiner_rows(x, y):
+    """The rows of H x(g) = y(g) H over all of vec_rm(H), one Kronecker block
+    kron(I, x(g)^T) - kron(y(g), I) per basis element g."""
+    fld = x.field
+    return [fld.normalize(np.kron(fld.eye(y.dim), x.act(g).T)
+                          - np.kron(y.act(g), fld.eye(x.dim)))
+            for g in range(x.algebra.dim)]
+
+
+def _unit_square_rows(src, tgt):
+    """The rows of b f_1 = f_2 (1 (x) a) and a g_1 = g_2 (1 (x) b) over
+    [vec_rm(a) | vec_rm(b)]: column j is the residual of the j-th unit."""
+    fld = src.field
+    na, nb = src.X.dim * tgt.X.dim, src.Y.dim * tgt.Y.dim
+    out = fld.zeros(tgt.Y.dim * src.tX.dim + tgt.X.dim * src.tY.dim, na + nb)
+    for j in range(na + nb):
+        unit = fld.zeros(na + nb)
+        unit[j] = fld.one
+        a = unit[:na].reshape(tgt.X.dim, src.X.dim)
+        b = unit[na:].reshape(tgt.Y.dim, src.Y.dim)
+        r1 = fld.matmul(b, src.f) - fld.matmul(tgt.f, mor._tensor_map(fld, src.tX, tgt.tX, a))
+        r2 = fld.matmul(a, src.g) - fld.matmul(tgt.g, mor._tensor_map(fld, src.tY, tgt.tY, b))
+        out[:, j] = fld.normalize(np.concatenate([r1.reshape(-1), r2.reshape(-1)]))
+    return out
+
+
+def _dense_solve(source, target, rows, goal):
+    """The affine route kept as the reference: the homogeneous rows of
+    Hom(source, target) over every coordinate of the unknowns [vec_rm of each
+    block], the condition rows of block k placed at its offset, and
+    linalg.solve (free variables 0)."""
+    fld = source.field
+    shapes = [(t, s) for s, t in zip(hml._dims(source), hml._dims(target))]
+    ofs = np.cumsum([0, *(t * s for t, s in shapes)])
+
+    def placed(k, r):
+        out = fld.zeros(r.shape[0], ofs[-1])
+        out[:, ofs[k]:ofs[k + 1]] = r
+        return out
+
+    if isinstance(source, mor.LambdaModule):
+        homogeneous = [placed(k, r)
+                       for k, (s, t) in enumerate(((source.X, target.X), (source.Y, target.Y)))
+                       for r in _kron_intertwiner_rows(s, t)]
+        homogeneous.append(_unit_square_rows(source, target))
+    else:
+        homogeneous = _kron_intertwiner_rows(source, target)
+    conditions = [placed(k, r) for k, r in enumerate(rows)]
+    lhs = linalg.vstack(fld, [fld.zeros(0, ofs[-1]), *homogeneous, *conditions])
+    rhs = np.concatenate([fld.zeros(lhs.shape[0] - sum(r.shape[0] for r in conditions)),
+                          hml._flat(goal)])
+    sol = linalg.solve(fld, lhs, rhs)
+    if sol is None:
+        return None
+    return hml._morphism(source, target, [sol[ofs[k]:ofs[k + 1], 0].reshape(shape)
+                                          for k, shape in enumerate(shapes)])
+
+
+def _dense_extend(incl, psi):
+    fld = psi.field
+    return _dense_solve(incl.target, psi.target, [
+        np.kron(fld.eye(p.shape[0]), i.T) for i, p in zip(incl.components, psi.components)],
+        psi)
+
+
+def _dense_lift(epi, phi):
+    fld = phi.field
+    return _dense_solve(phi.source, epi.source, [
+        np.kron(e, fld.eye(p.shape[1])) for e, p in zip(epi.components, phi.components)],
+        phi)
+
+
+def _random_hom(x, y, rng):
+    fld = x.field
+    out = [fld.zeros(t, s) for s, t in zip(hml._dims(x), hml._dims(y))]
+    for phi in hml._hom_basis(x, y):
+        c = fld.scalar(rng.randrange(-2, 3))
+        out = [o + c * blk for o, blk in zip(out, phi.components)]
+    return hml._morphism(x, y, [fld.normalize(o) for o in out])
+
+
+def _identity(x):
+    return hml._morphism(x, x, [x.field.eye(n) for n in hml._dims(x)])
+
+
+def _twisted(x, rng):
+    """(x', iso x -> x', iso^-1) for x' the conjugate of x by a random
+    invertible matrix, so that no hom basis is aligned with x's summands."""
+    fld = x.field
+    while True:
+        g = fld.asmatrix([[rng.randrange(-2, 3) for _ in range(x.dim)] for _ in range(x.dim)])
+        if linalg.is_invertible(fld, g):
+            break
+    gi = linalg.invert(fld, g)
+    y = alg.Module(x.algebra, x.dim, [fld.matmul(g, fld.matmul(m, gi)) for m in x.action])
+    return y, alg.ModuleMorphism(x, y, g), alg.ModuleMorphism(y, x, gi)
+
+
+def _extend_and_lift_problems(field):
+    """(solver, along, goal) triples on presentations, covers and direct
+    sums: plain modules over kA2 and Nak(3,2), quadruples over ie and
+    examctp4(3,2,1,3).  Extending a random map or the identity along the
+    presentation's mono; lifting a map out of the projective middle along a
+    cover; lifting the identity of a non-projective module along its cover
+    (no solution); and, with many solutions as soon as a hom space is not
+    zero, extending a random map along the inclusion of a summand and
+    lifting one along the projection onto a summand."""
+    rng = random.Random(5)
+    sets = []
+    for algebra in (lab._two_vertex_algebra(field), lab._nakayama(field, 3, 2)):
+        sampler = lab.Sampler(5, dim_cap=6, rank_cap=3)
+        sets.append(([sampler.plain(algebra) for _ in range(3)] + alg.simples(algebra),
+                     hml.cover_presentation, alg.direct_sum))
+    for inst in (lab.catalog("ie", field), lab.catalog("examctp4", field)):
+        sampler = lab.Sampler(5, dim_cap=5, rank_cap=2)
+        sets.append((mor.lambda_simples(inst.data)[:2]
+                     + [sampler.quadruple(inst.data) for _ in range(2)],
+                     hml.lambda_presentation, mor.lambda_direct_sum))
+    out = []
+    for mods, present, direct_sum in sets:
+        for x in mods:
+            pres = present(x)
+            y, z = rng.choice(mods), rng.choice(mods)
+            cover = present(y).proj
+            _, injs, projs = direct_sum([x, y])
+            out += [("extend", pres.incl, _random_hom(pres.left, y, rng)),
+                    ("extend", pres.incl, _identity(pres.left)),
+                    ("lift", cover, _random_hom(pres.middle, y, rng)),
+                    ("lift", cover, _identity(y)),
+                    ("extend", injs[0], _random_hom(x, z, rng)),
+                    ("lift", projs[1], _random_hom(pres.middle, y, rng))]
+            if direct_sum is alg.direct_sum:
+                # the same on a conjugate of the sum, where the maps that
+                # vanish on a summand mix the basis
+                _, to, back = _twisted(injs[0].target, rng)
+                out += [("extend", to.compose(injs[0]), _random_hom(x, z, rng)),
+                        ("lift", projs[1].compose(back), _random_hom(pres.middle, y, rng))]
+    return out
+
+
+def _bytes(phi):
+    """dtype, shape and exact entries (with their Python types) per block."""
+    return None if phi is None else [(c.dtype.str, c.shape, repr(c.tolist()))
+                                     for c in phi.components]
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
+                         ids=["F3", "bigprime", "QQ"])
+def test_extend_and_lift_match_the_dense_kronecker_reference(field):
+    """_extend_along and _lift_along solve in the canonical hom basis; the
+    morphism they return, or None, is byte for byte the one the dense
+    affine system over every coordinate returns."""
+    solvers = {"extend": (hml._extend_along, _dense_extend),
+               "lift": (hml._lift_along, _dense_lift)}
+    found = {}
+    for kind, along, goal in _extend_and_lift_problems(field):
+        new, ref = solvers[kind]
+        got = new(along, goal)
+        assert _bytes(got) == _bytes(ref(along, goal)), (kind, along, goal)
+        quadruple = isinstance(goal.source, mor.LambdaModule)
+        found.setdefault((kind, quadruple), set()).add(got is None)
+    assert all(outcomes == {True, False} for outcomes in found.values()), found
+    assert len(found) == 4

@@ -329,7 +329,7 @@ def test_hovey_heredity_probe_asks_each_membership_once(monkeypatch):
     once for the whole suite, not once per pair."""
     pools = []
 
-    def no_ingredients(spec, pool, sess):
+    def no_ingredients(spec, pool, sess, members):
         pools.append(len(pool))
         return []
 
@@ -346,3 +346,21 @@ def test_hovey_heredity_probe_asks_each_membership_once(monkeypatch):
     lab.run_suite("hovey", inst, lab.SampleConfig(count=100))
     specs = len(lab._frobenius_hovey_specs(inst.data))
     assert calls and len(calls) <= specs * 4 * pools[0]
+
+
+def test_hovey_asks_each_membership_once(monkeypatch):
+    """Over a whole hovey run, the ingredient checks, the heredity probe and
+    the product instance share one membership table: contains runs at most
+    once per distinct (class spec, module)."""
+    asked = []
+    contains = cls.LambdaClassSpec.contains
+
+    def counting(self, l):
+        asked.append((self, l))  # holding both keeps their ids distinct
+        return contains(self, l)
+
+    monkeypatch.setattr(cls.LambdaClassSpec, "contains", counting)
+    inst = lab.catalog("examctp4", F3, **PARAMS["examctp4"])
+    lab.run_suite("hovey", inst, lab.SampleConfig(count=100))
+    keys = [(id(spec), id(l)) for spec, l in asked]
+    assert keys and len(keys) == len(set(keys))

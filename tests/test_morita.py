@@ -383,44 +383,42 @@ def _bytes(m):
 @pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
                          ids=["F3", "bigprime", "QQ"])
 def test_lambda_one_class_path_gives_the_same_bytes(field, monkeypatch):
-    """With every component counted as one class, lambda_hom_space and
-    solve_lambda_hom_equation give the same bases and solutions."""
+    """With every component counted as one class, lambda_hom_space and the
+    extend and lift problems of homology give the same bases and solutions:
+    retractions of random split sequences (into sums) and of non-split ones
+    (T-cover presentations), lifts of random maps out of a T-cover's
+    projective middle, and a section of the T-cover of a simple, which has
+    no solution."""
+    from morita_lab import homology as hml
     from morita_lab import lab
 
     rng = random.Random(11)
-    mods = []
+    pairs, problems = [], []
     for inst in (lab.catalog("ie", field), lab.catalog("examctp4", field)):
         sampler = lab.Sampler(3, dim_cap=5, rank_cap=2)
-        mods.append(mor.lambda_simples(inst.data) + [sampler.quadruple(inst.data)
-                                                     for _ in range(4)])
-    problems = []
-    for ms in mods:
+        ms = mor.lambda_simples(inst.data) + [sampler.quadruple(inst.data) for _ in range(4)]
         for src in ms:
             for tgt in rng.sample(ms, 3):
-                na = src.X.dim * tgt.X.dim
-                n = na + src.Y.dim * tgt.Y.dim
-                h0 = field.zeros(n, 1)
-                for phi in mor.lambda_hom_space(src, tgt):
-                    c = field.scalar(rng.randrange(-2, 3))
-                    h0[:na, 0] += c * phi.a.reshape(-1)
-                    h0[na:, 0] += c * phi.b.reshape(-1)
-                picked = sorted(rng.sample(range(n), min(n, 3)))
-                coeff = field.zeros(len(picked), n)
-                for i, k in enumerate(picked):
-                    coeff[i, k] = field.one
-                problems.append((src, tgt, [(coeff, field.normalize(h0)[picked, 0])]))
-    # Hom(S_1, S_2) = 0 between the simples at the two vertices of A, so
-    # asking for a = 1 has no solution
-    s1, s2 = mods[0][:2]
-    assert s1.X.dim == s2.X.dim == 1 and mor.lambda_hom_dim(s1, s2) == 0
-    problems.append((s1, s2, [(field.eye(1), field.eye(1).reshape(-1))]))
-    assert all(c is not None for src, tgt, _ in problems
+                pairs.append((src, tgt))
+                _, injs, _ = mor.lambda_direct_sum([src, tgt])
+                problems.append((hml._extend_along, injs[0], mor.lambda_identity(src)))
+            pres = hml.lambda_presentation(src)
+            problems.append((hml._extend_along, pres.incl, mor.lambda_identity(pres.left)))
+            tgt = rng.choice(ms)
+            basis = mor.lambda_hom_space(pres.middle, tgt)
+            if basis:
+                problems.append((hml._lift_along, hml.lambda_presentation(tgt).proj,
+                                 rng.choice(basis)))
+    s1 = mor.lambda_simples(lab.catalog("ie", field).data)[0]
+    problems.append((hml._lift_along, hml.lambda_presentation(s1).proj,
+                     mor.lambda_identity(s1)))
+    assert all(c is not None for src, tgt in pairs
                for c in (src.X.vertex_classes(), tgt.Y.vertex_classes()))
 
     def run():
         homs = [[(_bytes(phi.a), _bytes(phi.b)) for phi in mor.lambda_hom_space(src, tgt)]
-                for src, tgt, _ in problems]
-        sols = [mor.solve_lambda_hom_equation(src, tgt, extra) for src, tgt, extra in problems]
+                for src, tgt in pairs]
+        sols = [solve(along, goal) for solve, along, goal in problems]
         return homs, [None if s is None else (_bytes(s.a), _bytes(s.b)) for s in sols]
 
     classed = run()
@@ -429,6 +427,8 @@ def test_lambda_one_class_path_gives_the_same_bytes(field, monkeypatch):
     homs, sols = classed
     assert max(map(len, homs)) >= 2
     assert sols[-1] is None and sols.count(None) < len(sols) // 2
+    assert any(solve is hml._lift_along and s is not None
+               for (solve, _, _), s in zip(problems, sols))
 
 
 def _summand_loop_sum(mods):

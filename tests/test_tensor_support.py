@@ -7,6 +7,8 @@ import pytest
 
 from morita_lab.fields import F3, QQ, FieldSpec
 from morita_lab import algebras as alg
+from morita_lab import classes as cls
+from morita_lab import homology as hml
 from morita_lab import lab
 from morita_lab import linalg
 from morita_lab import morita as mor
@@ -124,6 +126,17 @@ def test_tensor_and_square_rows_use_no_kronecker_product(monkeypatch):
     for src in quads:
         for tgt in quads:
             mor.lambda_hom_space(src, tgt)
+    # the extend and lift solvers, through every caller of theirs
+    for ses in [hml.cover_presentation(_modules(data.A, 1)[0]),
+                *(hml.lambda_presentation(l) for l in quads)]:
+        assert hml.splits(ses)[0] == hml.ext_class_is_zero(ses)
+    proj = sampler.projective_quadruple(data)
+    assert cls.delta_decompose(proj, cls.projectives_spec(data.A),
+                               cls.projectives_spec(data.B)) is not None
+    inj = mor.functor_H(data, "A", alg.indecomposable_injectives(data.A)[0])
+    assert cls.nabla_decompose(inj, cls.injectives_spec(data.A),
+                               cls.injectives_spec(data.B)) is not None
+    hml.approx_c1(quads[0])
 
 
 def test_tensor_support_excludes_cross_class_pure_tensors():

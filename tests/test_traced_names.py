@@ -29,33 +29,40 @@ def test_every_traced_path_resolves():
 
 
 def test_hom_solvers_route_through_traced_names(a2_f3):
+    """The hom-space solvers assemble their rows through the traced
+    constraint builder and solve one traced system; extend and lift make one
+    traced hom_space (plain) or lambda_hom_space (quadruple) call each, so
+    the per-layer trace still sees their work."""
     for layer in ("homology", "classes", "lab", "jsonio", "cli"):
         importlib.import_module(f"morita_lab.{layer}")
+    hml = importlib.import_module("morita_lab.homology")
     tracer = _load_tracer()
     data = mor.MoritaData(a2_f3, a2_f3, alg.corner_bimodule(a2_f3, "2", "1"),
                           alg.corner_bimodule(a2_f3, "2", "1"))
     p1, p2 = alg.indecomposable_projectives(a2_f3)
+    s1 = alg.simples(a2_f3)[0]
     l1, l2 = mor.functor_T(data, "A", p1), mor.functor_T(data, "B", p2)
-    rows = data.field.zeros(0, p2.dim * p1.dim)
-    lambda_rows = data.field.zeros(0, l2.X.dim * l1.X.dim + l2.Y.dim * l1.Y.dim)
+    pres, lpres = hml.cover_presentation(s1), hml.lambda_presentation(l1)
+    counts = ("algebras.intertwiner_constraints.calls", "algebras.solve_matrix_system.calls",
+              "algebras.hom_space.calls", "morita.lambda_hom_space.calls")
     calls = [
-        (lambda: alg.hom_space(p2, p1), 1, 1),
-        (lambda: alg.solve_hom_equation(p2, p1, [(rows, rows[:, 0])]), 1, 0),
-        (lambda: mor.lambda_hom_space(l2, l1), 2, 1),
-        (lambda: mor.solve_lambda_hom_equation(l2, l1, [(lambda_rows, lambda_rows[:, 0])]),
-         2, 0),
+        (lambda: alg.hom_space(p2, p1), (1, 1, 1, 0)),
+        (lambda: mor.lambda_hom_space(l2, l1), (2, 1, 0, 1)),
+        (lambda: hml._extend_along(pres.incl, alg.identity_morphism(pres.left)),
+         (1, 1, 1, 0)),
+        (lambda: hml._lift_along(pres.proj, alg.identity_morphism(s1)), (1, 1, 1, 0)),
+        (lambda: hml._extend_along(lpres.incl, mor.lambda_identity(lpres.left)),
+         (2, 1, 0, 1)),
+        (lambda: hml._lift_along(lpres.proj, mor.lambda_identity(l1)), (2, 1, 0, 1)),
     ]
     t = tracer.Tracer()
     t.install()
     try:
-        for call, constraints, systems in calls:
+        for call, expected in calls:
             before = t.metrics()
             call()
             after = t.metrics()
-            assert (after["algebras.intertwiner_constraints.calls"]
-                    - before["algebras.intertwiner_constraints.calls"]) == constraints
-            assert (after["algebras.solve_matrix_system.calls"]
-                    - before["algebras.solve_matrix_system.calls"]) == systems
+            assert tuple(after[k] - before[k] for k in counts) == expected
     finally:
         t.uninstall()
     assert alg.hom_space.__name__ == "hom_space" and not hasattr(alg.hom_space, "__wrapped__")
