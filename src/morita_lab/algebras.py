@@ -728,6 +728,66 @@ def hom_dim(x, y):
     return len(hom_space(x, y))
 
 
+# -- homs out of sums of indecomposable projectives ---------------------------
+
+def projective_hom_dim(vertices, x: Module):
+    """dim Hom_A(P, x) for P the sum of the P_v = Ae_v with v in vertices
+    (indices into quiver.vertices), without a solve: Hom_A(Ae_v, x) = e_v x
+    (Yoneda), so it is the sum of the dim e_v x.  dim e_v x is the size of
+    v's vertex class when x has vertex classes and the idempotent system is
+    the vertex idempotents in quiver order, else the rank of x(e_v)."""
+    alg = x.algebra
+    idem = [alg.vertex_idempotents[v] for v in alg.quiver.vertices]
+    classes = x.vertex_classes()
+    if (classes is not None and len(alg.idempotent_system()) == len(idem)
+            and [i for i, _ in enumerate_idempotent_basis(alg)] == idem):
+        dims = np.bincount(np.asarray(classes, dtype=int), minlength=len(idem)).tolist()
+    else:
+        dims = [linalg.rank(x.field, x.act(i)) for i in idem]
+    return sum(dims[v] for v in vertices)
+
+
+def projective_hom_space(algebra, src, tgt):
+    """Canonical basis of Hom_A(P_src, P_tgt), where P_src and P_tgt are the
+    direct sums of the indecomposable projectives P_v, v in src and in tgt
+    (indices into quiver.vertices, in summand order): equal to hom_space of
+    the two direct_sum modules, byte for byte.
+
+    The intertwiner system between block-diagonal actions splits into one
+    independent column group per block (i, j), and its RREF is unique, so
+    each canonical basis element is a canonical basis element of
+    Hom(P_src[j], P_tgt[i]) put in its block.  It is 1 at its free
+    coordinate, its last nonzero entry in row-major order, and the basis
+    lists the elements by free coordinate.  The blocks come from a table of
+    hom_space(P_u, P_v) with one entry per (algebra, u, v)."""
+    f = algebra.field
+    projs = indecomposable_projectives(algebra)
+    rows = np.cumsum([0, *(projs[v].dim for v in tgt)])
+    cols = np.cumsum([0, *(projs[u].dim for u in src)])
+    placed = []
+    for i, v in enumerate(tgt):
+        for j, u in enumerate(src):
+            for b, (r, c) in _projective_homs(algebra, u, v):
+                placed.append(((rows[i] + r) * cols[-1] + cols[j] + c, i, j, b))
+    out = []
+    for _, i, j, b in sorted(placed, key=lambda entry: entry[0]):
+        m = f.zeros(rows[-1], cols[-1])
+        m[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = b
+        out.append(f.freeze(m))
+    return out
+
+
+def _projective_homs(algebra, u, v):
+    """The table entry (u, v): hom_space(P_u, P_v), each basis element with
+    the (row, column) of its free coordinate."""
+    def build():
+        projs = indecomposable_projectives(algebra)
+        zero = algebra.field.zero
+        return tuple((b, divmod(int(np.flatnonzero(b != zero)[-1]), b.shape[1]))
+                     for b in hom_space(projs[u], projs[v]))
+    return memo(algebra._cache, ("projective hom", u, v), build)
+
+
 # -- tensor and hom functors ----------------------------------------------
 
 class TensorModule:
@@ -943,20 +1003,33 @@ def projective_cover(x: Module):
     """(P, epi P -> x) with P minimal projective mapping onto x.  P and the
     epi matrix are memoized on the algebra by the content of x, so modules
     with equal content share P; the epi always targets x itself."""
-    p, epi = memo(x.algebra._cache, ("cover", x.content_key()), lambda: _cover(x))
+    p, epi, _ = _cover_entry(x)
     return p, ModuleMorphism(p, x, epi)
 
 
+def cover_vertices(x: Module):
+    """The vertex index (into quiver.vertices) of each indecomposable
+    summand P_v = Ae_v of projective_cover(x)'s P, in summand order; read
+    from the same memo entry as the cover."""
+    return _cover_entry(x)[2]
+
+
+def _cover_entry(x: Module):
+    return memo(x.algebra._cache, ("cover", x.content_key()), lambda: _cover(x))
+
+
 def _cover(x: Module):
-    """(P, frozen epi matrix) of the projective cover of x."""
+    """(P, frozen epi matrix, summand vertex indices) of the projective cover
+    of x."""
     alg = x.algebra
     f = x.field
     if x.dim == 0:
-        return zero_module(alg), f.freeze(f.zeros(0, 0))
+        return zero_module(alg), f.freeze(f.zeros(0, 0)), ()
     proj_top, sect_top = linalg.quotient(f, x.dim, radical_span(x))
     projectives = indecomposable_projectives(alg)
-    summands, blocks = [], []
-    for p, v, paths in zip(projectives, alg.quiver.vertices, _vertex_paths(alg, 0)):
+    summands, vertices, blocks = [], [], []
+    for i, (p, v, paths) in enumerate(zip(projectives, alg.quiver.vertices,
+                                          _vertex_paths(alg, 0))):
         # e_v-part of the top, pulled back to distinguished generators of x
         e_v = x.act(alg.vertex_idempotents[v])
         basis = linalg.column_space_basis(f, f.matmul(proj_top, f.matmul(e_v, sect_top)))
@@ -965,6 +1038,7 @@ def _cover(x: Module):
         images = _times(f, x.action[paths], gens)
         for c in range(gens.shape[1]):
             summands.append(p)
+            vertices.append(i)
             blocks.append(images[:, :, c].T)
     if not summands:
         raise AssertionError("nonzero module with zero top")
@@ -972,7 +1046,7 @@ def _cover(x: Module):
     epi = f.freeze(linalg.hstack(f, blocks))
     if linalg.rank(f, epi) != x.dim:
         raise AssertionError("projective cover failed to surject")
-    return p, epi
+    return p, epi, tuple(vertices)
 
 
 def is_projective_module(x: Module) -> bool:

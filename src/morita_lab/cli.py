@@ -147,9 +147,15 @@ def cmd_tor(args):
     return 0
 
 
-def _class_spec_from_json(store, base_path, doc, algebra):
-    t = doc.get("type")
-    refs = doc.get("modules", [])
+def _class_spec_from_json(store, base_path, doc, key, algebra):
+    """The class spec doc[key] of a class_spec_pair document."""
+    spec = doc.get(key)
+    if not isinstance(spec, dict):
+        raise SchemaError(f"class spec {key!r} must be a JSON object")
+    t = spec.get("type")
+    refs = spec.get("modules", [])
+    if not isinstance(refs, list):
+        raise SchemaError(f"modules of class spec {key!r} must be a list of references")
     mods = []
     for i in range(len(refs)):
         x, a = store.module(store._resolve(base_path, refs, i))
@@ -161,10 +167,11 @@ def _class_spec_from_json(store, base_path, doc, algebra):
 
 def _load_spec_pair(store, path, data):
     doc = jsonio.load_raw(path)
-    if doc.get("kind") != "class_spec_pair" or doc.get("version") != 1:
+    if (not isinstance(doc, dict) or doc.get("kind") != "class_spec_pair"
+            or doc.get("version") != 1):
         raise SchemaError("expected a class_spec_pair document")
-    u = _class_spec_from_json(store, path, doc["U"], data.A)
-    v = _class_spec_from_json(store, path, doc["V"], data.B)
+    u = _class_spec_from_json(store, path, doc, "U", data.A)
+    v = _class_spec_from_json(store, path, doc, "V", data.B)
     return u, v
 
 

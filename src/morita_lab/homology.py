@@ -10,7 +10,15 @@ decided the same way: a ShortExactSequence checks itself once, when it is
 built, block by block, and no other code re-checks it.
 
 Ext^1(x, y) is read off a fixed projective presentation 0 -> K -> P -> x -> 0
-as coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along syzygies.
+as coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along syzygies.  Its
+dimension is dim Hom(K, y) - dim Hom(P, y) + dim Hom(x, y).  A cover or
+T-cover presentation records its middle P as a sum of indecomposable
+projectives, and then dim Hom(P, y) needs no solve: it is the sum of the
+dim e_v y over the summands Ae_v (Yoneda), and for a T-cover
+Hom(T_A P (+) T_B V, y) = Hom_A(P, y.X) (+) Hom_B(V, y.Y) by the adjunctions
+T_A -| U_A and T_B -| U_B.  A free presentation records nothing, so its
+middle term is solved; the flattened cross-checks use it, and so check the
+closed form rather than trust it.
 Extension classes are realized by pushout along a representative K -> y, so
 splitting and class vanishing agree by construction.  Extending along a mono
 and lifting along an epi solve for coefficients in the canonical basis of
@@ -27,9 +35,9 @@ import numpy as np
 from . import linalg
 from .algebras import (
     Module, ModuleMorphism, _left_times, _stack, _times, basis_pivots, cokernel,
-    coordinates, direct_sum, dual_module, free_module, hom_dim, hom_module,
-    hom_space, injective_envelope, is_injective_module, is_projective_module,
-    kernel, memo, projective_cover,
+    coordinates, cover_vertices, direct_sum, dual_module, free_module, hom_dim,
+    hom_module, hom_space, injective_envelope, is_injective_module,
+    is_projective_module, kernel, memo, projective_cover, projective_hom_dim,
 )
 from .morita import (
     LambdaModule, LambdaMorphism, dual_lambda, flatten, functor_H, functor_T,
@@ -70,12 +78,31 @@ class ShortExactSequence:
         return True
 
 
+class Presentation(ShortExactSequence):
+    """0 -> K -> P -> x -> 0 presenting x.  tops records P as a sum of
+    indecomposable projectives: for each block of P, the vertex index of
+    each summand Ae_v in summand order, so (vertices,) for a cover and
+    (vertices over A, vertices over B) for a T-cover T_A P (+) T_B V.  It is
+    None when nothing is recorded: for a free presentation, whose middle
+    term is then solved, and for the approximations, whose V need not be
+    projective."""
+
+    def __init__(self, left, middle, right, incl, proj, tops):
+        self.tops = tops
+        super().__init__(left, middle, right, incl, proj)
+
+
 # -- plain or quadruple ---------------------------------------------------------
 
 
 def _dims(x):
     """The dimensions of the blocks of a module: (dim,) or (dim X, dim Y)."""
     return x.dims if isinstance(x, LambdaModule) else (x.dim,)
+
+
+def _blocks(x):
+    """The blocks of a module: (x,) or (X, Y)."""
+    return (x.X, x.Y) if isinstance(x, LambdaModule) else (x,)
 
 
 def _morphism(source, target, components):
@@ -102,24 +129,25 @@ def _hom_dim(x, y):
 # -- presentations ------------------------------------------------------------
 
 
-def free_presentation(x: Module) -> ShortExactSequence:
+def free_presentation(x: Module) -> Presentation:
     """0 -> K -> A^(dim x) -> x -> 0 with the tautological epi a (x) v -> av."""
     p = free_module(x.algebra, x.dim)
     # the basis element (i, j) of the free module, copy i and algebra basis
     # element j, goes to basis_j x_i
     epi_m = ModuleMorphism(p, x, x.action.transpose(1, 2, 0).reshape(x.dim, p.dim))
     k, incl = kernel(epi_m)
-    return ShortExactSequence(k, p, x, incl, epi_m)
+    return Presentation(k, p, x, incl, epi_m, None)
 
 
-def cover_presentation(x: Module) -> ShortExactSequence:
-    """0 -> K -> P -> x -> 0 through the projective cover (quiver-presented)."""
+def cover_presentation(x: Module) -> Presentation:
+    """0 -> K -> P -> x -> 0 through the projective cover (quiver-presented),
+    with the vertices of P's summands."""
     p, epi = projective_cover(x)
     k, incl = kernel(epi)
-    return ShortExactSequence(k, p, x, incl, epi)
+    return Presentation(k, p, x, incl, epi, (cover_vertices(x),))
 
 
-def presentation(x, kind="cover") -> ShortExactSequence:
+def presentation(x, kind="cover") -> Presentation:
     """The presentation that syzygies and dimension counts use: for a
     quadruple its lambda_presentation; for a plain module the cover
     presentation when kind is "cover" and the algebra is quiver-presented,
@@ -131,7 +159,7 @@ def presentation(x, kind="cover") -> ShortExactSequence:
     return memo(x._cache, key, lambda: (cover_presentation if cover else free_presentation)(x))
 
 
-def projective_presentation(x) -> ShortExactSequence:
+def projective_presentation(x) -> Presentation:
     """The canonical projective presentation: tautological free cover for a
     plain module, the T (+) T cover for a quadruple."""
     if isinstance(x, LambdaModule):
@@ -139,24 +167,29 @@ def projective_presentation(x) -> ShortExactSequence:
     return free_presentation(x)
 
 
-def _cover_epi(x: Module) -> ModuleMorphism:
-    """The projective cover of x when its algebra is quiver-presented, else
-    the tautological free cover."""
+def _cover_epi(x: Module):
+    """(epi, vertices): the projective cover of x and the vertices of its
+    summands when its algebra is quiver-presented, else the tautological
+    free cover and None."""
     if x.algebra.is_quiver_presented:
-        return projective_cover(x)[1]
-    return free_presentation(x).proj
+        return projective_cover(x)[1], cover_vertices(x)
+    return free_presentation(x).proj, None
 
 
-def lambda_presentation(l: LambdaModule) -> ShortExactSequence:
+def lambda_presentation(l: LambdaModule) -> Presentation:
     """The T-cover of a quadruple by the covers (_cover_epi) of its two
     components, with its kernel; cached on the quadruple."""
-    return memo(l._cache, "lambda_presentation",
-                lambda: _t_cover(l, _cover_epi(l.X), _cover_epi(l.Y)))
+    def build():
+        (pi_a, tops_a), (pi_b, tops_b) = _cover_epi(l.X), _cover_epi(l.Y)
+        return _t_cover(l, pi_a, pi_b,
+                        None if tops_a is None or tops_b is None else (tops_a, tops_b))
+    return memo(l._cache, "lambda_presentation", build)
 
 
-def _t_cover(l: LambdaModule, pi_a: ModuleMorphism, pi_b: ModuleMorphism) -> ShortExactSequence:
+def _t_cover(l: LambdaModule, pi_a: ModuleMorphism, pi_b: ModuleMorphism, tops) -> Presentation:
     """0 -> K -> T_A P (+) T_B V -> l -> 0 from epis pi_a: P ->> X and
-    pi_b: V ->> Y.  The epi has components ((pi_a, g(1 (x) pi_b));
+    pi_b: V ->> Y; tops are the vertices of the summands of P and V, or
+    None.  The epi has components ((pi_a, g(1 (x) pi_b));
     (f(1 (x) pi_a), pi_b))."""
     data = l.data
     fld = l.field
@@ -173,7 +206,7 @@ def _t_cover(l: LambdaModule, pi_a: ModuleMorphism, pi_b: ModuleMorphism) -> Sho
                       + fld.matmul(fld.matmul(l.f, one_pi_a), projs[0].b))
     epi = LambdaMorphism(mid, l, a, b)
     k, incl = lambda_kernel(epi)
-    return ShortExactSequence(k, mid, l, incl, epi)
+    return Presentation(k, mid, l, incl, epi, tops)
 
 
 # -- hom coordinates -----------------------------------------------------------
@@ -260,7 +293,16 @@ def _ext_dim(x, y, degree, presentation_kind):
         if sum(_dims(x)) == 0:
             return 0
     pres = presentation(x, presentation_kind)
-    return _hom_dim(pres.left, y) - _hom_dim(pres.middle, y) + _hom_dim(x, y)
+    return _hom_dim(pres.left, y) - _middle_hom_dim(pres, y) + _hom_dim(x, y)
+
+
+def _middle_hom_dim(pres: Presentation, y):
+    """dim Hom(P, y) for the middle P of a presentation: the Yoneda sum over
+    the recorded summands of each block of P against the same block of y,
+    or solved when the presentation records none."""
+    if pres.tops is None:
+        return _hom_dim(pres.middle, y)
+    return sum(projective_hom_dim(tops, block) for tops, block in zip(pres.tops, _blocks(y)))
 
 
 def lambda_ext_dim_flatten(l, t, degree=1):
@@ -502,7 +544,7 @@ def approx_c1(l: LambdaModule, ses0=None) -> ApproxResult:
     _, pi = projective_cover(l.X)
     if ses0 is None:
         ses0 = cover_presentation(l.Y)
-    out = _t_cover(l, pi, ses0.proj)
+    out = _t_cover(l, pi, ses0.proj, None)
     mp = tensor_over(data.M, pi.source)
     return ApproxResult(out, {"P": pi.source, "V": ses0.middle, "Y": ses0.left, "MP": mp.module})
 
@@ -517,7 +559,7 @@ def approx_c2(l: LambdaModule, ses0=None) -> ApproxResult:
     _, pi = projective_cover(l.Y)
     if ses0 is None:
         ses0 = cover_presentation(l.X)
-    out = _t_cover(l, ses0.proj, pi)
+    out = _t_cover(l, ses0.proj, pi, None)
     nq = tensor_over(data.N, pi.source)
     return ApproxResult(out, {"Q": pi.source, "U": ses0.middle, "X": ses0.left, "NQ": nq.module})
 

@@ -454,8 +454,9 @@ def test_hom_and_cover_memos_key_on_content(field):
     fresh = alg._hom_presentation(reg, x2)
     assert field.equal(fresh.basis, h1.basis) and fresh.pivots == h1.pivots
     assert field.equal(fresh.module.action, h1.module.action)
-    p0, m0 = alg._cover(x2)
+    p0, m0, v0 = alg._cover(x2)
     assert field.equal(p0.action, p1.action) and field.equal(m0, e2.matrix)
+    assert v0 == alg.cover_vertices(x1) == alg.cover_vertices(x2)
     # different content never shares an entry, even at equal dimension
     others = [_arrow_module(a, 0), _arrow_module(a, 2)]
     homs = [h1] + [alg.hom_module(reg, x) for x in others]
@@ -860,3 +861,75 @@ def test_simple_multiplicities_match_hom_dim(field):
                          for s in alg.simples(x.algebra))
             assert alg.simple_multiplicities(x) == want
     assert seen_unclassed > 10
+
+
+# -- Hom between sums of indecomposable projectives from the per-algebra table --
+
+
+def _table_algebras(field):
+    q = alg.cyclic_quiver(3)
+    return [alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2"),
+            alg.path_algebra(q, alg.nakayama_relations(q, 2), field, name="Nak(3,2)"),
+            alg.path_algebra(q, alg.nakayama_relations(q, 3), field, name="Nak(3,3)")]
+
+
+def _exact(mats):
+    """dtype, shape and exact entries (with their Python types) of each
+    matrix."""
+    return [(m.dtype.str, m.shape, repr(m.tolist())) for m in mats]
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_projective_hom_table_gives_the_hom_space_bytes(field):
+    """The basis of Hom(P_src, P_tgt) assembled from the table is hom_space
+    of the two built sums byte for byte, entry types included: single
+    summands, repeated summands and mixed orders, and every read-only."""
+    rng = random.Random(3)
+    for a in _table_algebras(field):
+        projs = alg.indecomposable_projectives(a)
+        n = len(projs)
+        cases = [([u], [v]) for u in range(n) for v in range(n)]
+        cases += [([0, 0], [0]), ([1], [1, 1, 1]), ([n - 1, 0, n - 1], [0, n - 1, 0, 1])]
+        cases += [([rng.randrange(n) for _ in range(rng.randint(1, 4))],
+                   [rng.randrange(n) for _ in range(rng.randint(1, 4))]) for _ in range(6)]
+        for src, tgt in cases:
+            got = alg.projective_hom_space(a, src, tgt)
+            want = alg.hom_space(alg.direct_sum([projs[u] for u in src])[0],
+                                 alg.direct_sum([projs[v] for v in tgt])[0])
+            assert _exact(got) == _exact(want), (a.name, src, tgt)
+            assert all(not m.flags.writeable for m in got)
+
+
+@pytest.mark.parametrize("field", [F3, BIG, QQ], ids=["F3", "bigprime", "QQ"])
+def test_sampler_draws_on_the_table_are_those_of_hom_space(field, monkeypatch):
+    """Two seeded Samplers, one on the table and one on hom_space of the
+    built sums, draw the same modules; the table builds each entry
+    (algebra, u, v) once, across samplers."""
+    from morita_lab import lab
+
+    def draws(algebra):
+        sampler = lab.Sampler(17, dim_cap=8, rank_cap=3)
+        return [(x.dim, x.content_key()) for x in (sampler.plain(algebra) for _ in range(12))]
+
+    for a, b in zip(_table_algebras(field), _table_algebras(field)):
+        projs = alg.indecomposable_projectives(a)
+        built = []
+        hom_space = alg.hom_space
+        monkeypatch.setattr(alg, "hom_space", lambda x, y: built.append(
+            (projs.index(x), projs.index(y))) or hom_space(x, y))
+        on_table = draws(a) + draws(a)
+        monkeypatch.setattr(alg, "hom_space", hom_space)
+        assert built and len(built) == len(set(built))
+        assert sorted(built) == sorted(k[1:] for k in a._cache
+                                       if isinstance(k, tuple) and k[0] == "projective hom")
+
+        def solved(algebra, src, tgt):
+            ps = alg.indecomposable_projectives(algebra)
+            return alg.hom_space(alg.direct_sum([ps[u] for u in src])[0],
+                                 alg.direct_sum([ps[v] for v in tgt])[0])
+
+        monkeypatch.setattr(alg, "projective_hom_space", solved)
+        on_hom_space = draws(b)
+        monkeypatch.undo()
+        assert on_table == on_hom_space + on_hom_space
+        assert any(d for d, _ in on_table)

@@ -326,3 +326,39 @@ def test_malformed_references_exit_2(ie_files, capsys, name, key, change):
     assert run(["validate", bad]) == 2
     err = capsys.readouterr().err
     assert ("nowhere.json" if change == "missing file" else repr(key)) in err
+
+
+# a class_spec_pair document broken in one place, and the key the error names
+SPEC_BREAKS = {
+    "U deleted": (lambda doc: {k: v for k, v in doc.items() if k != "U"}, "'U'"),
+    "U a list": (lambda doc: {**doc, "U": ["projectives"]}, "'U'"),
+    "V null": (lambda doc: {**doc, "V": None}, "'V'"),
+    "U modules a string": (lambda doc: {**doc, "U": {**doc["U"], "modules": "p1.json"}}, "'U'"),
+    "V modules an object": (lambda doc: {**doc, "V": {**doc["V"], "modules": {"0": "p1.json"}}},
+                            "'V'"),
+    "document a list": (lambda doc: [doc], "class_spec_pair"),
+}
+SPEC_COMMANDS = {
+    "classify delta": ["classify", "--class", "delta"],
+    "decompose nabla": ["decompose", "--kind", "nabla"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+@pytest.mark.parametrize("break_", sorted(SPEC_BREAKS))
+def test_malformed_class_spec_pairs_exit_2(ie_files, capsys, command, break_):
+    """A class_spec_pair document without U, with a U or V that is not an
+    object, or with modules that are not a list is a schema error (exit 2)
+    naming the key, never a KeyError, AttributeError or TypeError."""
+    store = jsonio.DocumentStore()
+    data = store.morita(ie_files / "ie.json")
+    jsonio.emit(jsonio.lambda_module_to_json(lab._ie_big_module(data), "ie.json"),
+                ie_files / "L.json")
+    doc = {"version": 1, "kind": "class_spec_pair",
+           "U": {"type": "projectives", "modules": []}, "V": {"type": "projectives"}}
+    change, named = SPEC_BREAKS[break_]
+    (ie_files / "spec.json").write_text(json.dumps(change(doc)))
+    argv = [*SPEC_COMMANDS[command], "--module", ie_files / "L.json",
+            "--spec", ie_files / "spec.json"]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err

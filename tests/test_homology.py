@@ -665,3 +665,88 @@ def test_extend_and_lift_match_the_dense_kronecker_reference(field):
         found.setdefault((kind, quadruple), set()).add(got is None)
     assert all(outcomes == {True, False} for outcomes in found.values()), found
     assert len(found) == 4
+
+
+# -- the middle term of a cover presentation by Yoneda ---------------------------
+
+
+def _plain_yoneda_modules(field):
+    """Modules over kA2, Nak(3,2) and kA2 with its idempotent system replaced
+    by the unit: sampled modules, simples, projectives, the zero module and
+    conjugates of the sampled ones (no vertex classes)."""
+    rng = random.Random(11)
+    out = []
+    whole = lab._two_vertex_algebra(field)
+    whole.set_idempotent_system([whole.unit])
+    for algebra in (lab._two_vertex_algebra(field), lab._nakayama(field, 3, 2), whole):
+        sampler = lab.Sampler(7, dim_cap=4, rank_cap=3)
+        mods = ([sampler.plain(algebra) for _ in range(3)] + alg.simples(algebra)
+                + alg.indecomposable_projectives(algebra) + [alg.zero_module(algebra)])
+        out.append(mods + [_twisted(x, rng)[0] for x in mods[:3]])
+    return out
+
+
+def _solved_ext_dim(x, y, degree):
+    """dim Ext^degree(x, y) along the cover syzygies with every hom
+    dimension solved, the middle term included."""
+    for _ in range(degree - 1):
+        x = hml.presentation(x).left
+    pres = hml.presentation(x)
+    return (hml._hom_dim(pres.left, y) - hml._hom_dim(pres.middle, y)
+            + hml._hom_dim(x, y))
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
+                         ids=["F3", "bigprime", "QQ"])
+def test_yoneda_middle_dimension_matches_the_solver_plain(field):
+    """The middle term of a cover presentation, counted by Yoneda from the
+    recorded summands, is hom_dim of the middle, and ext_dim in degrees 1
+    and 2 (along the syzygy) is the count with every term solved.  The zero
+    module has the zero cover; targets without vertex classes, or over an
+    algebra whose idempotent system is not the vertex system, take the rank
+    fallback.  The free presentation records no summands."""
+    fallback = 0
+    for mods in _plain_yoneda_modules(field):
+        for x in mods:
+            pres = hml.presentation(x)
+            assert pres.tops == (alg.cover_vertices(x),)
+            assert sum(alg.indecomposable_projectives(x.algebra)[v].dim
+                       for v in pres.tops[0]) == pres.middle.dim
+            if x.dim == 0:
+                assert pres.tops == ((),) and pres.middle.dim == 0
+            assert hml.presentation(x, "free").tops is None
+            for y in mods:
+                assert hml._middle_hom_dim(pres, y) == alg.hom_dim(pres.middle, y)
+                fallback += y.vertex_classes() is None
+                if x.dim and y.dim:
+                    for degree in (1, 2):
+                        assert hml.ext_dim(x, y, degree) == _solved_ext_dim(x, y, degree)
+    assert fallback
+    s1, s2 = alg.simples(lab._two_vertex_algebra(field))
+    assert hml.ext_dim(s1, s2) == 1 == hml.ext_dim(s1, s2, 1, presentation_kind="free")
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
+                         ids=["F3", "bigprime", "QQ"])
+def test_yoneda_middle_dimension_matches_the_solver_quadruples(field):
+    """The middle T_A P (+) T_B V of a T-cover, counted as Hom_A(P, y.X) (+)
+    Hom_B(V, y.Y) from the recorded summands, is lambda_hom_dim of the
+    middle, over ie and examctp4(3,2,1,3); ext_dim in degrees 1 and 2 is the
+    count with every term solved, and agrees with the flattened free
+    route."""
+    for inst in (lab.catalog("ie", field), lab.catalog("examctp4", field)):
+        data = inst.data
+        sampler = lab.Sampler(7, dim_cap=5, rank_cap=2)
+        p_a, p_b = alg.indecomposable_projectives(data.A), alg.indecomposable_projectives(data.B)
+        mods = (mor.lambda_simples(data)[:3] + [sampler.quadruple(data) for _ in range(2)]
+                + [mor.functor_T(data, "A", p_a[0]), mor.functor_T(data, "B", p_b[-1])])
+        for x in mods:
+            pres = hml.lambda_presentation(x)
+            assert pres.tops == (alg.cover_vertices(x.X), alg.cover_vertices(x.Y))
+            for y in mods:
+                assert hml._middle_hom_dim(pres, y) == mor.lambda_hom_dim(pres.middle, y)
+                if x.total_dim and y.total_dim:
+                    for degree in (1, 2):
+                        assert hml.ext_dim(x, y, degree) == _solved_ext_dim(x, y, degree)
+        x, y = mods[0], mods[1]
+        assert hml.ext_dim(x, y) == hml.lambda_ext_dim_flatten(x, y)
