@@ -1122,7 +1122,7 @@ def _invertible_combination(field, basis, dim, rng):
         p = field.p
         stack = np.stack(basis) % p
         for coeffs in _monic_chunks(p, h):
-            cands = np.tensordot(coeffs, stack, axes=1) % p
+            cands = linalg.combine(field, coeffs, stack)
             hits = np.flatnonzero(linalg.invertible_mask(field, cands))
             if len(hits):
                 return cands[hits[0]].copy(), True

@@ -2,13 +2,19 @@
 
 Matrices are numpy 2-D arrays.  Over F_p the dtype is int64 with entries
 normalized to 0..p-1 (object dtype with Python ints for very large p, where
-int64 products could overflow).  Over Q the dtype is object with Fraction
-entries.  All operations route through a FieldSpec so callers never touch
-dtype details.
+int64 products could overflow).  Over Q the dtype is object and the arrays
+hold Fraction entries, but products do not run on them: FieldSpec.matmul
+clears each operand's denominators, multiplies the integer numerators (in
+int64 when a bound proves it cannot overflow, else as Python ints) and turns
+the result back into Fractions once.  FieldSpec.matmul is the one home of
+array products; linalg.combine is a matmul too.  All operations route
+through a FieldSpec so callers never touch dtype details.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +24,51 @@ import numpy as np
 # (p-1)^2 * k <= 2^63 - 1 must hold for k up to the chunk size below.
 _INT64_SAFE_PRIME = 1 << 25
 _MATMUL_CHUNK = 2048
+_INT64_MAX = (1 << 63) - 1
+
+# The integers -_SMALL.._SMALL as shared Fractions (immutable, so safe to
+# share between arrays): integral products over Q are read off this table.
+_SMALL = 64
+_SMALL_FRACTIONS = np.array([Fraction(n) for n in range(-_SMALL, _SMALL + 1)], dtype=object)
+_ZERO, _ONE = _SMALL_FRACTIONS[_SMALL], _SMALL_FRACTIONS[_SMALL + 1]
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+def _numerators(a: np.ndarray):
+    """The entries of a rational (or integer) array as integer numerators
+    over one common denominator: (flat list, denominator)."""
+    flat = a.ravel().tolist()
+    den = math.lcm(*set(map(_DENOMINATOR, flat)))
+    if den == 1:
+        return list(map(_NUMERATOR, flat)), 1
+    return [int(x.numerator) * (den // int(x.denominator)) for x in flat], den
+
+
+def _magnitude(nums) -> int:
+    return max(int(max(nums)), -int(min(nums)))
+
+
+def _integer_array(nums, shape, dtype) -> np.ndarray:
+    if dtype is object:
+        nums = list(map(int, nums))  # a numpy integer would wrap in the product
+    return np.array(nums, dtype=dtype).reshape(shape)
+
+
+def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over Q, computed on integer numerators and read back as
+    Fractions once."""
+    (an, ad), (bn, bd) = _numerators(a), _numerators(b)
+    # every partial sum is at most k * max|a| * max|b| in absolute value
+    bound = _magnitude(an) * _magnitude(bn) * a.shape[-1]
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    prod = np.matmul(_integer_array(an, a.shape, dtype), _integer_array(bn, b.shape, dtype))
+    den = ad * bd
+    if den == 1 and (bound <= _SMALL or (dtype is np.int64 and np.abs(prod).max() <= _SMALL)):
+        return _SMALL_FRACTIONS[prod + _SMALL]
+    out = np.empty(prod.shape, dtype=object)
+    out.ravel()[:] = [Fraction(n, den) for n in prod.ravel().tolist()]
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -56,15 +107,18 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
+        return _ZERO if self.kind == "rational" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
+        return _ONE if self.kind == "rational" else 1
 
     def scalar(self, value):
-        """Coerce an int, Fraction, or "num/den" string into this field."""
-        if self.kind == "prime":
+        """Coerce an int, Fraction, or "num/den" string into this field; any
+        other value, or a zero denominator, is a ValueError."""
+        try:
+            if self.kind == "rational":
+                return Fraction(value)
             if isinstance(value, str):
                 value = int(value)
             if isinstance(value, Fraction):
@@ -72,16 +126,17 @@ class FieldSpec:
                     raise ValueError(f"{value} is not an element of F_{self.p}")
                 value = value.numerator
             return int(value) % self.p
-        if isinstance(value, str):
-            return Fraction(value)
-        return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{value!r} has a zero denominator") from exc
+        except TypeError as exc:
+            raise ValueError(f"{value!r} is not a scalar: {exc}") from exc
 
     def inv(self, a):
         if self.kind == "prime":
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(int(a), self.p - 2, self.p)
-        return Fraction(1) / a
+        return _ONE / a
 
     def neg(self, a):
         if self.kind == "prime":
@@ -138,9 +193,11 @@ class FieldSpec:
         if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
             raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
         k = a.shape[-1]
-        if k == 0:
+        if k == 0 or not a.size or not b.size:
             return self.zeros(*a.shape[:-1], b.shape[-1])
-        if self.kind == "prime" and a.dtype != object and b.dtype != object:
+        if self.kind == "rational":
+            return _rational_matmul(a, b)
+        if a.dtype != object and b.dtype != object:
             if k <= _MATMUL_CHUNK:
                 return (a @ b) % self.p
             acc = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)

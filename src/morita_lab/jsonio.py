@@ -24,6 +24,33 @@ class SchemaError(ValueError):
     pass
 
 
+def _member(doc, key, kind, what):
+    """doc[key], which must be present and of the given type(s); anything
+    else, or a doc that is not an object, is a SchemaError naming the key."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be {what}")
+    return value
+
+
+def _dim_from_json(doc):
+    dim = _member(doc, "dim", int, "a non-negative integer")
+    if isinstance(dim, bool) or dim < 0:
+        raise SchemaError("'dim' must be a non-negative integer")
+    return dim
+
+
+def _name_from_json(doc, key):
+    return str(_member(doc, key, (str, int), "a string or an integer"))
+
+
+def _scalar_from_json(field, x):
+    try:
+        return field.scalar(x)
+    except ValueError as exc:
+        raise SchemaError(f"bad scalar entry: {exc}") from exc
+
+
 # -- scalars and matrices ------------------------------------------------------
 
 
@@ -55,7 +82,10 @@ def matrix_from_json(field, rows, shape=None):
         return field.zeros(0, 0 if shape is None else shape[1])
     if not rows[0]:
         return field.zeros(len(rows), 0)
-    return field.asmatrix(rows)
+    try:
+        return field.asmatrix(rows)
+    except ValueError as exc:
+        raise SchemaError(f"bad matrix entry: {exc}") from exc
 
 
 def field_to_json(field: FieldSpec):
@@ -68,7 +98,7 @@ def field_from_json(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("field must be an object with a kind")
     if doc["kind"] == "prime":
-        return FieldSpec("prime", int(doc["p"]))
+        return FieldSpec("prime", _member(doc, "p", int, "a prime"))
     if doc["kind"] == "rational":
         return FieldSpec("rational")
     raise SchemaError(f"unknown field kind {doc['kind']!r}")
@@ -112,28 +142,40 @@ def algebra_from_json(doc):
     _require(doc, "algebra")
     field = field_from_json(doc.get("field"))
     if "quiver" in doc:
-        q = doc["quiver"]
-        quiver = alg.Quiver(tuple(str(v) for v in q["vertices"]),
-                            tuple((str(a["name"]), str(a["source"]), str(a["target"]))
-                                  for a in q["arrows"]))
-        return alg.path_algebra(quiver, [tuple(w) for w in doc.get("relations", [])],
-                                field)
+        q = _member(doc, "quiver", dict, "an object")
+        vertices = _member(q, "vertices", list, "a list of vertex names")
+        arrows = _member(q, "arrows", list, "a list of arrows")
+        if any(not isinstance(v, (str, int)) for v in vertices):
+            raise SchemaError("'vertices' must be a list of vertex names")
+        if any(not isinstance(a, dict) for a in arrows):
+            raise SchemaError("'arrows' must be a list of objects")
+        quiver = alg.Quiver(tuple(str(v) for v in vertices),
+                            tuple(tuple(_name_from_json(a, key)
+                                        for key in ("name", "source", "target"))
+                                  for a in arrows))
+        relations = doc.get("relations", [])
+        if not isinstance(relations, list) or any(not isinstance(w, list) for w in relations):
+            raise SchemaError("'relations' must be a list of arrow-name lists")
+        return alg.path_algebra(quiver, [tuple(w) for w in relations], field)
     if "raw" in doc:
         raw = doc["raw"]
-        labels = [str(x) for x in raw["basis"]]
+        labels = [str(x) for x in _member(raw, "basis", list, "a list of labels")]
         dim = len(labels)
         mult = {}
-        for key, vec in raw["structure_constants"].items():
-            i, j = (int(t) for t in key.split(","))
-            if len(vec) != dim:
+        for key, vec in _member(raw, "structure_constants", dict, "an object").items():
+            try:
+                i, j = (int(t) for t in key.split(","))
+            except ValueError as exc:
+                raise SchemaError(f"structure constant key {key!r} is not 'i,j'") from exc
+            if not isinstance(vec, list) or len(vec) != dim:
                 raise SchemaError("structure constant vector has wrong length")
             row = field.zeros(1, dim)[0]
             for k, x in enumerate(vec):
-                row[k] = field.scalar(x)
+                row[k] = _scalar_from_json(field, x)
             mult[(i, j)] = field.freeze(row)
         unit = field.zeros(1, dim)[0]
-        for k, x in enumerate(raw["unit"]):
-            unit[k] = field.scalar(x)
+        for k, x in enumerate(_member(raw, "unit", list, "a list of scalars")):
+            unit[k] = _scalar_from_json(field, x)
         a = alg.PresentedAlgebra(field, labels, mult, unit)
         a.validate()
         return a
@@ -169,9 +211,9 @@ def _module_from_json(a, doc, dim, field):
         if not isinstance(doc, dict) or "vertices" not in doc or "arrows" not in doc:
             raise SchemaError("generator_action needs vertices and arrows")
         vert = {v: matrix_from_json(field, m, (dim, dim))
-                for v, m in doc["vertices"].items()}
+                for v, m in _member(doc, "vertices", dict, "an object").items()}
         arr = {n: matrix_from_json(field, m, (dim, dim))
-               for n, m in doc["arrows"].items()}
+               for n, m in _member(doc, "arrows", dict, "an object").items()}
         for v in a.quiver.vertices:
             if v not in vert:
                 raise SchemaError(f"missing action of the idempotent at {v}")
@@ -179,7 +221,7 @@ def _module_from_json(a, doc, dim, field):
             if name not in arr:
                 raise SchemaError(f"missing action of arrow {name}")
         return alg.quiver_module(a, dim, vert, arr)
-    mats = doc.get("basis")
+    mats = doc.get("basis") if isinstance(doc, dict) else None
     if not isinstance(mats, list) or len(mats) != a.dim:
         raise SchemaError("basis_action must list one matrix per basis element")
     return alg.Module(a, dim, [matrix_from_json(field, m, (dim, dim)) for m in mats])
@@ -187,7 +229,8 @@ def _module_from_json(a, doc, dim, field):
 
 def module_from_json(doc, algebra):
     _require(doc, "module")
-    x = _module_from_json(algebra, doc["generator_action"], int(doc["dim"]), algebra.field)
+    x = _module_from_json(algebra, doc.get("generator_action"), _dim_from_json(doc),
+                          algebra.field)
     x.validate()
     return x
 
@@ -207,11 +250,11 @@ def bimodule_to_json(m: alg.Bimodule, left_ref, right_ref):
 
 def bimodule_from_json(doc, left_algebra, right_algebra):
     _require(doc, "bimodule")
-    dim = int(doc["dim"])
+    dim = _dim_from_json(doc)
     field = left_algebra.field
-    left = _module_from_json(left_algebra, doc["left_action"], dim, field)
+    left = _module_from_json(left_algebra, doc.get("left_action"), dim, field)
     # the right action is the left action of the opposite algebra
-    right = _module_from_json(right_algebra.opposite(), doc["right_action"], dim, field)
+    right = _module_from_json(right_algebra.opposite(), doc.get("right_action"), dim, field)
     m = alg.Bimodule(left_algebra, right_algebra, dim, left.action, right.action)
     m.validate()
     return m
@@ -242,16 +285,16 @@ def lambda_module_to_json(l: mor.LambdaModule, morita_ref):
 def lambda_module_from_json(doc, data: mor.MoritaData):
     _require(doc, "lambda_module")
     fld = data.field
-    xd = doc["X"]
-    yd = doc["Y"]
-    x = _module_from_json(data.A, xd["generator_action"], int(xd["dim"]), fld)
-    y = _module_from_json(data.B, yd["generator_action"], int(yd["dim"]), fld)
+    xd = _member(doc, "X", dict, "an object")
+    yd = _member(doc, "Y", dict, "an object")
+    x = _module_from_json(data.A, xd.get("generator_action"), _dim_from_json(xd), fld)
+    y = _module_from_json(data.B, yd.get("generator_action"), _dim_from_json(yd), fld)
     x.validate()
     y.validate()
     tx = mor.tensor_over(data.M, x)
     ty = mor.tensor_over(data.N, y)
-    f = matrix_from_json(fld, doc["f"], (y.dim, tx.dim))
-    g = matrix_from_json(fld, doc["g"], (x.dim, ty.dim))
+    f = matrix_from_json(fld, doc.get("f"), (y.dim, tx.dim))
+    g = matrix_from_json(fld, doc.get("g"), (x.dim, ty.dim))
     l = mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
     l.validate()
     return l

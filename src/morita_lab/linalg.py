@@ -7,6 +7,8 @@ and reproducible bit-for-bit across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import FieldSpec
@@ -154,14 +156,12 @@ def invertible_mask(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
 
 
 def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[r, k] stack[k] for each row r of coeffs, normalized, with
-    only the nonzero coefficients multiplied out."""
+    """sum_k coeffs[r, k] stack[k] for each row r of coeffs, normalized: one
+    field.matmul of coeffs with the stack read as a k x rest matrix."""
     coeffs = np.asarray(coeffs)
-    rows, ks = np.nonzero(coeffs != field.zero)
-    out = field.zeros(coeffs.shape[0], *stack.shape[1:])
-    terms = coeffs[rows, ks].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ks]
-    np.add.at(out, rows, terms.astype(out.dtype, copy=False))
-    return field.normalize(out)
+    k, rest = stack.shape[0], stack.shape[1:]
+    out = field.matmul(coeffs, stack.reshape(k, math.prod(rest)))
+    return out.reshape(coeffs.shape[0], *rest)
 
 
 def vstack(field: FieldSpec, blocks) -> np.ndarray:

@@ -362,3 +362,49 @@ def test_malformed_class_spec_pairs_exit_2(ie_files, capsys, command, break_):
             "--spec", ie_files / "spec.json"]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def _first_x_entry(doc, value):
+    matrix = next(iter(doc["X"]["generator_action"]["vertices"].values()))
+    matrix[0][0] = value
+
+
+def _first_arrow(doc):
+    return doc["quiver"]["arrows"][0]
+
+
+# a lambda_module or algebra document over Q broken in one place; each break
+# used to escape cli.main as a ZeroDivisionError, TypeError or KeyError
+Q_DOCUMENT_BREAKS = {
+    "entry 1/0": ("L.json", lambda doc: _first_x_entry(doc, "1/0")),
+    "entry {}": ("L.json", lambda doc: _first_x_entry(doc, {})),
+    "X missing": ("L.json", lambda doc: doc.pop("X")),
+    "dim null": ("L.json", lambda doc: doc["X"].update(dim=None)),
+    "quiver null": ("ie.A.json", lambda doc: doc.update(quiver=None)),
+    "vertices 5": ("ie.A.json", lambda doc: doc["quiver"].update(vertices=5)),
+    "arrow null": ("ie.A.json", lambda doc: doc["quiver"]["arrows"].__setitem__(0, None)),
+    "relations null": ("ie.A.json", lambda doc: doc.update(relations=None)),
+    "arrow without name": ("ie.A.json", lambda doc: _first_arrow(doc).pop("name")),
+}
+
+
+@pytest.mark.parametrize("break_", sorted(Q_DOCUMENT_BREAKS))
+def test_malformed_rational_documents_exit_2(tmp_path, capsys, break_):
+    """Malformed entries and document shapes over Q are schema errors: exit
+    2 with a message, never a traceback."""
+    assert run(["catalog", "ie", "--field", "Q", "--out", tmp_path / "ie.json"]) == 0
+    data = jsonio.DocumentStore().morita(tmp_path / "ie.json")
+    jsonio.emit(jsonio.lambda_module_to_json(lab._ie_big_module(data), "ie.json"),
+                tmp_path / "L.json")
+    name, change = Q_DOCUMENT_BREAKS[break_]
+    doc = json.loads((tmp_path / name).read_text())
+    change(doc)
+    (tmp_path / f"bad.{name}").write_text(json.dumps(doc))
+    if name == "L.json":
+        argv = ["classify", "--module", tmp_path / "bad.L.json", "--class", "mon"]
+    else:
+        argv = ["sample", "--algebra", tmp_path / "bad.ie.A.json", "--count", 2,
+                "--out", tmp_path / "x"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

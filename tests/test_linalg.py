@@ -361,3 +361,129 @@ def test_matmul_of_stacks_multiplies_each_pair(field):
         assert np.array_equal(got.astype(object), exact.astype(object))
     with pytest.raises(ValueError):
         field.matmul(field.zeros(2, 1, 2), field.zeros(3, 2, 1))
+
+
+# -- the integer kernel of FieldSpec.matmul over Q, against Fraction products --
+
+def _qq(values, shape):
+    """An object array of the given entries (Fractions or Python ints)."""
+    out = np.empty(shape, dtype=object)
+    out.ravel()[:] = list(values)
+    return out
+
+
+def _as_fractions(a):
+    """a as Fraction objects with Python-int parts, so that the reference
+    product is exact also for numpy-integer entries."""
+    return _qq([v if isinstance(v, Fraction) else Fraction(int(v)) for v in a.flat], a.shape)
+
+
+def _check_against_fraction_matmul(a, b):
+    got = QQ.matmul(a, b)
+    want = (np.matmul(_as_fractions(a), _as_fractions(b)) if a.shape[-1]
+            else np.zeros(got.shape, dtype=object))
+    assert got.dtype == object and got.shape == want.shape
+    assert all(type(v) is Fraction for v in got.flat)
+    assert got.tolist() == want.tolist()
+    return got
+
+
+KERNEL_ENTRIES = {
+    "thirds and sevenths": [Fraction(1, 3), Fraction(-2, 7), 0, 1, Fraction(5, 2), -1],
+    "mixed int and Fraction": [Fraction(1, 3), 2, -3, Fraction(0), Fraction(-2, 7), 1],
+    "near 2^31": [(1 << 31) - 1, -(1 << 31) + 3, (1 << 31) - 5, 7],
+    "numpy integers near 2^31": list(np.array([(1 << 31) - 1, -(1 << 31) + 3, 7])),
+    "outside the table": [100, -250, Fraction(999), 65, -65, 3],
+    "past the table's edge": [9, -8, 7, 1, 0],
+}
+
+
+@pytest.mark.parametrize("entries", sorted(KERNEL_ENTRIES))
+def test_rational_matmul_matches_fraction_products(entries):
+    rng = np.random.default_rng(11)
+    values = KERNEL_ENTRIES[entries]
+    for r, k, c in [(3, 4, 2), (1, 1, 1), (4, 5, 3), (2, 7, 2)]:
+        a = _qq([values[i] for i in rng.integers(len(values), size=r * k)], (r, k))
+        b = _qq([values[i] for i in rng.integers(len(values), size=k * c)], (k, c))
+        got = _check_against_fraction_matmul(a, b)
+        if "table" in entries and k > 1:
+            assert max(abs(v) for v in got.flat) > 64
+    if "near 2^31" in entries:
+        # a sum past int64, which only the Python-int route gets right
+        top = _qq([values[0]] * 4, (1, 4))
+        assert _check_against_fraction_matmul(top, top.T.copy())[0, 0] > (1 << 63)
+
+
+def test_rational_matmul_empty_shapes_and_stacks():
+    rng = np.random.default_rng(5)
+    values = KERNEL_ENTRIES["thirds and sevenths"]
+    for ashape, bshape in [((3, 0), (0, 2)), ((0, 4), (4, 2)), ((3, 4), (4, 0)),
+                           ((0, 2, 3), (0, 3, 2)), ((2, 3, 4), (2, 4, 2)),
+                           ((3, 1, 1), (3, 1, 5)), ((2, 2, 0), (2, 0, 3))]:
+        a = _qq(rng.choice(values, int(np.prod(ashape))), ashape)
+        b = _qq(rng.choice(values, int(np.prod(bshape))), bshape)
+        got = _check_against_fraction_matmul(a, b)
+        assert got.shape == ashape[:-1] + bshape[-1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_matmul_matches_fraction_products_random(data):
+    n, r, k, c = (data.draw(st.integers(0, 3)) for _ in range(4))
+    entry = st.one_of(st.fractions(max_denominator=30), st.integers(-(1 << 40), 1 << 40))
+    a = _qq(data.draw(st.lists(entry, min_size=n * r * k, max_size=n * r * k)), (n, r, k))
+    b = _qq(data.draw(st.lists(entry, min_size=n * k * c, max_size=n * k * c)), (n, k, c))
+    _check_against_fraction_matmul(a, b)
+
+
+def test_rational_zero_one_and_small_products_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == 0 and QQ.one == 1
+    prod = QQ.matmul(QQ.eye(2), QQ.eye(2))
+    assert prod[0, 1] is QQ.zero and prod[0, 0] is QQ.one
+    for n in (-65, -64, 63, 64, 65, 130):  # each side of the table's edge
+        got = QQ.matmul(QQ.asmatrix([[n, 1]]), QQ.asmatrix([[1], [0]]))
+        assert got.tolist() == [[Fraction(n)]] and type(got[0, 0]) is Fraction
+
+
+def _add_at_combine(field, coeffs, stack):
+    """linalg.combine as it was: the nonzero terms summed with np.add.at."""
+    coeffs = np.asarray(coeffs)
+    rows, ks = np.nonzero(coeffs != field.zero)
+    out = field.zeros(coeffs.shape[0], *stack.shape[1:])
+    terms = coeffs[rows, ks].reshape((-1,) + (1,) * (stack.ndim - 1)) * stack[ks]
+    np.add.at(out, rows, terms.astype(out.dtype, copy=False))
+    return field.normalize(out)
+
+
+@pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554393), BIG, QQ],
+                         ids=["F3", "int64prime", "bigprime", "QQ"])
+def test_combine_matches_the_add_at_formula(field):
+    rng = np.random.default_rng(13)
+    for r, k, shape in [(4, 3, (2, 2)), (3, 5, (3,)), (2, 4, (1, 3, 2)), (0, 3, (2, 2)),
+                        (3, 0, (2, 2)), (2, 3, (0, 4))]:
+        size = int(np.prod(shape))
+        if field.kind == "prime":
+            coeffs = rng.integers(-field.p, field.p, size=(r, k)).astype(field._dtype)
+            stack = field.normalize(rng.integers(0, field.p, size=(k, *shape)).astype(field._dtype))
+        else:
+            pool = KERNEL_ENTRIES["thirds and sevenths"]
+            coeffs = _qq(rng.choice(pool, r * k), (r, k))
+            stack = _qq(rng.choice(pool, k * size), (k, *shape))
+        if r > 1:
+            coeffs[1] = field.zero  # a zero row of coefficients
+        want = _add_at_combine(field, coeffs, stack)
+        for given_as in (coeffs, coeffs.tolist() if r else coeffs):
+            got = linalg.combine(field, given_as, stack)
+            assert got.dtype == want.dtype and got.shape == want.shape == (r, *shape)
+            assert got.astype(object).tolist() == want.astype(object).tolist()
+            if field.kind == "rational":
+                assert all(type(v) is Fraction for v in got.flat)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "QQ"])
+def test_scalar_rejects_malformed_entries_with_value_error(field):
+    for value in ("1/0", {}, None, [1]):
+        with pytest.raises(ValueError):
+            field.scalar(value)
+    assert field.scalar("2") == field.scalar(2)
