@@ -3,6 +3,13 @@
 Everything is deterministic: reduced row echelon form with leftmost-pivot
 choice, so the bases produced by kernel_basis and quotient are canonical
 and reproducible bit-for-bit across runs.
+
+rref eliminates on the rows held as Python lists (reduced mod p after each
+row operation over F_p, Fractions over Q) and builds its result array once.
+The matrices the suites reduce are small, most at most 8 x 8, and there a
+numpy call per pivot costs more than the arithmetic.  The RREF is unique,
+so the pivot rule and the canonical output do not depend on how the
+elimination is carried out.
 """
 
 from __future__ import annotations
@@ -15,33 +22,45 @@ from .fields import FieldSpec
 
 
 def rref(field: FieldSpec, m: np.ndarray):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    a = field.normalize(np.array(m, copy=True))
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Pivot rule: leftmost column, topmost nonzero entry.  R has the dtype of
+    the normalized input.  The pivot row is zero left of its pivot, so each
+    row operation touches only the pivot row's nonzero entries right of it.
+    """
+    a = field.normalize(np.asarray(m))
     nrows, ncols = a.shape
+    rows = a.tolist()
+    p, zero = field.p, field.zero
     pivots = []
     r = 0
     for c in range(ncols):
-        if r >= nrows:
+        if r == nrows:
             break
-        # leftmost column, topmost nonzero entry: deterministic pivot rule
-        col = a[r:, c]
-        nz = np.nonzero(col != field.zero)[0]
-        if len(nz) == 0:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = field.inv(a[r, c])
-        if inv != field.one:
-            a[r] = field.normalize(a[r] * inv)
-        rows = np.nonzero(a[:, c] != field.zero)[0]
-        rows = rows[rows != r]
-        if len(rows):
-            factors = a[rows, c].reshape(-1, 1)
-            a[rows] = field.normalize(a[rows] - factors * a[r].reshape(1, -1))
+        prow = rows[i]
+        rows[i], rows[r] = rows[r], prow
+        inv = field.inv(prow[c])
+        if inv != 1:
+            prow[c:] = [x * inv % p for x in prow[c:]] if p else [x * inv for x in prow[c:]]
+        support = [(j, y) for j, y in enumerate(prow[c + 1 :], c + 1) if y]
+        for row in rows:
+            f = row[c]
+            if f and row is not prow:
+                row[c] = zero
+                if p:
+                    for j, y in support:
+                        row[j] = (row[j] - f * y) % p
+                else:
+                    for j, y in support:
+                        row[j] -= f * y
         pivots.append(c)
         r += 1
-    return a[: len(pivots)], pivots
+    return np.array(rows[:r], dtype=a.dtype).reshape(r, ncols), pivots
 
 
 def rank(field: FieldSpec, m: np.ndarray) -> int:
@@ -72,8 +91,7 @@ def solve(field: FieldSpec, m: np.ndarray, b: np.ndarray):
         b = b.reshape(-1, 1)
     if m.shape[0] != b.shape[0]:
         raise ValueError(f"solve shape mismatch {m.shape} vs {b.shape}")
-    aug = np.concatenate([field.normalize(m), field.normalize(b)], axis=1)
-    r, pivots = rref(field, aug)
+    r, pivots = rref(field, np.concatenate([m, b], axis=1))
     ncols = m.shape[1]
     if any(p >= ncols for p in pivots):
         return None

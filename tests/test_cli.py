@@ -1,7 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morita_lab import cli
 from morita_lab import jsonio
@@ -408,3 +417,71 @@ def test_malformed_rational_documents_exit_2(tmp_path, capsys, break_):
     capsys.readouterr()
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- loader fuzz: single-field mutations of real documents ------------------
+
+FUZZ_VALUES = [None, -1, 10**30, "x", "1/0", [], {}, 1.5, True]
+DELETE = object()
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every key and list index in a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """Over F3 and over Q: the ie catalog documents, one sampled quadruple
+    (L000.json) and one sampled plain A-module (X000.json), by file name.
+    Unmutated, each one's command exits 0."""
+    docs = {}
+    for field in ("3", "Q"):
+        d = tmp_path_factory.mktemp(f"fuzz{field}")
+        assert run(["catalog", "ie", "--field", field, "--out", d / "ie.json"]) == 0
+        assert run(["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "L"]) == 0
+        assert run(["sample", "--algebra", d / "ie.A.json", "--count", 1, "--out", d / "X"]) == 0
+        docs[field] = {p.name: json.loads(p.read_text()) for p in d.glob("*.json")}
+        for name in docs[field]:
+            assert run(_fuzz_argv(name, d)) == 0
+    return docs
+
+
+def _fuzz_argv(name, d):
+    """A command that loads the document `name` from the directory d."""
+    if name == "L000.json":
+        return ["classify", "--module", d / name, "--class", "mon"]
+    if name == "X000.json":
+        return ["functor", "TA", "--morita", d / "ie.json", "--in", d / name,
+                "--out", d / "out.json"]
+    return ["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "s"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_field_mutations_exit_0_or_2(fuzz_documents, data):
+    """Deleting one key of a document, or setting one value to a malformed
+    one, gives exit code 0 or 2 through cli.main: no exception escapes and
+    no mutation passes for an internal invariant breach (exit 3)."""
+    docs = fuzz_documents[data.draw(st.sampled_from(sorted(fuzz_documents)))]
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    value = data.draw(st.sampled_from(FUZZ_VALUES + [DELETE] * isinstance(parent, dict)))
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        for other, content in docs.items():
+            (d / other).write_text(json.dumps(doc if other == name else content))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(_fuzz_argv(name, d))
+    assert code in (0, 2)

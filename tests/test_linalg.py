@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -487,3 +488,106 @@ def test_scalar_rejects_malformed_entries_with_value_error(field):
         with pytest.raises(ValueError):
             field.scalar(value)
     assert field.scalar("2") == field.scalar(2)
+
+
+# -- rref against a numpy elimination kept as the reference ----------------
+
+def _numpy_rref(field, m):
+    """rref as a numpy elimination, kept as the reference: per pivot, one
+    vectorized scaling of the pivot row and one vectorized update of every
+    other row with a nonzero entry in the pivot column."""
+    a = field.normalize(np.array(m, copy=True))
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(a[r:, c] != field.zero)[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = field.inv(a[r, c])
+        if inv != field.one:
+            a[r] = field.normalize(a[r] * inv)
+        rows = np.nonzero(a[:, c] != field.zero)[0]
+        rows = rows[rows != r]
+        if len(rows):
+            factors = a[rows, c].reshape(-1, 1)
+            a[rows] = field.normalize(a[rows] - factors * a[r].reshape(1, -1))
+        pivots.append(c)
+        r += 1
+    return a[: len(pivots)], pivots
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    assert got.tolist() == want.tolist()
+
+
+REFERENCE_FIELDS = [F2, F3, FieldSpec("prime", 33554393), BIG, QQ]
+REFERENCE_IDS = ["F2", "F3", "int64prime", "bigprime", "QQ"]
+
+
+def _raw_entries(field):
+    """Entries as callers may pass them: over F_p also negative or >= p."""
+    if field.kind == "rational":
+        return st.one_of(st.just(Fraction(0)),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    p = field.p
+    return st.one_of(st.sampled_from([0, 0, 1, -1, 2, p - 1, p, p + 1, -p, 2 * p - 1]),
+                     st.integers(-2 * p, 2 * p))
+
+
+def _raw_matrix(data, field, rows, cols):
+    values = data.draw(st.lists(_raw_entries(field), min_size=rows * cols,
+                                max_size=rows * cols))
+    if field._dtype is object:
+        out = np.empty((rows, cols), dtype=object)
+        out.ravel()[:] = values
+        return out
+    return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_the_numpy_elimination(field, data):
+    """rref, kernel_basis, quotient and solve give the bytes the numpy
+    elimination gave (pivots, dtype, shape, entry types and values), on
+    unnormalized and read-only inputs with zero rows, zero columns and empty
+    shapes, and leave their input unchanged."""
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    m = _raw_matrix(data, field, rows, cols)
+    if rows and data.draw(st.booleans()):
+        m[data.draw(st.integers(0, rows - 1))] = field.zero
+    if cols and data.draw(st.booleans()):
+        m[:, data.draw(st.integers(0, cols - 1))] = field.zero
+    if rows > 1 and data.draw(st.booleans()):
+        m[-1] = m[0]  # a repeated row: the rank drops
+    k = data.draw(st.integers(1, 2))
+    b = _raw_matrix(data, field, rows, k)
+    if data.draw(st.booleans()):
+        m.flags.writeable = b.flags.writeable = False
+    before = [(x.dtype, x.tolist()) for x in (m, b)]
+
+    got, pivots = linalg.rref(field, m)
+    want, want_pivots = _numpy_rref(field, m)
+    assert pivots == want_pivots
+    _assert_same_bytes(got, want)
+    assert linalg.rank(field, m) == len(want_pivots)
+    with mock.patch.object(linalg, "rref", _numpy_rref):
+        want_kernel = linalg.kernel_basis(field, m)
+        want_quotient = linalg.quotient(field, rows, m)
+        want_solution = linalg.solve(field, m, b)
+    _assert_same_bytes(linalg.kernel_basis(field, m), want_kernel)
+    for got_part, want_part in zip(linalg.quotient(field, rows, m), want_quotient):
+        _assert_same_bytes(got_part, want_part)
+    solution = linalg.solve(field, m, b)
+    assert (solution is None) == (want_solution is None)
+    if solution is not None:
+        _assert_same_bytes(solution, want_solution)
+    assert [(x.dtype, x.tolist()) for x in (m, b)] == before
