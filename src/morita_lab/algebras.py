@@ -19,6 +19,7 @@ are read by coordinates(), at the pivots found by basis_pivots().
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -1106,14 +1107,14 @@ def _monic_chunks(p, h):
             size = min(2 * size, 4096)
 
 
-def _invertible_combination(field, basis, dim, rng):
+def _invertible_combination(field, basis, dim):
     """The first invertible linear combination of hom basis matrices, and
     whether the search was complete.
 
     Over F_p with p^h <= ISO_EXHAUSTIVE_LIMIT the search is exhaustive: the
     basis itself, then every combination in counter order, tested a chunk
     at a time.  Otherwise the basis is followed by ISO_RANDOM_TRIALS random
-    combinations drawn from rng.
+    combinations drawn from random.Random(0), so every call draws the same.
     """
     h = len(basis)
     if h == 0:
@@ -1130,6 +1131,7 @@ def _invertible_combination(field, basis, dim, rng):
     for mat in basis:
         if linalg.is_invertible(field, mat):
             return mat, True
+    rng = random.Random(0)
     for _ in range(ISO_RANDOM_TRIALS):
         cand = field.zeros(dim, dim)
         for mat in basis:
@@ -1167,13 +1169,9 @@ def _simple_multiplicities(x: Module):
     return tuple(out)
 
 
-def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:
+def module_isomorphism(x: Module, y: Module) -> IsoResult:
     """Never reports "isomorphic" falsely; "undetermined" when the random
     search gives up."""
-    import random
-
-    if rng is None:
-        rng = random.Random(0)
     if x.algebra is not y.algebra:
         raise ValueError("isomorphism test needs a common algebra")
     if x.dim != y.dim:
@@ -1183,7 +1181,7 @@ def module_isomorphism(x: Module, y: Module, rng=None) -> IsoResult:
     if x.algebra.is_quiver_presented and simple_multiplicities(x) != simple_multiplicities(y):
         return IsoResult("not_isomorphic")
     basis = hom_space(x, y)
-    mat, complete = _invertible_combination(x.field, basis, x.dim, rng)
+    mat, complete = _invertible_combination(x.field, basis, x.dim)
     if mat is not None:
         return IsoResult("isomorphic", ModuleMorphism(x, y, mat))
     return IsoResult("not_isomorphic" if complete else "undetermined")

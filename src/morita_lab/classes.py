@@ -223,56 +223,32 @@ def tensor_image_in(data: MoritaData, side: str, source_spec: ClassSpec,
 
     Returns True (certified on generators), False (refuted by a witness), or
     None (not decidable from the finite content)."""
-    bim = data.M if side == "A" else data.N
-    if source_spec.kind == "finite_list":
-        probes = list(source_spec.modules)
-        certifiable = True
-    elif source_spec.kind == "projectives":
-        probes = indecomposable_projectives(source_spec.algebra)
-        certifiable = True
-    elif source_spec.kind == "all":
-        probes = indecomposable_projectives(source_spec.algebra)
-        certifiable = target_spec.kind == "all"
-    else:
-        probes = indecomposable_projectives(source_spec.algebra)
-        certifiable = target_spec.kind == "all"
-    sum_closed = target_spec.kind in ("all", "projectives", "injectives",
-                                      "left_perp", "right_perp")
-    for x in probes:
-        img = tensor_over(bim, x).module
-        if not target_spec.contains(img):
-            return False
-    if certifiable and sum_closed:
-        return True
-    return None
+    return _image_in(data.M if side == "A" else data.N, tensor_over, "projectives",
+                     indecomposable_projectives, source_spec, target_spec)
 
 
 def hom_image_in(data: MoritaData, side: str, source_spec: ClassSpec,
                  target_spec: ClassSpec):
     """Best-effort Hom_B(M, source_spec) <= target_spec (side "B") or
     Hom_A(N, source_spec) <= target_spec (side "A")."""
-    bim = data.M if side == "B" else data.N
-    if source_spec.kind == "finite_list":
-        probes = list(source_spec.modules)
-        certifiable = True
-    elif source_spec.kind == "injectives":
-        probes = indecomposable_injectives(source_spec.algebra)
-        certifiable = True
-    elif source_spec.kind == "all":
-        probes = indecomposable_injectives(source_spec.algebra)
-        certifiable = target_spec.kind == "all"
-    else:
-        probes = indecomposable_injectives(source_spec.algebra)
-        certifiable = target_spec.kind == "all"
+    return _image_in(data.M if side == "B" else data.N, hom_module, "injectives",
+                     indecomposable_injectives, source_spec, target_spec)
+
+
+def _image_in(bim, functor, generated, generators, source_spec, target_spec):
+    """functor(bim, x).module in target_spec for the probes x of source_spec:
+    its modules when it is a finite list, else generators(its algebra).  A
+    pass is certified when the probes exhaust source_spec up to sums (a
+    finite list, or the class named generated) or the target is every
+    module, and the target class is closed under sums; else it is None."""
+    probes = (source_spec.modules if source_spec.kind == "finite_list"
+              else generators(source_spec.algebra))
+    if not all(target_spec.contains(functor(bim, x).module) for x in probes):
+        return False
+    certifiable = source_spec.kind in ("finite_list", generated) or target_spec.kind == "all"
     sum_closed = target_spec.kind in ("all", "projectives", "injectives",
                                       "left_perp", "right_perp")
-    for x in probes:
-        img = hom_module(bim, x).module
-        if not target_spec.contains(img):
-            return False
-    if certifiable and sum_closed:
-        return True
-    return None
+    return True if certifiable and sum_closed else None
 
 
 # -- Gorenstein membership under the quasi-Frobenius certificate ----------------------

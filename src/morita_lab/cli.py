@@ -109,8 +109,8 @@ def cmd_functor(args):
 
 
 def _load_pair(store, src, tgt):
-    kind_s = jsonio.load_raw(src).get("kind")
-    kind_t = jsonio.load_raw(tgt).get("kind")
+    kind_s = jsonio.document_kind(jsonio.load_raw(src))
+    kind_t = jsonio.document_kind(jsonio.load_raw(tgt))
     if kind_s != kind_t:
         raise SchemaError("source and target documents must have the same kind")
     if kind_s == "module":

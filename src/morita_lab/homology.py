@@ -9,16 +9,20 @@ to each block of a quadruple map what it does to the matrix of a plain one.
 decided the same way: a ShortExactSequence checks itself once, when it is
 built, block by block, and no other code re-checks it.
 
-Ext^1(x, y) is read off a fixed projective presentation 0 -> K -> P -> x -> 0
-as coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along syzygies.  Its
-dimension is dim Hom(K, y) - dim Hom(P, y) + dim Hom(x, y).  A cover or
-T-cover presentation records its middle P as a sum of indecomposable
-projectives, and then dim Hom(P, y) needs no solve: it is the sum of the
-dim e_v y over the summands Ae_v (Yoneda), and for a T-cover
+Every module has one presentation 0 -> K -> P -> x -> 0, presentation(x):
+the T-cover lambda_presentation for a quadruple, the projective cover for a
+module over a quiver-presented algebra, and the free cover A^(dim x) ->> x
+otherwise.  Ext does not depend on the choice, so no caller chooses.
+Ext^1(x, y) is coker(Hom(P, y) -> Hom(K, y)); higher degrees shift along
+syzygies.  Its dimension is dim Hom(K, y) - dim Hom(P, y) + dim Hom(x, y).
+A cover or T-cover presentation records its middle P as a sum of
+indecomposable projectives, and then dim Hom(P, y) needs no solve: it is the
+sum of the dim e_v y over the summands Ae_v (Yoneda), and for a T-cover
 Hom(T_A P (+) T_B V, y) = Hom_A(P, y.X) (+) Hom_B(V, y.Y) by the adjunctions
 T_A -| U_A and T_B -| U_B.  A free presentation records nothing, so its
-middle term is solved; the flattened cross-checks use it, and so check the
-closed form rather than trust it.
+middle term is solved.  The materialized Morita ring has no quiver, so the
+flattened cross-checks run on the free presentation, and check the closed
+form rather than trust it.
 Extension classes are realized by pushout along a representative K -> y, so
 splitting and class vanishing agree by construction.  Extending along a mono
 and lifting along an epi solve for coefficients in the canonical basis of
@@ -147,24 +151,15 @@ def cover_presentation(x: Module) -> Presentation:
     return Presentation(k, p, x, incl, epi, (cover_vertices(x),))
 
 
-def presentation(x, kind="cover") -> Presentation:
-    """The presentation that syzygies and dimension counts use: for a
-    quadruple its lambda_presentation; for a plain module the cover
-    presentation when kind is "cover" and the algebra is quiver-presented,
-    else the free one (cached on the module)."""
+def presentation(x) -> Presentation:
+    """The one presentation that Ext, Tor, syzygies and dimension bounds
+    use: for a quadruple its lambda_presentation; for a plain module the
+    cover presentation when the algebra is quiver-presented, else the free
+    one (cached on the module)."""
     if isinstance(x, LambdaModule):
         return lambda_presentation(x)
-    cover = kind == "cover" and x.algebra.is_quiver_presented
-    key = ("presentation", kind if x.algebra.is_quiver_presented else "free")
-    return memo(x._cache, key, lambda: (cover_presentation if cover else free_presentation)(x))
-
-
-def projective_presentation(x) -> Presentation:
-    """The canonical projective presentation: tautological free cover for a
-    plain module, the T (+) T cover for a quadruple."""
-    if isinstance(x, LambdaModule):
-        return lambda_presentation(x)
-    return free_presentation(x)
+    build = cover_presentation if x.algebra.is_quiver_presented else free_presentation
+    return memo(x._cache, "presentation", lambda: build(x))
 
 
 def _cover_epi(x: Module):
@@ -274,13 +269,13 @@ class ExtGroup:
         return f"ExtGroup(degree={self.degree}, dim={self.dimension})"
 
 
-def ext_dim(x, y, degree=1, presentation_kind="cover"):
+def ext_dim(x, y, degree=1):
     """dim Ext^degree(x, y) of plain modules or quadruples, along
-    presentation(x, presentation_kind)."""
-    return _ext_dim(x, y, degree, presentation_kind)
+    presentation(x)."""
+    return _ext_dim(x, y, degree)
 
 
-def _ext_dim(x, y, degree, presentation_kind):
+def _ext_dim(x, y, degree):
     """The count behind ext_dim.  is_projective_lambda calls it directly, so
     that perfbench's traced count of ext_dim stays the count of outside
     calls."""
@@ -289,10 +284,10 @@ def _ext_dim(x, y, degree, presentation_kind):
     if sum(_dims(x)) == 0 or sum(_dims(y)) == 0:
         return 0
     for _ in range(degree - 1):
-        x = presentation(x, presentation_kind).left
+        x = presentation(x).left
         if sum(_dims(x)) == 0:
             return 0
-    pres = presentation(x, presentation_kind)
+    pres = presentation(x)
     return _hom_dim(pres.left, y) - _middle_hom_dim(pres, y) + _hom_dim(x, y)
 
 
@@ -306,19 +301,20 @@ def _middle_hom_dim(pres: Presentation, y):
 
 
 def lambda_ext_dim_flatten(l, t, degree=1):
-    """Cross-check route: flatten and compute over the materialized algebra."""
-    return ext_dim(flatten(l), flatten(t), degree, presentation_kind="free")
+    """Cross-check route: flatten and compute over the materialized algebra,
+    which has no quiver, so along the free presentation."""
+    return ext_dim(flatten(l), flatten(t), degree)
 
 
 def ext_group(x, y, degree=1) -> ExtGroup:
-    """Ext^degree(x, y) along projective_presentation, with the extension
-    classes realized in degree 1."""
+    """Ext^degree(x, y) along presentation(x), with the extension classes
+    realized in degree 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     orig = x
     for _ in range(degree - 1):
-        x = projective_presentation(x).left
-    pres = projective_presentation(x)
+        x = presentation(x).left
+    pres = presentation(x)
     hom_k = _HomSpaceCoords(pres.left, y)
     restr = hom_k.matrix_of_map([phi.compose(pres.incl) for phi in _hom_basis(pres.middle, y)])
     fld = y.field
@@ -392,9 +388,9 @@ def splits(ses: ShortExactSequence):
 
 
 def ext_class_is_zero(ses: ShortExactSequence) -> bool:
-    """Compute the connecting class of the sequence from the canonical
-    presentation of its right term; zero iff split (cross-check for splits)."""
-    pres = projective_presentation(ses.right)
+    """Compute the connecting class of the sequence from the presentation
+    of its right term; zero iff split (cross-check for splits)."""
+    pres = presentation(ses.right)
     lift = _lift_along(ses.proj, pres.proj)
     if lift is None:
         raise AssertionError("projective failed to lift through an epi")
@@ -429,7 +425,7 @@ def is_projective_lambda(l: LambdaModule) -> bool:
         return True
     simples_sum = memo(l.data._cache, "simples_sum",
                        lambda: lambda_direct_sum(lambda_simples(l.data))[0])
-    return _ext_dim(l, simples_sum, 1, "cover") == 0
+    return _ext_dim(l, simples_sum, 1) == 0
 
 
 def proj_dim_upto(x, bound=DEFAULT_DIM_BOUND):
@@ -536,14 +532,14 @@ def approx_c1(l: LambdaModule, ses0=None) -> ApproxResult:
     where P ->> X is the projective cover.
 
     ses0: a chosen exact sequence 0 -> Y -> V -> L_2 -> 0 (default: the
-    cover presentation).  Hypothesis: M projective as a left module.
+    presentation of Y).  Hypothesis: M projective as a left module.
     """
     data = l.data
     if not is_projective_module(data.M.as_left_module()):
         raise ValueError("construction needs M projective as a left module")
     _, pi = projective_cover(l.X)
     if ses0 is None:
-        ses0 = cover_presentation(l.Y)
+        ses0 = presentation(l.Y)
     out = _t_cover(l, pi, ses0.proj, None)
     mp = tensor_over(data.M, pi.source)
     return ApproxResult(out, {"P": pi.source, "V": ses0.middle, "Y": ses0.left, "MP": mp.module})
@@ -558,7 +554,7 @@ def approx_c2(l: LambdaModule, ses0=None) -> ApproxResult:
         raise ValueError("construction needs N projective as a left module")
     _, pi = projective_cover(l.Y)
     if ses0 is None:
-        ses0 = cover_presentation(l.X)
+        ses0 = presentation(l.X)
     out = _t_cover(l, ses0.proj, pi, None)
     nq = tensor_over(data.N, pi.source)
     return ApproxResult(out, {"Q": pi.source, "U": ses0.middle, "X": ses0.left, "NQ": nq.module})

@@ -66,22 +66,13 @@ def matrix_to_json(field, m):
             for i in range(m.shape[0])]
 
 
-def matrix_from_json(field, rows, shape=None):
+def matrix_from_json(field, rows, shape):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be a list of rows")
-    if rows:
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise SchemaError("matrix rows must have equal length")
-    if shape is not None:
-        if len(rows) != shape[0] or (rows and len(rows[0]) != shape[1]):
-            raise SchemaError(f"matrix must have shape {shape}")
-        if not rows or not rows[0]:
-            return field.zeros(*shape)
-    if not rows:
-        return field.zeros(0, 0 if shape is None else shape[1])
-    if not rows[0]:
-        return field.zeros(len(rows), 0)
+    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+        raise SchemaError(f"matrix must have shape {shape}")
+    if not rows or not rows[0]:
+        return field.zeros(*shape)
     try:
         return field.asmatrix(rows)
     except ValueError as exc:
@@ -104,13 +95,19 @@ def field_from_json(doc):
     raise SchemaError(f"unknown field kind {doc['kind']!r}")
 
 
-def _require(doc, kind):
+def document_kind(doc):
+    """The kind field of a document, which must be a JSON object."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
+    return doc.get("kind")
+
+
+def _require(doc, kind):
+    found = document_kind(doc)
     if doc.get("version") != DOC_VERSION:
         raise SchemaError("missing or unsupported version field")
-    if doc.get("kind") != kind:
-        raise SchemaError(f"expected a {kind} document, got {doc.get('kind')!r}")
+    if found != kind:
+        raise SchemaError(f"expected a {kind} document, got {found!r}")
 
 
 # -- algebra documents -----------------------------------------------------------
@@ -167,14 +164,19 @@ def algebra_from_json(doc):
                 i, j = (int(t) for t in key.split(","))
             except ValueError as exc:
                 raise SchemaError(f"structure constant key {key!r} is not 'i,j'") from exc
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise SchemaError(f"structure constant key {key!r} is out of range")
             if not isinstance(vec, list) or len(vec) != dim:
                 raise SchemaError("structure constant vector has wrong length")
             row = field.zeros(1, dim)[0]
             for k, x in enumerate(vec):
                 row[k] = _scalar_from_json(field, x)
             mult[(i, j)] = field.freeze(row)
+        entries = _member(raw, "unit", list, "a list of scalars")
+        if len(entries) != dim:
+            raise SchemaError("'unit' must have one entry per basis element")
         unit = field.zeros(1, dim)[0]
-        for k, x in enumerate(_member(raw, "unit", list, "a list of scalars")):
+        for k, x in enumerate(entries):
             unit[k] = _scalar_from_json(field, x)
         a = alg.PresentedAlgebra(field, labels, mult, unit)
         a.validate()
@@ -406,7 +408,7 @@ class DocumentStore:
     def any_document(self, path):
         """Validate whichever document kind the file holds."""
         doc = load_raw(path)
-        kind = doc.get("kind")
+        kind = document_kind(doc)
         if kind == "algebra":
             return self.algebra(path)
         if kind == "module":
@@ -422,12 +424,10 @@ class DocumentStore:
         if kind == "lambda_module":
             return self.lambda_module(path)[0]
         if kind == "report":
-            doc2 = load_raw(path)
-            _require(doc2, "report")
-            if not isinstance(doc2.get("claims"), list):
-                raise SchemaError("report needs a list of claims")
-            for c in doc2["claims"]:
-                if not {"id", "paper_anchor", "verdict"} <= set(c):
-                    raise SchemaError("claim entries need id, paper_anchor, verdict")
-            return doc2
+            _require(doc, "report")
+            claims = _member(doc, "claims", list, "a list of claims")
+            if any(not isinstance(c, dict) or not {"id", "paper_anchor", "verdict"} <= set(c)
+                   for c in claims):
+                raise SchemaError("claim entries need id, paper_anchor, verdict")
+            return doc
         raise SchemaError(f"unknown document kind {kind!r}")

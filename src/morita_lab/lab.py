@@ -348,7 +348,7 @@ def _module_from_quiver_data(algebra, dims, arrow_mats):
     return alg.quiver_module(algebra, total, vertex, arrows)
 
 
-def enumerate_small(data: mor.MoritaData, max_total_dim: int, progress=None):
+def enumerate_small(data: mor.MoritaData, max_total_dim: int):
     """All quadruples with dim X + dim Y <= max_total_dim up to isomorphism.
     Only for tiny prime fields; refuses when the state space is too large."""
     fld = data.field
@@ -523,30 +523,37 @@ def _h_images_of_injectives(data):
 # -- the claim runner -------------------------------------------------------------
 
 
-def _sampled_claim(rep, cid, anchor, cfg, tag, n, draw, check, *,
-                   counted="count", failed="failures", keep=None):
-    """Check one claim on n cases, record it in rep and return the cases.
+def _sampled_claim(rep, cid, anchor, cfg, tag, n, draw, check, **kw):
+    """_run_claims for the one claim cid, whose check(case) returns the
+    failure value of the case."""
+    return _run_claims(rep, [cid], anchor, cfg, tag, n, draw, lambda case: [check(case)], **kw)
+
+
+def _run_claims(rep, cids, anchor, cfg, tag, n, draw, check, *,
+                counted="count", failed="failures", keep=None):
+    """Check the claims cids on n shared cases, record each in rep and
+    return the cases.
 
     draw(sampler, i) builds case i, counted from 0, with the sampler seeded
     by tag; with tag None there is no sampler, and draw reads a fixed or
     enumerated list.  A draw that returns None is rejected and not counted.
     At most 60 * n draws are made, and a claim left short of n cases fails.
 
-    check(case) returns a false value when the case holds.  Otherwise a
-    string s fails it as (number, s), a tuple t as (number, *t), a list as
-    its items (True standing for the number), and any other true value as
-    the number alone.  Cases are numbered from 0, or from 1 when counted is
-    "checked".  A ValueError anywhere in a case, draw included, fails the
-    case with the exception text; an AssertionError is an internal
-    invariant breach and propagates.
+    check(case) returns one failure value per claim, a false value when the
+    case holds.  Otherwise a string s fails it as (number, s), a tuple t as
+    (number, *t), a list as its items (True standing for the number), and
+    any other true value as the number alone.  Cases are numbered from 0, or
+    from 1 when counted is "checked".  A ValueError anywhere in a case, draw
+    included, fails the case in every claim with the exception text; an
+    AssertionError is an internal invariant breach and propagates.
 
-    The witness holds the number of cases checked under counted (left out
-    when counted is None) and the failures under failed, only the first
-    keep of them when keep is given.
+    Each witness holds the number of cases checked under counted (left out
+    when counted is None) and the claim's failures under failed, only the
+    first keep of them when keep is given.
     """
     sampler = None if tag is None else _sampler(cfg, tag)
     first = 1 if counted == "checked" else 0
-    cases, failures = [], []
+    cases, failures = [], [[] for _ in cids]
     checked = attempts = 0
     while checked < n and attempts < 60 * n:
         attempts += 1
@@ -555,22 +562,24 @@ def _sampled_claim(rep, cid, anchor, cfg, tag, n, draw, check, *,
             if case is None:
                 continue
             cases.append(case)
-            failure = check(case)
+            outcome = check(case)
         except ValueError as exc:
-            failure = str(exc)
+            outcome = [str(exc)] * len(cids)
         number = checked + first
         checked += 1
-        if isinstance(failure, list):
-            failures.extend(number if f is True else f for f in failure)
-        elif isinstance(failure, tuple):
-            failures.append((number, *failure))
-        elif isinstance(failure, str):
-            failures.append((number, failure))
-        elif failure:
-            failures.append(number)
-    witness = {} if counted is None else {counted: checked}
-    witness[failed] = failures if keep is None else failures[:keep]
-    rep.record(cid, anchor, checked >= n and not failures, witness)
+        for failure, found in zip(outcome, failures):
+            if isinstance(failure, list):
+                found.extend(number if f is True else f for f in failure)
+            elif isinstance(failure, tuple):
+                found.append((number, *failure))
+            elif isinstance(failure, str):
+                found.append((number, failure))
+            elif failure:
+                found.append(number)
+    for cid, found in zip(cids, failures):
+        witness = {} if counted is None else {counted: checked}
+        witness[failed] = found if keep is None else found[:keep]
+        rep.record(cid, anchor, checked >= n and not found, witness)
     return cases
 
 
@@ -759,42 +768,34 @@ def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> Verific
 def suite_compare(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("compare", instance.name, cfg)
     data = instance.data
-    sampler = _sampler(cfg, "compare")
-    families = {"TA-ZA": [], "TA-ZB": [], "TB-ZA": [], "TB-ZB": []}
-    # one sample stream feeds the four claims, under the claim runner's cap
-    # and exception policy: a ValueError anywhere in a case fails it in all
-    # four families with the exception text
-    checked = attempts = 0
-    while checked < cfg.count and attempts < 60 * cfg.count:
-        attempts += 1
-        case = {fam: 0 for fam in families}
-        try:
-            xs = _sample_test_list(sampler, data.A, max_len=3)
-            ys = _sample_test_list(sampler, data.B, max_len=3)
-            u = sampler.plain(data.A)
-            v = sampler.plain(data.B)
-            if hml.tor1(data.M, u)[0] or hml.tor1(data.N, v)[0]:
-                continue
-            if any(hml.ext_dim(u, x) for x in xs) or any(hml.ext_dim(v, y) for y in ys):
-                continue  # u, v must be orthogonal to the sampled right classes
-            tu = mor.functor_T(data, "A", u)
-            tv = mor.functor_T(data, "B", v)
-            for side, tests in (("A", xs), ("B", ys)):
-                for t in tests:
-                    z = mor.functor_Z(data, side, t)
-                    case[f"TA-Z{side}"] += bool(hml.ext_dim(tu, z))
-                    case[f"TB-Z{side}"] += bool(hml.ext_dim(tv, z))
-        except ValueError as exc:
-            checked += 1
-            for failures in families.values():
-                failures.append((checked, str(exc)))
-            continue
-        checked += 1
-        for fam, count in case.items():
-            families[fam].extend([checked] * count)
-    for fam, failures in families.items():
-        rep.record(f"compare.{fam}", "compare", checked >= cfg.count and not failures,
-                   {"checked": checked, "failures": failures})
+    families = ("TA-ZA", "TA-ZB", "TB-ZA", "TB-ZB")
+
+    # one sample stream feeds the four claims
+    def draw(s, i):
+        xs = _sample_test_list(s, data.A, max_len=3)
+        ys = _sample_test_list(s, data.B, max_len=3)
+        u = s.plain(data.A)
+        v = s.plain(data.B)
+        if hml.tor1(data.M, u)[0] or hml.tor1(data.N, v)[0]:
+            return None
+        if any(hml.ext_dim(u, x) for x in xs) or any(hml.ext_dim(v, y) for y in ys):
+            return None  # u, v must be orthogonal to the sampled right classes
+        return xs, ys, u, v
+
+    def check(case):
+        xs, ys, u, v = case
+        tu = mor.functor_T(data, "A", u)
+        tv = mor.functor_T(data, "B", v)
+        count = dict.fromkeys(families, 0)
+        for side, tests in (("A", xs), ("B", ys)):
+            for t in tests:
+                z = mor.functor_Z(data, side, t)
+                count[f"TA-Z{side}"] += bool(hml.ext_dim(tu, z))
+                count[f"TB-Z{side}"] += bool(hml.ext_dim(tv, z))
+        return [[True] * count[fam] for fam in families]
+
+    _run_claims(rep, [f"compare.{fam}" for fam in families], "compare", cfg, "compare",
+                cfg.count, draw, check, counted="checked")
     return rep
 
 
@@ -1405,8 +1406,7 @@ def suite_oracle(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRe
         def routes_disagree(l):
             by_shape = cls.projective_by_shape(l)
             by_ext = hml.is_projective_lambda(l)
-            by_flat = (l.total_dim == 0
-                       or hml.ext_dim(mor.flatten(l), simple_flat, 1, presentation_kind="free") == 0)
+            by_flat = l.total_dim == 0 or hml.ext_dim(mor.flatten(l), simple_flat, 1) == 0
             return not (by_shape == by_ext == by_flat)
 
         claim("projectivity-two-routes", "ctp4", routes_disagree)

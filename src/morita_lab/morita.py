@@ -124,12 +124,12 @@ class LambdaModule:
     def f_tilde(self):
         """Matrix of f~ : X -> Hom_B(M, Y) in the canonical hom basis."""
         return memo(self._cache, "f_tilde", lambda: transpose_structure_map(
-            self.data.M, self.X, self.Y, self.tX, self.f, self.hom_MY()))
+            self.X, self.tX, self.f, self.hom_MY()))
 
     @property
     def g_tilde(self):
         return memo(self._cache, "g_tilde", lambda: transpose_structure_map(
-            self.data.N, self.Y, self.X, self.tY, self.g, self.hom_NX()))
+            self.Y, self.tY, self.g, self.hom_NX()))
 
     # -- validation ------------------------------------------------------
 
@@ -158,15 +158,15 @@ class LambdaModule:
         return f"LambdaModule(dims={self.dims} over {self.data.name or '?'})"
 
 
-def transpose_structure_map(bim, x, y, tx, f, hom_by):
-    """eta(f): the adjoint transpose of f: bim (x) x -> y, as a matrix
-    Hom(bim, y) <- x in the canonical hom basis; column j holds the
-    coordinates of m -> f(m (x) x_j)."""
+def transpose_structure_map(x, tx, f, hom_by):
+    """eta(f): the adjoint transpose of f: bim (x) x -> y, for tx = bim (x) x
+    and hom_by = Hom(bim, y), as a matrix in the canonical hom basis; column
+    j holds the coordinates of m -> f(m (x) x_j)."""
     fld = x.field
     return fld.freeze(coordinates(fld, hom_by.pivots, tx.pure_values(f).transpose(2, 0, 1)))
 
 
-def untranspose_structure_map(bim, x, y, tx, f_tilde, hom_by):
+def untranspose_structure_map(x, tx, f_tilde, hom_by):
     """eta^{-1}: rebuild f: bim (x) x -> y from its adjoint transpose."""
     fld = x.field
     phis = linalg.combine(fld, f_tilde.T, hom_by.basis)  # phi_j = f~(x_j)
@@ -177,26 +177,26 @@ def adjoint_transpose_f(data: MoritaData, x: Module, y: Module, f):
     """eta: Hom_B(M (x) X, Y) -> Hom_A(X, Hom_B(M, Y)) on raw matrices."""
     tx = tensor_over(data.M, x)
     hom_my = hom_module(data.M, y)
-    return transpose_structure_map(data.M, x, y, tx, np.array(f), hom_my)
+    return transpose_structure_map(x, tx, np.array(f), hom_my)
 
 
 def adjoint_untranspose_f(data: MoritaData, x: Module, y: Module, f_tilde):
     tx = tensor_over(data.M, x)
     hom_my = hom_module(data.M, y)
-    return untranspose_structure_map(data.M, x, y, tx, np.array(f_tilde), hom_my)
+    return untranspose_structure_map(x, tx, np.array(f_tilde), hom_my)
 
 
 def adjoint_transpose_g(data: MoritaData, x: Module, y: Module, g):
     """eta': Hom_A(N (x) Y, X) -> Hom_B(Y, Hom_A(N, X)) on raw matrices."""
     ty = tensor_over(data.N, y)
     hom_nx = hom_module(data.N, x)
-    return transpose_structure_map(data.N, y, x, ty, np.array(g), hom_nx)
+    return transpose_structure_map(y, ty, np.array(g), hom_nx)
 
 
 def adjoint_untranspose_g(data: MoritaData, x: Module, y: Module, g_tilde):
     ty = tensor_over(data.N, y)
     hom_nx = hom_module(data.N, x)
-    return untranspose_structure_map(data.N, y, x, ty, np.array(g_tilde), hom_nx)
+    return untranspose_structure_map(y, ty, np.array(g_tilde), hom_nx)
 
 
 def lambda_module_from_second_expression(data, x, y, f_tilde, g_tilde):
@@ -204,8 +204,8 @@ def lambda_module_from_second_expression(data, x, y, f_tilde, g_tilde):
     hom_nx = hom_module(data.N, x)
     tx = tensor_over(data.M, x)
     ty = tensor_over(data.N, y)
-    f = untranspose_structure_map(data.M, x, y, tx, np.array(f_tilde), hom_my)
-    g = untranspose_structure_map(data.N, y, x, ty, np.array(g_tilde), hom_nx)
+    f = untranspose_structure_map(x, tx, np.array(f_tilde), hom_my)
+    g = untranspose_structure_map(y, ty, np.array(g_tilde), hom_nx)
     return LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
 
 
@@ -621,21 +621,17 @@ def lambda_modules_equal(l1: LambdaModule, l2: LambdaModule) -> bool:
             and fld.equal(l1.f, l2.f) and fld.equal(l1.g, l2.g))
 
 
-def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule, rng=None):
+def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule):
     """Isomorphism test for quadruples: module_isomorphism's search, run on
     the block-diagonal matrices diag(phi.a, phi.b) of the hom basis.  Such a
     matrix is invertible exactly when both components are."""
-    import random
-
-    if rng is None:
-        rng = random.Random(0)
     fld = l1.field
     if l1.dims != l2.dims:
         return IsoResult("not_isomorphic")
     if l1.total_dim == 0:
         return IsoResult("isomorphic", lambda_identity(l1))
     basis = [linalg.block_diag(fld, [phi.a, phi.b]) for phi in lambda_hom_space(l1, l2)]
-    mat, complete = _invertible_combination(fld, basis, l1.total_dim, rng)
+    mat, complete = _invertible_combination(fld, basis, l1.total_dim)
     if mat is not None:
         dx = l1.X.dim
         return IsoResult("isomorphic", LambdaMorphism(l1, l2, mat[:dx, :dx], mat[dx:, dx:]))

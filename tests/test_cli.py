@@ -437,22 +437,35 @@ def _json_paths(doc, prefix=()):
 @pytest.fixture(scope="module")
 def fuzz_documents(tmp_path_factory):
     """Over F3 and over Q: the ie catalog documents, one sampled quadruple
-    (L000.json) and one sampled plain A-module (X000.json), by file name.
-    Unmutated, each one's command exits 0."""
+    (L000.json), one sampled plain A-module (X000.json) and a report
+    (R.json), by file name.  Unmutated, each one loads and validates, and
+    ext of each module document with itself exits 0."""
     docs = {}
     for field in ("3", "Q"):
         d = tmp_path_factory.mktemp(f"fuzz{field}")
         assert run(["catalog", "ie", "--field", field, "--out", d / "ie.json"]) == 0
         assert run(["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "L"]) == 0
         assert run(["sample", "--algebra", d / "ie.A.json", "--count", 1, "--out", d / "X"]) == 0
+        rep = lab.VerificationReport("green", "ie", lab.SampleConfig(count=1))
+        rep.record("green.roundtrip", "modovermorita", True, {"count": 1, "mismatches": []})
+        jsonio.emit(rep.to_dict(), d / "R.json")
         docs[field] = {p.name: json.loads(p.read_text()) for p in d.glob("*.json")}
         for name in docs[field]:
-            assert run(_fuzz_argv(name, d)) == 0
+            assert run(_fuzz_argv(name, d, "load")) == 0
+            assert run(_fuzz_argv(name, d, "validate")) == 0
+        for name in ("L000.json", "X000.json"):
+            assert run(_fuzz_argv(name, d, "ext")) == 0
     return docs
 
 
-def _fuzz_argv(name, d):
-    """A command that loads the document `name` from the directory d."""
+def _fuzz_argv(name, d, command):
+    """A command on the document `name` in the directory d: "validate" and
+    "ext" (of the document with itself) by name, and "load" one that loads
+    it as what it is."""
+    if command == "validate" or (command == "load" and name == "R.json"):
+        return ["validate", d / name]
+    if command == "ext":
+        return ["ext", "--src", d / name, "--tgt", d / name]
     if name == "L000.json":
         return ["classify", "--module", d / name, "--class", "mon"]
     if name == "X000.json":
@@ -464,24 +477,72 @@ def _fuzz_argv(name, d):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_single_field_mutations_exit_0_or_2(fuzz_documents, data):
-    """Deleting one key of a document, or setting one value to a malformed
-    one, gives exit code 0 or 2 through cli.main: no exception escapes and
-    no mutation passes for an internal invariant breach (exit 3)."""
+    """Deleting one key of a document, setting one value to a malformed
+    one, or replacing the whole document by one, gives exit code 0 or 2
+    through cli.main, whether the document is loaded, validated or given to
+    ext: no exception escapes and no mutation passes for an internal
+    invariant breach (exit 3)."""
     docs = fuzz_documents[data.draw(st.sampled_from(sorted(fuzz_documents)))]
     name = data.draw(st.sampled_from(sorted(docs)))
+    command = data.draw(st.sampled_from(["load", "validate", "ext"]))
     doc = copy.deepcopy(docs[name])
-    path = data.draw(st.sampled_from(list(_json_paths(doc))))
-    parent = functools.reduce(operator.getitem, path[:-1], doc)
-    value = data.draw(st.sampled_from(FUZZ_VALUES + [DELETE] * isinstance(parent, dict)))
-    if value is DELETE:
-        del parent[path[-1]]
+    path = data.draw(st.sampled_from([()] + list(_json_paths(doc))))
+    if not path:
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
     else:
-        parent[path[-1]] = copy.deepcopy(value)
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        value = data.draw(st.sampled_from(FUZZ_VALUES + [DELETE] * isinstance(parent, dict)))
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as tmp:
         d = pathlib.Path(tmp)
         for other, content in docs.items():
             (d / other).write_text(json.dumps(doc if other == name else content))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = run(_fuzz_argv(name, d))
+            code = run(_fuzz_argv(name, d, command))
     assert code in (0, 2)
+
+
+# -- malformed documents that used to escape cli.main -------------------------
+
+
+def _raw_algebra_doc(change):
+    """The materialized ie ring over F3 as a raw algebra document, with
+    change applied to its raw block."""
+    doc = jsonio.algebra_to_json(mor.materialize(lab.catalog("ie", lab.F3).data))
+    change(doc["raw"])
+    return doc
+
+
+def _alias_structure_constant(raw):
+    raw["structure_constants"]["-1,0"] = raw["structure_constants"]["0,0"]
+
+
+MALFORMED_DOCUMENTS = {
+    # AttributeError in DocumentStore.any_document and cli._load_pair
+    "top-level list": (lambda: [], ["validate", "ext"]),
+    # TypeError: a claim entry that is not an object
+    "claims [1]": (lambda: {"version": 1, "kind": "report", "claims": [1]}, ["validate"]),
+    # IndexError: more unit entries than basis elements
+    "unit too long": (lambda: _raw_algebra_doc(lambda raw: raw["unit"].append(0)),
+                      ["validate"]),
+    # a negative index into the structure constants was read as the last one
+    "key out of range": (lambda: _raw_algebra_doc(_alias_structure_constant), ["validate"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_documents_exit_2(tmp_path, capsys, case):
+    """Documents of the wrong shape are schema errors: exit 2 with a
+    message, never a traceback."""
+    build, commands = MALFORMED_DOCUMENTS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(build()))
+    argvs = {"validate": ["validate", bad], "ext": ["ext", "--src", bad, "--tgt", bad]}
+    for command in commands:
+        capsys.readouterr()
+        assert run(argvs[command]) == 2, command
+        assert capsys.readouterr().err.startswith("error: "), command

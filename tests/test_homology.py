@@ -27,6 +27,14 @@ def big_L(ie):
     return l
 
 
+def free_ext_dim(x, y):
+    """dim Ext^1(x, y) of plain modules along hml.free_presentation, with
+    every hom dimension solved: the cross-check of the one presentation
+    rule, since Ext does not depend on the presentation."""
+    pres = hml.free_presentation(x)
+    return alg.hom_dim(pres.left, y) - alg.hom_dim(pres.middle, y) + alg.hom_dim(x, y)
+
+
 def test_free_presentation_shapes(a2_f3):
     s1 = alg.simples(a2_f3)[0]
     pres = hml.free_presentation(s1)
@@ -66,8 +74,8 @@ def test_ext_simples_a2(a2_f3):
     assert hml.ext_dim(s1, s2, 1) == 1
     assert hml.ext_dim(s2, s1, 1) == 0
     assert hml.ext_dim(s1, s1, 1) == 0
-    # both presentations agree
-    assert hml.ext_dim(s1, s2, 1, presentation_kind="free") == 1
+    # the free presentation gives the same count
+    assert free_ext_dim(s1, s2) == 1
 
 
 def test_ext_from_projective_vanishes(a2_f3, ie):
@@ -345,9 +353,7 @@ def test_presentation_independence_random(ie):
     for _ in range(6):
         x = rng.choice(pool)
         y = rng.choice(pool)
-        free = hml.ext_dim(x, y, 1, presentation_kind="free")
-        cover = hml.ext_dim(x, y, 1, presentation_kind="cover")
-        assert free == cover
+        assert free_ext_dim(x, y) == hml.ext_dim(x, y, 1)
     for _ in range(4):
         x, _, _ = alg.direct_sum([rng.choice(pool), rng.choice(pool)])
         l1 = _random_quad(ie, x, rng.choice(pool), rng)
@@ -714,7 +720,7 @@ def test_yoneda_middle_dimension_matches_the_solver_plain(field):
                        for v in pres.tops[0]) == pres.middle.dim
             if x.dim == 0:
                 assert pres.tops == ((),) and pres.middle.dim == 0
-            assert hml.presentation(x, "free").tops is None
+            assert hml.free_presentation(x).tops is None
             for y in mods:
                 assert hml._middle_hom_dim(pres, y) == alg.hom_dim(pres.middle, y)
                 fallback += y.vertex_classes() is None
@@ -723,7 +729,7 @@ def test_yoneda_middle_dimension_matches_the_solver_plain(field):
                         assert hml.ext_dim(x, y, degree) == _solved_ext_dim(x, y, degree)
     assert fallback
     s1, s2 = alg.simples(lab._two_vertex_algebra(field))
-    assert hml.ext_dim(s1, s2) == 1 == hml.ext_dim(s1, s2, 1, presentation_kind="free")
+    assert hml.ext_dim(s1, s2) == 1 == free_ext_dim(s1, s2)
 
 
 @pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],

@@ -197,18 +197,18 @@ def test_green_suite_on_nonvanishing_tensors():
 
 def test_operation_aliases():
     from morita_lab.algebras import opposite_algebra
-    from morita_lab.homology import ext_group, projective_presentation
+    from morita_lab.homology import ext_group, presentation
 
     inst = lab.catalog("ie", F3)
     assert opposite_algebra(inst.data.A) is inst.data.A.opposite()
     x = lab.sample_module(inst.data.A, lab.SampleConfig(count=1))
     l = lab.sample_module(inst.data, lab.SampleConfig(count=1))
     assert x.algebra is inst.data.A and l.data is inst.data
-    pres = projective_presentation(x)
-    assert pres.middle.dim == inst.data.A.dim * x.dim  # tautological free cover
+    pres = presentation(x)
+    assert pres.right is x and pres.tops == (alg.cover_vertices(x),)  # the cover
     eg = ext_group(l, l, 1)
     assert eg.dimension >= 0
-    lpres = projective_presentation(l)
+    lpres = presentation(l)
     assert lpres.right is l
 
 

@@ -149,14 +149,14 @@ def test_transpose_roundtrip(ie):
             basis = alg.hom_space(tx.module, y)
             hom = alg.hom_module(ie.M, y)
             for mat in basis:
-                ft = mor.transpose_structure_map(ie.M, x, y, tx, mat, hom)
-                back = mor.untranspose_structure_map(ie.M, x, y, tx, ft, hom)
+                ft = mor.transpose_structure_map(x, tx, mat, hom)
+                back = mor.untranspose_structure_map(x, tx, ft, hom)
                 assert ie.field.equal(back, mat)
     # transpose of zero is zero
     tx = mor.tensor_over(ie.M, p1)
     hom = alg.hom_module(ie.M, p1)
     zero = ie.field.zeros(p1.dim, tx.dim)
-    assert ie.field.is_zero(mor.transpose_structure_map(ie.M, p1, p1, tx, zero, hom))
+    assert ie.field.is_zero(mor.transpose_structure_map(p1, tx, zero, hom))
 
 
 def test_materialize_dimension(ie):

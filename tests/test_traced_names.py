@@ -71,9 +71,9 @@ def test_hom_solvers_route_through_traced_names(a2_f3):
 def test_only_the_free_route_solves_for_the_middle_term(a2_f3):
     """ext_dim on a cover or T-cover presentation counts Hom(P, y) by
     Yoneda, so it makes traced hom solves for K and x only; the free route,
-    and lambda_ext_dim_flatten on it, still makes the traced hom_space call
-    for the middle term, so the flattened cross-checks test the closed
-    form."""
+    which lambda_ext_dim_flatten takes over the materialized algebra, still
+    makes the traced hom_space call for the middle term, so the flattened
+    cross-checks test the closed form."""
     for layer in ("homology", "classes", "lab", "jsonio", "cli"):
         importlib.import_module(f"morita_lab.{layer}")
     hml = importlib.import_module("morita_lab.homology")
@@ -84,8 +84,7 @@ def test_only_the_free_route_solves_for_the_middle_term(a2_f3):
     l1, l2 = mor.lambda_simples(data)[:2]
     counts = ("algebras.hom_space.calls", "morita.lambda_hom_space.calls")
     calls = [
-        (lambda: hml.ext_dim(s1, s2, 1, "cover"), (2, 0)),
-        (lambda: hml.ext_dim(s1, s2, 1, "free"), (3, 0)),
+        (lambda: hml.ext_dim(s1, s2, 1), (2, 0)),
         (lambda: hml.ext_dim(l1, l2), (0, 2)),
         (lambda: hml.lambda_ext_dim_flatten(l1, l2), (3, 0)),
     ]
