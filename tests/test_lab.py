@@ -284,22 +284,46 @@ def test_claim_runner_rejection_cap_and_failure_entries():
 
 # SHA-256 of jsonio.canonical_dumps(report.to_dict()) for the suites and
 # instances that tests/test_acceptance.py does not build, so every suite's
-# report bytes are pinned.  Update a digest only for a deliberate change of
-# report content, and record the change.
+# report bytes are pinned, over a small prime (int64 arrays), a prime above
+# 2^25 (object arrays of Python ints) and Q (object arrays of Fractions).
+# An instance is written name-F<p> or name-Q.  Update a digest only for a
+# deliberate change of report content, and record the change.
 GOLDEN = {
     "differences/ie-F3/100": "ad31ef787bcac8d857aff962eaec6ef8f2ce6e5631e65b7122931b6c659d367b",
     "hovey/examctp4-F3/100": "9029a4b8a7b3da147fd627fac4b01ab67a7f5c2c135e5f74dfd61db07706e1f1",
     "resolutions/ie-F3/100": "7346f55b6947249e68d9dcf85f9f48d7c4b774c8a5b27700a3acc0c5e782e5ab",
     "green/examctp4-F3/100": "fdfe0fa02ac621375901e3838d696e393b3aad0612312f1055ae954cb6c667be",
+    "resolutions/ie-Q/30": "e3e1a9e51640d1d940f46ae7403956b6b168e71111b01c2cd445d37b1a153087",
+    "differences/ie-Q/30": "46377f1b4596a8cad8411339daa2065e610ef46827e594f151b280500a357719",
+    "green/ie-Q/30": "26772d18a08dc1adbb22c85d45d95eba4082385edf50be30127f144334459080",
+    "compare/ie-Q/30": "782ddc3b0c3ccec78463c8a9b9affe8f78f715d38bbf0a618ce0631946153416",
+    "green/examctp4-Q/5": "cb8f5c8880777c43bedd9860dfbcc6ad906516bd055568bf596be16379b11d0f",
+    "resolutions/ie-F33554467/30": "e3e1a9e51640d1d940f46ae7403956b6b168e71111b01c2cd445d37b1a153087",
+    "differences/ie-F33554467/30": "46377f1b4596a8cad8411339daa2065e610ef46827e594f151b280500a357719",
+    "green/ie-F33554467/30": "26772d18a08dc1adbb22c85d45d95eba4082385edf50be30127f144334459080",
+    "compare/ie-F33554467/30": "782ddc3b0c3ccec78463c8a9b9affe8f78f715d38bbf0a618ce0631946153416",
+    "green/examctp4-F33554467/5": "cb8f5c8880777c43bedd9860dfbcc6ad906516bd055568bf596be16379b11d0f",
 }
 PARAMS = {"ie": {}, "examctp4": dict(n=3, h=2, i=1, j=3)}
+
+
+def _instance_field(instance):
+    """The (catalog name, field) of a golden key's instance part."""
+    name, token = instance.rsplit("-", 1)
+    return name, field_from_token(token.removeprefix("F"))
+
+
+def _field_kind(field):
+    if field.kind == "rational":
+        return "Q"
+    return "object prime" if field.zeros(0).dtype == object else "int64 prime"
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_report_golden_digest(key):
     suite, instance, count = key.split("/")
-    name, field = instance.split("-F")
-    inst = lab.catalog(name, field_from_token(field), **PARAMS[name])
+    name, field = _instance_field(instance)
+    inst = lab.catalog(name, field, **PARAMS[name])
     rep = lab.run_suite(suite, inst, lab.SampleConfig(count=int(count)))
     text = jsonio.canonical_dumps(rep.to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[key]
@@ -308,8 +332,11 @@ def test_report_golden_digest(key):
 def test_every_suite_has_a_golden_digest():
     from test_acceptance import GOLDEN as ACCEPTANCE_GOLDEN
 
-    pinned = {key.split("/")[0] for key in [*GOLDEN, *ACCEPTANCE_GOLDEN]}
+    keys = [*GOLDEN, *ACCEPTANCE_GOLDEN]
+    pinned = {key.split("/")[0] for key in keys}
     assert set(lab.SUITES) <= pinned, sorted(set(lab.SUITES) - pinned)
+    kinds = {_field_kind(_instance_field(key.split("/")[1])[1]) for key in keys}
+    assert kinds == {"int64 prime", "object prime", "Q"}, sorted(kinds)
 
 
 def test_value_error_in_a_case_records_its_text(monkeypatch):
