@@ -209,23 +209,23 @@ class PresentedAlgebra:
     def _vec_mul_vec(self, u, v):
         out = self.field.zeros(1, self.dim)[0]
         for i in range(self.dim):
-            if u[i] != self.field.zero:
+            if u[i]:
                 for j in range(self.dim):
-                    if v[j] != self.field.zero:
+                    if v[j]:
                         out = out + u[i] * v[j] * self.product(i, j)
         return self.field.normalize(out)
 
     def _vec_mul_basis(self, u, k):
         out = self.field.zeros(1, self.dim)[0]
         for i in range(self.dim):
-            if u[i] != self.field.zero:
+            if u[i]:
                 out = out + u[i] * self.product(i, k)
         return self.field.normalize(out)
 
     def _basis_mul_vec(self, i, v):
         out = self.field.zeros(1, self.dim)[0]
         for j in range(self.dim):
-            if v[j] != self.field.zero:
+            if v[j]:
                 out = out + v[j] * self.product(i, j)
         return self.field.normalize(out)
 
@@ -404,11 +404,11 @@ class Module:
 
     def content_key(self):
         """Hashable key, equal exactly for modules with the same dimension and
-        action matrices.  Object-dtype entries (Q, large primes) are keyed by
-        value: their raw bytes would be object pointers."""
-        a = self.action
-        return memo(self._cache, "content", lambda: (
-            self.dim, tuple(a.flat) if a.dtype == object else (a.dtype.str, a.tobytes())))
+        action matrices: the dimension and FieldSpec.value_key of the
+        action, which holds integers or bytes (over Q the numerators over
+        their common denominator), never a Fraction."""
+        return memo(self._cache, "content",
+                    lambda: (self.dim, self.field.value_key(self.action)))
 
     def act_vec(self, vec):
         """Action of an algebra element given by its coordinate vector."""
@@ -423,8 +423,8 @@ class Module:
         products = _pairwise(f, self.action, self.action)
         expected = linalg.combine(f, self.algebra.structure_constants().reshape(n * n, n),
                                   self.action).reshape(n, n, d, d)
-        bad = np.flatnonzero(np.any((products != expected).reshape(n * n, -1), axis=1))
-        if len(bad):
+        if not f.equal(products, expected):
+            bad = np.flatnonzero(np.any((products != expected).reshape(n * n, -1), axis=1))
             raise ValueError("structure constants violated at (%d,%d)" % divmod(bad[0], n))
         return True
 
@@ -446,7 +446,7 @@ class Module:
         diag = np.arange(self.dim)
         ones = images[:, diag, diag] == f.one
         # one 1 on the diagonal per coordinate, and no other nonzero entry
-        if np.all(ones.sum(axis=0) == 1) and np.count_nonzero(images != f.zero) == self.dim:
+        if np.all(ones.sum(axis=0) == 1) and np.count_nonzero(images.astype(bool)) == self.dim:
             return tuple(ones.argmax(axis=0).tolist())
         return None
 
@@ -611,8 +611,8 @@ class ModuleMorphism:
         gens = self.source.algebra.generator_indices()
         left = _left_times(f, self.matrix, self.source.action[gens])
         right = _times(f, self.target.action[gens], self.matrix)
-        bad = np.flatnonzero(np.any((left != right).reshape(len(gens), -1), axis=1))
-        if len(bad):
+        if not f.equal(left, right):
+            bad = np.flatnonzero(np.any((left != right).reshape(len(gens), -1), axis=1))
             raise ValueError(f"not an intertwiner at basis element {gens[bad[0]]}")
         return True
 
@@ -693,7 +693,7 @@ def solve_matrix_system(field, rows_blocks, n_unknowns, support):
 def _nonzero_rows(field, rows_blocks, ncols):
     """The constraint rows stacked into one matrix, zero rows dropped."""
     stacked = field.normalize(linalg.vstack(field, [field.zeros(0, ncols), *rows_blocks]))
-    return stacked[np.any(stacked != field.zero, axis=1)]
+    return stacked[stacked.astype(bool).any(axis=1)]
 
 
 def hom_space(x: Module, y: Module):
@@ -719,7 +719,7 @@ def enumerate_idempotent_basis(algebra):
         return out
     f = algebra.field
     for vec in system:
-        nz = [i for i in range(algebra.dim) if vec[i] != f.zero]
+        nz = [i for i in range(algebra.dim) if vec[i]]
         if len(nz) == 1 and vec[nz[0]] == f.one:
             out.append((nz[0], vec))
     return out
@@ -783,8 +783,7 @@ def _projective_homs(algebra, u, v):
     the (row, column) of its free coordinate."""
     def build():
         projs = indecomposable_projectives(algebra)
-        zero = algebra.field.zero
-        return tuple((b, divmod(int(np.flatnonzero(b != zero)[-1]), b.shape[1]))
+        return tuple((b, divmod(int(np.flatnonzero(b.astype(bool))[-1]), b.shape[1]))
                      for b in hom_space(projs[u], projs[v]))
     return memo(algebra._cache, ("projective hom", u, v), build)
 
@@ -912,7 +911,7 @@ def basis_pivots(field, basis):
     if not len(basis):
         return []
     flat = np.reshape(basis, (len(basis), -1))
-    alone = np.count_nonzero(flat != field.zero, axis=0) == 1
+    alone = np.count_nonzero(flat.astype(bool), axis=0) == 1
     marks = (flat == field.one) & alone
     if not marks.any(axis=1).all():
         raise AssertionError("canonical basis lost its pivot structure")

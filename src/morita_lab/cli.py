@@ -98,8 +98,8 @@ def cmd_functor(args):
             result, _ = mor.functor_C(side, l)
         else:
             result, _ = mor.functor_K(side, l)
-        morita_path = store._resolve(args.infile, jsonio.load_raw(args.infile), "morita_ref")
-        alg_path = store._resolve(morita_path, jsonio.load_raw(morita_path), side)
+        morita_path = store._resolve(args.infile, store.raw(args.infile), "morita_ref")
+        alg_path = store._resolve(morita_path, store.raw(morita_path), side)
         ref = os.path.relpath(alg_path, os.path.dirname(os.path.abspath(args.out)) or ".")
         jsonio.emit(jsonio.module_to_json(result, ref), args.out)
     else:
@@ -109,8 +109,8 @@ def cmd_functor(args):
 
 
 def _load_pair(store, src, tgt):
-    kind_s = jsonio.document_kind(jsonio.load_raw(src))
-    kind_t = jsonio.document_kind(jsonio.load_raw(tgt))
+    kind_s = jsonio.document_kind(store.raw(src))
+    kind_t = jsonio.document_kind(store.raw(tgt))
     if kind_s != kind_t:
         raise SchemaError("source and target documents must have the same kind")
     if kind_s == "module":
@@ -166,7 +166,7 @@ def _class_spec_from_json(store, base_path, doc, key, algebra):
 
 
 def _load_spec_pair(store, path, data):
-    doc = jsonio.load_raw(path)
+    doc = store.raw(path)
     if (not isinstance(doc, dict) or doc.get("kind") != "class_spec_pair"
             or doc.get("version") != 1):
         raise SchemaError("expected a class_spec_pair document")
@@ -219,8 +219,7 @@ def _ses_to_json(ses, morita_ref):
 def cmd_resolve(args):
     store = DocumentStore()
     l, data = store.lambda_module(args.module)
-    doc = jsonio.load_raw(args.module)
-    morita_ref = doc["morita_ref"]
+    morita_ref = store.raw(args.module)["morita_ref"]
     kind = args.kind
     if kind == "pq":
         ses = hml.resolution_pq(l)
@@ -244,8 +243,7 @@ def cmd_decompose(args):
     store = DocumentStore()
     l, data = store.lambda_module(args.module)
     u, v = _load_spec_pair(store, args.spec, data)
-    doc = jsonio.load_raw(args.module)
-    morita_ref = doc["morita_ref"]
+    morita_ref = store.raw(args.module)["morita_ref"]
     if args.kind == "delta":
         res = cls.delta_decompose(l, u, v)
     elif args.kind == "nabla":
@@ -311,6 +309,8 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     field = field_from_token(args.field)
     params = {}
     for kv in args.param or []:

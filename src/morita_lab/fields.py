@@ -9,6 +9,14 @@ int64 when a bound proves it cannot overflow, else as Python ints) and turns
 the result back into Fractions once.  FieldSpec.matmul is the one home of
 array products; linalg.combine is a matmul too.  All operations route
 through a FieldSpec so callers never touch dtype details.
+
+Zero tests, equality and memo keys run on integers too, not on Fraction
+comparison or hashing.  A zero test reads truth values (a.astype(bool),
+`if v:`), which every field's entries answer from an integer: a Fraction's
+is its numerator's.  Every Fraction is in lowest terms, so two rational
+arrays are equal exactly when their integer numerators over the common
+denominator are (FieldSpec.equal), and FieldSpec.value_key keys an array
+by those integers, never by Fractions.
 """
 
 from __future__ import annotations
@@ -165,15 +173,18 @@ class FieldSpec:
 
     def asmatrix(self, rows) -> np.ndarray:
         """Build a matrix from nested sequences, coercing every entry."""
-        rows = list(rows)
+        rows = [list(row) for row in rows]
         ncols = len(rows[0]) if rows else 0
-        a = self.zeros(len(rows), ncols)
-        for i, row in enumerate(rows):
-            row = list(row)
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            for j, v in enumerate(row):
-                a[i, j] = self.scalar(v)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
+        return self.matrix_of([[self.scalar(v) for v in row] for row in rows], ncols)
+
+    def matrix_of(self, rows, ncols: int) -> np.ndarray:
+        """The matrix whose rows are the given lists of ncols field elements
+        (already coerced, as scalar returns them)."""
+        a = np.empty((len(rows), ncols), dtype=self._dtype)
+        if a.size:
+            a[...] = rows
         return a
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
@@ -208,12 +219,28 @@ class FieldSpec:
         return self.normalize(np.matmul(a, b))
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Entrywise equality; over Q, of the integer numerators over the
+        common denominator, which lowest terms make unique."""
         if a.shape != b.shape:
             return False
+        if self.kind == "rational":
+            return _numerators(a) == _numerators(b)
         return bool(np.all(self.normalize(a) == self.normalize(b)))
 
     def is_zero(self, a: np.ndarray) -> bool:
-        return bool(np.all(self.normalize(a) == self.zero)) if a.size else True
+        return not self.normalize(a).astype(bool).any()
+
+    def value_key(self, a: np.ndarray):
+        """A hashable key of a normalized array, equal exactly for arrays of
+        the same shape and entries; it holds integers or bytes, never a
+        Fraction: over Q the numerators and their common denominator, for
+        object-dtype primes the entries, else the raw bytes."""
+        if self.kind == "rational":
+            nums, den = _numerators(a)
+            return a.shape, den, tuple(nums)
+        if a.dtype == object:
+            return a.shape, tuple(a.ravel().tolist())
+        return a.shape, a.dtype.str, a.tobytes()
 
     def freeze(self, a: np.ndarray) -> np.ndarray:
         a = self.normalize(a)

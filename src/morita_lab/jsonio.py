@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .fields import FieldSpec
 from . import algebras as alg
@@ -44,39 +43,55 @@ def _name_from_json(doc, key):
     return str(_member(doc, key, (str, int), "a string or an integer"))
 
 
-def _scalar_from_json(field, x):
+# -- scalars and matrices ------------------------------------------------------
+
+
+class _Scalars:
+    """The scalar entries of one document in one field: each distinct
+    string or integer entry is parsed once (a rational document repeats a
+    few "num/den" strings many times).  Lives as long as one *_from_json
+    call, so no parse outlives the document."""
+
+    def __init__(self, field):
+        self.field = field
+        self._parsed = {}
+
+    def __call__(self, x):
+        """field.scalar(x), so a bad entry is a ValueError."""
+        if type(x) is not str and type(x) is not int:
+            return self.field.scalar(x)  # bools, floats and garbage: never cached
+        return alg.memo(self._parsed, x, lambda: self.field.scalar(x))
+
+
+def _scalar_from_json(scalars, x):
     try:
-        return field.scalar(x)
+        return scalars(x)
     except ValueError as exc:
         raise SchemaError(f"bad scalar entry: {exc}") from exc
-
-
-# -- scalars and matrices ------------------------------------------------------
 
 
 def scalar_to_json(field, v):
     if field.kind == "prime":
         return int(v)
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{v.numerator}/{v.denominator}"
 
 
 def matrix_to_json(field, m):
-    return [[scalar_to_json(field, m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+    return [[scalar_to_json(field, v) for v in row] for row in m.tolist()]
 
 
-def matrix_from_json(field, rows, shape):
+def matrix_from_json(scalars, rows, shape):
+    """The matrix of the given shape whose entries the document lists row
+    by row, parsed by one document's _Scalars."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be a list of rows")
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise SchemaError(f"matrix must have shape {shape}")
-    if not rows or not rows[0]:
-        return field.zeros(*shape)
     try:
-        return field.asmatrix(rows)
+        entries = [[scalars(x) for x in row] for row in rows]
     except ValueError as exc:
         raise SchemaError(f"bad matrix entry: {exc}") from exc
+    return scalars.field.matrix_of(entries, shape[1])
 
 
 def field_to_json(field: FieldSpec):
@@ -156,6 +171,7 @@ def algebra_from_json(doc):
         return alg.path_algebra(quiver, [tuple(w) for w in relations], field)
     if "raw" in doc:
         raw = doc["raw"]
+        scalars = _Scalars(field)
         labels = [str(x) for x in _member(raw, "basis", list, "a list of labels")]
         dim = len(labels)
         mult = {}
@@ -168,16 +184,12 @@ def algebra_from_json(doc):
                 raise SchemaError(f"structure constant key {key!r} is out of range")
             if not isinstance(vec, list) or len(vec) != dim:
                 raise SchemaError("structure constant vector has wrong length")
-            row = field.zeros(1, dim)[0]
-            for k, x in enumerate(vec):
-                row[k] = _scalar_from_json(field, x)
+            row = field.matrix_of([[_scalar_from_json(scalars, x) for x in vec]], dim)[0]
             mult[(i, j)] = field.freeze(row)
         entries = _member(raw, "unit", list, "a list of scalars")
         if len(entries) != dim:
             raise SchemaError("'unit' must have one entry per basis element")
-        unit = field.zeros(1, dim)[0]
-        for k, x in enumerate(entries):
-            unit[k] = _scalar_from_json(field, x)
+        unit = field.matrix_of([[_scalar_from_json(scalars, x) for x in entries]], dim)[0]
         a = alg.PresentedAlgebra(field, labels, mult, unit)
         a.validate()
         return a
@@ -206,15 +218,15 @@ def _actions_to_json(a, action, field):
     return {"basis": [matrix_to_json(field, m) for m in action]}
 
 
-def _module_from_json(a, doc, dim, field):
+def _module_from_json(a, doc, dim, scalars):
     """The module given by the matrices of the generators: per vertex and per
     arrow over a quiver-presented algebra, else per basis element."""
     if a.is_quiver_presented:
         if not isinstance(doc, dict) or "vertices" not in doc or "arrows" not in doc:
             raise SchemaError("generator_action needs vertices and arrows")
-        vert = {v: matrix_from_json(field, m, (dim, dim))
+        vert = {v: matrix_from_json(scalars, m, (dim, dim))
                 for v, m in _member(doc, "vertices", dict, "an object").items()}
-        arr = {n: matrix_from_json(field, m, (dim, dim))
+        arr = {n: matrix_from_json(scalars, m, (dim, dim))
                for n, m in _member(doc, "arrows", dict, "an object").items()}
         for v in a.quiver.vertices:
             if v not in vert:
@@ -226,13 +238,13 @@ def _module_from_json(a, doc, dim, field):
     mats = doc.get("basis") if isinstance(doc, dict) else None
     if not isinstance(mats, list) or len(mats) != a.dim:
         raise SchemaError("basis_action must list one matrix per basis element")
-    return alg.Module(a, dim, [matrix_from_json(field, m, (dim, dim)) for m in mats])
+    return alg.Module(a, dim, [matrix_from_json(scalars, m, (dim, dim)) for m in mats])
 
 
 def module_from_json(doc, algebra):
     _require(doc, "module")
     x = _module_from_json(algebra, doc.get("generator_action"), _dim_from_json(doc),
-                          algebra.field)
+                          _Scalars(algebra.field))
     x.validate()
     return x
 
@@ -253,10 +265,10 @@ def bimodule_to_json(m: alg.Bimodule, left_ref, right_ref):
 def bimodule_from_json(doc, left_algebra, right_algebra):
     _require(doc, "bimodule")
     dim = _dim_from_json(doc)
-    field = left_algebra.field
-    left = _module_from_json(left_algebra, doc.get("left_action"), dim, field)
+    scalars = _Scalars(left_algebra.field)
+    left = _module_from_json(left_algebra, doc.get("left_action"), dim, scalars)
     # the right action is the left action of the opposite algebra
-    right = _module_from_json(right_algebra.opposite(), doc.get("right_action"), dim, field)
+    right = _module_from_json(right_algebra.opposite(), doc.get("right_action"), dim, scalars)
     m = alg.Bimodule(left_algebra, right_algebra, dim, left.action, right.action)
     m.validate()
     return m
@@ -286,17 +298,17 @@ def lambda_module_to_json(l: mor.LambdaModule, morita_ref):
 
 def lambda_module_from_json(doc, data: mor.MoritaData):
     _require(doc, "lambda_module")
-    fld = data.field
+    scalars = _Scalars(data.field)
     xd = _member(doc, "X", dict, "an object")
     yd = _member(doc, "Y", dict, "an object")
-    x = _module_from_json(data.A, xd.get("generator_action"), _dim_from_json(xd), fld)
-    y = _module_from_json(data.B, yd.get("generator_action"), _dim_from_json(yd), fld)
+    x = _module_from_json(data.A, xd.get("generator_action"), _dim_from_json(xd), scalars)
+    y = _module_from_json(data.B, yd.get("generator_action"), _dim_from_json(yd), scalars)
     x.validate()
     y.validate()
     tx = mor.tensor_over(data.M, x)
     ty = mor.tensor_over(data.N, y)
-    f = matrix_from_json(fld, doc.get("f"), (y.dim, tx.dim))
-    g = matrix_from_json(fld, doc.get("g"), (x.dim, ty.dim))
+    f = matrix_from_json(scalars, doc.get("f"), (y.dim, tx.dim))
+    g = matrix_from_json(scalars, doc.get("g"), (x.dim, ty.dim))
     l = mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
     l.validate()
     return l
@@ -347,11 +359,19 @@ def load_raw(path):
 
 class DocumentStore:
     """Loads documents with relative-reference resolution and caching, so a
-    shared algebra file yields one shared PresentedAlgebra object."""
+    shared algebra file yields one shared PresentedAlgebra object, and each
+    file is read and parsed once for the life of the store (one command)."""
 
     def __init__(self):
+        self._raw = {}
         self._algebras = {}
         self._moritas = {}
+
+    def raw(self, path):
+        """The parsed JSON of the file, read on the first call for its path;
+        callers must not change it."""
+        path = os.path.normpath(os.path.abspath(path))
+        return alg.memo(self._raw, path, lambda: load_raw(path))
 
     def _resolve(self, path, doc, key):
         """The file that the reference doc[key] names, relative to the
@@ -365,17 +385,17 @@ class DocumentStore:
     def algebra(self, path):
         path = os.path.normpath(os.path.abspath(path))
         if path not in self._algebras:
-            self._algebras[path] = algebra_from_json(load_raw(path))
+            self._algebras[path] = algebra_from_json(self.raw(path))
         return self._algebras[path]
 
     def module(self, path):
-        doc = load_raw(path)
+        doc = self.raw(path)
         _require(doc, "module")
         a = self.algebra(self._resolve(path, doc, "algebra_ref"))
         return module_from_json(doc, a), a
 
     def bimodule(self, path):
-        doc = load_raw(path)
+        doc = self.raw(path)
         _require(doc, "bimodule")
         left = self.algebra(self._resolve(path, doc, "left_algebra"))
         right = self.algebra(self._resolve(path, doc, "right_algebra"))
@@ -385,7 +405,7 @@ class DocumentStore:
         path = os.path.normpath(os.path.abspath(path))
         if path in self._moritas:
             return self._moritas[path]
-        doc = load_raw(path)
+        doc = self.raw(path)
         _require(doc, "morita")
         a = self.algebra(self._resolve(path, doc, "A"))
         b = self.algebra(self._resolve(path, doc, "B"))
@@ -400,14 +420,14 @@ class DocumentStore:
         return data
 
     def lambda_module(self, path):
-        doc = load_raw(path)
+        doc = self.raw(path)
         _require(doc, "lambda_module")
         data = self.morita(self._resolve(path, doc, "morita_ref"))
         return lambda_module_from_json(doc, data), data
 
     def any_document(self, path):
         """Validate whichever document kind the file holds."""
-        doc = load_raw(path)
+        doc = self.raw(path)
         kind = document_kind(doc)
         if kind == "algebra":
             return self.algebra(path)

@@ -65,9 +65,17 @@ def _nakayama(field, n, h):
                             name=f"Nak({n},{h})")
 
 
+# the parameters a catalog instance takes; the others take none
+CATALOG_PARAMS = {"examctp4": ("n", "h", "i", "j")}
+
+
 def catalog(name: str, field: FieldSpec = F3, **params) -> CatalogInstance:
     """Build and re-verify a named instance.  Raises on parameter violations
-    and on any declared property failing its recomputation."""
+    (including a parameter the instance does not take) and on any declared
+    property failing its recomputation."""
+    unknown = sorted(set(params) - set(CATALOG_PARAMS.get(name, ())))
+    if unknown:
+        raise ValueError(f"instance {name!r} takes no parameter {unknown[0]!r}")
     props = {}
     if name == "ie":
         a = _two_vertex_algebra(field)

@@ -370,7 +370,7 @@ def _materialize(data: MoritaData) -> PresentedAlgebra:
     c[ob:, om:ob, om:ob] = data.M.left_action.transpose(0, 2, 1)      # b . m
     c[ob:, ob:, ob:] = data.B.structure_constants()
     mult = {(int(i), int(j)): fld.freeze(c[i, j])
-            for i, j in zip(*np.nonzero(np.any(c != fld.zero, axis=2)))}
+            for i, j in zip(*np.nonzero(c.astype(bool).any(axis=2)))}
     unit = fld.zeros(total)
     unit[oa:on] = data.A.unit
     unit[ob:] = data.B.unit

@@ -127,6 +127,35 @@ def test_resolve_and_decompose(ie_files):
     assert json.loads((ie_files / "dec2.json").read_text())["decomposes"] is False
 
 
+def test_each_command_reads_each_file_once(ie_files, monkeypatch):
+    """A command's DocumentStore keeps every file it parsed, so kind peeks
+    and reference re-reads do not open a file again."""
+    d = ie_files
+    spec = {"version": 1, "kind": "class_spec_pair",
+            "U": {"type": "projectives"}, "V": {"type": "projectives"}}
+    (d / "spec.json").write_text(json.dumps(spec))
+    assert run(["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "s"]) == 0
+    assert run(["sample", "--algebra", d / "ie.A.json", "--count", 1, "--out", d / "x"]) == 0
+    commands = [
+        ["functor", "TA", "--morita", d / "ie.json", "--in", d / "x000.json", "--out", d / "t.json"],
+        ["functor", "UA", "--in", d / "s000.json", "--out", d / "u.json"],
+        ["ext", "--src", d / "t.json", "--tgt", d / "s000.json"],
+        ["ext", "--src", d / "x000.json", "--tgt", d / "x000.json"],
+        ["classify", "--module", d / "s000.json", "--class", "mon"],
+        ["resolve", "--module", d / "s000.json", "--kind", "present", "--out", d / "r.json"],
+        ["decompose", "--module", d / "t.json", "--kind", "delta", "--spec", d / "spec.json",
+         "--out", d / "dec.json"],
+        ["validate", d / "ie.json"],
+    ]
+    reads, load_raw = [], jsonio.load_raw
+    monkeypatch.setattr(jsonio, "load_raw",
+                        lambda path: reads.append(os.path.abspath(path)) or load_raw(path))
+    for argv in commands:
+        reads.clear()
+        assert run(argv) == 0, argv
+        assert reads and len(reads) == len(set(reads)), (argv, reads)
+
+
 def test_sample_and_enumerate(ie_files, tmp_path):
     assert run(["sample", "--morita", ie_files / "ie.json", "--seed", 7,
                 "--count", 3, "--out", tmp_path / "s"]) == 0
@@ -150,6 +179,31 @@ def test_verify_exit_codes(tmp_path, capsys):
     # char2 on the wrong field is a preflight failure
     assert run(["verify", "char2", "--instance", "ie", "--field", "3",
                 "--count", 5, "--out", tmp_path / "r2.json"]) == 2
+
+
+EXAMCTP4_PARAMS = ["--param", "n=3", "--param", "h=2", "--param", "i=1", "--param", "j=3"]
+BAD_RUN_ARGUMENTS = {
+    # ZeroDivisionError (exit 1) at count 0 and below
+    "green count 0": ["verify", "green", "--instance", "ie", "--count", 0],
+    "green count -2": ["verify", "green", "--instance", "ie", "--count", -2],
+    # a vacuous pass (exit 0): no claim sampled anything
+    "differences count 0": ["verify", "differences", "--instance", "ie", "--count", 0],
+    # silently ignored (exit 0)
+    "ie param x": ["verify", "green", "--instance", "ie", "--count", 2, "--param", "x=1"],
+    "examctp4 param q": ["verify", "green", "--instance", "examctp4", "--count", 2,
+                         *EXAMCTP4_PARAMS, "--param", "q=1"],
+    "catalog param x": ["catalog", "ie", "--param", "x=1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_ARGUMENTS))
+def test_bad_run_arguments_are_preflight_failures(tmp_path, capsys, case):
+    """A count below 1 or a parameter the instance does not take fails
+    before anything runs: exit 2 with a message, and no report."""
+    out = tmp_path / "out.json"
+    assert run([*BAD_RUN_ARGUMENTS[case], "--field", "3", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_report_round_trip(tmp_path):
@@ -178,6 +232,35 @@ def test_rational_documents_round_trip(tmp_path):
     assert run(["ext", "--src", tmp_path / "L.json", "--tgt", tmp_path / "L.json",
                 "--out", tmp_path / "e.json"]) == 0
     assert json.loads((tmp_path / "e.json").read_text())["dimension"] == 1
+
+
+def _entries(doc):
+    if isinstance(doc, dict):
+        return [e for v in doc.values() for e in _entries(v)]
+    if isinstance(doc, list):
+        return [e for v in doc for e in _entries(v)]
+    return [doc]
+
+
+def test_loader_parses_each_distinct_entry_once(tmp_path, monkeypatch):
+    """Each *_from_json call parses a distinct scalar string once, and a
+    later document parses its own entries again."""
+    from morita_lab.fields import FieldSpec
+
+    assert run(["catalog", "ie", "--field", "Q", "--out", tmp_path / "ieq.json"]) == 0
+    assert run(["sample", "--morita", tmp_path / "ieq.json", "--count", 2,
+                "--out", tmp_path / "s"]) == 0
+    data = jsonio.DocumentStore().morita(tmp_path / "ieq.json")
+    parsed, scalar = [], FieldSpec.scalar
+    monkeypatch.setattr(FieldSpec, "scalar",
+                        lambda self, value: parsed.append(value) or scalar(self, value))
+    docs = [json.loads((tmp_path / f"s{i:03d}.json").read_text()) for i in range(2)]
+    for doc in docs:
+        jsonio.lambda_module_from_json(doc, data)
+    tokens = [{e for e in _entries({k: doc[k] for k in "XYfg"}) if isinstance(e, str)}
+              for doc in docs]
+    assert sorted(parsed) == sorted(t for ts in tokens for t in ts)
+    assert all("1/1" in ts and "0/1" in ts for ts in tokens)
 
 
 def test_resolve_hypothesis_failure_exit_2(ie_files):
