@@ -697,16 +697,24 @@ def _nonzero_rows(field, rows_blocks, ncols):
 
 
 def hom_space(x: Module, y: Module):
-    """Canonical basis of Hom_A(x, y) as a list of matrices (y.dim x x.dim)."""
+    """Canonical basis of Hom_A(x, y) as a list of matrices (y.dim x x.dim).
+    Memoized on the algebra by the contents of x and y, so each distinct
+    pair is solved once; each call returns a fresh list of the shared
+    read-only matrices."""
     if x.algebra is not y.algebra:
         raise ValueError("hom between modules over different algebras")
+    return list(memo(x.algebra._cache, ("hom space", x.content_key(), y.content_key()),
+                     lambda: _solve_hom_space(x, y)))
+
+
+def _solve_hom_space(x: Module, y: Module):
     f = x.field
     support, pairs = intertwiner_system(x, y)
     if not len(support):
-        return []
+        return ()
     rows = intertwiner_constraints(f, pairs, x.dim, y.dim, support)
     sols = solve_matrix_system(f, rows, x.dim * y.dim, support)
-    return [f.freeze(sols[:, i].reshape(y.dim, x.dim)) for i in range(sols.shape[1])]
+    return tuple(f.freeze(sols[:, i].reshape(y.dim, x.dim)) for i in range(sols.shape[1]))
 
 
 def enumerate_idempotent_basis(algebra):
@@ -967,6 +975,15 @@ def cokernel(phi: ModuleMorphism):
     return cmod, ModuleMorphism(phi.target, cmod, proj)
 
 
+def projective_sum(algebra, vertices):
+    """The direct sum of the P_v = Ae_v for v in vertices (indices into
+    quiver.vertices, in summand order), memoized on the algebra by the
+    vertex tuple; modules are immutable, so callers share it."""
+    vertices = tuple(vertices)
+    return memo(algebra._cache, ("projective sum", vertices), lambda: direct_sum(
+        [indecomposable_projectives(algebra)[v] for v in vertices])[0])
+
+
 def direct_sum(mods):
     """(sum module, injections, projections)."""
     mods = list(mods)
@@ -1106,7 +1123,7 @@ def _monic_chunks(p, h):
             size = min(2 * size, 4096)
 
 
-def _invertible_combination(field, basis, dim):
+def _invertible_combination(field, basis):
     """The first invertible linear combination of hom basis matrices, and
     whether the search was complete.
 
@@ -1131,13 +1148,11 @@ def _invertible_combination(field, basis, dim):
         if linalg.is_invertible(field, mat):
             return mat, True
     rng = random.Random(0)
+    stack = np.stack(basis)
     for _ in range(ISO_RANDOM_TRIALS):
-        cand = field.zeros(dim, dim)
-        for mat in basis:
-            c = rng.randrange(field.p) if field.kind == "prime" else rng.randrange(-5, 6)
-            if c:
-                cand = cand + field.scalar(c) * mat
-        cand = field.normalize(cand)
+        coeffs = [field.scalar(rng.randrange(field.p) if field.kind == "prime"
+                               else rng.randrange(-5, 6)) for _ in basis]
+        cand = linalg.combine(field, [coeffs], stack)[0]
         if linalg.is_invertible(field, cand):
             return cand, True
     return None, False  # inconclusive
@@ -1180,7 +1195,7 @@ def module_isomorphism(x: Module, y: Module) -> IsoResult:
     if x.algebra.is_quiver_presented and simple_multiplicities(x) != simple_multiplicities(y):
         return IsoResult("not_isomorphic")
     basis = hom_space(x, y)
-    mat, complete = _invertible_combination(x.field, basis, x.dim)
+    mat, complete = _invertible_combination(x.field, basis)
     if mat is not None:
         return IsoResult("isomorphic", ModuleMorphism(x, y, mat))
     return IsoResult("not_isomorphic" if complete else "undetermined")

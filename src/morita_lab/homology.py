@@ -278,11 +278,21 @@ def ext_dim(x, y, degree=1):
 def _ext_dim(x, y, degree):
     """The count behind ext_dim.  is_projective_lambda calls it directly, so
     that perfbench's traced count of ext_dim stays the count of outside
-    calls."""
+    calls.  dim Ext is an isomorphism invariant and every input of the count
+    is a function of content, so it is memoized by the contents of x and y
+    on the Morita data of a quadruple or the algebra of a plain module."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if sum(_dims(x)) == 0 or sum(_dims(y)) == 0:
         return 0
+    ring = x.data if isinstance(x, LambdaModule) else x.algebra
+    if (y.data if isinstance(y, LambdaModule) else y.algebra) is not ring:
+        raise ValueError("Ext between modules over different rings")
+    return memo(ring._cache, ("ext", x.content_key(), y.content_key(), degree),
+                lambda: _count_ext_dim(x, y, degree))
+
+
+def _count_ext_dim(x, y, degree):
     for _ in range(degree - 1):
         x = presentation(x).left
         if sum(_dims(x)) == 0:

@@ -158,10 +158,12 @@ def _corner_dim(a, v, w):
 class Sampler:
     """Deterministic module sampler: every module is a cokernel of a random
     morphism between random sums of indecomposable projectives.  plain draws
-    the summands as vertex indices and the morphism as a combination of the
-    canonical basis of Hom(P_1, P_0), which algebras.projective_hom_space
-    assembles from its per-algebra table, byte for byte the basis that
-    hom_space of the two sums gives, so the draws are those of a solve."""
+    the summands as vertex indices, takes their sums from the per-algebra
+    table of algebras.projective_sum, and draws the morphism as a
+    combination of the canonical basis of Hom(P_1, P_0), which
+    algebras.projective_hom_space assembles from its per-algebra table, byte
+    for byte the basis that hom_space of the two sums gives, so the draws
+    are those of a solve."""
 
     def __init__(self, rng_or_seed, dim_cap=12, rank_cap=4):
         if isinstance(rng_or_seed, random.Random):
@@ -180,12 +182,12 @@ class Sampler:
             n1 = rng.randrange(0, self.rank_cap + 1)
             # choice of an index takes the same draw as choice of a projective
             v0 = [rng.choice(range(len(projs))) for _ in range(n0)]
-            p0, _, _ = alg.direct_sum([projs[v] for v in v0])
+            p0 = alg.projective_sum(algebra, v0)
             if n1 == 0:
                 cand = p0
             else:
                 v1 = [rng.choice(range(len(projs))) for _ in range(n1)]
-                p1, _, _ = alg.direct_sum([projs[v] for v in v1])
+                p1 = alg.projective_sum(algebra, v1)
                 basis = alg.projective_hom_space(algebra, v1, v0)
                 m = self._combo(algebra.field, basis, (p0.dim, p1.dim))
                 cand, _ = alg.cokernel(alg.ModuleMorphism(p1, p0, m))

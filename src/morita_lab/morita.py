@@ -112,6 +112,16 @@ class LambdaModule:
     def total_dim(self):
         return self.X.dim + self.Y.dim
 
+    def content_key(self):
+        """Hashable key, equal exactly for quadruples over one Morita data
+        with the same components and structure maps: the content keys of X
+        and Y and FieldSpec.value_key of f and g.  Over one data the tensor
+        presentations are functions of X and Y (tensor_over), so the key
+        fixes the quadruple."""
+        return memo(self._cache, "content", lambda: (
+            self.X.content_key(), self.Y.content_key(),
+            self.field.value_key(self.f), self.field.value_key(self.g)))
+
     # -- second expression ---------------------------------------------------
 
     def hom_MY(self):
@@ -143,14 +153,14 @@ class LambdaModule:
         self.f_morphism().validate()
         self.g_morphism().validate()
         fld = self.field
-        # g o (1_N (x) f) = 0 on N (x) (M (x) X), and symmetrically
-        t_n_mx = tensor_over(self.data.N, self.tX.module)
-        one_f = _tensor_map(fld, t_n_mx, self.tY, self.f)
-        if not fld.is_zero(fld.matmul(self.g, one_f)):
+        dx, dy = self.X.dim, self.Y.dim
+        # g o (1_N (x) f) = 0 on N (x) (M (x) X), which the pure tensors
+        # n_i (x) t_s span: g(n_i (x) f(t_s)) = sum_r g(n_i (x) y_r) f[r, s]
+        g_pure = self.tY.pure_values(self.g).reshape(dx * self.tY.outer, dy)
+        if not fld.is_zero(fld.matmul(g_pure, self.f)):
             raise ValueError("compatibility g(1(x)f) = 0 fails")
-        t_m_ny = tensor_over(self.data.M, self.tY.module)
-        one_g = _tensor_map(fld, t_m_ny, self.tX, self.g)
-        if not fld.is_zero(fld.matmul(self.f, one_g)):
+        f_pure = self.tX.pure_values(self.f).reshape(dy * self.tX.outer, dx)
+        if not fld.is_zero(fld.matmul(f_pure, self.g)):
             raise ValueError("compatibility f(1(x)g) = 0 fails")
         return True
 
@@ -496,21 +506,29 @@ def _hom_rows(fld, src, tgt):
 
 
 def lambda_hom_space(src: LambdaModule, tgt: LambdaModule):
-    """Canonical basis of Hom_Lambda(src, tgt) as LambdaMorphisms."""
-    fld = src.field
+    """Canonical basis of Hom_Lambda(src, tgt) as LambdaMorphisms from src to
+    tgt.  The solution stack is memoized on the Morita data by the contents
+    of src and tgt, so each distinct pair is solved once."""
+    if src.data is not tgt.data:
+        raise ValueError("hom between quadruples over different Morita data")
     dx1, dy1 = src.X.dim, src.Y.dim
     dx2, dy2 = tgt.X.dim, tgt.Y.dim
-    na, nb = dx1 * dx2, dy1 * dy2
-    if na + nb == 0:
-        return []
+    na = dx1 * dx2
+    sols = memo(src.data._cache, ("lambda hom space", src.content_key(), tgt.content_key()),
+                lambda: _solve_lambda_hom_space(src, tgt))
+    return [LambdaMorphism(src, tgt, sols[:na, i].reshape(dx2, dx1),
+                           sols[na:, i].reshape(dy2, dy1)) for i in range(sols.shape[1])]
+
+
+def _solve_lambda_hom_space(src, tgt):
+    """The canonical kernel basis of the hom rows, as frozen columns in the
+    unknowns [vec_rm(a) | vec_rm(b)]."""
+    fld = src.field
+    n = src.X.dim * tgt.X.dim + src.Y.dim * tgt.Y.dim
+    if n == 0:
+        return fld.freeze(fld.zeros(0, 0))
     support, rows = _hom_rows(fld, src, tgt)
-    sols = solve_matrix_system(fld, rows, na + nb, support)
-    out = []
-    for i in range(sols.shape[1]):
-        a = sols[:na, i].reshape(dx2, dx1)
-        b = sols[na:, i].reshape(dy2, dy1)
-        out.append(LambdaMorphism(src, tgt, a, b))
-    return out
+    return fld.freeze(solve_matrix_system(fld, rows, n, support))
 
 
 def lambda_hom_dim(src, tgt):
@@ -631,7 +649,7 @@ def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule):
     if l1.total_dim == 0:
         return IsoResult("isomorphic", lambda_identity(l1))
     basis = [linalg.block_diag(fld, [phi.a, phi.b]) for phi in lambda_hom_space(l1, l2)]
-    mat, complete = _invertible_combination(fld, basis, l1.total_dim)
+    mat, complete = _invertible_combination(fld, basis)
     if mat is not None:
         dx = l1.X.dim
         return IsoResult("isomorphic", LambdaMorphism(l1, l2, mat[:dx, :dx], mat[dx:, dx:]))

@@ -645,7 +645,7 @@ def _hom_bases(draw, max_dim=6, max_candidates=2000):
 def test_batched_search_matches_sequential_witness(case):
     field, basis, d = case
     want, want_complete = _sequential_combination(field, basis, d)
-    got, complete = alg._invertible_combination(field, basis, d)
+    got, complete = alg._invertible_combination(field, basis)
     assert complete and want_complete
     if want is None:
         assert got is None
@@ -662,14 +662,14 @@ def test_batched_search_exhausts_at_the_limit():
     for mat in basis:
         mat[:, 2] = 0
     assert 2 ** 16 <= alg.ISO_EXHAUSTIVE_LIMIT
-    assert alg._invertible_combination(F2, basis, 4) == (None, True)
+    assert alg._invertible_combination(F2, basis) == (None, True)
     # one invertible combination, reached only after most of the counter:
     # the matrix units e_00, e_11, e_22, e_33 sit in the last four slots
     units = [F2.zeros(4, 4) for _ in range(4)]
     for i, u in enumerate(units):
         u[i, i] = 1
     basis = [F2.zeros(4, 4) for _ in range(12)] + units
-    got, complete = alg._invertible_combination(F2, basis, 4)
+    got, complete = alg._invertible_combination(F2, basis)
     assert complete and got.tobytes() == F2.eye(4).tobytes()
 
 

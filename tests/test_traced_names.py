@@ -7,8 +7,33 @@ from pathlib import Path
 
 from morita_lab import algebras as alg
 from morita_lab import morita as mor
+from morita_lab.fields import F3
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SOLVES = ("algebras.intertwiner_constraints.calls", "algebras.solve_matrix_system.calls")
+
+
+def _fresh_a2():
+    """kA2 over F_3, built afresh so that its content memos start empty."""
+    return alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
+
+
+def _assert_counts(tracer, calls, counts):
+    """Each call moves the traced counts by its expected amounts, and an
+    identical second call is answered from the memos without a solve."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for call, expected in calls:
+            before = t.metrics()
+            call()
+            after = t.metrics()
+            assert tuple(after[k] - before[k] for k in counts) == expected
+            call()
+            again = t.metrics()
+            assert tuple(again[k] - after[k] for k in SOLVES) == (0, 0)
+    finally:
+        t.uninstall()
 
 
 def _load_tracer():
@@ -28,15 +53,17 @@ def test_every_traced_path_resolves():
         assert callable(obj), (layer, path)
 
 
-def test_hom_solvers_route_through_traced_names(a2_f3):
+def test_hom_solvers_route_through_traced_names():
     """The hom-space solvers assemble their rows through the traced
     constraint builder and solve one traced system; extend and lift make one
     traced hom_space (plain) or lambda_hom_space (quadruple) call each, so
-    the per-layer trace still sees their work."""
+    the per-layer trace still sees their work.  A repeated question is a
+    memo hit and solves nothing."""
     for layer in ("homology", "classes", "lab", "jsonio", "cli"):
         importlib.import_module(f"morita_lab.{layer}")
     hml = importlib.import_module("morita_lab.homology")
     tracer = _load_tracer()
+    a2_f3 = _fresh_a2()
     data = mor.MoritaData(a2_f3, a2_f3, alg.corner_bimodule(a2_f3, "2", "1"),
                           alg.corner_bimodule(a2_f3, "2", "1"))
     p1, p2 = alg.indecomposable_projectives(a2_f3)
@@ -55,29 +82,22 @@ def test_hom_solvers_route_through_traced_names(a2_f3):
          (2, 1, 0, 1)),
         (lambda: hml._lift_along(lpres.proj, mor.lambda_identity(l1)), (2, 1, 0, 1)),
     ]
-    t = tracer.Tracer()
-    t.install()
-    try:
-        for call, expected in calls:
-            before = t.metrics()
-            call()
-            after = t.metrics()
-            assert tuple(after[k] - before[k] for k in counts) == expected
-    finally:
-        t.uninstall()
+    _assert_counts(tracer, calls, counts)
     assert alg.hom_space.__name__ == "hom_space" and not hasattr(alg.hom_space, "__wrapped__")
 
 
-def test_only_the_free_route_solves_for_the_middle_term(a2_f3):
+def test_only_the_free_route_solves_for_the_middle_term():
     """ext_dim on a cover or T-cover presentation counts Hom(P, y) by
     Yoneda, so it makes traced hom solves for K and x only; the free route,
     which lambda_ext_dim_flatten takes over the materialized algebra, still
     makes the traced hom_space call for the middle term, so the flattened
-    cross-checks test the closed form."""
+    cross-checks test the closed form.  A repeated question is a memo hit
+    and solves nothing."""
     for layer in ("homology", "classes", "lab", "jsonio", "cli"):
         importlib.import_module(f"morita_lab.{layer}")
     hml = importlib.import_module("morita_lab.homology")
     tracer = _load_tracer()
+    a2_f3 = _fresh_a2()
     data = mor.MoritaData(a2_f3, a2_f3, alg.corner_bimodule(a2_f3, "2", "1"),
                           alg.corner_bimodule(a2_f3, "2", "1"))
     s1, s2 = alg.simples(a2_f3)
@@ -88,13 +108,4 @@ def test_only_the_free_route_solves_for_the_middle_term(a2_f3):
         (lambda: hml.ext_dim(l1, l2), (0, 2)),
         (lambda: hml.lambda_ext_dim_flatten(l1, l2), (3, 0)),
     ]
-    t = tracer.Tracer()
-    t.install()
-    try:
-        for call, expected in calls:
-            before = t.metrics()
-            call()
-            after = t.metrics()
-            assert tuple(after[k] - before[k] for k in counts) == expected
-    finally:
-        t.uninstall()
+    _assert_counts(tracer, calls, counts)
