@@ -303,6 +303,11 @@ GOLDEN = {
     "green/ie-F33554467/30": "26772d18a08dc1adbb22c85d45d95eba4082385edf50be30127f144334459080",
     "compare/ie-F33554467/30": "782ddc3b0c3ccec78463c8a9b9affe8f78f715d38bbf0a618ce0631946153416",
     "green/examctp4-F33554467/5": "cb8f5c8880777c43bedd9860dfbcc6ad906516bd055568bf596be16379b11d0f",
+    "resolutions/ie-F2147483647/30": "e3e1a9e51640d1d940f46ae7403956b6b168e71111b01c2cd445d37b1a153087",
+    "differences/ie-F2147483647/30": "46377f1b4596a8cad8411339daa2065e610ef46827e594f151b280500a357719",
+    "green/ie-F2147483647/30": "26772d18a08dc1adbb22c85d45d95eba4082385edf50be30127f144334459080",
+    "compare/ie-F2147483647/30": "782ddc3b0c3ccec78463c8a9b9affe8f78f715d38bbf0a618ce0631946153416",
+    "green/examctp4-F2147483647/5": "cb8f5c8880777c43bedd9860dfbcc6ad906516bd055568bf596be16379b11d0f",
 }
 PARAMS = {"ie": {}, "examctp4": dict(n=3, h=2, i=1, j=3)}
 
