@@ -185,49 +185,31 @@ class PresentedAlgebra:
         return op
 
     def validate(self):
-        """Check associativity and the unit laws; raises on failure."""
-        f = self.field
-        one = self.unit
-        for j in range(self.dim):
-            ej = f.zeros(1, self.dim)[0]
-            ej[j] = f.one
-            if not f.equal(self._vec_mul_vec(one, ej), ej):
-                raise ValueError("unit law fails on the left")
-            if not f.equal(self._vec_mul_vec(ej, one), ej):
-                raise ValueError("unit law fails on the right")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product(i, j)
-                for k in range(self.dim):
-                    left = self._vec_mul_basis(ij, k)
-                    jk = self.product(j, k)
-                    right = self._basis_mul_vec(i, jk)
-                    if not f.equal(left, right):
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
+        """Check the unit laws and associativity on the structure constants;
+        raises on failure.  The first failing basis element b_j is named
+        (the left law before the right one), then the first (i,j,k) in
+        lexicographic order with (b_i b_j) b_k != b_i (b_j b_k)."""
+        f, n = self.field, self.dim
+        c = self.structure_constants()
+        unit = self.unit.reshape(1, n)
+        eye = f.eye(n)
+        # row j: unit * b_j and b_j * unit
+        left = linalg.combine(f, unit, c)[0]
+        right = linalg.combine(f, unit, c.transpose(1, 0, 2))[0]
+        if not (f.equal(left, eye) and f.equal(right, eye)):
+            bad_left = np.any(left != eye, axis=1)
+            j = np.flatnonzero(bad_left | np.any(right != eye, axis=1))[0]
+            raise ValueError("unit law fails on the %s" % ("left" if bad_left[j] else "right"))
+        flat = c.reshape(n * n, n)
+        # [i, j, k] is (b_i b_j) b_k, and b_i (b_j b_k), as coordinate vectors
+        left_assoc = f.matmul(flat, c.reshape(n, n * n)).reshape(n, n, n, n)
+        right_assoc = f.matmul(flat, c.transpose(1, 0, 2).reshape(n, n * n))
+        right_assoc = right_assoc.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        if not f.equal(left_assoc, right_assoc):
+            bad = np.flatnonzero(np.any((left_assoc != right_assoc).reshape(n ** 3, -1), axis=1))
+            raise ValueError("associativity fails at (%d,%d,%d)"
+                             % np.unravel_index(bad[0], (n, n, n)))
         return True
-
-    def _vec_mul_vec(self, u, v):
-        out = self.field.zeros(1, self.dim)[0]
-        for i in range(self.dim):
-            if u[i]:
-                for j in range(self.dim):
-                    if v[j]:
-                        out = out + u[i] * v[j] * self.product(i, j)
-        return self.field.normalize(out)
-
-    def _vec_mul_basis(self, u, k):
-        out = self.field.zeros(1, self.dim)[0]
-        for i in range(self.dim):
-            if u[i]:
-                out = out + u[i] * self.product(i, k)
-        return self.field.normalize(out)
-
-    def _basis_mul_vec(self, i, v):
-        out = self.field.zeros(1, self.dim)[0]
-        for j in range(self.dim):
-            if v[j]:
-                out = out + v[j] * self.product(i, j)
-        return self.field.normalize(out)
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name or '?'}, dim={self.dim})"

@@ -1,14 +1,17 @@
 """Exact scalar fields: prime fields F_p and the rationals.
 
-Matrices are numpy 2-D arrays.  Over F_p the dtype is int64 with entries
-normalized to 0..p-1 (object dtype with Python ints for very large p, where
-int64 products could overflow).  Over Q the dtype is object and the arrays
-hold Fraction entries, but products do not run on them: FieldSpec.matmul
-clears each operand's denominators, multiplies the integer numerators (in
-int64 when a bound proves it cannot overflow, else as Python ints) and turns
-the result back into Fractions once.  FieldSpec.matmul is the one home of
-array products; linalg.combine is a matmul too.  All operations route
-through a FieldSpec so callers never touch dtype details.
+Matrices are numpy 2-D arrays.  Over F_p, for every admitted prime
+p <= 2^31, the dtype is int64 with entries normalized to 0..p-1: one
+product (p-1)^2 is below 2^62, and FieldSpec.matmul reduces its sums mod p
+after at most (2^63 - 1 - p) // (p-1)^2 products, a chunk derived from p
+alone (delayed reduction, as in Dumas, Giorgi & Pernet, ACM TOMS 2008).
+Over Q the dtype is object and the arrays hold Fraction entries, but
+products do not run on them: FieldSpec.matmul clears each operand's
+denominators, multiplies the integer numerators (in int64 when a bound
+proves it cannot overflow, else as Python ints) and turns the result back
+into Fractions once.  FieldSpec.matmul is the one home of array products;
+linalg.combine is a matmul too.  All operations route through a FieldSpec
+so callers never touch dtype details.
 
 Zero tests, equality and memo keys run on integers too, not on Fraction
 comparison or hashing.  A zero test reads truth values (a.astype(bool),
@@ -21,6 +24,7 @@ by those integers, never by Fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,10 +32,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Largest p for which int64 arithmetic in matmul cannot overflow:
-# (p-1)^2 * k <= 2^63 - 1 must hold for k up to the chunk size below.
-_INT64_SAFE_PRIME = 1 << 25
-_MATMUL_CHUNK = 2048
 _INT64_MAX = (1 << 63) - 1
 
 # The integers -_SMALL.._SMALL as shared Fractions (immutable, so safe to
@@ -77,6 +77,14 @@ def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(prod.shape, dtype=object)
     out.ravel()[:] = [Fraction(n, den) for n in prod.ravel().tolist()]
     return out
+
+
+@functools.cache
+def _products_per_reduction(p: int) -> int:
+    """How many products of entries in -(p-1)..p-1 an int64 sum may take
+    before it is reduced mod p: chunk * (p-1)^2 plus a reduced partial sum
+    below p stays at most 2^63 - 1.  It is 2 at p = 2^31 - 1."""
+    return (_INT64_MAX - p) // (p - 1) ** 2
 
 
 def _is_prime(n: int) -> bool:
@@ -155,9 +163,7 @@ class FieldSpec:
 
     @property
     def _dtype(self):
-        if self.kind == "prime" and self.p <= _INT64_SAFE_PRIME:
-            return np.int64
-        return object
+        return np.int64 if self.kind == "prime" else object
 
     def zeros(self, *shape: int) -> np.ndarray:
         a = np.zeros(shape, dtype=self._dtype)
@@ -189,18 +195,14 @@ class FieldSpec:
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         if self.kind == "prime":
-            if a.dtype == object:
-                out = np.empty(a.shape, dtype=object)
-                flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-                for i, v in enumerate(flat_in):
-                    flat_out[i] = int(v) % self.p
-                return out
             return a % self.p
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b; for stacks [..., r, k] and [..., k, c] with the same
-        leading dimensions, the product of each pair of matrices."""
+        leading dimensions, the product of each pair of matrices.  Over F_p
+        the entries lie in -(p-1)..p-1, and the int64 sums are reduced
+        after every _products_per_reduction(p) terms."""
         if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
             raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
         k = a.shape[-1]
@@ -208,15 +210,14 @@ class FieldSpec:
             return self.zeros(*a.shape[:-1], b.shape[-1])
         if self.kind == "rational":
             return _rational_matmul(a, b)
-        if a.dtype != object and b.dtype != object:
-            if k <= _MATMUL_CHUNK:
-                return (a @ b) % self.p
-            acc = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
-            for s in range(0, k, _MATMUL_CHUNK):
-                chunk = slice(s, s + _MATMUL_CHUNK)
-                acc = (acc + a[..., chunk] @ b[..., chunk, :]) % self.p
-            return acc
-        return self.normalize(np.matmul(a, b))
+        step = _products_per_reduction(self.p)
+        if k <= step:
+            return (a @ b) % self.p
+        acc = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.int64)
+        for s in range(0, k, step):
+            chunk = slice(s, s + step)
+            acc = (acc + a[..., chunk] @ b[..., chunk, :]) % self.p
+        return acc
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Entrywise equality; over Q, of the integer numerators over the
@@ -233,13 +234,11 @@ class FieldSpec:
     def value_key(self, a: np.ndarray):
         """A hashable key of a normalized array, equal exactly for arrays of
         the same shape and entries; it holds integers or bytes, never a
-        Fraction: over Q the numerators and their common denominator, for
-        object-dtype primes the entries, else the raw bytes."""
+        Fraction: over Q the numerators and their common denominator, over
+        F_p the raw int64 bytes."""
         if self.kind == "rational":
             nums, den = _numerators(a)
             return a.shape, den, tuple(nums)
-        if a.dtype == object:
-            return a.shape, tuple(a.ravel().tolist())
         return a.shape, a.dtype.str, a.tobytes()
 
     def freeze(self, a: np.ndarray) -> np.ndarray:

@@ -147,8 +147,9 @@ def invertible_mask(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     per column: the topmost nonzero entry at or below the diagonal is the
     pivot, and each lower row r becomes pivot * r - r[c] * (pivot row), a
     unit multiple of r minus a multiple of the pivot row.  Matrices without
-    a pivot in some column leave the stack at once.  Products stay below
-    p^2, so p must be small enough for p^2 to fit in int64.
+    a pivot in some column leave the stack at once.  Every prime is int64,
+    and each new entry is a difference of two products below p^2 <= 2^62
+    (p <= 2^31), so it fits in int64 at every admitted p.
     """
     p = field.p
     n, d, _ = mats.shape

@@ -289,6 +289,171 @@ def test_module_validation_rejects_garbage(a2_f3):
         alg.Module(a2_f3, 1, bad).validate()
 
 
+# -- PresentedAlgebra.validate against the loop it replaced -------------------
+
+TOP = FieldSpec("prime", (1 << 31) - 1)  # the largest admitted prime
+VALIDATE_FIELDS = pytest.mark.parametrize("field", [F3, QQ, TOP], ids=["F3", "QQ", "top"])
+
+
+def _reduce(field):
+    """Reduction of a Python scalar: mod p, or over Q an integral value as
+    an int, which keeps the reference arithmetic off Fractions."""
+    if field.kind == "prime":
+        return lambda v: v % field.p
+    return lambda v: v.numerator if v.denominator == 1 else v
+
+
+def _truncated_polynomial_constants(field, coeffs):
+    """Structure constants of F[x]/(x^n - sum_i coeffs[i] x^i) in the basis
+    1, x, ..., x^(n-1), as nested lists of scalars: [a][b] is x^a x^b."""
+    n, red = len(coeffs), _reduce(field)
+    powers = [[int(a == e) for a in range(n)] for e in range(n)]
+    for _ in range(n - 1):  # x^e = x * x^(e-1), with x^n replaced
+        top = powers[-1]
+        powers.append([red((top[a - 1] if a else 0) + top[-1] * coeffs[a]) for a in range(n)])
+    return [[powers[a + b] for b in range(n)] for a in range(n)]
+
+
+def _change_basis(field, consts, unit, s):
+    """The constants and unit in the basis whose i-th element has coordinates
+    s[i] in the old one, computed in Python scalars."""
+    n, red = len(s), _reduce(field)
+    # s^-1 by Gauss-Jordan on [s | 1]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(s)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = field.inv(rows[c][c])
+        rows[c] = [red(v * inv) for v in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                rows[i] = [red(v - rows[i][c] * w) for v, w in zip(rows[i], rows[c])]
+    s_inv = [row[n:] for row in rows]
+
+    def new_coords(v):
+        return [red(sum(v[a] * s_inv[a][b] for a in range(n))) for b in range(n)]
+
+    def product(u, v):
+        return [red(sum(u[a] * v[b] * consts[a][b][e] for a in range(n) for b in range(n)))
+                for e in range(n)]
+
+    return ([[new_coords(product(s[i], s[j])) for j in range(n)] for i in range(n)],
+            new_coords(unit))
+
+
+def _random_basis(field, rng, n):
+    """A product of a lower and an upper unitriangular matrix: invertible
+    over every field, with entries near p at a large prime."""
+    def entry():
+        if field is TOP:
+            return rng.choice([field.p - 1 - rng.randrange(3), rng.randrange(field.p)])
+        return rng.randrange(-2, 3)
+    lower = [[1 if i == j else (entry() if i > j else 0) for j in range(n)] for i in range(n)]
+    red = _reduce(field)
+    return [[red(sum(lower[i][k] * lower[j][k] for k in range(n))) for j in range(n)]
+            for i in range(n)]
+
+
+def _ref_validate(field, consts, unit):
+    """PresentedAlgebra.validate as the loop it was: the first failing basis
+    element, left unit law before right, then the first failing (i,j,k)."""
+    n, red = len(unit), _reduce(field)
+
+    def mul(u, v):
+        out = [0] * n
+        for a in range(n):
+            for b in range(n):
+                if u[a] and v[b]:
+                    out = [w + u[a] * v[b] * c for w, c in zip(out, consts[a][b])]
+        return [red(w) for w in out]
+
+    eye = [[int(a == b) for b in range(n)] for a in range(n)]
+    for j in range(n):
+        if mul(unit, eye[j]) != eye[j]:
+            return "unit law fails on the left"
+        if mul(eye[j], unit) != eye[j]:
+            return "unit law fails on the right"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mul(consts[i][j], eye[k]) != mul(eye[i], consts[j][k]):
+                    return f"associativity fails at ({i},{j},{k})"
+    return None
+
+
+def _presented(field, consts, unit):
+    n = len(unit)
+    mult = {(i, j): field.asmatrix([consts[i][j]])[0] for i in range(n) for j in range(n)}
+    return alg.PresentedAlgebra(field, [f"b{i}" for i in range(n)], mult,
+                                field.asmatrix([unit])[0])
+
+
+def _outcome(algebra):
+    try:
+        assert algebra.validate() is True
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+SEXTIC = [2, 0, -1, 1, 0, 3]  # x^6 = 2 - x^2 + x^3 + 3x^5
+
+
+@VALIDATE_FIELDS
+def test_validate_accepts_an_algebra_in_a_random_basis(field):
+    rng = random.Random(17)
+    consts = _truncated_polynomial_constants(field, SEXTIC)
+    for _ in range(10):
+        new, unit = _change_basis(field, consts, [1, 0, 0, 0, 0, 0], _random_basis(field, rng, 6))
+        assert _ref_validate(field, new, unit) is None
+        assert _outcome(_presented(field, new, unit)) is None
+
+
+def _broken(field, consts, changes):
+    """A copy of the constants with e_1 added to x^a x^b for each (a, b)."""
+    out = [[list(v) for v in row] for row in consts]
+    for a, b in changes:
+        out[a][b][1] = _reduce(field)(out[a][b][1] + 1)
+    return out
+
+
+# (a, b) products broken in the basis 1, x, ..., x^5, where the unit is e_0:
+# x^0 x^j breaks the left unit law at j, x^j x^0 the right one
+BROKEN = {
+    "left at 3": ([(0, 3)], "unit law fails on the left"),
+    "right at 2": ([(2, 0)], "unit law fails on the right"),
+    "right at 1 before left at 3": ([(1, 0), (0, 3)], "unit law fails on the right"),
+    "left and right at 2": ([(2, 0), (0, 2)], "unit law fails on the left"),
+    "associativity": ([(2, 3)], "associativity fails at (1,1,3)"),
+    "associativity at the end": ([(5, 5)], "associativity fails at (1,4,5)"),
+}
+
+
+@VALIDATE_FIELDS
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_validate_names_the_first_failure(field, case):
+    changes, message = BROKEN[case]
+    consts = _broken(field, _truncated_polynomial_constants(field, SEXTIC), changes)
+    unit = [1, 0, 0, 0, 0, 0]
+    assert _ref_validate(field, consts, unit) == message
+    assert _outcome(_presented(field, consts, unit)) == message
+
+
+@VALIDATE_FIELDS
+def test_validate_matches_the_loop_in_a_random_basis(field):
+    rng = random.Random(19)
+    consts = _truncated_polynomial_constants(field, SEXTIC)
+    seen = set()
+    for _ in range(12):
+        new, unit = _change_basis(field, consts, [1, 0, 0, 0, 0, 0], _random_basis(field, rng, 6))
+        changes = [(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(1, 2))]
+        new = _broken(field, new, changes)
+        want = _ref_validate(field, new, unit)
+        seen.add(want)
+        assert _outcome(_presented(field, new, unit)) == want
+    assert None not in seen
+
+
 from hypothesis import given, settings, strategies as st
 
 
@@ -351,7 +516,7 @@ def test_presentation_exactness_property(d1, d2, entries):
 
 # -- the tensor memo ---------------------------------------------------------
 
-BIG = FieldSpec("prime", 33554467)  # first prime above 2^25: object dtype
+BIG = FieldSpec("prime", 33554467)  # first prime above 2^25; int64, as every prime
 
 
 def _arrow_module(algebra, entry):

@@ -14,7 +14,7 @@ from morita_lab import lab
 from morita_lab import linalg
 from morita_lab.fields import F3, QQ, FieldSpec
 
-BIG = FieldSpec("prime", 33554467)  # object dtype
+BIG = FieldSpec("prime", 33554467)  # first prime above 2^25; int64, as every prime
 FIELDS = {"F3": F3, "bigprime": BIG, "QQ": QQ}
 INT64_EDGE = [(1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1, 1 << 70]
 

@@ -284,8 +284,9 @@ def test_claim_runner_rejection_cap_and_failure_entries():
 
 # SHA-256 of jsonio.canonical_dumps(report.to_dict()) for the suites and
 # instances that tests/test_acceptance.py does not build, so every suite's
-# report bytes are pinned, over a small prime (int64 arrays), a prime above
-# 2^25 (object arrays of Python ints) and Q (object arrays of Fractions).
+# report bytes are pinned over small primes, over primes above 2^25 (all
+# primes run on int64 arrays; at 2^31 - 1 FieldSpec.matmul reduces its sums
+# after every 2 products) and over Q (object arrays of Fractions).
 # An instance is written name-F<p> or name-Q.  Update a digest only for a
 # deliberate change of report content, and record the change.
 GOLDEN = {
@@ -319,9 +320,12 @@ def _instance_field(instance):
 
 
 def _field_kind(field):
+    """Q, or a prime, told apart by its modulus: above 2^30, (p-1)^2 exceeds
+    2^60, so FieldSpec.matmul reduces any sum of more than 7 products in
+    chunks."""
     if field.kind == "rational":
         return "Q"
-    return "object prime" if field.zeros(0).dtype == object else "int64 prime"
+    return "prime above 2^30" if field.p > 1 << 30 else "prime"
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -341,7 +345,7 @@ def test_every_suite_has_a_golden_digest():
     pinned = {key.split("/")[0] for key in keys}
     assert set(lab.SUITES) <= pinned, sorted(set(lab.SUITES) - pinned)
     kinds = {_field_kind(_instance_field(key.split("/")[1])[1]) for key in keys}
-    assert kinds == {"int64 prime", "object prime", "Q"}, sorted(kinds)
+    assert kinds == {"prime", "prime above 2^30", "Q"}, sorted(kinds)
 
 
 def test_value_error_in_a_case_records_its_text(monkeypatch):

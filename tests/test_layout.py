@@ -4,8 +4,9 @@ The references below are the per-entry loops the package used before the
 pure-tensor order moved into TensorModule, before one coordinate reader
 replaced the fill loops and before module actions became one stacked array.
 Results must match them byte for byte: dtype, shape and the repr of every
-entry, over F_3, F_33554467 and Q (object dtype), over random shapes that
-include zero dimensions, and in int64 at the largest prime below 2^25.
+entry, over F_3, F_33554467, 2^31 - 1 (the largest admitted prime) and Q
+(object dtype, the only field that is not int64), over random shapes that
+include zero dimensions, and at the largest prime below 2^25.
 """
 
 import random
@@ -18,9 +19,10 @@ from morita_lab import linalg
 from morita_lab import morita as mor
 from morita_lab.fields import F3, QQ, FieldSpec
 
-F_BIG = FieldSpec("prime", 33554467)        # object dtype
-F_INT64_TOP = FieldSpec("prime", 33554393)  # largest prime below 2^25, int64
-FIELDS = (F3, F_BIG, QQ, F_INT64_TOP)
+F_BIG = FieldSpec("prime", 33554467)       # first prime above 2^25
+F_BELOW = FieldSpec("prime", 33554393)     # largest prime below 2^25
+F_TOP = FieldSpec("prime", (1 << 31) - 1)  # largest admitted prime
+FIELDS = (F3, F_BIG, QQ, F_BELOW, F_TOP)
 
 
 def _same(a, b):

@@ -153,17 +153,18 @@ def test_solve_rational_fractions():
     assert QQ.equal(QQ.matmul(inv, m), QQ.eye(2))
 
 
-def test_large_prime_object_dtype():
+def test_largest_admitted_prime_is_int64():
     big = FieldSpec("prime", (1 << 31) - 1)
     m = big.asmatrix([[1, 2], [3, 4]])
-    assert m.dtype == object
+    assert m.dtype == np.int64
     assert linalg.rank(big, m) == 2
     assert big.equal(big.matmul(m, linalg.invert(big, m)), big.eye(2))
 
 
 # -- differential tests against sympy -------------------------------------
 
-BIG = FieldSpec("prime", 33554467)  # the first prime above 2^25: object dtype
+# the first prime above 2^25; int64, as every prime
+BIG = FieldSpec("prime", 33554467)
 
 
 def _sympy_rref(field, m):
@@ -234,7 +235,7 @@ def test_quotient_matches_sympy_gf3(m):
 @settings(max_examples=40, deadline=None)
 @given(_field_matrices(BIG, max_dim=4))
 def test_quotient_matches_sympy_large_prime(m):
-    assert m.dtype == object
+    assert m.dtype == np.int64
     _check_quotient_against_sympy(BIG, m)
 
 

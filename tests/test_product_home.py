@@ -1,7 +1,16 @@
 """FieldSpec.matmul is the one home of array products: no module of
 morita_lab except fields.py calls np.matmul, np.dot, np.tensordot, np.einsum
 or np.add.at, imports one of them from numpy, or uses the @ operator.  A
-product written anywhere else would run on Fraction objects over Q."""
+product written anywhere else would run on Fraction objects over Q.
+
+Sums of products are the only int64 arithmetic that can overflow over F_p:
+FieldSpec.matmul reduces them after every (2^63 - 1 - p) // (p-1)^2 terms.
+No guard against elementwise products (`*` on field arrays) is needed.
+Outside fields.py there are two, and neither adds products: linalg.kron
+forms single products a[i, j] * b[k, l], each below (p-1)^2 < 2^62, and
+linalg.invertible_mask forms a difference of two products below p^2 <= 2^62,
+and only runs when p^h <= algebras.ISO_EXHAUSTIVE_LIMIT.  linalg.rref
+multiplies Python ints, which cannot overflow."""
 
 import ast
 from pathlib import Path
