@@ -107,12 +107,6 @@ class PresentedAlgebra:
     def is_quiver_presented(self):
         return self.quiver is not None
 
-    def product(self, i, j):
-        v = self.mult.get((i, j))
-        if v is None:
-            return self.field.zeros(1, self.dim)[0]
-        return v
-
     def structure_constants(self):
         """Frozen (dim, dim, dim) array: [i, j] is the coordinate vector of
         basis_i * basis_j."""
