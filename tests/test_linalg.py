@@ -344,12 +344,13 @@ def test_kron_matches_numpy_kron(field):
             assert field.equal(got, field.normalize(np.kron(a, b)))
 
 
-@pytest.mark.parametrize("field", [FieldSpec("prime", 33554393), BIG, QQ],
-                         ids=["int64prime", "bigprime", "QQ"])
+@pytest.mark.parametrize("field", [FieldSpec("prime", 33554393), BIG, QQ,
+                                   FieldSpec("prime", (1 << 31) - 1)],
+                         ids=["int64prime", "bigprime", "QQ", "topprime"])
 def test_matmul_of_stacks_multiplies_each_pair(field):
     """Stacks [n, r, k] and [n, k, c] give the product of each pair of
     matrices, in the dtype and with the entries of the exact product, also
-    when the sums run in more than one chunk."""
+    when the sums run in more than one chunk (k = 2049 at 2^31 - 1)."""
     rng = np.random.default_rng(3)
     for n, r, k, c in [(3, 2, 4, 2), (2, 1, 2049, 1), (2, 2, 0, 3), (0, 2, 2, 2)]:
         a = rng.integers(0, 1 << 24, size=(n, r, k)).astype(object).astype(field._dtype)
