@@ -56,12 +56,6 @@ class Quiver:
             if src not in self.vertices or tgt not in self.vertices:
                 raise ValueError(f"arrow {name} has an endpoint outside the vertex set")
 
-    def arrow(self, name):
-        for a in self.arrows:
-            if a[0] == name:
-                return a
-        raise KeyError(name)
-
 
 def linear_quiver(n: int) -> Quiver:
     """1 -> 2 -> ... -> n."""
@@ -207,10 +201,6 @@ class PresentedAlgebra:
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name or '?'}, dim={self.dim})"
-
-
-def opposite_algebra(a: PresentedAlgebra) -> PresentedAlgebra:
-    return a.opposite()
 
 
 def ground_field_algebra(field, name="k"):
@@ -603,10 +593,6 @@ class ModuleMorphism:
 
 def identity_morphism(x):
     return ModuleMorphism(x, x, x.field.eye(x.dim))
-
-
-def zero_morphism(x, y):
-    return ModuleMorphism(x, y, x.field.zeros(y.dim, x.dim))
 
 
 # -- the intertwiner system ----------------------------------------------

@@ -113,10 +113,6 @@ def is_left_orthogonal(l: LambdaModule, tests) -> bool:
     return all(ext_dim(l, t, 1) == 0 for t in tests)
 
 
-def is_right_orthogonal(l: LambdaModule, tests) -> bool:
-    return all(ext_dim(t, l, 1) == 0 for t in tests)
-
-
 # -- splitting-based decompositions --------------------------------------------------
 
 
@@ -341,10 +337,8 @@ class LambdaClassSpec:
     data: MoritaData
     a_spec: ClassSpec | None = None
     b_spec: ClassSpec | None = None
-    tests: tuple = ()
 
-    KINDS = ("all", "column", "t_sum", "h_sum", "projectives", "injectives",
-             "delta", "nabla", "mon", "epi", "left_perp", "right_perp")
+    KINDS = ("all", "column", "t_sum", "h_sum", "projectives", "injectives")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -361,19 +355,7 @@ class LambdaClassSpec:
             return nabla_decompose(l, self.a_spec, self.b_spec) is not None
         if self.kind == "projectives":
             return projective_by_shape(l)
-        if self.kind == "injectives":
-            return injective_by_shape(l)
-        if self.kind == "delta":
-            return in_delta(l, self.a_spec, self.b_spec)
-        if self.kind == "nabla":
-            return in_nabla(l, self.a_spec, self.b_spec)
-        if self.kind == "mon":
-            return in_mon(l)
-        if self.kind == "epi":
-            return in_epi(l)
-        if self.kind == "left_perp":
-            return is_left_orthogonal(l, self.tests)
-        return is_right_orthogonal(l, self.tests)
+        return injective_by_shape(l)
 
 
 def membership(members, spec: LambdaClassSpec, l: LambdaModule) -> bool:
@@ -386,7 +368,7 @@ def membership(members, spec: LambdaClassSpec, l: LambdaModule) -> bool:
 @dataclass
 class HoveySpec:
     """The three classes of a Hovey triple plus the closed forms of its two
-    constituent cotorsion pairs and optional approximation builders."""
+    constituent cotorsion pairs and their approximation builders."""
 
     name: str
     c_spec: LambdaClassSpec
@@ -394,8 +376,8 @@ class HoveySpec:
     w_spec: LambdaClassSpec
     cw_spec: LambdaClassSpec
     fw_spec: LambdaClassSpec
-    pair1_approx: object = None  # special right approx for (C cap W, F)
-    pair2_approx: object = None  # for (C, F cap W)
+    pair1_approx: object  # special right approx for (C cap W, F)
+    pair2_approx: object  # for (C, F cap W)
 
 
 def hovey_ingredients_check(spec: HoveySpec, modules, sequences, members) -> list:
@@ -458,8 +440,6 @@ def hovey_ingredients_check(spec: HoveySpec, modules, sequences, members) -> lis
     for tag, approx, left_spec, right_spec in (
             ("approximations-pair1", spec.pair1_approx, spec.cw_spec, spec.f_spec),
             ("approximations-pair2", spec.pair2_approx, spec.c_spec, spec.fw_spec)):
-        if approx is None:
-            continue
         bad = []
         for i, l in enumerate(modules):
             try:

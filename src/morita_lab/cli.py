@@ -15,7 +15,6 @@ import os
 import sys
 
 from .fields import field_from_token
-from . import algebras as alg
 from . import morita as mor
 from . import homology as hml
 from . import classes as cls
@@ -33,6 +32,20 @@ def _print(obj, out=None):
         sys.stdout.write(text)
 
 
+def _params(args):
+    """The --param k=v options as a dict of ints."""
+    params = {}
+    for kv in args.param or []:
+        k, _, v = kv.partition("=")
+        params[k] = int(v)
+    return params
+
+
+def _ref(path, out):
+    """A reference to path from the document written to out."""
+    return os.path.relpath(path, os.path.dirname(os.path.abspath(out)))
+
+
 def cmd_validate(args):
     store = DocumentStore()
     store.any_document(args.file)
@@ -42,11 +55,7 @@ def cmd_validate(args):
 
 def cmd_catalog(args):
     field = field_from_token(args.field)
-    params = {}
-    for kv in args.param or []:
-        k, _, v = kv.partition("=")
-        params[k] = int(v)
-    inst = lab.catalog(args.name, field, **params)
+    inst = lab.catalog(args.name, field, **_params(args))
     out = args.out
     stem = out[:-5] if out.endswith(".json") else out
     base = os.path.basename(stem)
@@ -68,9 +77,6 @@ def cmd_catalog(args):
 FUNCTORS_IN = {"TA": ("A", mor.functor_T), "TB": ("B", mor.functor_T),
                "HA": ("A", mor.functor_H), "HB": ("B", mor.functor_H),
                "ZA": ("A", mor.functor_Z), "ZB": ("B", mor.functor_Z)}
-FUNCTORS_OUT = {"UA": ("A", None), "UB": ("B", None),
-                "CA": ("A", None), "CB": ("B", None),
-                "KA": ("A", None), "KB": ("B", None)}
 
 
 def cmd_functor(args):
@@ -86,22 +92,20 @@ def cmd_functor(args):
         if a is not expected:
             raise SchemaError("module is not over the matching side of the Morita data")
         result = fn(data, side, x)
-        ref = os.path.relpath(os.path.abspath(args.morita),
-                              os.path.dirname(os.path.abspath(args.out)) or ".")
-        jsonio.emit(jsonio.lambda_module_to_json(result, ref), args.out)
-    elif name in FUNCTORS_OUT:
+        jsonio.emit(jsonio.lambda_module_to_json(result, _ref(args.morita, args.out)),
+                    args.out)
+    elif name in ("UA", "UB", "CA", "CB", "KA", "KB"):
         l, data = store.lambda_module(args.infile)
-        side = FUNCTORS_OUT[name][0]
-        if name in ("UA", "UB"):
+        side = name[1]
+        if name[0] == "U":
             result = mor.functor_U(side, l)
-        elif name in ("CA", "CB"):
+        elif name[0] == "C":
             result, _ = mor.functor_C(side, l)
         else:
             result, _ = mor.functor_K(side, l)
         morita_path = store._resolve(args.infile, store.raw(args.infile), "morita_ref")
         alg_path = store._resolve(morita_path, store.raw(morita_path), side)
-        ref = os.path.relpath(alg_path, os.path.dirname(os.path.abspath(args.out)) or ".")
-        jsonio.emit(jsonio.module_to_json(result, ref), args.out)
+        jsonio.emit(jsonio.module_to_json(result, _ref(alg_path, args.out)), args.out)
     else:
         raise SchemaError(f"unknown functor {args.name!r}")
     _print({"functor": name, "written": args.out})
@@ -274,18 +278,14 @@ def cmd_sample(args):
         for i in range(args.count):
             l = sampler.quadruple(data)
             path = f"{args.out}{i:03d}.json"
-            ref = os.path.relpath(os.path.abspath(args.morita),
-                                  os.path.dirname(os.path.abspath(path)) or ".")
-            jsonio.emit(jsonio.lambda_module_to_json(l, ref), path)
+            jsonio.emit(jsonio.lambda_module_to_json(l, _ref(args.morita, path)), path)
             written.append(path)
     elif args.algebra:
         a = store.algebra(args.algebra)
         for i in range(args.count):
             x = sampler.plain(a)
             path = f"{args.out}{i:03d}.json"
-            ref = os.path.relpath(os.path.abspath(args.algebra),
-                                  os.path.dirname(os.path.abspath(path)) or ".")
-            jsonio.emit(jsonio.module_to_json(x, ref), path)
+            jsonio.emit(jsonio.module_to_json(x, _ref(args.algebra, path)), path)
             written.append(path)
     else:
         raise SchemaError("sample needs --morita or --algebra")
@@ -300,9 +300,7 @@ def cmd_enumerate(args):
     written = []
     for i, l in enumerate(universe):
         path = f"{args.out}{i:03d}.json"
-        ref = os.path.relpath(os.path.abspath(args.morita),
-                              os.path.dirname(os.path.abspath(path)) or ".")
-        jsonio.emit(jsonio.lambda_module_to_json(l, ref), path)
+        jsonio.emit(jsonio.lambda_module_to_json(l, _ref(args.morita, path)), path)
         written.append(path)
     _print({"count": len(universe), "written": written})
     return 0
@@ -311,12 +309,12 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.rank_cap < 1:
+        raise ValueError(f"--rank-cap must be at least 1, got {args.rank_cap}")
+    if args.dim_cap < 0:
+        raise ValueError(f"--dim-cap must be at least 0, got {args.dim_cap}")
     field = field_from_token(args.field)
-    params = {}
-    for kv in args.param or []:
-        k, _, v = kv.partition("=")
-        params[k] = int(v)
-    inst = lab.catalog(args.instance, field, **params)
+    inst = lab.catalog(args.instance, field, **_params(args))
     cfg = lab.SampleConfig(seed=args.seed, count=args.count,
                            dim_cap=args.dim_cap, rank_cap=args.rank_cap)
     rep = lab.run_suite(args.suite, inst, cfg)

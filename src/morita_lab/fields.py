@@ -154,11 +154,6 @@ class FieldSpec:
             return pow(int(a), self.p - 2, self.p)
         return _ONE / a
 
-    def neg(self, a):
-        if self.kind == "prime":
-            return (-int(a)) % self.p
-        return -a
-
     # -- arrays -------------------------------------------------------------
 
     @property

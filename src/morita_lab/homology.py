@@ -629,14 +629,8 @@ def approx_c4(l: LambdaModule, ses0=None) -> ApproxResult:
 # -- horseshoe merge ---------------------------------------------------------------
 
 
-class HorseshoeResult:
-    def __init__(self, ses, middle_extension):
-        self.ses = ses
-        self.middle_extension = middle_extension  # 0 -> A1 -> G -> A2 -> 0
-
-
 def horseshoe_merge(s: ShortExactSequence, approx_left: ShortExactSequence,
-                    approx_right: ShortExactSequence) -> HorseshoeResult:
+                    approx_right: ShortExactSequence) -> ShortExactSequence:
     """Merge special right approximations of the outer terms of s into one of
     the middle term (quadruple modules).
 
@@ -691,5 +685,4 @@ def horseshoe_merge(s: ShortExactSequence, approx_left: ShortExactSequence,
         raise AssertionError("pushout comparison map failed to descend")
     theta = e_mid.compose(LambdaMorphism(eta_ses.middle, e, *(g.T for g in gbar)))
     ker, incl_k = lambda_kernel(theta)
-    out = ShortExactSequence(ker, eta_ses.middle, mid, incl_k, theta)
-    return HorseshoeResult(out, eta_ses)
+    return ShortExactSequence(ker, eta_ses.middle, mid, incl_k, theta)

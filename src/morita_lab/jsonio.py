@@ -384,9 +384,7 @@ class DocumentStore:
 
     def algebra(self, path):
         path = os.path.normpath(os.path.abspath(path))
-        if path not in self._algebras:
-            self._algebras[path] = algebra_from_json(self.raw(path))
-        return self._algebras[path]
+        return alg.memo(self._algebras, path, lambda: algebra_from_json(self.raw(path)))
 
     def module(self, path):
         doc = self.raw(path)
@@ -403,21 +401,21 @@ class DocumentStore:
 
     def morita(self, path):
         path = os.path.normpath(os.path.abspath(path))
-        if path in self._moritas:
-            return self._moritas[path]
-        doc = self.raw(path)
-        _require(doc, "morita")
-        a = self.algebra(self._resolve(path, doc, "A"))
-        b = self.algebra(self._resolve(path, doc, "B"))
-        m = self.bimodule(self._resolve(path, doc, "M"))
-        n = self.bimodule(self._resolve(path, doc, "N"))
-        if m.left_algebra is not b or m.right_algebra is not a:
-            raise SchemaError("M must be a bimodule over (B, A)")
-        if n.left_algebra is not a or n.right_algebra is not b:
-            raise SchemaError("N must be a bimodule over (A, B)")
-        data = mor.MoritaData(a, b, m, n, name=os.path.basename(path))
-        self._moritas[path] = data
-        return data
+
+        def build():
+            doc = self.raw(path)
+            _require(doc, "morita")
+            a = self.algebra(self._resolve(path, doc, "A"))
+            b = self.algebra(self._resolve(path, doc, "B"))
+            m = self.bimodule(self._resolve(path, doc, "M"))
+            n = self.bimodule(self._resolve(path, doc, "N"))
+            if m.left_algebra is not b or m.right_algebra is not a:
+                raise SchemaError("M must be a bimodule over (B, A)")
+            if n.left_algebra is not a or n.right_algebra is not b:
+                raise SchemaError("N must be a bimodule over (A, B)")
+            return mor.MoritaData(a, b, m, n, name=os.path.basename(path))
+
+        return alg.memo(self._moritas, path, build)
 
     def lambda_module(self, path):
         doc = self.raw(path)

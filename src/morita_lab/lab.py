@@ -48,7 +48,6 @@ class CatalogInstance:
     name: str
     data: mor.MoritaData
     field: FieldSpec
-    params: dict
     properties: dict
 
     def __repr__(self):
@@ -85,8 +84,6 @@ def catalog(name: str, field: FieldSpec = F3, **params) -> CatalogInstance:
         props["nm_vanishes"] = data.tensor_NM().dim == 0
         props["M_right_projective"] = alg.is_projective_module(m.right_as_left_module())
         props["M_left_projective"] = alg.is_projective_module(m.as_left_module())
-        if not all(props.values()):
-            raise ValueError(f"ie instance failed verification: {props}")
     elif name == "examctp4":
         n = int(params.get("n", 3))
         h = int(params.get("h", 2))
@@ -105,8 +102,6 @@ def catalog(name: str, field: FieldSpec = F3, **params) -> CatalogInstance:
         props["nm_vanishes"] = data.tensor_NM().dim == 0
         props["M_left_projective"] = alg.is_projective_module(m.as_left_module())
         props["M_right_projective"] = alg.is_projective_module(m.right_as_left_module())
-        if not all(props.values()):
-            raise ValueError(f"examctp4 instance failed verification: {props}")
     elif name == "a2":
         a = _two_vertex_algebra(field)
         b = alg.ground_field_algebra(field)
@@ -123,8 +118,6 @@ def catalog(name: str, field: FieldSpec = F3, **params) -> CatalogInstance:
         props["N_right_projective"] = alg.is_projective_module(n_bim.right_as_left_module())
         props["N_image_injective"] = cls.tensor_image_in(
             data, "B", cls.all_spec(a), cls.injectives_spec(a)) is not False
-        if not all(props.values()):
-            raise ValueError(f"triangular instance failed verification: {props}")
     elif name == "product":
         k = alg.ground_field_algebra(field)
         data = mor.MoritaData(k, k, alg.zero_bimodule(k, k),
@@ -136,15 +129,15 @@ def catalog(name: str, field: FieldSpec = F3, **params) -> CatalogInstance:
         data = mor.MoritaData(a, a, reg, reg, name="irem1")
         props["pairings_zero"] = True
         props["mn_nonzero"] = data.tensor_MN().dim != 0
-        if not all(props.values()):
-            raise ValueError(f"irem1 instance failed verification: {props}")
     else:
         raise ValueError(f"unknown catalog instance {name!r}")
+    if not all(props.values()):
+        raise ValueError(f"{name} instance failed verification: {props}")
     rep = data.validate()
     if not rep["valid"]:
         raise ValueError(f"instance {name} failed bimodule validation")
     props["bimodule_axioms"] = True
-    return CatalogInstance(name, data, field, dict(params), props)
+    return CatalogInstance(name, data, field, props)
 
 
 def _corner_dim(a, v, w):
@@ -247,15 +240,6 @@ class Sampler:
 
 def _sampler(cfg: SampleConfig, tag: str) -> Sampler:
     return Sampler(cfg.child(tag), cfg.dim_cap, cfg.rank_cap)
-
-
-def sample_module(target, cfg: SampleConfig = SampleConfig()):
-    """One seeded random module: a quadruple over Morita data, or a plain
-    module over an algebra."""
-    sampler = _sampler(cfg, "sample_module")
-    if isinstance(target, mor.MoritaData):
-        return sampler.quadruple(target)
-    return sampler.plain(target)
 
 
 def _compatible_g_space(data, x, y, f, tx, ty):
@@ -1148,8 +1132,8 @@ def _triangular_claims(rep, data, cfg):
         kv, inclv = mor.lambda_kernel(epi)
         approx_r = hml.ShortExactSequence(kv, tbv, zb, inclv, epi)
         merged = hml.horseshoe_merge(s, approx_l, approx_r)
-        mid_ok = cls.in_mon(merged.ses.middle)
-        ker_ok = cls.in_column(merged.ses.left, inj_a, inj_b)
+        mid_ok = cls.in_mon(merged.middle)
+        ker_ok = cls.in_column(merged.left, inj_a, inj_b)
         return None if mid_ok and ker_ok else "membership"
 
     _sampled_claim(rep, "completeness.triangular", "triangular", cfg, "triangular",

@@ -23,7 +23,7 @@ from . import linalg
 from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
     _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
-    _block_diagonal, dual_module, free_module, hom_module, intertwiner_constraints,
+    _block_diagonal, dual_module, hom_module, intertwiner_constraints,
     intertwiner_system, kernel, memo, simples, solve_matrix_system, tensor_over, zero_module,
 )
 
@@ -183,32 +183,6 @@ def untranspose_structure_map(x, tx, f_tilde, hom_by):
     return tx.descend(phis.transpose(1, 2, 0))
 
 
-def adjoint_transpose_f(data: MoritaData, x: Module, y: Module, f):
-    """eta: Hom_B(M (x) X, Y) -> Hom_A(X, Hom_B(M, Y)) on raw matrices."""
-    tx = tensor_over(data.M, x)
-    hom_my = hom_module(data.M, y)
-    return transpose_structure_map(x, tx, np.array(f), hom_my)
-
-
-def adjoint_untranspose_f(data: MoritaData, x: Module, y: Module, f_tilde):
-    tx = tensor_over(data.M, x)
-    hom_my = hom_module(data.M, y)
-    return untranspose_structure_map(x, tx, np.array(f_tilde), hom_my)
-
-
-def adjoint_transpose_g(data: MoritaData, x: Module, y: Module, g):
-    """eta': Hom_A(N (x) Y, X) -> Hom_B(Y, Hom_A(N, X)) on raw matrices."""
-    ty = tensor_over(data.N, y)
-    hom_nx = hom_module(data.N, x)
-    return transpose_structure_map(y, ty, np.array(g), hom_nx)
-
-
-def adjoint_untranspose_g(data: MoritaData, x: Module, y: Module, g_tilde):
-    ty = tensor_over(data.N, y)
-    hom_nx = hom_module(data.N, x)
-    return untranspose_structure_map(y, ty, np.array(g_tilde), hom_nx)
-
-
 def lambda_module_from_second_expression(data, x, y, f_tilde, g_tilde):
     hom_my = hom_module(data.M, y)
     hom_nx = hom_module(data.N, x)
@@ -266,12 +240,6 @@ class LambdaMorphism:
 
 def lambda_identity(l):
     return LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
-
-
-def lambda_zero_morphism(src, tgt):
-    f = src.field
-    return LambdaMorphism(src, tgt, f.zeros(tgt.X.dim, src.X.dim),
-                          f.zeros(tgt.Y.dim, src.Y.dim))
 
 
 # -- the twelve functors -----------------------------------------------------
@@ -621,22 +589,9 @@ def is_exact_pair(first: LambdaMorphism, second: LambdaMorphism) -> bool:
     return True
 
 
-def is_exact_sequence(morphisms) -> bool:
-    morphisms = list(morphisms)
-    for i in range(len(morphisms) - 1):
-        if morphisms[i].target is not morphisms[i + 1].source:
-            raise ValueError("chain is not composable")
-        if not is_exact_pair(morphisms[i], morphisms[i + 1]):
-            return False
-    return True
-
-
 def lambda_modules_equal(l1: LambdaModule, l2: LambdaModule) -> bool:
     """Literal equality of quadruples (same components and structure maps)."""
-    fld = l1.field
-    return (l1.dims == l2.dims and fld.equal(l1.X.action, l2.X.action)
-            and fld.equal(l1.Y.action, l2.Y.action)
-            and fld.equal(l1.f, l2.f) and fld.equal(l1.g, l2.g))
+    return l1.content_key() == l2.content_key()
 
 
 def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule):
@@ -695,9 +650,3 @@ def lambda_simples(data: MoritaData):
     return ([functor_Z(data, "A", s) for s in simples(data.A)]
             + [functor_Z(data, "B", s) for s in simples(data.B)])
 
-
-def regular_lambda_module(data: MoritaData) -> LambdaModule:
-    """T_A A (+) T_B B, which flattens to the left regular representation."""
-    s, _, _ = lambda_direct_sum([functor_T(data, "A", free_module(data.A, 1)),
-                                 functor_T(data, "B", free_module(data.B, 1))])
-    return s

@@ -207,7 +207,8 @@ def test_kernel_cokernel(a2_f3):
     s1, s2 = alg.simples(a2_f3)
     k, _ = alg.kernel(alg.identity_morphism(p1))
     assert k.dim == 0
-    c, _ = alg.cokernel(alg.zero_morphism(alg.zero_module(a2_f3), p1))
+    z = alg.zero_module(a2_f3)
+    c, _ = alg.cokernel(alg.ModuleMorphism(z, p1, a2_f3.field.zeros(p1.dim, z.dim)))
     assert alg.module_isomorphism(c, p1)
     # the projective cover of the top simple has radical S_2
     cover, epi = alg.projective_cover(s1)

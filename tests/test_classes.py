@@ -259,6 +259,8 @@ def test_hovey_ingredients_detect_corruption(nak_morita):
         cw_spec=cls.LambdaClassSpec("t_sum", data, cls.all_spec(data.A),
                                     cls.projectives_spec(data.B)),
         fw_spec=spec.fw_spec,
+        pair1_approx=spec.pair1_approx,
+        pair2_approx=spec.pair2_approx,
     )
     entries = cls.hovey_ingredients_check(corrupted, pool, [], {})
     failed = [e for e in entries if not e[1]]

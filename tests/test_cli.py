@@ -188,6 +188,19 @@ BAD_RUN_ARGUMENTS = {
     "green count -2": ["verify", "green", "--instance", "ie", "--count", -2],
     # a vacuous pass (exit 0): no claim sampled anything
     "differences count 0": ["verify", "differences", "--instance", "ie", "--count", 0],
+    # every draw fails on an empty randrange: a ZeroDivisionError traceback
+    # in green, every case failed in a sampling suite (exit 1), and a pass
+    # in a suite that samples nothing (exit 0)
+    "green rank-cap 0": ["verify", "green", "--instance", "ie", "--count", 2,
+                         "--rank-cap", 0],
+    "green dim-cap -1": ["verify", "green", "--instance", "ie", "--count", 2,
+                         "--dim-cap", -1],
+    "adjunction rank-cap 0": ["verify", "adjunction", "--instance", "ie", "--count", 2,
+                              "--rank-cap", 0],
+    "completeness dim-cap -1": ["verify", "completeness", "--instance", "examctp4",
+                                "--count", 2, *EXAMCTP4_PARAMS, "--dim-cap", -1],
+    "example-ie rank-cap 0": ["verify", "example-ie", "--instance", "ie", "--count", 2,
+                              "--rank-cap", 0],
     # silently ignored (exit 0)
     "ie param x": ["verify", "green", "--instance", "ie", "--count", 2, "--param", "x=1"],
     "examctp4 param q": ["verify", "green", "--instance", "examctp4", "--count", 2,
@@ -198,8 +211,9 @@ BAD_RUN_ARGUMENTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_RUN_ARGUMENTS))
 def test_bad_run_arguments_are_preflight_failures(tmp_path, capsys, case):
-    """A count below 1 or a parameter the instance does not take fails
-    before anything runs: exit 2 with a message, and no report."""
+    """A count below 1, a rank cap below 1, a dimension cap below 0 or a
+    parameter the instance does not take fails before anything runs: exit 2
+    with a message, and no report."""
     out = tmp_path / "out.json"
     assert run([*BAD_RUN_ARGUMENTS[case], "--field", "3", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")

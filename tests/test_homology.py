@@ -84,7 +84,8 @@ def test_ext_from_projective_vanishes(a2_f3, ie):
         assert hml.ext_dim(p1, y, 1) == 0
         assert hml.ext_dim(p1, y, 2) == 0
     t = mor.functor_T(ie, "A", p1)
-    reg = mor.regular_lambda_module(ie)
+    reg, _, _ = mor.lambda_direct_sum([mor.functor_T(ie, "A", alg.free_module(ie.A, 1)),
+                                       mor.functor_T(ie, "B", alg.free_module(ie.B, 1))])
     assert hml.ext_dim(t, reg, 1) == 0
 
 
@@ -296,8 +297,8 @@ def test_horseshoe_merge_triangular(a2_f3):
     approx_l = _za_injective_approx(tri, s.left.X)
     approx_r = _tb_injective_approx(tri, s.right.Y)
     merged = hml.horseshoe_merge(s, approx_l, approx_r)
-    merged.ses.validate()
-    assert merged.ses.middle.total_dim >= l.total_dim
+    merged.validate()
+    assert merged.middle.total_dim >= l.total_dim
 
 
 def _triangular_module(tri, x, y):

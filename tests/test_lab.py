@@ -196,13 +196,11 @@ def test_green_suite_on_nonvanishing_tensors():
 
 
 def test_operation_aliases():
-    from morita_lab.algebras import opposite_algebra
     from morita_lab.homology import ext_group, presentation
 
     inst = lab.catalog("ie", F3)
-    assert opposite_algebra(inst.data.A) is inst.data.A.opposite()
-    x = lab.sample_module(inst.data.A, lab.SampleConfig(count=1))
-    l = lab.sample_module(inst.data, lab.SampleConfig(count=1))
+    x = lab._sampler(lab.SampleConfig(count=1), "sample_module").plain(inst.data.A)
+    l = lab._sampler(lab.SampleConfig(count=1), "sample_module").quadruple(inst.data)
     assert x.algebra is inst.data.A and l.data is inst.data
     pres = presentation(x)
     assert pres.right is x and pres.tops == (alg.cover_vertices(x),)  # the cover

@@ -219,7 +219,7 @@ def _check_quotient_against_sympy(field, m):
     for k, j in enumerate(free):
         want[k, j] = field.one
         for i, p in enumerate(pivots):
-            want[k, p] = field.neg(r[i, j])
+            want[k, p] = field.scalar(-r[i, j])
     assert proj.dtype == want.dtype and field.equal(proj, want)
     assert field.equal(linalg.kernel_basis(field, m.T), want.T)
     assert field.is_zero(field.matmul(proj, m))
@@ -268,7 +268,7 @@ def test_solve_matrix_system_zero_and_empty_blocks(field):
     got = solve_matrix_system(field, [field.zeros(2, 2), row[:, [1, 3]]], n, support=[1, 3])
     want = field.zeros(n, 1)
     # restricted row (2, 1): the free coordinate is x_3, and x_1 = -1/2
-    want[1, 0], want[3, 0] = field.neg(field.inv(field.scalar(2))), field.one
+    want[1, 0], want[3, 0] = field.scalar(-field.inv(field.scalar(2))), field.one
     assert field.equal(got, want)
     assert solve_matrix_system(field, [field.zeros(2, 0)], 0, []).shape == (0, 0)
 

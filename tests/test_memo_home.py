@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "morita_lab"
-STORES = {"_cache", "_tensors"}
+STORES = {"_cache", "_tensors", "_algebras", "_moritas"}
 
 
 def _names_a_store(expr):

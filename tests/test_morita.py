@@ -173,7 +173,9 @@ def test_materialize_product(product_data):
 
 def test_flatten_regular_is_regular(ie):
     lam = mor.materialize(ie)
-    reg = mor.regular_lambda_module(ie)
+    # T_A A (+) T_B B flattens to the left regular representation
+    reg, _, _ = mor.lambda_direct_sum([mor.functor_T(ie, "A", alg.free_module(ie.A, 1)),
+                                       mor.functor_T(ie, "B", alg.free_module(ie.B, 1))])
     flat = mor.flatten(reg)
     assert flat.dim == lam.dim
     flat.validate()
@@ -214,7 +216,9 @@ def test_lambda_cokernel_of_zero(ie):
     p1 = _proj(ie)[0]
     l = mor.functor_T(ie, "A", p1)
     z = mor.functor_Z(ie, "B", alg.zero_module(ie.B))
-    c, proj = mor.lambda_cokernel(mor.lambda_zero_morphism(z, l))
+    zero = mor.LambdaMorphism(z, l, ie.field.zeros(l.X.dim, z.X.dim),
+                              ie.field.zeros(l.Y.dim, z.Y.dim))
+    c, proj = mor.lambda_cokernel(zero)
     assert mor.lambda_modules_equal(c, l) or c.dims == l.dims
     proj.validate()
 
@@ -240,7 +244,7 @@ def test_lambda_kernel_shape(ie):
     k, incl = mor.lambda_kernel(phi)
     assert k.dims == (0, 1)
     incl.validate()
-    assert mor.is_exact_sequence([incl, phi])
+    assert incl.target is phi.source and mor.is_exact_pair(incl, phi)
 
 
 def test_adjunction_dimension_identities(ie):
@@ -299,16 +303,19 @@ def test_second_expression_roundtrip(ie):
     assert mor.lambda_modules_equal(l, rebuilt)
 
 
-def test_adjoint_transpose_wrappers(ie):
-    rng = random.Random(29)
+def test_adjoint_transpose_roundtrip(ie):
+    """eta: Hom_B(M (x) X, Y) -> Hom_A(X, Hom_B(M, Y)) and
+    eta': Hom_A(N (x) Y, X) -> Hom_B(Y, Hom_A(N, X)) invert on sigma."""
     p1 = _proj(ie)[0]
     sigma = ie.field.asmatrix([[0], [1]])
-    ft = mor.adjoint_transpose_f(ie, p1, p1, sigma)
+    tx, hom_my = mor.tensor_over(ie.M, p1), mor.hom_module(ie.M, p1)
+    ft = mor.transpose_structure_map(p1, tx, sigma, hom_my)
     assert ie.field.equal(ft, ie.field.asmatrix([[1, 0]]))
-    back = mor.adjoint_untranspose_f(ie, p1, p1, ft)
+    back = mor.untranspose_structure_map(p1, tx, ft, hom_my)
     assert ie.field.equal(back, sigma)
-    gt = mor.adjoint_transpose_g(ie, p1, p1, sigma)
-    assert ie.field.equal(mor.adjoint_untranspose_g(ie, p1, p1, gt), sigma)
+    ty, hom_nx = mor.tensor_over(ie.N, p1), mor.hom_module(ie.N, p1)
+    gt = mor.transpose_structure_map(p1, ty, sigma, hom_nx)
+    assert ie.field.equal(mor.untranspose_structure_map(p1, ty, gt, hom_nx), sigma)
 
 
 def _conjugate_module(x, g):
