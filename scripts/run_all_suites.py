@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from morita_lab.fields import F2, F3
 from morita_lab import lab
-from morita_lab.jsonio import canonical_dumps
+from morita_lab.jsonio import emit
 
 RUNS = [
     ("green", "ie", F3, {}),
@@ -49,8 +49,7 @@ def main():
         doc = rep.to_dict()
         tag = f"{suite}-{name}-p{field.p}"
         path = os.path.join(args.out, f"{tag}.json")
-        with open(path, "w") as fh:
-            fh.write(canonical_dumps(doc))
+        emit(doc, path)
         n_pass = sum(1 for c in doc["claims"] if c["verdict"] == "pass")
         n_fail = sum(1 for c in doc["claims"] if c["verdict"] == "fail")
         verdict = "PASS" if rep.passed else "FAIL"

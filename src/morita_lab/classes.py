@@ -26,6 +26,22 @@ from .morita import (
 )
 
 
+# -- orthogonality ---------------------------------------------------------------
+
+
+def orthogonal(pairs) -> bool:
+    """Ext^1(a, b) = 0 for every pair (a, b), evaluated in order up to the
+    first that does not vanish."""
+    return all(ext_dim(a, b, 1) == 0 for a, b in pairs)
+
+
+def h_images_of_injectives(data: MoritaData):
+    """[H_A I for the indecomposable injective A-modules I] followed by
+    [H_B J for the indecomposable injective B-modules J]."""
+    return ([functor_H(data, "A", i) for i in indecomposable_injectives(data.A)]
+            + [functor_H(data, "B", j) for j in indecomposable_injectives(data.B)])
+
+
 # -- plain-module class specs ---------------------------------------------------
 
 
@@ -56,8 +72,8 @@ class ClassSpec:
                 return any(m.dim == 0 for m in self.modules)
             return any(bool(module_isomorphism(x, m)) for m in self.modules)
         if self.kind == "left_perp":
-            return all(ext_dim(x, t, 1) == 0 for t in self.modules)
-        return all(ext_dim(t, x, 1) == 0 for t in self.modules)
+            return orthogonal((x, t) for t in self.modules)
+        return orthogonal((t, x) for t in self.modules)
 
 
 def projectives_spec(algebra):
@@ -109,17 +125,13 @@ def in_nabla(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec) -> bool:
     return xspec.contains(ker_f) and yspec.contains(ker_g)
 
 
-def is_left_orthogonal(l: LambdaModule, tests) -> bool:
-    return all(ext_dim(l, t, 1) == 0 for t in tests)
-
-
 # -- splitting-based decompositions --------------------------------------------------
 
 
 def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
     """When l lies in the mono class over (uspec, vspec) and both canonical
     sequences split, realize l as T_A(Coker g) (+) T_B(Coker f) and return
-    (U-part, V-part, iso, inverse); None otherwise."""
+    (U-part, V-part, iso); None otherwise."""
     if not l.data.tensor_vanishing:
         return None
     if not in_delta(l, uspec, vspec):
@@ -146,8 +158,7 @@ def delta_decompose(l: LambdaModule, uspec: ClassSpec, vspec: ClassSpec):
         return None
     iso = LambdaMorphism(l, target, a, b)
     iso.validate()
-    inv = LambdaMorphism(target, l, linalg.invert(fld, a), linalg.invert(fld, b))
-    return u, v, iso, inv
+    return u, v, iso
 
 
 def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
@@ -193,8 +204,7 @@ def nabla_decompose(l: LambdaModule, xspec: ClassSpec, yspec: ClassSpec):
         return None
     iso = LambdaMorphism(l, target, a, b)
     iso.validate()
-    inv = LambdaMorphism(target, l, linalg.invert(fld, a), linalg.invert(fld, b))
-    return kx, ky, iso, inv
+    return kx, ky, iso
 
 
 def projective_by_shape(l: LambdaModule) -> bool:
@@ -283,11 +293,7 @@ class GorensteinCertificate:
                 coresolution_ij(reg_b)
             except ValueError as exc:
                 self.reasons.append(f"regular module self-injective bound fails: {exc}")
-            injs = ([functor_H(data, "A", i)
-                     for i in indecomposable_injectives(data.A)]
-                    + [functor_H(data, "B", j)
-                       for j in indecomposable_injectives(data.B)])
-            self.injective_cogenerator, _, _ = lambda_direct_sum(injs)
+            self.injective_cogenerator, _, _ = lambda_direct_sum(h_images_of_injectives(data))
 
     @property
     def ok(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -20,16 +19,15 @@ from . import homology as hml
 from . import classes as cls
 from . import lab
 from . import jsonio
-from .jsonio import DocumentStore, SchemaError
+from .jsonio import DocumentStore, SchemaError, reference
 
 
 def _print(obj, out=None):
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write obj to the file out, or to stdout when out is None."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        jsonio.emit(obj, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(jsonio.canonical_dumps(obj))
 
 
 def _params(args):
@@ -41,9 +39,11 @@ def _params(args):
     return params
 
 
-def _ref(path, out):
-    """A reference to path from the document written to out."""
-    return os.path.relpath(path, os.path.dirname(os.path.abspath(out)))
+def _check_caps(args):
+    """The sampler caps --rank-cap and --dim-cap must be at least 1."""
+    for flag, cap in (("--rank-cap", args.rank_cap), ("--dim-cap", args.dim_cap)):
+        if cap < 1:
+            raise ValueError(f"{flag} must be at least 1, got {cap}")
 
 
 def cmd_validate(args):
@@ -92,7 +92,7 @@ def cmd_functor(args):
         if a is not expected:
             raise SchemaError("module is not over the matching side of the Morita data")
         result = fn(data, side, x)
-        jsonio.emit(jsonio.lambda_module_to_json(result, _ref(args.morita, args.out)),
+        jsonio.emit(jsonio.lambda_module_to_json(result, reference(args.morita, args.out)),
                     args.out)
     elif name in ("UA", "UB", "CA", "CB", "KA", "KB"):
         l, data = store.lambda_module(args.infile)
@@ -103,9 +103,9 @@ def cmd_functor(args):
             result, _ = mor.functor_C(side, l)
         else:
             result, _ = mor.functor_K(side, l)
-        morita_path = store._resolve(args.infile, store.raw(args.infile), "morita_ref")
-        alg_path = store._resolve(morita_path, store.raw(morita_path), side)
-        jsonio.emit(jsonio.module_to_json(result, _ref(alg_path, args.out)), args.out)
+        morita_path = store.resolve(args.infile, store.raw(args.infile), "morita_ref")
+        alg_path = store.resolve(morita_path, store.raw(morita_path), side)
+        jsonio.emit(jsonio.module_to_json(result, reference(alg_path, args.out)), args.out)
     else:
         raise SchemaError(f"unknown functor {args.name!r}")
     _print({"functor": name, "written": args.out})
@@ -151,34 +151,6 @@ def cmd_tor(args):
     return 0
 
 
-def _class_spec_from_json(store, base_path, doc, key, algebra):
-    """The class spec doc[key] of a class_spec_pair document."""
-    spec = doc.get(key)
-    if not isinstance(spec, dict):
-        raise SchemaError(f"class spec {key!r} must be a JSON object")
-    t = spec.get("type")
-    refs = spec.get("modules", [])
-    if not isinstance(refs, list):
-        raise SchemaError(f"modules of class spec {key!r} must be a list of references")
-    mods = []
-    for i in range(len(refs)):
-        x, a = store.module(store._resolve(base_path, refs, i))
-        if a is not algebra:
-            raise SchemaError("spec test module is over the wrong algebra")
-        mods.append(x)
-    return cls.ClassSpec(t, algebra, tuple(mods))
-
-
-def _load_spec_pair(store, path, data):
-    doc = store.raw(path)
-    if (not isinstance(doc, dict) or doc.get("kind") != "class_spec_pair"
-            or doc.get("version") != 1):
-        raise SchemaError("expected a class_spec_pair document")
-    u = _class_spec_from_json(store, path, doc, "U", data.A)
-    v = _class_spec_from_json(store, path, doc, "V", data.B)
-    return u, v
-
-
 def cmd_classify(args):
     store = DocumentStore()
     l, data = store.lambda_module(args.module)
@@ -194,16 +166,14 @@ def cmd_classify(args):
     elif which in ("delta", "nabla"):
         if not args.spec:
             raise SchemaError(f"classify --class {which} needs --spec")
-        u, v = _load_spec_pair(store, args.spec, data)
+        u, v = store.class_spec_pair(args.spec, data)
         result = cls.in_delta(l, u, v) if which == "delta" else cls.in_nabla(l, u, v)
-    elif which in ("gp", "gi"):
+    else:  # gp or gi
         cert = cls.GorensteinCertificate(data)
         if not cert.ok:
             raise SchemaError("instance fails the Gorenstein preflight: "
                               + "; ".join(cert.reasons))
         result = cls.gp_member(cert, l) if which == "gp" else cls.gi_member(cert, l)
-    else:
-        raise SchemaError(f"unknown class {which!r}")
     _print({"class": which, "member": bool(result)}, args.out)
     return 0
 
@@ -223,7 +193,7 @@ def _ses_to_json(ses, morita_ref):
 def cmd_resolve(args):
     store = DocumentStore()
     l, data = store.lambda_module(args.module)
-    morita_ref = store.raw(args.module)["morita_ref"]
+    morita = store.resolve(args.module, store.raw(args.module), "morita_ref")
     kind = args.kind
     if kind == "pq":
         ses = hml.resolution_pq(l)
@@ -231,14 +201,12 @@ def cmd_resolve(args):
         ses = hml.coresolution_ij(l)
     elif kind == "present":
         ses = hml.lambda_presentation(l)
-    elif kind in ("approx-c1", "approx-c2", "approx-c3", "approx-c4"):
+    else:
         builder = {"approx-c1": hml.approx_c1, "approx-c2": hml.approx_c2,
                    "approx-c3": hml.approx_c3, "approx-c4": hml.approx_c4}[kind]
         ses = builder(l).ses
-    else:
-        raise SchemaError(f"unknown resolution kind {kind!r}")
     out = {"version": 1, "kind": "resolution", "resolution_kind": kind,
-           "sequence": _ses_to_json(ses, morita_ref)}
+           "sequence": _ses_to_json(ses, reference(morita, args.out))}
     _print(out, args.out)
     return 0
 
@@ -246,18 +214,13 @@ def cmd_resolve(args):
 def cmd_decompose(args):
     store = DocumentStore()
     l, data = store.lambda_module(args.module)
-    u, v = _load_spec_pair(store, args.spec, data)
-    morita_ref = store.raw(args.module)["morita_ref"]
-    if args.kind == "delta":
-        res = cls.delta_decompose(l, u, v)
-    elif args.kind == "nabla":
-        res = cls.nabla_decompose(l, u, v)
-    else:
-        raise SchemaError(f"unknown decomposition kind {args.kind!r}")
+    u, v = store.class_spec_pair(args.spec, data)
+    decompose = cls.delta_decompose if args.kind == "delta" else cls.nabla_decompose
+    res = decompose(l, u, v)
     if res is None:
         _print({"decomposes": False}, args.out)
         return 0
-    part_a, part_b, iso, inv = res
+    part_a, part_b, iso = res
     out = {
         "decomposes": True,
         "a_part_dim": part_a.dim,
@@ -270,6 +233,7 @@ def cmd_decompose(args):
 
 
 def cmd_sample(args):
+    _check_caps(args)
     store = DocumentStore()
     sampler = lab.Sampler(args.seed, args.dim_cap, args.rank_cap)
     written = []
@@ -278,14 +242,14 @@ def cmd_sample(args):
         for i in range(args.count):
             l = sampler.quadruple(data)
             path = f"{args.out}{i:03d}.json"
-            jsonio.emit(jsonio.lambda_module_to_json(l, _ref(args.morita, path)), path)
+            jsonio.emit(jsonio.lambda_module_to_json(l, reference(args.morita, path)), path)
             written.append(path)
     elif args.algebra:
         a = store.algebra(args.algebra)
         for i in range(args.count):
             x = sampler.plain(a)
             path = f"{args.out}{i:03d}.json"
-            jsonio.emit(jsonio.module_to_json(x, _ref(args.algebra, path)), path)
+            jsonio.emit(jsonio.module_to_json(x, reference(args.algebra, path)), path)
             written.append(path)
     else:
         raise SchemaError("sample needs --morita or --algebra")
@@ -300,7 +264,7 @@ def cmd_enumerate(args):
     written = []
     for i, l in enumerate(universe):
         path = f"{args.out}{i:03d}.json"
-        jsonio.emit(jsonio.lambda_module_to_json(l, _ref(args.morita, path)), path)
+        jsonio.emit(jsonio.lambda_module_to_json(l, reference(args.morita, path)), path)
         written.append(path)
     _print({"count": len(universe), "written": written})
     return 0
@@ -309,21 +273,14 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.rank_cap < 1:
-        raise ValueError(f"--rank-cap must be at least 1, got {args.rank_cap}")
-    if args.dim_cap < 0:
-        raise ValueError(f"--dim-cap must be at least 0, got {args.dim_cap}")
+    _check_caps(args)
     field = field_from_token(args.field)
     inst = lab.catalog(args.instance, field, **_params(args))
     cfg = lab.SampleConfig(seed=args.seed, count=args.count,
                            dim_cap=args.dim_cap, rank_cap=args.rank_cap)
     rep = lab.run_suite(args.suite, inst, cfg)
     doc = rep.to_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(jsonio.canonical_dumps(doc))
-    else:
-        sys.stdout.write(jsonio.canonical_dumps(doc))
+    _print(doc, args.out)
     if any(c["verdict"] == "fail" and "preflight" in c["id"] for c in doc["claims"]):
         return 2
     return 0 if doc["passed"] else 1
@@ -427,9 +384,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

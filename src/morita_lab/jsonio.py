@@ -3,8 +3,9 @@ quadruple modules and verification reports.
 
 One file holds one object; cross-references are relative paths resolved
 against the referring file.  Prime-field entries are integers 0..p-1,
-rationals are "num/den" strings; emission is byte-stable (fixed key order,
-two-space indent, trailing newline).
+rationals are "num/den" strings; canonical_dumps is the one serializer, and
+it is byte-stable (keys in the order their builder writes them, two-space
+indent, trailing newline).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 from .fields import FieldSpec
 from . import algebras as alg
 from . import morita as mor
+from . import classes as cls
 
 DOC_VERSION = 1
 
@@ -317,30 +319,14 @@ def lambda_module_from_json(doc, data: mor.MoritaData):
 # -- emission and reference resolution ---------------------------------------------------
 
 
-_KEY_ORDER = {
-    "algebra": ["version", "kind", "field", "quiver", "relations", "raw"],
-    "module": ["version", "kind", "algebra_ref", "dim", "generator_action"],
-    "bimodule": ["version", "kind", "left_algebra", "right_algebra", "dim",
-                 "left_action", "right_action"],
-    "morita": ["version", "kind", "A", "B", "M", "N"],
-    "lambda_module": ["version", "kind", "morita_ref", "X", "Y", "f", "g"],
-    "report": ["version", "kind", "suite", "instance", "cfg", "claims", "passed"],
-}
-
-
 def canonical_dumps(doc) -> str:
-    kind = doc.get("kind")
-    order = _KEY_ORDER.get(kind, [])
-
-    def reorder(d):
-        known = [(k, d[k]) for k in order if k in d]
-        rest = sorted((k, v) for k, v in d.items() if k not in order)
-        return dict(known + rest)
-
-    return json.dumps(reorder(doc), indent=2, sort_keys=False) + "\n"
+    """The bytes of a document: its keys in the order its builder wrote
+    them, two-space indent and a trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def emit(doc, path):
+    """Write the document's canonical bytes to the file path."""
     with open(path, "w") as fh:
         fh.write(canonical_dumps(doc))
 
@@ -355,6 +341,14 @@ def load_raw(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def reference(path, out):
+    """The reference to the file path from the document written to the file
+    out, or from the current directory when out is None (the document goes
+    to stdout); DocumentStore.resolve reads it back."""
+    start = os.path.dirname(os.path.abspath(out)) if out else os.curdir
+    return os.path.relpath(path, start)
 
 
 class DocumentStore:
@@ -373,10 +367,10 @@ class DocumentStore:
         path = os.path.normpath(os.path.abspath(path))
         return alg.memo(self._raw, path, lambda: load_raw(path))
 
-    def _resolve(self, path, doc, key):
+    def resolve(self, path, doc, key):
         """The file that the reference doc[key] names, relative to the
-        document's own path; doc is a JSON object, or a list of references
-        that key indexes."""
+        document's own path (the inverse of reference); doc is a JSON
+        object, or a list of references that key indexes."""
         ref = doc.get(key) if isinstance(doc, dict) else doc[key]
         if not isinstance(ref, str) or not ref:
             raise SchemaError(f"reference {key!r} must name a file relative to the document")
@@ -389,14 +383,14 @@ class DocumentStore:
     def module(self, path):
         doc = self.raw(path)
         _require(doc, "module")
-        a = self.algebra(self._resolve(path, doc, "algebra_ref"))
+        a = self.algebra(self.resolve(path, doc, "algebra_ref"))
         return module_from_json(doc, a), a
 
     def bimodule(self, path):
         doc = self.raw(path)
         _require(doc, "bimodule")
-        left = self.algebra(self._resolve(path, doc, "left_algebra"))
-        right = self.algebra(self._resolve(path, doc, "right_algebra"))
+        left = self.algebra(self.resolve(path, doc, "left_algebra"))
+        right = self.algebra(self.resolve(path, doc, "right_algebra"))
         return bimodule_from_json(doc, left, right)
 
     def morita(self, path):
@@ -405,10 +399,10 @@ class DocumentStore:
         def build():
             doc = self.raw(path)
             _require(doc, "morita")
-            a = self.algebra(self._resolve(path, doc, "A"))
-            b = self.algebra(self._resolve(path, doc, "B"))
-            m = self.bimodule(self._resolve(path, doc, "M"))
-            n = self.bimodule(self._resolve(path, doc, "N"))
+            a = self.algebra(self.resolve(path, doc, "A"))
+            b = self.algebra(self.resolve(path, doc, "B"))
+            m = self.bimodule(self.resolve(path, doc, "M"))
+            n = self.bimodule(self.resolve(path, doc, "N"))
             if m.left_algebra is not b or m.right_algebra is not a:
                 raise SchemaError("M must be a bimodule over (B, A)")
             if n.left_algebra is not a or n.right_algebra is not b:
@@ -420,8 +414,33 @@ class DocumentStore:
     def lambda_module(self, path):
         doc = self.raw(path)
         _require(doc, "lambda_module")
-        data = self.morita(self._resolve(path, doc, "morita_ref"))
+        data = self.morita(self.resolve(path, doc, "morita_ref"))
         return lambda_module_from_json(doc, data), data
+
+    def class_spec_pair(self, path, data):
+        """The class specs U over data.A and V over data.B of a
+        class_spec_pair document, whose test modules are references."""
+        doc = self.raw(path)
+        if (not isinstance(doc, dict) or doc.get("kind") != "class_spec_pair"
+                or doc.get("version") != DOC_VERSION):
+            raise SchemaError("expected a class_spec_pair document")
+        return (self._class_spec(path, doc, "U", data.A),
+                self._class_spec(path, doc, "V", data.B))
+
+    def _class_spec(self, path, doc, key, algebra):
+        spec = doc.get(key)
+        if not isinstance(spec, dict):
+            raise SchemaError(f"class spec {key!r} must be a JSON object")
+        refs = spec.get("modules", [])
+        if not isinstance(refs, list):
+            raise SchemaError(f"modules of class spec {key!r} must be a list of references")
+        mods = []
+        for i in range(len(refs)):
+            x, a = self.module(self.resolve(path, refs, i))
+            if a is not algebra:
+                raise SchemaError("spec test module is over the wrong algebra")
+            mods.append(x)
+        return cls.ClassSpec(spec.get("type"), algebra, tuple(mods))
 
     def any_document(self, path):
         """Validate whichever document kind the file holds."""

@@ -503,15 +503,40 @@ def _sides(xs, ys):
     return [("A", x) for x in xs] + [("B", y) for y in ys]
 
 
-def _orthogonal(pairs):
-    """Ext^1(a, b) = 0 for every pair, evaluated in order up to the first
-    that does not vanish."""
-    return all(hml.ext_dim(a, b) == 0 for a, b in pairs)
-
-
-def _h_images_of_injectives(data):
-    return ([mor.functor_H(data, "A", i) for i in alg.indecomposable_injectives(data.A)]
-            + [mor.functor_H(data, "B", j) for j in alg.indecomposable_injectives(data.B)])
+def _extadj_identities(data):
+    """The identities extadj1.1-2.4 on data, in order, as tag -> (side,
+    hypothesis, identity): for a module x over the algebra named by side and
+    a quadruple l, identity(x, l) holds whenever hypothesis(x, l) does.  The
+    hypotheses of extadj1 read x alone."""
+    fld = data.field
+    n_left = data.N.as_left_module()
+    m_left = data.M.as_left_module()
+    return {
+        "extadj1.1": ("A", lambda x, l: hml.tor1(data.M, x)[0] == 0,
+                      lambda x, l: hml.ext_dim(mor.functor_T(data, "A", x), l)
+                      == hml.ext_dim(x, l.X)),
+        "extadj1.2": ("B", lambda y, l: hml.tor1(data.N, y)[0] == 0,
+                      lambda y, l: hml.ext_dim(mor.functor_T(data, "B", y), l)
+                      == hml.ext_dim(y, l.Y)),
+        "extadj1.3": ("A", lambda x, l: hml.ext_dim(n_left, x) == 0,
+                      lambda x, l: hml.ext_dim(l.X, x)
+                      == hml.ext_dim(l, mor.functor_H(data, "A", x))),
+        "extadj1.4": ("B", lambda y, l: hml.ext_dim(m_left, y) == 0,
+                      lambda y, l: hml.ext_dim(l.Y, y)
+                      == hml.ext_dim(l, mor.functor_H(data, "B", y))),
+        "extadj2.1": ("A", lambda x, l: linalg.rank(fld, l.g) == l.tY.dim,
+                      lambda x, l: hml.ext_dim(mor.functor_C("A", l)[0], x)
+                      == hml.ext_dim(l, mor.functor_Z(data, "A", x))),
+        "extadj2.2": ("B", lambda y, l: linalg.rank(fld, l.f) == l.tX.dim,
+                      lambda y, l: hml.ext_dim(mor.functor_C("B", l)[0], y)
+                      == hml.ext_dim(l, mor.functor_Z(data, "B", y))),
+        "extadj2.3": ("A", lambda x, l: linalg.rank(fld, l.f_tilde) == l.hom_MY().dim,
+                      lambda x, l: hml.ext_dim(mor.functor_Z(data, "A", x), l)
+                      == hml.ext_dim(x, mor.functor_K("A", l)[0])),
+        "extadj2.4": ("B", lambda y, l: linalg.rank(fld, l.g_tilde) == l.hom_NX().dim,
+                      lambda y, l: hml.ext_dim(mor.functor_Z(data, "B", y), l)
+                      == hml.ext_dim(y, mor.functor_K("B", l)[0])),
+    }
 
 
 # -- the claim runner -------------------------------------------------------------
@@ -646,47 +671,16 @@ def suite_green(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRep
 def suite_adjunction(instance: CatalogInstance, cfg: SampleConfig) -> VerificationReport:
     rep = VerificationReport("adjunction", instance.name, cfg)
     data = instance.data
-    n_left = data.N.as_left_module()
-    m_left = data.M.as_left_module()
-
-    checks = {
-        "extadj1.1": lambda x, l: (hml.tor1(data.M, x)[0] == 0,
-                                   lambda: hml.ext_dim(mor.functor_T(data, "A", x), l)
-                                   == hml.ext_dim(x, l.X)),
-        "extadj1.2": lambda y, l: (hml.tor1(data.N, y)[0] == 0,
-                                   lambda: hml.ext_dim(mor.functor_T(data, "B", y), l)
-                                   == hml.ext_dim(y, l.Y)),
-        "extadj1.3": lambda x, l: (hml.ext_dim(n_left, x) == 0,
-                                   lambda: hml.ext_dim(l.X, x)
-                                   == hml.ext_dim(l, mor.functor_H(data, "A", x))),
-        "extadj1.4": lambda y, l: (hml.ext_dim(m_left, y) == 0,
-                                   lambda: hml.ext_dim(l.Y, y)
-                                   == hml.ext_dim(l, mor.functor_H(data, "B", y))),
-        "extadj2.1": lambda x, l: (linalg.rank(data.field, l.g) == l.tY.dim,
-                                   lambda: hml.ext_dim(mor.functor_C("A", l)[0], x)
-                                   == hml.ext_dim(l, mor.functor_Z(data, "A", x))),
-        "extadj2.2": lambda y, l: (linalg.rank(data.field, l.f) == l.tX.dim,
-                                   lambda: hml.ext_dim(mor.functor_C("B", l)[0], y)
-                                   == hml.ext_dim(l, mor.functor_Z(data, "B", y))),
-        "extadj2.3": lambda x, l: (linalg.rank(data.field, l.f_tilde) == l.hom_MY().dim,
-                                   lambda: hml.ext_dim(mor.functor_Z(data, "A", x), l)
-                                   == hml.ext_dim(x, mor.functor_K("A", l)[0])),
-        "extadj2.4": lambda y, l: (linalg.rank(data.field, l.g_tilde) == l.hom_NX().dim,
-                                   lambda: hml.ext_dim(mor.functor_Z(data, "B", y), l)
-                                   == hml.ext_dim(y, mor.functor_K("B", l)[0])),
-    }
-    for tag, make in checks.items():
-        # the odd-numbered identities sample an A-module, the even ones a B-module
-        algebra = data.A if tag[-1] in "13" else data.B
+    for tag, (side, hypothesis, identity) in _extadj_identities(data).items():
+        algebra = data.A if side == "A" else data.B
 
         def draw(s, i):
             x = s.plain(algebra)
             l = s.quadruple(data, mono_bias=tag.startswith("extadj2"))
-            hypothesis, verify = make(x, l)
-            return verify if hypothesis else None
+            return (x, l) if hypothesis(x, l) else None
 
         _sampled_claim(rep, f"adjunction.{tag}", tag, cfg, f"adjunction.{tag}", cfg.count,
-                       draw, lambda verify: not verify(), counted="checked",
+                       draw, lambda case: not identity(*case), counted="checked",
                        failed="mismatches")
     return rep
 
@@ -720,8 +714,8 @@ def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> Verific
     # destheta(1): right-orthogonality against T-images describes the column
     def theta1(xs, ys, l):
         tests = _sides(xs, ys)
-        return (_orthogonal((x, mor.functor_U(side, l)) for side, x in tests)
-                != _orthogonal((mor.functor_T(data, side, x), l) for side, x in tests))
+        return (cls.orthogonal((x, mor.functor_U(side, l)) for side, x in tests)
+                != cls.orthogonal((mor.functor_T(data, side, x), l) for side, x in tests))
 
     biconditional("destheta.1", "destheta(1)", theta1,
                   reject=lambda side, x: hml.tor1(tensoring[side], x)[0])
@@ -729,8 +723,8 @@ def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> Verific
     # destheta(2): left-orthogonality against H-images
     def theta2(xs, ys, l):
         tests = _sides(xs, ys)
-        return (_orthogonal((mor.functor_U(side, l), x) for side, x in tests)
-                != _orthogonal((l, mor.functor_H(data, side, x)) for side, x in tests))
+        return (cls.orthogonal((mor.functor_U(side, l), x) for side, x in tests)
+                != cls.orthogonal((l, mor.functor_H(data, side, x)) for side, x in tests))
 
     biconditional("destheta.2", "destheta(2)", theta2,
                   reject=lambda side, x: hml.ext_dim(hom_source[side], x))
@@ -740,7 +734,8 @@ def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> Verific
         uspec = cls.ClassSpec("left_perp", data.A, tuple(xs))
         vspec = cls.ClassSpec("left_perp", data.B, tuple(ys))
         return (cls.in_delta(l, uspec, vspec)
-                != _orthogonal((l, mor.functor_Z(data, side, x)) for side, x in _sides(xs, ys)))
+                != cls.orthogonal((l, mor.functor_Z(data, side, x))
+                                  for side, x in _sides(xs, ys)))
 
     biconditional("desdelta.1", "desdelta(1)", delta1, bias=0,
                   extra=(alg.indecomposable_injectives(data.A),
@@ -751,7 +746,8 @@ def suite_orthogonality(instance: CatalogInstance, cfg: SampleConfig) -> Verific
         xspec = cls.ClassSpec("right_perp", data.A, tuple(xs))
         yspec = cls.ClassSpec("right_perp", data.B, tuple(ys))
         return (cls.in_nabla(l, xspec, yspec)
-                != _orthogonal((mor.functor_Z(data, side, x), l) for side, x in _sides(xs, ys)))
+                != cls.orthogonal((mor.functor_Z(data, side, x), l)
+                                  for side, x in _sides(xs, ys)))
 
     biconditional("desdelta.2", "desdelta(2)", delta2, bias=1,
                   extra=(alg.indecomposable_projectives(data.A),
@@ -1195,12 +1191,12 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
         x = s.plain(data.A)
         return None if alg.is_projective_module(x) or hml.tor1(data.M, x)[0] else x
 
-    h_injectives = _h_images_of_injectives(data)
+    h_injectives = cls.h_images_of_injectives(data)
 
     def not_a_witness(x):
         tx = mor.functor_T(data, "A", x)
         return (cls.projective_by_shape(tx) or hml.is_projective_lambda(tx)
-                or not cls.is_left_orthogonal(tx, h_injectives))
+                or not cls.orthogonal((tx, t) for t in h_injectives))
 
     _sampled_claim(rep, "differences.newI-nonflat-witness", "newI", cfg, "differences.newI",
                    20, non_flat, not_a_witness, counted="checked")
@@ -1218,7 +1214,7 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     ok = not alg.is_projective_module(y)
     ok = ok and hml.tor1(d1.N, y)[0] == 0
     witnesses = injective_column("differences.irem1", d1, 10)
-    ok = ok and cls.is_left_orthogonal(ty, witnesses)
+    ok = ok and cls.orthogonal((ty, t) for t in witnesses)
     ok = ok and not cls.in_column(ty, cls.projectives_spec(d1.A),
                                   cls.projectives_spec(d1.B))
     rep.record("differences.different-step4", "different", ok, {})
@@ -1236,7 +1232,7 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     ok = not alg.is_projective_module(y2) and hml.tor1(dn.N, y2)[0] == 0
     ty2 = mor.functor_T(dn, "B", y2)
     witnesses = injective_column("differences.notgor2", dn, 8)
-    ok = ok and cls.is_left_orthogonal(ty2, witnesses)
+    ok = ok and cls.orthogonal((ty2, t) for t in witnesses)
     ok = ok and not cls.in_column(ty2, cls.projectives_spec(dn.A),
                                   cls.projectives_spec(dn.B))
     rep.record("differences.notgor2-TB-witness", "notgor2", ok, {})
@@ -1244,7 +1240,7 @@ def suite_differences(instance: CatalogInstance, cfg: SampleConfig) -> Verificat
     x2 = alg.simples(dn.A)[0]
     tx2 = mor.functor_T(dn, "A", x2)
     ok = (not alg.is_projective_module(x2)
-          and cls.is_left_orthogonal(tx2, _h_images_of_injectives(dn))
+          and cls.orthogonal((tx2, t) for t in cls.h_images_of_injectives(dn))
           and not cls.in_column(tx2, cls.projectives_spec(dn.A),
                                 cls.all_spec(dn.B)))
     rep.record("differences.notgor2-TA-witness", "notgor2", ok, {})
@@ -1405,26 +1401,18 @@ def suite_oracle(instance: CatalogInstance, cfg: SampleConfig) -> VerificationRe
 
         claim("projectivity-two-routes", "ctp4", routes_disagree)
 
-        n_left = data.N.as_left_module()
-        m_left = data.M.as_left_module()
-        plain_a = _enumerate_plain(data.A, 1) + _enumerate_plain(data.A, 2)
-        plain_b = _enumerate_plain(data.B, 1) + _enumerate_plain(data.B, 2)
+        plain = {side: _enumerate_plain(algebra, 1) + _enumerate_plain(algebra, 2)
+                 for side, algebra in (("A", data.A), ("B", data.B))}
+        extadj1 = [(tag, *entry) for tag, entry in _extadj_identities(data).items()
+                   if tag.startswith("extadj1")]
 
         def identity_failures(l):
-            for x in plain_a:
-                if hml.tor1(data.M, x)[0] == 0:
-                    if hml.ext_dim(mor.functor_T(data, "A", x), l) != hml.ext_dim(x, l.X):
-                        yield ("extadj1.1", x.dim, l.dims)
-                if hml.ext_dim(n_left, x) == 0:
-                    if hml.ext_dim(l.X, x) != hml.ext_dim(l, mor.functor_H(data, "A", x)):
-                        yield ("extadj1.3", x.dim, l.dims)
-            for y in plain_b:
-                if hml.tor1(data.N, y)[0] == 0:
-                    if hml.ext_dim(mor.functor_T(data, "B", y), l) != hml.ext_dim(y, l.Y):
-                        yield ("extadj1.2", y.dim, l.dims)
-                if hml.ext_dim(m_left, y) == 0:
-                    if hml.ext_dim(l.Y, y) != hml.ext_dim(l, mor.functor_H(data, "B", y)):
-                        yield ("extadj1.4", y.dim, l.dims)
+            # for each A-module 1.1 then 1.3, for each B-module 1.2 then 1.4
+            for side, modules in plain.items():
+                for x in modules:
+                    for tag, on, hypothesis, identity in extadj1:
+                        if on == side and hypothesis(x, l) and not identity(x, l):
+                            yield (tag, x.dim, l.dims)
 
         claim("adjunction-exhaustive", "extadj1",
               lambda l: list(identity_failures(l)), keep=5)

@@ -169,6 +169,56 @@ def test_sample_and_enumerate(ie_files, tmp_path):
     assert run(["validate", tmp_path / "e000.json"]) == 0
 
 
+RESOLUTION_KINDS = ["pq", "ij", "present", "approx-c1", "approx-c2", "approx-c3", "approx-c4"]
+
+
+def test_references_hold_across_directories(tmp_path, monkeypatch, capsys):
+    """With the catalog, a sample and the quadruple L in in/, every module and
+    quadruple document that functor, resolve (of each kind), sample and
+    enumerate write to out/ loads back through DocumentStore, and so do the
+    three quadruples inside each resolution: a reference is relative to the
+    file that holds it, or to the current directory on stdout."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("in")
+    os.mkdir("out")
+    assert run(["catalog", "ie", "--field", "3", "--out", "in/ie.json"]) == 0
+    assert run(["sample", "--morita", "in/ie.json", "--count", 1, "--out", "in/s"]) == 0
+    assert run(["sample", "--algebra", "in/ie.A.json", "--count", 1, "--out", "in/x"]) == 0
+    data = jsonio.DocumentStore().morita("in/ie.json")
+    jsonio.emit(jsonio.lambda_module_to_json(lab._ie_big_module(data), "ie.json"), "in/L.json")
+    commands = [
+        ["functor", "TA", "--morita", "in/ie.json", "--in", "in/x000.json", "--out", "out/t.json"],
+        ["functor", "UA", "--in", "in/s000.json", "--out", "out/u.json"],
+        ["resolve", "--module", "in/s000.json", "--kind", "present", "--out", "out/r.json"],
+        *(["resolve", "--module", "in/L.json", "--kind", kind, "--out", f"out/r-{kind}.json"]
+          for kind in RESOLUTION_KINDS),
+        ["sample", "--morita", "in/ie.json", "--count", 1, "--out", "out/s"],
+        ["sample", "--algebra", "in/ie.A.json", "--count", 1, "--out", "out/x"],
+        ["enumerate", "--morita", "in/ie.json", "--max-dim", 1, "--out", "out/e"],
+    ]
+    for argv in commands:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert run(["resolve", "--module", "in/s000.json", "--kind", "present"]) == 0
+    pathlib.Path("r.json").write_text(capsys.readouterr().out)
+    morita_refs = {}
+    for path in sorted(pathlib.Path("out").glob("*.json")) + [pathlib.Path("r.json")]:
+        doc = json.loads(path.read_text())
+        if doc["kind"] == "module":
+            jsonio.DocumentStore().module(path)
+        elif doc["kind"] == "lambda_module":
+            jsonio.DocumentStore().lambda_module(path)
+        else:
+            for part in ("left", "middle", "right"):
+                embedded = path.with_name(f"{path.stem}.{part}")
+                jsonio.emit(doc["sequence"][part], embedded)
+                jsonio.DocumentStore().lambda_module(embedded)
+            morita_refs[str(path)] = doc["sequence"]["left"]["morita_ref"]
+    assert len(morita_refs) == 2 + len(RESOLUTION_KINDS)
+    assert morita_refs["out/r.json"] == "../in/ie.json"
+    assert morita_refs["r.json"] == "in/ie.json"
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "example-ie", "--instance", "ie", "--field", "3",
@@ -201,6 +251,14 @@ BAD_RUN_ARGUMENTS = {
                                 "--count", 2, *EXAMCTP4_PARAMS, "--dim-cap", -1],
     "example-ie rank-cap 0": ["verify", "example-ie", "--instance", "ie", "--count", 2,
                               "--rank-cap", 0],
+    # every claim checks nothing: exit 1 with {"checked": 0} in differences
+    "differences dim-cap 0": ["verify", "differences", "--instance", "ie", "--count", 2,
+                              "--dim-cap", 0],
+    # sample (no --field): a zero module written with exit 0, an empty
+    # randrange (exit 2 naming no flag), and zero quadruples written
+    "sample dim-cap -1": ["sample", "--algebra", "ie.A.json", "--dim-cap", -1],
+    "sample rank-cap 0": ["sample", "--morita", "ie.json", "--rank-cap", 0],
+    "sample dim-cap 0": ["sample", "--morita", "ie.json", "--dim-cap", 0],
     # silently ignored (exit 0)
     "ie param x": ["verify", "green", "--instance", "ie", "--count", 2, "--param", "x=1"],
     "examctp4 param q": ["verify", "green", "--instance", "examctp4", "--count", 2,
@@ -210,14 +268,17 @@ BAD_RUN_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUN_ARGUMENTS))
-def test_bad_run_arguments_are_preflight_failures(tmp_path, capsys, case):
-    """A count below 1, a rank cap below 1, a dimension cap below 0 or a
+def test_bad_run_arguments_are_preflight_failures(ie_files, monkeypatch, capsys, case):
+    """A count below 1, a rank cap below 1, a dimension cap below 1 or a
     parameter the instance does not take fails before anything runs: exit 2
-    with a message, and no report."""
-    out = tmp_path / "out.json"
-    assert run([*BAD_RUN_ARGUMENTS[case], "--field", "3", "--out", out]) == 2
+    with a message, and no report or sample.  The ie documents are in the
+    current directory."""
+    monkeypatch.chdir(ie_files)
+    args = BAD_RUN_ARGUMENTS[case]
+    field = [] if args[0] == "sample" else ["--field", "3"]
+    assert run([*args, *field, "--out", "out.json"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    assert not list(ie_files.glob("out*"))
 
 
 def test_verify_report_round_trip(tmp_path):
