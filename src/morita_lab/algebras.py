@@ -161,7 +161,7 @@ class PresentedAlgebra:
             idem = dict(self.vertex_idempotents)
             arrows = dict(self.arrow_indices)
             words = tuple((tuple(reversed(w)), t, s) for (w, s, t) in self.path_words)
-        op = PresentedAlgebra(self.field, self.basis_labels, mult_op, np.array(self.unit),
+        op = PresentedAlgebra(self.field, self.basis_labels, mult_op, self.unit,
                               quiver=quiver_op, vertex_idempotents=idem,
                               arrow_indices=arrows, path_words=words,
                               relations=tuple(tuple(reversed(w)) for w in self.relations),
@@ -301,10 +301,11 @@ def nakayama_relations(quiver: Quiver, h: int):
 
 def _frozen_stack(field, mats, count, dim):
     """The matrices as one frozen (count, dim, dim) array in the field's
-    dtype; a frozen array of that shape and dtype is kept as it is."""
-    if (isinstance(mats, np.ndarray) and not mats.flags.writeable
-            and mats.dtype == field._dtype and mats.shape == (count, dim, dim)):
-        return mats
+    dtype; a stack of that shape and dtype goes through FieldSpec.frozen, so
+    a frozen one is shared as it is."""
+    if (isinstance(mats, np.ndarray) and mats.dtype == field._dtype
+            and mats.shape == (count, dim, dim)):
+        return field.frozen(mats)
     if len(mats) != count:
         raise ValueError("need one action matrix per basis element")
     if any(np.shape(a) != (dim, dim) for a in mats):
@@ -408,7 +409,11 @@ class Module:
         if system is None:
             return None
         f = self.field
-        images = linalg.combine(f, np.stack(system), self.action)
+        units = [i for i, _ in enumerate_idempotent_basis(self.algebra)]
+        if len(units) == len(system):  # every idempotent is a basis element
+            images = self.action[units]
+        else:
+            images = linalg.combine(f, np.stack(system), self.action)
         diag = np.arange(self.dim)
         ones = images[:, diag, diag] == f.one
         # one 1 on the diagonal per coordinate, and no other nonzero entry
@@ -561,7 +566,7 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         self.field = source.field
-        self.matrix = self.field.freeze(np.array(matrix))
+        self.matrix = self.field.frozen(matrix)
         if self.matrix.shape != (target.dim, source.dim):
             raise ValueError("morphism matrix has the wrong shape")
 
@@ -653,8 +658,9 @@ def solve_matrix_system(field, rows_blocks, n_unknowns, support):
 
 
 def _nonzero_rows(field, rows_blocks, ncols):
-    """The constraint rows stacked into one matrix, zero rows dropped."""
-    stacked = field.normalize(linalg.vstack(field, [field.zeros(0, ncols), *rows_blocks]))
+    """The constraint rows, normalized where they were built, stacked into
+    one matrix, zero rows dropped."""
+    stacked = linalg.vstack(field, [field.zeros(0, ncols), *rows_blocks])
     return stacked[stacked.astype(bool).any(axis=1)]
 
 
@@ -1099,7 +1105,7 @@ def _invertible_combination(field, basis):
         return None, True  # complete search, trivially
     if field.kind == "prime" and field.p ** h <= ISO_EXHAUSTIVE_LIMIT:
         p = field.p
-        stack = np.stack(basis) % p
+        stack = np.stack(basis)
         for coeffs in _monic_chunks(p, h):
             cands = linalg.combine(field, coeffs, stack)
             hits = np.flatnonzero(linalg.invertible_mask(field, cands))

@@ -3,7 +3,8 @@ application, Ext/Tor queries, class membership, resolutions, decompositions,
 sampling, enumeration, and the verification suites.
 
 Exit codes: 0 when every verdict passes, 1 for claim failures, 2 for schema
-violations and preflight failures, 3 for internal invariant breaches.
+violations, preflight failures and files that cannot be written, 3 for
+internal invariant breaches.
 """
 
 from __future__ import annotations
@@ -40,10 +41,20 @@ def _params(args):
 
 
 def _check_caps(args):
-    """The sampler caps --rank-cap and --dim-cap must be at least 1."""
-    for flag, cap in (("--rank-cap", args.rank_cap), ("--dim-cap", args.dim_cap)):
+    """--count and the sampler caps --rank-cap and --dim-cap must be at
+    least 1."""
+    for flag, cap in (("--count", args.count), ("--rank-cap", args.rank_cap),
+                      ("--dim-cap", args.dim_cap)):
         if cap < 1:
             raise ValueError(f"{flag} must be at least 1, got {cap}")
+
+
+def _check_out(args):
+    """The directory that --out names a file or a prefix in must exist
+    before anything runs."""
+    folder = os.path.dirname(args.out) if getattr(args, "out", None) else ""
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"--out directory {folder!r} does not exist")
 
 
 def cmd_validate(args):
@@ -271,8 +282,6 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
     _check_caps(args)
     field = field_from_token(args.field)
     inst = lab.catalog(args.instance, field, **_params(args))
@@ -383,8 +392,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

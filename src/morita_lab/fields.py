@@ -20,6 +20,15 @@ is its numerator's.  Every Fraction is in lowest terms, so two rational
 arrays are equal exactly when their integer numerators over the common
 denominator are (FieldSpec.equal), and FieldSpec.value_key keys an array
 by those integers, never by Fractions.
+
+One ownership rule: an array is normalized where it is produced, and a
+read-only array in the field's dtype is normalized.  So nothing reduces a
+value twice: FieldSpec.freeze makes an array read-only in place, without
+normalizing it, and copies only a view of a base that is still writeable,
+so that no frozen array changes underneath its holder; FieldSpec.frozen
+shares a read-only array as it is and freezes a copy of anything else.
+The public entry points that take arbitrary integers (linalg.rref,
+FieldSpec.equal and FieldSpec.is_zero) still normalize their inputs.
 """
 
 from __future__ import annotations
@@ -88,17 +97,27 @@ def _products_per_reduction(p: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact below
+    3 215 031 751 (Jaeschke, Math. Comp. 61, 1993), so for every n that
+    FieldSpec admits: it refuses p > 2^31 before asking."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -237,9 +256,26 @@ class FieldSpec:
         return a.shape, a.dtype.str, a.tobytes()
 
     def freeze(self, a: np.ndarray) -> np.ndarray:
-        a = self.normalize(a)
+        """a made read-only in place, and returned.  It is not normalized
+        here: the caller froze what it produced, which is normalized (see the
+        module docstring).  A view of a base that is still writeable is
+        copied first, so that nothing can change a frozen array."""
+        base = a.base
+        while base is not None:
+            if not isinstance(base, np.ndarray) or base.flags.writeable:
+                a = a.copy()
+                break
+            base = base.base
         a.flags.writeable = False
         return a
+
+    def frozen(self, a) -> np.ndarray:
+        """a itself when it is a read-only array in this field's dtype, and
+        so already normalized; otherwise a frozen copy, which leaves the
+        caller's array writeable."""
+        if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == self._dtype:
+            return a
+        return self.freeze(np.array(a))
 
 
 F2 = FieldSpec("prime", 2)

@@ -94,8 +94,8 @@ class LambdaModule:
         self.Y = y
         self.tX = tx if tx is not None else tensor_over(data.M, x)  # M (x) X
         self.tY = ty if ty is not None else tensor_over(data.N, y)  # N (x) Y
-        f = self.field.freeze(np.array(f))
-        g = self.field.freeze(np.array(g))
+        f = self.field.frozen(f)
+        g = self.field.frozen(g)
         if f.shape != (y.dim, self.tX.dim):
             raise ValueError(f"f must be {(y.dim, self.tX.dim)}, got {f.shape}")
         if g.shape != (x.dim, self.tY.dim):
@@ -198,8 +198,8 @@ class LambdaMorphism:
         self.source = source
         self.target = target
         self.field = source.field
-        self.a = self.field.freeze(np.array(a))
-        self.b = self.field.freeze(np.array(b))
+        self.a = self.field.frozen(a)
+        self.b = self.field.frozen(b)
         if self.a.shape != (target.X.dim, source.X.dim):
             raise ValueError("component a has the wrong shape")
         if self.b.shape != (target.Y.dim, source.Y.dim):

@@ -1,7 +1,23 @@
 import pytest
 
-from morita_lab.fields import F2, F3
+from morita_lab.fields import F2, F3, FieldSpec
 from morita_lab import algebras as alg
+
+
+@pytest.fixture(scope="session", autouse=True)
+def frozen_arrays_are_normalized():
+    """FieldSpec.freeze no longer normalizes: an array is normalized where it
+    is produced.  Fail the test that freezes an F_p entry outside 0..p-1."""
+    freeze = FieldSpec.freeze
+
+    def checked(self, a):
+        if self.kind == "prime" and a.size and (a.min() < 0 or a.max() >= self.p):
+            pytest.fail(f"froze an F_{self.p} array that is not normalized: {a!r}")
+        return freeze(self, a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldSpec, "freeze", checked)
+        yield
 
 
 @pytest.fixture(scope="session")

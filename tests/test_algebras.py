@@ -712,6 +712,40 @@ def test_vertex_classes_match_the_reference(field):
     assert alg.Module(whole, x.dim, x.action).vertex_classes() == (0,) * x.dim
 
 
+@pytest.mark.parametrize("field", [F3, QQ, TOP], ids=["F3", "QQ", "largest"])
+def test_vertex_classes_agree_on_both_paths(field, monkeypatch):
+    """A system of basis elements has its images read off the action stack,
+    with no product; forcing the product, as any other system takes, gives
+    the same classes.  Systems: the vertices, the vertices with e_1 + e_2
+    as one idempotent, and the unit alone."""
+    q = alg.cyclic_quiver(3)
+    seen = set()
+    for system in ("vertices", "e_1 + e_2", "unit"):
+        a = alg.path_algebra(q, alg.nakayama_relations(q, 2), field)
+        e = [field.eye(a.dim)[a.vertex_idempotents[v]] for v in q.vertices]
+        if system == "e_1 + e_2":
+            a.set_idempotent_system([field.normalize(e[0] + e[1]), e[2]])
+        elif system == "unit":
+            a.set_idempotent_system([a.unit])
+        projs = alg.indecomposable_projectives(a)
+        x = alg.direct_sum([projs[0], alg.simples(a)[1], projs[2]])[0]
+        g = field.asmatrix([[1 if c >= r else 0 for c in range(x.dim)] for r in range(x.dim)])
+        gi = linalg.invert(field, g)
+        conj = alg.Module(a, x.dim, [field.matmul(g, field.matmul(m, gi)) for m in x.action])
+        for m in [*projs, *alg.indecomposable_injectives(a), x, conj, alg.zero_module(a)]:
+            with monkeypatch.context() as patch:
+                if system == "vertices":  # the images are read, not multiplied
+                    patch.setattr(linalg, "combine", None)
+                read = alg.Module(a, m.dim, m.action)._build_vertex_classes()
+            with monkeypatch.context() as patch:
+                patch.setattr(alg, "enumerate_idempotent_basis", lambda algebra: [])
+                combined = alg.Module(a, m.dim, m.action)._build_vertex_classes()
+            assert read == combined
+            seen.add((system, read is None))
+    assert seen == {(s, none) for s in ("vertices", "e_1 + e_2") for none in (True, False)} | {
+        ("unit", False)}
+
+
 @pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
 def test_vertex_structure_memos_key_on_content(field, monkeypatch):
     """Modules with equal content share one vertex_classes entry and one

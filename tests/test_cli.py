@@ -264,21 +264,53 @@ BAD_RUN_ARGUMENTS = {
     "examctp4 param q": ["verify", "green", "--instance", "examctp4", "--count", 2,
                          *EXAMCTP4_PARAMS, "--param", "q=1"],
     "catalog param x": ["catalog", "ie", "--param", "x=1"],
+    # zero quadruples written (exit 0)
+    "sample count 0": ["sample", "--morita", "ie.json", "--count", 0],
+    "sample count -3": ["sample", "--morita", "ie.json", "--count", -3],
+    # an --out in a missing directory: a FileNotFoundError traceback (exit 1)
+    # once the work is done, the whole suite in verify
+    "catalog out nodir": ["catalog", "ie", "--out", "nodir/ie.json"],
+    "functor out nodir": ["functor", "TA", "--in", "x000.json", "--morita", "ie.json",
+                          "--out", "nodir/t.json"],
+    "ext out nodir": ["ext", "--src", "s000.json", "--tgt", "s000.json",
+                      "--out", "nodir/e.json"],
+    "tor out nodir": ["tor", "--bimodule", "ie.M.json", "--module", "x000.json",
+                      "--out", "nodir/t.json"],
+    "classify out nodir": ["classify", "--module", "s000.json", "--class", "mon",
+                           "--out", "nodir/c.json"],
+    "resolve out nodir": ["resolve", "--module", "s000.json", "--kind", "present",
+                          "--out", "nodir/r.json"],
+    "decompose out nodir": ["decompose", "--module", "s000.json", "--kind", "delta",
+                            "--spec", "spec.json", "--out", "nodir/d.json"],
+    "sample out nodir": ["sample", "--morita", "ie.json", "--count", 1, "--out", "nodir/s"],
+    "enumerate out nodir": ["enumerate", "--morita", "ie.json", "--max-dim", 1,
+                            "--out", "nodir/u"],
+    "verify out nodir": ["verify", "green", "--instance", "ie", "--count", 2,
+                         "--out", "nodir/r.json"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUN_ARGUMENTS))
 def test_bad_run_arguments_are_preflight_failures(ie_files, monkeypatch, capsys, case):
-    """A count below 1, a rank cap below 1, a dimension cap below 1 or a
-    parameter the instance does not take fails before anything runs: exit 2
-    with a message, and no report or sample.  The ie documents are in the
-    current directory."""
+    """A count below 1, a rank cap below 1, a dimension cap below 1, a
+    parameter the instance does not take or an --out in a missing directory
+    fails before anything runs: exit 2 with a message, and no report or
+    sample.  The ie documents, a sampled A-module x000.json, a sampled
+    quadruple s000.json and a class_spec_pair spec.json are in the current
+    directory."""
     monkeypatch.chdir(ie_files)
+    assert run(["sample", "--algebra", "ie.A.json", "--count", 1, "--out", "x"]) == 0
+    assert run(["sample", "--morita", "ie.json", "--count", 1, "--out", "s"]) == 0
+    (ie_files / "spec.json").write_text(json.dumps(
+        {"version": 1, "kind": "class_spec_pair",
+         "U": {"type": "projectives"}, "V": {"type": "projectives"}}))
+    capsys.readouterr()
     args = BAD_RUN_ARGUMENTS[case]
-    field = [] if args[0] == "sample" else ["--field", "3"]
-    assert run([*args, *field, "--out", "out.json"]) == 2
+    field = ["--field", "3"] if args[0] in ("verify", "catalog") else []
+    out = [] if "--out" in args else ["--out", "out.json"]
+    assert run([*args, *field, *out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not list(ie_files.glob("out*"))
+    assert not list(ie_files.glob("out*")) and not (ie_files / "nodir").exists()
 
 
 def test_verify_report_round_trip(tmp_path):

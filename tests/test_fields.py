@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from morita_lab import algebras as alg
+from morita_lab import fields
 from morita_lab import lab
 from morita_lab import linalg
 from morita_lab.fields import F3, QQ, FieldSpec
@@ -167,7 +168,8 @@ def test_nonzero_rows_match_the_elementwise_reference(name):
     field, rng = FIELDS[name], random.Random(17)
     for _ in range(60):
         ncols = rng.randint(0, 5)
-        blocks = [_random_entries(rng, field, rng.randint(0, 4), ncols)
+        # constraint rows are normalized where they are built
+        blocks = [field.normalize(_random_entries(rng, field, rng.randint(0, 4), ncols))
                   for _ in range(rng.randint(0, 3))]
         got = alg._nonzero_rows(field, blocks, ncols)
         assert _same_bytes(got, _old_nonzero_rows(field, blocks, ncols))
@@ -258,3 +260,73 @@ def test_broken_modules_and_morphisms_keep_their_messages(field):
             assert _error(broken.validate) == want
             messages.add(want)
     assert len(messages - {None}) >= 3, messages
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    """Miller-Rabin to the bases 2, 3, 5 and 7 agrees with trial division on
+    0..10^5, and refuses the strong pseudoprimes to the first bases."""
+    sieve = np.ones(10 ** 5 + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 317):
+        sieve[d * d::d] = False
+    assert [n for n in range(10 ** 5 + 1) if fields._is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert all(fields._is_prime(n) == _trial_division(n) for n in range(2000))
+    for n in (2047, 1373653, 25326001):  # base 2; bases 2, 3; bases 2, 3, 5
+        assert not _trial_division(n) and not fields._is_prime(n)
+    for p in (33554467, (1 << 31) - 1):
+        assert fields._is_prime(p)
+    assert not fields._is_prime(1 << 31) and not fields._is_prime(46337 * 46349)
+
+
+def test_primes_above_two_to_the_31_never_reach_the_primality_test(monkeypatch):
+    """3 215 031 751 is the least strong pseudoprime to 2, 3, 5 and 7, so
+    Miller-Rabin calls it prime; FieldSpec refuses it by the bound first."""
+    assert fields._is_prime(3215031751) and not _trial_division(3215031751)
+    asked = []
+    monkeypatch.setattr(fields, "_is_prime", lambda n: asked.append(n) or True)
+    with pytest.raises(ValueError, match="not a prime"):
+        FieldSpec("prime", 3215031751)
+    assert asked == []
+    FieldSpec("prime", 7)
+    assert asked == [7]
+
+
+OWNERSHIP_FIELDS = {"F3": F3, "QQ": QQ, "largest": FieldSpec("prime", (1 << 31) - 1)}
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_FIELDS))
+def test_frozen_shares_read_only_arrays_and_copies_the_rest(name):
+    """One ownership rule: FieldSpec.frozen returns a read-only array in the
+    field's dtype itself, and freezes a copy of a writeable one, which the
+    caller can still write."""
+    field = OWNERSHIP_FIELDS[name]
+    a = field.asmatrix([[1, 2], [0, 1]])
+    mine = field.frozen(a)
+    assert mine is not a and a.flags.writeable and not mine.flags.writeable
+    a[0, 0] = field.zero
+    assert mine[0, 0] == field.one
+    assert field.frozen(mine) is mine
+    assert field.frozen(mine.T).base is mine  # a read-only view is shared too
+    listed = field.frozen([[field.one, field.zero]])
+    assert not listed.flags.writeable and listed.dtype == field.zeros(0, 0).dtype
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_FIELDS))
+def test_freeze_never_leaves_a_writeable_base_behind(name):
+    """freeze makes an array read-only in place, and copies a view of a base
+    that is still writeable, so writing the base leaves the frozen view as it
+    was; a view of a read-only base is frozen as it is."""
+    field = OWNERSHIP_FIELDS[name]
+    owner = field.asmatrix([[1, 0], [2, 1]])
+    assert field.freeze(owner) is owner and not owner.flags.writeable
+    base = field.asmatrix([[1, 0, 2], [0, 1, 1]])
+    view = field.freeze(base[:, 1:])
+    base[...] = field.zero
+    assert base.flags.writeable and not view.flags.writeable
+    assert field.equal(view, field.asmatrix([[0, 2], [1, 1]]))
+    shared = owner[:, :1]
+    assert field.freeze(shared).base is owner
