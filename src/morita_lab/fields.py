@@ -257,9 +257,9 @@ class FieldSpec:
 
     def freeze(self, a: np.ndarray) -> np.ndarray:
         """a made read-only in place, and returned.  It is not normalized
-        here: the caller froze what it produced, which is normalized (see the
-        module docstring).  A view of a base that is still writeable is
-        copied first, so that nothing can change a frozen array."""
+        here: by the ownership rule of this module, whoever produced it did
+        that.  A view of a base that is still writeable is copied first, so
+        that nothing can change a frozen array."""
         base = a.base
         while base is not None:
             if not isinstance(base, np.ndarray) or base.flags.writeable:
