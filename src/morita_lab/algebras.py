@@ -145,6 +145,7 @@ class PresentedAlgebra:
 
     def set_idempotent_system(self, vectors):
         self._cache["idem"] = tuple(vectors)
+        self._cache.pop("idempotent basis", None)
 
     def opposite(self):
         """Same basis, structure constants transposed in the lower indices.
@@ -647,6 +648,12 @@ def intertwiner_constraints(field, pairs, dim_src, dim_tgt, support):
     return rows
 
 
+def kernel_dim(field, rows_blocks, support):
+    """dim of the kernel of the stacked constraint rows, whose columns are
+    the coordinates support: len(support) - rank, with no basis built."""
+    return len(support) - linalg.rank(field, _nonzero_rows(field, rows_blocks, len(support)))
+
+
 def solve_matrix_system(field, rows_blocks, n_unknowns, support):
     """Kernel of the stacked constraint rows, whose columns are the
     coordinates support (ascending) of n_unknowns unknowns.  Returns the
@@ -675,12 +682,19 @@ def hom_space(x: Module, y: Module):
                      lambda: _solve_hom_space(x, y)))
 
 
-def _solve_hom_space(x: Module, y: Module):
-    f = x.field
+def _intertwiner_rows(x: Module, y: Module):
+    """(support, rows) of Hom_A(x, y); no rows on an empty support."""
     support, pairs = intertwiner_system(x, y)
     if not len(support):
+        return support, []
+    return support, intertwiner_constraints(x.field, pairs, x.dim, y.dim, support)
+
+
+def _solve_hom_space(x: Module, y: Module):
+    f = x.field
+    support, rows = _intertwiner_rows(x, y)
+    if not len(support):
         return ()
-    rows = intertwiner_constraints(f, pairs, x.dim, y.dim, support)
     sols = solve_matrix_system(f, rows, x.dim * y.dim, support)
     return tuple(f.freeze(sols[:, i].reshape(y.dim, x.dim)) for i in range(sols.shape[1]))
 
@@ -688,21 +702,33 @@ def _solve_hom_space(x: Module, y: Module):
 def enumerate_idempotent_basis(algebra):
     """(basis index, vector) for idempotent-system vectors that are single
     basis elements; class_support drops these generators when both sides
-    have vertex classes."""
-    system = algebra.idempotent_system()
-    out = []
-    if system is None:
-        return out
-    f = algebra.field
-    for vec in system:
-        nz = [i for i in range(algebra.dim) if vec[i]]
-        if len(nz) == 1 and vec[nz[0]] == f.one:
-            out.append((nz[0], vec))
-    return out
+    have vertex classes.  Memoized on the algebra until its idempotent
+    system is set again; each call returns a fresh list."""
+    def build():
+        system = algebra.idempotent_system()
+        if system is None:
+            return ()
+        f = algebra.field
+        out = []
+        for vec in system:
+            nz = [i for i in range(algebra.dim) if vec[i]]
+            if len(nz) == 1 and vec[nz[0]] == f.one:
+                out.append((nz[0], vec))
+        return tuple(out)
+    return list(memo(algebra._cache, "idempotent basis", build))
 
 
-def hom_dim(x, y):
-    return len(hom_space(x, y))
+def hom_dim(x: Module, y: Module) -> int:
+    """dim Hom_A(x, y), counted as |support| - rank of the intertwiner rows
+    that hom_space solves, without a basis.  Memoized on the algebra by the
+    contents of x and y, apart from the hom_space entry."""
+    if x.algebra is not y.algebra:
+        raise ValueError("hom between modules over different algebras")
+
+    def count():
+        support, rows = _intertwiner_rows(x, y)
+        return kernel_dim(x.field, rows, support)
+    return memo(x.algebra._cache, ("hom dim", x.content_key(), y.content_key()), count)
 
 
 # -- homs out of sums of indecomposable projectives ---------------------------
@@ -1011,10 +1037,8 @@ def _cover(x: Module):
     if x.dim == 0:
         return zero_module(alg), f.freeze(f.zeros(0, 0)), ()
     proj_top, sect_top = linalg.quotient(f, x.dim, radical_span(x))
-    projectives = indecomposable_projectives(alg)
-    summands, vertices, blocks = [], [], []
-    for i, (p, v, paths) in enumerate(zip(projectives, alg.quiver.vertices,
-                                          _vertex_paths(alg, 0))):
+    vertices, blocks = [], []
+    for i, (v, paths) in enumerate(zip(alg.quiver.vertices, _vertex_paths(alg, 0))):
         # e_v-part of the top, pulled back to distinguished generators of x
         e_v = x.act(alg.vertex_idempotents[v])
         basis = linalg.column_space_basis(f, f.matmul(proj_top, f.matmul(e_v, sect_top)))
@@ -1022,12 +1046,11 @@ def _cover(x: Module):
         # the copy of P_v for generator c sends its path k to path_k . gen_c
         images = _times(f, x.action[paths], gens)
         for c in range(gens.shape[1]):
-            summands.append(p)
             vertices.append(i)
             blocks.append(images[:, :, c].T)
-    if not summands:
+    if not vertices:
         raise AssertionError("nonzero module with zero top")
-    p, _, _ = direct_sum(summands)
+    p = projective_sum(alg, vertices)
     epi = f.freeze(linalg.hstack(f, blocks))
     if linalg.rank(f, epi) != x.dim:
         raise AssertionError("projective cover failed to surject")

@@ -137,6 +137,9 @@ class FieldSpec:
                 raise ValueError("rational field takes no modulus")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        # the array dtype, set once; not a dataclass field, so == and hash
+        # still depend on (kind, p) only
+        object.__setattr__(self, "_dtype", np.int64 if self.kind == "prime" else object)
 
     # -- scalars ------------------------------------------------------------
 
@@ -174,10 +177,6 @@ class FieldSpec:
         return _ONE / a
 
     # -- arrays -------------------------------------------------------------
-
-    @property
-    def _dtype(self):
-        return np.int64 if self.kind == "prime" else object
 
     def zeros(self, *shape: int) -> np.ndarray:
         a = np.zeros(shape, dtype=self._dtype)

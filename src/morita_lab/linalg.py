@@ -9,7 +9,8 @@ row operation over F_p, Fractions over Q) and builds its result array once.
 The matrices the suites reduce are small, most at most 8 x 8, and there a
 numpy call per pivot costs more than the arithmetic.  The RREF is unique,
 so the pivot rule and the canonical output do not depend on how the
-elimination is carried out.
+elimination is carried out.  rank needs no RREF: it eliminates forward on
+the same row lists and counts the pivots.
 """
 
 from __future__ import annotations
@@ -64,7 +65,37 @@ def rref(field: FieldSpec, m: np.ndarray):
 
 
 def rank(field: FieldSpec, m: np.ndarray) -> int:
-    return len(rref(field, m)[1])
+    """The number of pivots of m, by forward elimination on its rows as
+    lists: each pivot clears its column below it only, with no
+    back-substitution and no result array."""
+    a = field.normalize(np.asarray(m))
+    rows = [row for row in a.tolist() if any(row)]
+    p = field.p
+    r = 0
+    for c in range(a.shape[1]):
+        if r == len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i], rows[r] = rows[r], prow
+        inv = field.inv(prow[c])
+        support = [(j, y) for j, y in enumerate(prow[c + 1 :], c + 1) if y]
+        for row in rows[r + 1 :]:
+            f = row[c]
+            if f:
+                f = f * inv % p if p else f * inv
+                if p:
+                    for j, y in support:
+                        row[j] = (row[j] - f * y) % p
+                else:
+                    for j, y in support:
+                        row[j] -= f * y
+        r += 1
+    return r
 
 
 def kernel_from_rref(field: FieldSpec, r: np.ndarray, pivots, ncols: int):
@@ -130,8 +161,10 @@ def invert(field: FieldSpec, m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("only square matrices are invertible")
+    # the RREF of [m | I] has rank n, so it has a pivot in I exactly when m
+    # is singular, and then solve returns None
     x = solve(field, m, field.eye(n))
-    if x is None or rank(field, m) != n:
+    if x is None:
         raise ValueError("matrix is singular")
     return x
 

@@ -24,7 +24,8 @@ from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
     _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
     _block_diagonal, dual_module, hom_module, intertwiner_constraints,
-    intertwiner_system, kernel, memo, simples, solve_matrix_system, tensor_over, zero_module,
+    intertwiner_system, kernel, kernel_dim, memo, simples, solve_matrix_system, tensor_over,
+    zero_module,
 )
 
 
@@ -122,6 +123,18 @@ class LambdaModule:
             self.X.content_key(), self.Y.content_key(),
             self.field.value_key(self.f), self.field.value_key(self.g)))
 
+    def pure_f(self):
+        """f on the pure tensors, tX.pure_values(f): f(m_i (x) x_j) at
+        [:, i, j]; read-only, computed once per quadruple."""
+        return memo(self._cache, "pure f",
+                    lambda: self.field.freeze(self.tX.pure_values(self.f)))
+
+    def pure_g(self):
+        """g on the pure tensors, tY.pure_values(g): g(n_i (x) y_j) at
+        [:, i, j]; read-only, computed once per quadruple."""
+        return memo(self._cache, "pure g",
+                    lambda: self.field.freeze(self.tY.pure_values(self.g)))
+
     # -- second expression ---------------------------------------------------
 
     def hom_MY(self):
@@ -156,10 +169,10 @@ class LambdaModule:
         dx, dy = self.X.dim, self.Y.dim
         # g o (1_N (x) f) = 0 on N (x) (M (x) X), which the pure tensors
         # n_i (x) t_s span: g(n_i (x) f(t_s)) = sum_r g(n_i (x) y_r) f[r, s]
-        g_pure = self.tY.pure_values(self.g).reshape(dx * self.tY.outer, dy)
+        g_pure = self.pure_g().reshape(dx * self.tY.outer, dy)
         if not fld.is_zero(fld.matmul(g_pure, self.f)):
             raise ValueError("compatibility g(1(x)f) = 0 fails")
-        f_pure = self.tX.pure_values(self.f).reshape(dy * self.tX.outer, dx)
+        f_pure = self.pure_f().reshape(dy * self.tX.outer, dx)
         if not fld.is_zero(fld.matmul(f_pure, self.g)):
             raise ValueError("compatibility f(1(x)g) = 0 fails")
         return True
@@ -217,16 +230,22 @@ class LambdaMorphism:
         return ModuleMorphism(self.source.Y, self.target.Y, self.b)
 
     def validate(self):
+        """a and b are module maps, and both squares commute.  A square is
+        compared on the pure tensors, which span the tensor: b f_src and
+        f_tgt (1 (x) a) agree at m_i (x) x_j exactly when b f_src(m_i (x) x_j)
+        = f_tgt(m_i (x) a x_j), and likewise for g."""
         self.a_morphism().validate()
         self.b_morphism().validate()
         fld = self.field
         src, tgt = self.source, self.target
-        one_a = _tensor_map(fld, src.tX, tgt.tX, self.a)
-        if not fld.equal(fld.matmul(self.b, src.f), fld.matmul(tgt.f, one_a)):
-            raise ValueError("square over f does not commute")
-        one_b = _tensor_map(fld, src.tY, tgt.tY, self.b)
-        if not fld.equal(fld.matmul(self.a, src.g), fld.matmul(tgt.g, one_b)):
-            raise ValueError("square over g does not commute")
+        for h_out, h_in, vals_src, vals_tgt, side in (
+                (self.b, self.a, src.pure_f(), tgt.pure_f(), "f"),
+                (self.a, self.b, src.pure_g(), tgt.pure_g(), "g")):
+            rows, outer, inner = vals_src.shape
+            left = fld.matmul(h_out, vals_src.reshape(rows, outer * inner))
+            right = _times(fld, vals_tgt, h_in).reshape(h_out.shape[0], outer * inner)
+            if not fld.equal(left, right):
+                raise ValueError(f"square over {side} does not commute")
         return True
 
     def compose(self, other):
@@ -380,8 +399,8 @@ def flatten(l: LambdaModule) -> Module:
     dx, dy = l.X.dim, l.Y.dim
     acts = l.field.zeros(alg.dim, dx + dy, dx + dy)
     acts[oa:on, :dx, :dx] = l.X.action
-    acts[on:om, :dx, dx:] = l.tY.pure_values(l.g).transpose(1, 0, 2)
-    acts[om:ob, dx:, :dx] = l.tX.pure_values(l.f).transpose(1, 0, 2)
+    acts[on:om, :dx, dx:] = l.pure_g().transpose(1, 0, 2)
+    acts[om:ob, dx:, :dx] = l.pure_f().transpose(1, 0, 2)
     acts[ob:, dx:, dx:] = l.Y.action
     return Module(alg, dx + dy, acts)
 
@@ -432,18 +451,19 @@ def _square_rows(fld, src, tgt, sup_a, sup_b):
     support [sup_a | sup_b] of the unknowns [vec_rm(a) | vec_rm(b)]:
     b f_1 = f_2 (1_M (x) a) and a g_1 = g_2 (1_N (x) b)."""
     rows = []
-    for k, (map1, map2, t1, t2, sup_in, sup_out) in enumerate((
-            (src.f, tgt.f, src.tX, tgt.tX, sup_a, sup_b),
-            (src.g, tgt.g, src.tY, tgt.tY, sup_b, sup_a))):
+    for k, (map1, vals, t1, sup_in, sup_out) in enumerate((
+            (src.f, tgt.pure_f(), src.tX, sup_a, sup_b),
+            (src.g, tgt.pure_g(), src.tY, sup_b, sup_a))):
         # h_out map1 = map2 (1 (x) h_in), rows indexed by (r, s) for the
-        # rows r of map2 and the quotient basis s of t1
-        d_out = map2.shape[0]
+        # rows r of map2 and the quotient basis s of t1; vals holds map2 on
+        # the pure tensors
+        d_out = vals.shape[0]
         # h_out map1 at (r, s) is sum_c h_out[r, c] map1[c, s]
         r, c = np.divmod(sup_out, map1.shape[0])
         out_rows = fld.zeros(d_out, t1.dim, len(sup_out))
         out_rows[r, :, np.arange(len(sup_out))] = map1[c, :]
         # map2 (1 (x) h_in) at (r, s) is sum_i,c,d vals[r, i, c] h_in[c, d] sec[i, d, s]
-        vals, sec = t2.pure_values(map2), t1.pure_section
+        sec = t1.pure_section
         c, d = np.divmod(sup_in, sec.shape[1])
         phi = fld.matmul(vals[:, :, c].transpose(2, 0, 1), sec[:, d, :].transpose(1, 0, 2))
         in_rows = fld.normalize(-phi).transpose(1, 2, 0)
@@ -499,8 +519,23 @@ def _solve_lambda_hom_space(src, tgt):
     return fld.freeze(solve_matrix_system(fld, rows, n, support))
 
 
-def lambda_hom_dim(src, tgt):
-    return len(lambda_hom_space(src, tgt))
+def lambda_hom_dim(src: LambdaModule, tgt: LambdaModule) -> int:
+    """dim Hom_Lambda(src, tgt), counted as |support| - rank of the hom rows
+    that lambda_hom_space solves, without a basis.  Memoized on the Morita
+    data by the contents of src and tgt, apart from the lambda_hom_space
+    entry."""
+    if src.data is not tgt.data:
+        raise ValueError("hom between quadruples over different Morita data")
+    return memo(src.data._cache, ("lambda hom dim", src.content_key(), tgt.content_key()),
+                lambda: _count_lambda_hom(src, tgt))
+
+
+def _count_lambda_hom(src, tgt):
+    fld = src.field
+    if src.X.dim * tgt.X.dim + src.Y.dim * tgt.Y.dim == 0:
+        return 0
+    support, rows = _hom_rows(fld, src, tgt)
+    return kernel_dim(fld, rows, support)
 
 
 # -- kernels, cokernels, sums, exactness -------------------------------------
@@ -566,9 +601,9 @@ def lambda_direct_sum(mods):
     # the value of the sum's f at m_i (x) x_j is the summand's, so the pure
     # values sit block-diagonally in (row, column) for every i; likewise g
     f = txs.descend(_block_diagonal(fld, data.M.dim, [
-        l.tX.pure_values(l.f).transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+        l.pure_f().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
     g = tys.descend(_block_diagonal(fld, data.N.dim, [
-        l.tY.pure_values(l.g).transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+        l.pure_g().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
     s = LambdaModule(data, xs, ys, f, g, tx=txs, ty=tys)
     injs = [LambdaMorphism(l, s, xi.matrix, yi.matrix)
             for l, xi, yi in zip(mods, x_injs, y_injs)]
@@ -640,8 +675,8 @@ def dual_lambda(l: LambdaModule) -> LambdaModule:
     tx_star = tensor_over(dop.M, x_star)   # N-space (x) X*
     ty_star = tensor_over(dop.N, y_star)   # M-space (x) Y*
     # the value of f_d at n_i (x) x*_j is row j of g(n_i (x) -), transposed
-    f_d = tx_star.descend(l.tY.pure_values(l.g).transpose(2, 1, 0))
-    g_d = ty_star.descend(l.tX.pure_values(l.f).transpose(2, 1, 0))
+    f_d = tx_star.descend(l.pure_g().transpose(2, 1, 0))
+    g_d = ty_star.descend(l.pure_f().transpose(2, 1, 0))
     return LambdaModule(dop, x_star, y_star, f_d, g_d, tx=tx_star, ty=ty_star)
 
 

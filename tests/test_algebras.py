@@ -622,13 +622,22 @@ def test_hom_and_cover_memos_key_on_content(field):
     p0, m0, v0 = alg._cover(x2)
     assert field.equal(p0.action, p1.action) and field.equal(m0, e2.matrix)
     assert v0 == alg.cover_vertices(x1) == alg.cover_vertices(x2)
-    # different content never shares an entry, even at equal dimension
+    # different content never shares an entry, even at equal dimension; the
+    # cover's P is the shared projective_sum of its vertices, so the entries,
+    # not the P objects, are what differ
     others = [_arrow_module(a, 0), _arrow_module(a, 2)]
     homs = [h1] + [alg.hom_module(reg, x) for x in others]
-    covers = [p1] + [alg.projective_cover(x)[0] for x in others]
-    assert len(set(map(id, homs))) == 3 and len(set(map(id, covers))) == 3
+    assert len(set(map(id, homs))) == 3
     assert sum(isinstance(k, tuple) and k[0] == "hom" for k in reg._cache) == 3
-    assert sum(isinstance(k, tuple) and k[0] == "cover" for k in a._cache) == 3
+    mods = [x1, *others]
+    covers = [alg.projective_cover(x) for x in mods]
+    entries = {k[1]: v for k, v in a._cache.items() if isinstance(k, tuple) and k[0] == "cover"}
+    assert sorted(entries, key=repr) == sorted((x.content_key() for x in mods), key=repr)
+    for x, (p, epi) in zip(mods, covers):
+        p0, m0, v0 = entries[x.content_key()]
+        assert p is p0 is alg.projective_sum(a, v0) and field.equal(epi.matrix, m0)
+        assert epi.target is x
+    assert not field.equal(entries[x1.content_key()][1], entries[others[1].content_key()][1])
 
 
 @pytest.mark.parametrize("field", [F3, QQ, BIG], ids=["F3", "QQ", "bigprime"])
@@ -1132,3 +1141,18 @@ def test_sampler_draws_on_the_table_are_those_of_hom_space(field, monkeypatch):
         monkeypatch.undo()
         assert on_table == on_hom_space + on_hom_space
         assert any(d for d, _ in on_table)
+
+
+def test_idempotent_basis_is_memoized_until_the_system_is_set_again():
+    a = alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
+    first = alg.enumerate_idempotent_basis(a)
+    second = alg.enumerate_idempotent_basis(a)
+    assert first == second and first is not second
+    assert [i for i, _ in first] == [a.vertex_idempotents[v] for v in a.quiver.vertices]
+    first.clear()
+    assert len(alg.enumerate_idempotent_basis(a)) == 2
+    a.set_idempotent_system([a.unit])
+    assert alg.enumerate_idempotent_basis(a) == []
+    e = [a.field.eye(a.dim)[a.vertex_idempotents[v]] for v in a.quiver.vertices]
+    a.set_idempotent_system(e[:1])
+    assert [i for i, _ in alg.enumerate_idempotent_basis(a)] == [a.vertex_idempotents["1"]]

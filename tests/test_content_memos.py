@@ -6,6 +6,7 @@ import pytest
 
 from morita_lab import algebras as alg
 from morita_lab import homology as hml
+from morita_lab import lab
 from morita_lab import morita as mor
 from morita_lab.fields import F3, QQ, FieldSpec
 
@@ -182,3 +183,65 @@ def _columns(field, src, tgt, basis):
 def _twin(x):
     """A module equal in content to x, built from copies of its arrays."""
     return alg.Module(x.algebra, x.dim, x.action.copy())
+
+
+COUNT_FIELDS = pytest.mark.parametrize(
+    "field", [F3, QQ, FieldSpec("prime", (1 << 31) - 1)], ids=["F3", "QQ", "F2147483647"])
+
+
+def _sampled_families(field):
+    """On fresh ie and examctp4 instances: simples and sampled modules over
+    A, flattened quadruples over the materialized ring, and lambda simples
+    with sampled quadruples, each a family to pair up."""
+    families = []
+    for name in ("ie", "examctp4"):
+        data = lab.catalog(name, field).data
+        sampler = lab.Sampler(5, dim_cap=5, rank_cap=2)
+        quads = mor.lambda_simples(data) + [sampler.quadruple(data) for _ in range(4)]
+        plain = alg.simples(data.A) + [sampler.plain(data.A, cap=4) for _ in range(4)]
+        flat = [mor.flatten(l) for l in quads[-4:]]
+        families += [(alg.hom_dim, alg.hom_space, plain), (alg.hom_dim, alg.hom_space, flat),
+                     (mor.lambda_hom_dim, mor.lambda_hom_space, quads)]
+    return families
+
+
+@COUNT_FIELDS
+@pytest.mark.parametrize("dim_first", [True, False], ids=["dim-first", "dim-second"])
+def test_hom_dims_count_the_solved_bases(field, dim_first):
+    """hom_dim and lambda_hom_dim, counted from the constraint rows, equal
+    the length of the canonical basis, whether the dimension is asked before
+    the basis is solved or after; each has its own content memo entry."""
+    seen = set()
+    for dim, space, mods in _sampled_families(field):
+        for x in mods:
+            for y in mods:
+                if dim_first:
+                    d = dim(x, y)
+                    n = len(space(x, y))
+                else:
+                    n = len(space(x, y))
+                    d = dim(x, y)
+                assert type(d) is int and d == n and dim(x, y) == d
+                seen.add(d)
+    assert {0, 1, 2} <= seen
+
+
+@COUNT_FIELDS
+def test_hom_dims_key_on_content_apart_from_the_bases(field):
+    a = _kA2(field)
+    xs = [_arrow_module(a, e) for e in (0, 1, 2)]
+    dims = [alg.hom_dim(xs[1], y) for y in xs]
+    assert len(_entries(a._cache, "hom dim")) == 3
+    assert not _entries(a._cache, "hom space")
+    assert alg.hom_dim(_twin(xs[1]), _twin(xs[0])) == dims[0]
+    assert len(_entries(a._cache, "hom dim")) == 3
+    assert dims == [len(alg._solve_hom_space(xs[1], y)) for y in xs]
+    data = _ie(field)
+    l, l0 = _t_pair(data, "B")
+    assert [mor.lambda_hom_dim(l, l), mor.lambda_hom_dim(l0, l0)] == [1, 2]
+    assert len(_entries(data._cache, "lambda hom dim")) == 2
+    assert not _entries(data._cache, "lambda hom space")
+    with pytest.raises(ValueError, match="different Morita data"):
+        mor.lambda_hom_dim(l, _t_pair(_ie(field), "B")[0])
+    with pytest.raises(ValueError, match="different algebras"):
+        alg.hom_dim(xs[0], _arrow_module(_kA2(field), 1))

@@ -330,3 +330,18 @@ def test_freeze_never_leaves_a_writeable_base_behind(name):
     assert field.equal(view, field.asmatrix([[0, 2], [1, 1]]))
     shared = owner[:, :1]
     assert field.freeze(shared).base is owner
+
+
+def test_dtype_is_set_once_and_stays_out_of_equality():
+    import dataclasses
+
+    big = FieldSpec("prime", (1 << 31) - 1)
+    assert [f.name for f in dataclasses.fields(FieldSpec)] == ["kind", "p"]
+    assert (F3._dtype, QQ._dtype, big._dtype) == (np.int64, object, np.int64)
+    assert "_dtype" in vars(F3) and not isinstance(getattr(FieldSpec, "_dtype", None), property)
+    twin = FieldSpec("prime", 3)
+    assert twin == F3 and hash(twin) == hash(F3) and {twin: 1}[F3] == 1
+    assert FieldSpec("rational") == QQ and F3 != big
+    assert repr(F3) == "FieldSpec(kind='prime', p=3)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F3.p = 5

@@ -593,3 +593,60 @@ def test_rref_matches_the_numpy_elimination(field, data):
     if solution is not None:
         _assert_same_bytes(solution, want_solution)
     assert [(x.dtype, x.tolist()) for x in (m, b)] == before
+
+
+# -- echelon-only rank ------------------------------------------------------
+
+F_TOP = FieldSpec("prime", (1 << 31) - 1)
+COUNT_FIELDS = [F3, QQ, F_TOP]
+COUNT_IDS = ["F3", "QQ", "F2147483647"]
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS, ids=COUNT_IDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_echelon_rank_counts_the_rref_pivots(field, data):
+    """rank eliminates forward only; it counts the pivots that rref finds on
+    raw entries, on 0 x n and n x 0 shapes, with all-zero and repeated rows
+    and on products of low inner dimension, and leaves its input as it
+    was."""
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    if rows and cols and data.draw(st.booleans()):
+        inner = data.draw(st.integers(0, min(rows, cols) - 1))
+        u = field.normalize(_raw_matrix(data, field, rows, inner))
+        v = field.normalize(_raw_matrix(data, field, inner, cols))
+        m = field.matmul(u, v) if inner else field.zeros(rows, cols)
+    else:
+        m = _raw_matrix(data, field, rows, cols)
+    for i in data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=3)) if rows else ():
+        m[i] = field.zero
+    if rows > 1 and data.draw(st.booleans()):
+        m[-1] = m[0]
+    before = (m.dtype, m.tolist())
+    assert linalg.rank(field, m) == len(linalg.rref(field, m)[1])
+    assert (m.dtype, m.tolist()) == before
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS, ids=COUNT_IDS)
+def test_echelon_rank_of_empty_and_zero_shapes(field):
+    for shape in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        assert linalg.rank(field, field.zeros(*shape)) == 0
+    m = field.asmatrix([[0, 0, 0], [0, 2, 1], [0, 0, 0], [0, 4, 2], [1, 0, 0]])
+    assert linalg.rank(field, m) == len(linalg.rref(field, m)[1]) == 2
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS, ids=COUNT_IDS)
+def test_invert_refuses_exactly_the_singular_matrices(field):
+    """One elimination of [m | I] decides invertibility: a singular m is a
+    ValueError, an invertible one gives its inverse."""
+    m = field.asmatrix([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        linalg.invert(field, m)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        linalg.invert(field, field.zeros(2, 2))
+    with pytest.raises(ValueError, match="only square"):
+        linalg.invert(field, field.zeros(2, 3))
+    m[2, 2] = field.scalar(2)
+    inv = linalg.invert(field, m)
+    assert field.equal(field.matmul(m, inv), field.eye(3))
+    assert linalg.invert(field, field.zeros(0, 0)).shape == (0, 0)

@@ -483,3 +483,65 @@ def test_lambda_direct_sum_matches_the_summand_loop(field):
             s.validate()
             dims.update(l.dims for l in mods)
         assert (0, 0) in dims and len(dims) >= 5
+
+
+def _reference_squares(phi):
+    """Whether the f-square and the g-square of phi commute, compared as
+    maps on the tensor quotients: b f_src against f_tgt (1 (x) a), with
+    1 (x) a built by _tensor_map, and likewise for g."""
+    fld, src, tgt = phi.field, phi.source, phi.target
+    one_a = mor._tensor_map(fld, src.tX, tgt.tX, phi.a)
+    one_b = mor._tensor_map(fld, src.tY, tgt.tY, phi.b)
+    return (fld.equal(fld.matmul(phi.b, src.f), fld.matmul(tgt.f, one_a)),
+            fld.equal(fld.matmul(phi.a, src.g), fld.matmul(tgt.g, one_b)))
+
+
+@pytest.mark.parametrize("field", [F3, QQ, FieldSpec("prime", (1 << 31) - 1)],
+                         ids=["F3", "QQ", "F2147483647"])
+def test_lambda_morphism_squares_are_checked_on_pure_tensors(field):
+    """validate accepts every element of the canonical lambda hom basis, and
+    on (a + h, b) and (a, b + k), for module maps h and k, it fails with the
+    message of the first square that the quotient-map reference finds not
+    commuting, exactly when the flattened map is not a module map."""
+    from morita_lab import lab
+
+    rng = random.Random(3)
+    seen = set()
+    for name in ("ie", "examctp4"):
+        data = lab.catalog(name, field).data
+        sampler = lab.Sampler(9, dim_cap=5, rank_cap=2)
+        mods = [mor.functor_T(data, "A", alg.indecomposable_projectives(data.A)[0]),
+                mor.functor_T(data, "B", alg.indecomposable_projectives(data.B)[0]),
+                mor.functor_H(data, "A", alg.indecomposable_injectives(data.A)[-1]),
+                mor.functor_H(data, "B", alg.indecomposable_injectives(data.B)[-1]),
+                *mor.lambda_simples(data)[:2],
+                *[sampler.quadruple(data) for _ in range(4)]]
+        for src in mods:
+            for tgt in mods:
+                basis = mor.lambda_hom_space(src, tgt)
+                for phi in basis:
+                    assert phi.validate() is True
+                base = rng.choice(basis) if basis else mor.LambdaMorphism(
+                    src, tgt, field.zeros(tgt.X.dim, src.X.dim), field.zeros(tgt.Y.dim, src.Y.dim))
+                perturbed = (
+                    [mor.LambdaMorphism(src, tgt, field.normalize(base.a + h), base.b)
+                     for h in alg.hom_space(src.X, tgt.X)]
+                    + [mor.LambdaMorphism(src, tgt, base.a, field.normalize(base.b + k))
+                       for k in alg.hom_space(src.Y, tgt.Y)])
+                for psi in perturbed:
+                    f_ok, g_ok = _reference_squares(psi)
+                    flat_ok = True
+                    try:
+                        mor.flatten_morphism(psi).validate()
+                    except ValueError:
+                        flat_ok = False
+                    assert flat_ok == (f_ok and g_ok)
+                    if f_ok and g_ok:
+                        assert psi.validate() is True
+                        seen.add("accepted")
+                        continue
+                    side = "f" if not f_ok else "g"
+                    with pytest.raises(ValueError, match=f"^square over {side} does not commute$"):
+                        psi.validate()
+                    seen.add(side)
+    assert seen == {"accepted", "f", "g"}

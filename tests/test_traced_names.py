@@ -87,12 +87,16 @@ def test_hom_solvers_route_through_traced_names():
 
 
 def test_only_the_free_route_solves_for_the_middle_term():
-    """ext_dim on a cover or T-cover presentation counts Hom(P, y) by
-    Yoneda, so it makes traced hom solves for K and x only; the free route,
-    which lambda_ext_dim_flatten takes over the materialized algebra, still
-    makes the traced hom_space call for the middle term, so the flattened
-    cross-checks test the closed form.  A repeated question is a memo hit
-    and solves nothing."""
+    """ext_dim counts dimensions from constraint rows, with no hom_space or
+    lambda_hom_space call.  On a cover or T-cover presentation it counts
+    Hom(P, y) by Yoneda, so it builds intertwiner rows for K and x only: a
+    later Hom(P, y) still builds its own.  The free route, which
+    lambda_ext_dim_flatten takes over the materialized algebra, also builds
+    them for the middle term, so a later Hom(P, y) is a memo hit and the
+    flattened cross-checks test the closed form.  The presentations are
+    built first, so no tensor rows are counted; Hom(S_1, S_2) and its
+    flattened copy have an empty support and need no rows.  A repeated
+    question is a memo hit and builds nothing."""
     for layer in ("homology", "classes", "lab", "jsonio", "cli"):
         importlib.import_module(f"morita_lab.{layer}")
     hml = importlib.import_module("morita_lab.homology")
@@ -102,10 +106,19 @@ def test_only_the_free_route_solves_for_the_middle_term():
                           alg.corner_bimodule(a2_f3, "2", "1"))
     s1, s2 = alg.simples(a2_f3)
     l1, l2 = mor.lambda_simples(data)[:2]
-    counts = ("algebras.hom_space.calls", "morita.lambda_hom_space.calls")
+    middle, l_middle = hml.presentation(s1).middle, hml.presentation(l1).middle
+    free_middle, flat_l2 = hml.presentation(mor.flatten(l1)).middle, mor.flatten(l2)
+    counts = ("algebras.intertwiner_constraints.calls", "algebras.hom_space.calls",
+              "morita.lambda_hom_space.calls")
     calls = [
-        (lambda: hml.ext_dim(s1, s2, 1), (2, 0)),
-        (lambda: hml.ext_dim(l1, l2), (0, 2)),
-        (lambda: hml.lambda_ext_dim_flatten(l1, l2), (3, 0)),
+        # rows for K = S_2 against S_2
+        (lambda: hml.ext_dim(s1, s2, 1), (1, 0, 0)),
+        (lambda: alg.hom_dim(middle, s2), (1, 0, 0)),
+        # rows for the X and Y blocks of K and of x
+        (lambda: hml.ext_dim(l1, l2), (4, 0, 0)),
+        (lambda: mor.lambda_hom_dim(l_middle, l2), (2, 0, 0)),
+        # rows for K and for the free middle term
+        (lambda: hml.lambda_ext_dim_flatten(l1, l2), (2, 0, 0)),
+        (lambda: alg.hom_dim(free_middle, flat_l2), (0, 0, 0)),
     ]
     _assert_counts(tracer, calls, counts)
