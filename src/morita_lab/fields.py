@@ -76,9 +76,11 @@ def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over Q, computed on integer numerators and read back as
     Fractions once."""
     (an, ad), (bn, bd) = _numerators(a), _numerators(b)
-    # every partial sum is at most k * max|a| * max|b| in absolute value
-    bound = _magnitude(an) * _magnitude(bn) * a.shape[-1]
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    # every partial sum is at most k * max|a| * max|b| in absolute value;
+    # each operand must fit int64 too, also when the other one is zero
+    mag_a, mag_b = _magnitude(an), _magnitude(bn)
+    bound = mag_a * mag_b * a.shape[-1]
+    dtype = np.int64 if max(bound, mag_a, mag_b) <= _INT64_MAX else object
     prod = np.matmul(_integer_array(an, a.shape, dtype), _integer_array(bn, b.shape, dtype))
     den = ad * bd
     if den == 1 and (bound <= _SMALL or (dtype is np.int64 and np.abs(prod).max() <= _SMALL)):

@@ -5,7 +5,7 @@ constructions for quadruple modules.
 Plain modules and quadruples share one code path: a construction reads a
 morphism's blocks through its ``components``, (matrix,) or (a, b), and does
 to each block of a quadruple map what it does to the matrix of a plain one.
-``ext_group`` and ``ext_dim`` are the only Ext entry points.  Exactness is
+``ext_dim`` is the only Ext entry point.  Exactness is
 decided the same way: a ShortExactSequence checks itself once, when it is
 built, block by block, and no other code re-checks it.
 
@@ -257,18 +257,6 @@ class _HomSpaceCoords:
 # -- Ext ----------------------------------------------------------------------
 
 
-class ExtGroup:
-    def __init__(self, source, target, degree, dimension, classes=()):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.dimension = dimension
-        self.classes = tuple(classes)  # realized SESs, degree 1 only
-
-    def __repr__(self):
-        return f"ExtGroup(degree={self.degree}, dim={self.dimension})"
-
-
 def ext_dim(x, y, degree=1):
     """dim Ext^degree(x, y) of plain modules or quadruples, along
     presentation(x)."""
@@ -314,27 +302,6 @@ def lambda_ext_dim_flatten(l, t, degree=1):
     """Cross-check route: flatten and compute over the materialized algebra,
     which has no quiver, so along the free presentation."""
     return ext_dim(flatten(l), flatten(t), degree)
-
-
-def ext_group(x, y, degree=1) -> ExtGroup:
-    """Ext^degree(x, y) along presentation(x), with the extension classes
-    realized in degree 1."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    orig = x
-    for _ in range(degree - 1):
-        x = presentation(x).left
-    pres = presentation(x)
-    hom_k = _HomSpaceCoords(pres.left, y)
-    restr = hom_k.matrix_of_map([phi.compose(pres.incl) for phi in _hom_basis(pres.middle, y)])
-    fld = y.field
-    dim = hom_k.dim - linalg.rank(fld, restr)
-    classes = []
-    if degree == 1 and dim:
-        _, sect_q = linalg.quotient(fld, hom_k.dim, restr)
-        classes = [pushout_extension(pres, hom_k.element(sect_q[:, c]))[0]
-                   for c in range(sect_q.shape[1])]
-    return ExtGroup(orig, y, degree, dim, classes)
 
 
 def pushout_extension(pres: ShortExactSequence, psi):

@@ -346,8 +346,8 @@ def enumerate_small(data: mor.MoritaData, max_total_dim: int):
     """All quadruples with dim X + dim Y <= max_total_dim up to isomorphism.
     Only for tiny prime fields; refuses when the state space is too large."""
     fld = data.field
-    if fld.kind != "prime" or fld.p > 3 or max_total_dim > 3:
-        raise ValueError("enumeration caps: p in {2, 3} and total dim <= 3")
+    if fld.kind != "prime" or fld.p > 3 or not 0 <= max_total_dim <= 3:
+        raise ValueError("enumeration caps: p in {2, 3} and 0 <= total dim <= 3")
     xs = {d: _enumerate_plain(data.A, d) for d in range(max_total_dim + 1)}
     ys = {d: _enumerate_plain(data.B, d) for d in range(max_total_dim + 1)}
     found = []

@@ -285,6 +285,8 @@ BAD_RUN_ARGUMENTS = {
     "sample out nodir": ["sample", "--morita", "ie.json", "--count", 1, "--out", "nodir/s"],
     "enumerate out nodir": ["enumerate", "--morita", "ie.json", "--max-dim", 1,
                             "--out", "nodir/u"],
+    # nothing enumerated, and {"count": 0, "written": []} (exit 0)
+    "enumerate max-dim -1": ["enumerate", "--morita", "ie.json", "--max-dim", -1],
     "verify out nodir": ["verify", "green", "--instance", "ie", "--count", 2,
                          "--out", "nodir/r.json"],
 }

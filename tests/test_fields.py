@@ -98,6 +98,16 @@ def test_rational_equal_matches_elementwise_comparison():
     assert not QQ.equal(QQ.zeros(2, 3), QQ.zeros(3, 2))
 
 
+def test_rational_product_with_a_zero_factor_takes_entries_beyond_int64():
+    """A zero factor makes the product bound 0, but the other factor's
+    numerators may still not fit int64."""
+    huge = QQ.asmatrix([[10 ** 30, Fraction(1, 3)], [-(10 ** 30), 0]])
+    zero = QQ.zeros(2, 2)
+    for a, b in ((huge, zero), (zero, huge)):
+        assert QQ.is_zero(QQ.matmul(a, b))
+    assert QQ.equal(QQ.matmul(huge, QQ.eye(2)), huge)
+
+
 def test_rational_is_zero_matches_elementwise_comparison():
     rng = random.Random(11)
     for _ in range(300):

@@ -88,8 +88,9 @@ def test_enumerate_ie_regression():
 
 def test_enumerate_caps_enforced():
     inst = lab.catalog("ie", F3)
-    with pytest.raises(ValueError):
-        lab.enumerate_small(inst.data, 5)
+    for cap in (5, -1):
+        with pytest.raises(ValueError):
+            lab.enumerate_small(inst.data, cap)
 
 
 def test_mon_sampling_regression():
@@ -196,7 +197,7 @@ def test_green_suite_on_nonvanishing_tensors():
 
 
 def test_operation_aliases():
-    from morita_lab.homology import ext_group, presentation
+    from morita_lab.homology import ext_class_is_zero, presentation, pushout_extension, splits
 
     inst = lab.catalog("ie", F3)
     x = lab._sampler(lab.SampleConfig(count=1), "sample_module").plain(inst.data.A)
@@ -204,10 +205,14 @@ def test_operation_aliases():
     assert x.algebra is inst.data.A and l.data is inst.data
     pres = presentation(x)
     assert pres.right is x and pres.tops == (alg.cover_vertices(x),)  # the cover
-    eg = ext_group(l, l, 1)
-    assert eg.dimension >= 0
     lpres = presentation(l)
     assert lpres.right is l
+    # the zero class of Ext^1(l, l), pushed out along K -> l
+    k, fld = lpres.left, l.field
+    zero = mor.LambdaMorphism(k, l, fld.zeros(l.X.dim, k.X.dim), fld.zeros(l.Y.dim, k.Y.dim))
+    ses, _ = pushout_extension(lpres, zero)
+    assert ses.left is l and ses.right is l
+    assert splits(ses)[0] and ext_class_is_zero(ses)
 
 
 def test_larger_parametrized_instance():

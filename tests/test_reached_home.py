@@ -16,9 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "morita_lab"
 CALLERS = ("src", "scripts", "perfbench")
 TRACER = ROOT / "perfbench" / "tracer.py"
-# The reference that tests compare ext_dim against (homology.ext_group
-# computes the whole Ext group where ext_dim counts dimensions).
-TEST_ONLY = {"ext_group"}
 
 
 def _parse(path):
@@ -59,7 +56,7 @@ def _references(tree):
                 yield alias.name, node
 
 
-def _unreached(definitions, callers, admitted=frozenset()):
+def _unreached(definitions, callers):
     """Names from ``definitions`` (files) that no module of ``callers``
     (files) references outside the definition itself."""
     trees = {path: _parse(path) for path in {*definitions, *callers}}
@@ -80,7 +77,7 @@ def _unreached(definitions, callers, admitted=frozenset()):
             traced.update(_traced_parts(tree))
     found = []
     for path, name, short in defined:
-        if short in admitted or short in traced:
+        if short in traced:
             continue
         own = inside[(path, name)]
         if not any(p != path or node not in own for p, node in used.get(short, ())):
@@ -92,10 +89,7 @@ def test_every_definition_is_reached_outside_the_tests():
     definitions = sorted(PACKAGE.glob("*.py"))
     callers = sorted(p for d in CALLERS for p in (ROOT / d).rglob("*.py"))
     assert definitions and TRACER in callers
-    found = _unreached(definitions, callers, TEST_ONLY)
-    assert not found, found
-    # the admitted name is still defined and still reached by no caller
-    assert _unreached(definitions, callers) == ["homology.py:ext_group"]
+    assert _unreached(definitions, callers) == []
 
 
 def test_the_check_sees_an_unreferenced_def(tmp_path):
@@ -115,13 +109,11 @@ def test_the_check_sees_an_unreferenced_def(tmp_path):
         "    def put(self):\n"
         "        return 3\n\n"
         "    def _private(self):\n"
-        "        return 4\n\n\n"
-        "def admitted():\n"
-        "    return 5\n")
+        "        return 4\n")
     caller = tmp_path / "caller.py"
     caller.write_text(
         "from lib import imported as other\n\n\n"
         "def run(box: Box):\n"
         "    return used(), box.put(), other, 'tagged'\n")
-    assert sorted(_unreached([lib], [lib, caller], {"admitted"})) == [
+    assert sorted(_unreached([lib], [lib, caller])) == [
         "lib.py:Box.get", "lib.py:recursive", "lib.py:tagged"]
