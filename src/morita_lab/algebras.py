@@ -19,6 +19,7 @@ are read by coordinates(), at the pivots found by basis_pivots().
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -346,11 +347,11 @@ def _pairwise(field, a, b):
 def _block_diagonal(field, count, stacks):
     """Stacks of count matrices each, placed block-diagonally into one
     stack."""
-    rows = np.cumsum([0, *(s.shape[1] for s in stacks)])
-    cols = np.cumsum([0, *(s.shape[2] for s in stacks)])
-    out = field.zeros(count, rows[-1], cols[-1])
-    for s, r0, r1, c0, c1 in zip(stacks, rows[:-1], rows[1:], cols[:-1], cols[1:]):
-        out[:, r0:r1, c0:c1] = s
+    out = field.zeros(count, sum(s.shape[1] for s in stacks), sum(s.shape[2] for s in stacks))
+    r = c = 0
+    for s in stacks:
+        out[:, r:r + s.shape[1], c:c + s.shape[2]] = s
+        r, c = r + s.shape[1], c + s.shape[2]
     return out
 
 
@@ -804,17 +805,20 @@ class TensorModule:
     basis, i < outer = dim M and j < inner = dim X, and only this class knows
     their order: pure_values reads a map out of the tensor on the pure
     tensors, descend builds one from such values, and pure_surjection and
-    pure_section are the two presenting matrices indexed by (i, j).
-    Instances are shared through the memo of tensor_over, so surjection and
-    section are read-only.
+    pure_section are the two presenting matrices indexed by (i, j).  kept
+    lists the free pure tensors, ascending indices i * inner + j, one per
+    quotient coordinate: the section is the unit columns there, and the
+    surjection is the identity on them.  Instances are shared through the
+    memo of tensor_over, so surjection, section and kept are read-only.
     """
 
-    def __init__(self, module, surjection, section, outer, inner):
+    def __init__(self, module, surjection, section, outer, inner, kept):
         self.module = module
         self.surjection = surjection
         self.section = section
         self.outer = outer
         self.inner = inner
+        self.kept = kept
 
     @property
     def dim(self):
@@ -875,7 +879,7 @@ def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
                                    dx, dm, support)
     r, pivots = linalg.rref(f, _nonzero_rows(f, rows, len(support)))
     k, free = linalg.kernel_from_rref(f, r, pivots, len(support))
-    kept = support[free]
+    kept = _indices(support[free])
     proj = f.zeros(len(free), dm * dx)
     proj[:, support] = k.T
     sect = f.zeros(dm * dx, len(free))
@@ -886,7 +890,68 @@ def _tensor_presentation(m: Bimodule, x: Module) -> TensorModule:
     acts = f.matmul(proj.reshape(len(free), dm, dx)[:, :, j].transpose(2, 0, 1),
                          m.left_action[:, :, u].transpose(2, 1, 0))
     return TensorModule(Module(m.left_algebra, len(free), acts.transpose(2, 1, 0)),
-                        f.freeze(proj), f.freeze(sect), dm, dx)
+                        f.freeze(proj), f.freeze(sect), dm, dx, kept)
+
+
+def tensor_of_sum(m: Bimodule, s: Module, parts):
+    """(M (x)_A S, positions) for a direct sum S = X_1 (+) ... (+) X_n with
+    the summands' tensors parts = [tensor_over(m, X_k)], assembled from
+    them with no elimination and no product; memoized with tensor_over, so a
+    later tensor_over(m, S) returns it.  positions[k] holds, in order, the
+    indices of X_k's free pure tensors among the sum's (see _sum_positions).
+
+    The relations of a sum split over the summands' column blocks, so the
+    summands' RREFs, placed there and sorted by pivot, are the RREF of the
+    sum's relations, and that RREF is unique.  Hence the sum's free pure
+    tensors are the summands' own, moved to i * dim S + offset_k + j; its
+    projection rows are theirs placed there, and each of its actions is
+    theirs placed on the positions: byte for byte what _tensor_presentation
+    would build."""
+    if m.right_algebra is not s.algebra:
+        raise ValueError("tensor needs matching algebra on the inside")
+    kept, positions = _sum_positions(parts)
+    return memo(m._tensors, s.content_key(),
+                lambda: _placed_tensor(m, s, parts, kept, positions)), positions
+
+
+def _sum_positions(parts):
+    """(kept, positions): the free pure tensors of the tensor of a sum with
+    the summand tensors parts, ascending, and for each summand the indices
+    among them of its own free pure tensors m_i (x) x_j, moved to
+    i * dim S + offset + j.  On Python ints: the index lists are short."""
+    inner = sum(t.inner for t in parts)
+    moved, offset = [], 0
+    for t in parts:
+        # an empty summand has no free pure tensors, so nothing divides by 0
+        moved.append([u * inner + offset + j
+                      for u, j in (divmod(c, t.inner) for c in t.kept.tolist())])
+        offset += t.inner
+    kept = sorted(c for part in moved for c in part)
+    at = {c: i for i, c in enumerate(kept)}
+    return _indices(kept), [_indices([at[c] for c in part]) for part in moved]
+
+
+def _indices(values):
+    """A read-only index array of the given ints."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _placed_tensor(m, s, parts, kept, positions):
+    f = m.field
+    dm, dx, n = m.dim, s.dim, len(kept)
+    proj = f.zeros(n, dm * dx)
+    acts = f.zeros(m.left_algebra.dim, n, n)
+    rows, offset = proj.reshape(n, dm, dx), 0
+    for t, pos in zip(parts, positions):
+        rows[pos, :, offset:offset + t.inner] = t.pure_surjection
+        acts[:, pos[:, None], pos] = t.module.action
+        offset += t.inner
+    sect = f.zeros(dm * dx, n)
+    sect[kept, np.arange(n)] = f.one
+    return TensorModule(Module(m.left_algebra, n, f.freeze(acts)),
+                        f.freeze(proj), f.freeze(sect), dm, dx, kept)
 
 
 class HomModule:
@@ -979,17 +1044,30 @@ def projective_sum(algebra, vertices):
 
 
 def direct_sum(mods):
-    """(sum module, injections, projections)."""
+    """(sum module, injections, projections), all over one algebra object.
+
+    The action is frozen once, and the injections and projections are views
+    of one frozen identity, so the constructors share them.  When every
+    summand's vertex classes are memoized, the sum carries them: their
+    concatenation, or None if any is None, which is what
+    _build_vertex_classes reads off the block-diagonal idempotent images."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum needs an algebra; use zero_module")
-    f = mods[0].field
-    s = Module(mods[0].algebra, sum(m.dim for m in mods),
-               _block_diagonal(f, mods[0].algebra.dim, [m.action for m in mods]))
-    eye = f.eye(s.dim)
-    ofs = np.cumsum([0, *(m.dim for m in mods)])
-    injs = [ModuleMorphism(m, s, eye[:, lo:hi]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
-    projs = [ModuleMorphism(s, m, eye[lo:hi, :]) for m, lo, hi in zip(mods, ofs[:-1], ofs[1:])]
+    algebra = mods[0].algebra
+    if any(m.algebra is not algebra for m in mods):
+        raise ValueError("direct sum of modules over different algebras")
+    f = algebra.field
+    s = Module(algebra, sum(m.dim for m in mods),
+               f.freeze(_block_diagonal(f, algebra.dim, [m.action for m in mods])))
+    known = [m._cache.get("classes", _MISSING) for m in mods]
+    if _MISSING not in known:
+        memo(s._cache, "classes", lambda: None if None in known else tuple(
+            c for classes in known for c in classes))
+    eye = f.freeze(f.eye(s.dim))
+    ofs = list(itertools.accumulate((m.dim for m in mods), initial=0))
+    injs = [ModuleMorphism(m, s, eye[:, lo:hi]) for m, lo, hi in zip(mods, ofs, ofs[1:])]
+    projs = [ModuleMorphism(s, m, eye[lo:hi, :]) for m, lo, hi in zip(mods, ofs, ofs[1:])]
     return s, injs, projs
 
 

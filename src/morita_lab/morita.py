@@ -23,9 +23,8 @@ from . import linalg
 from .algebras import (
     Bimodule, IsoResult, Module, ModuleMorphism, PresentedAlgebra, TensorModule,
     _invertible_combination, _left_times, _times, cokernel, coordinates, direct_sum,
-    _block_diagonal, dual_module, hom_module, intertwiner_constraints,
-    intertwiner_system, kernel, kernel_dim, memo, simples, solve_matrix_system, tensor_over,
-    zero_module,
+    dual_module, hom_module, intertwiner_constraints, intertwiner_system, kernel,
+    kernel_dim, memo, simples, solve_matrix_system, tensor_of_sum, tensor_over, zero_module,
 )
 
 
@@ -588,28 +587,46 @@ def lambda_cokernel(phi: LambdaMorphism):
 
 
 def lambda_direct_sum(mods):
-    """(sum quadruple, injections, projections)."""
+    """(sum quadruple, injections, projections), all over one MoritaData
+    object.
+
+    The sum's tensors are assembled from the summands' (tensor_of_sum), and
+    its structure maps are placed: f is each f_k at the rows of Y_k and at
+    the columns where X_k's free pure tensors sit among the sum's, and g
+    likewise.  The sum's f takes m_i (x) x_j, for x_j in X_k, to f_k's value
+    there, and at a free pure tensor that value is a column of f_k, since
+    the surjection is the identity on the free pure tensors.  No byte can
+    move: the RREF of the sum's relations is unique, so its free pure
+    tensors are the summands' own, placed."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty lambda direct sum")
     data = mods[0].data
+    if any(l.data is not data for l in mods):
+        raise ValueError("lambda direct sum of modules over different Morita data")
     fld = data.field
     xs, x_injs, x_projs = direct_sum([l.X for l in mods])
     ys, y_injs, y_projs = direct_sum([l.Y for l in mods])
-    txs = tensor_over(data.M, xs)
-    tys = tensor_over(data.N, ys)
-    # the value of the sum's f at m_i (x) x_j is the summand's, so the pure
-    # values sit block-diagonally in (row, column) for every i; likewise g
-    f = txs.descend(_block_diagonal(fld, data.M.dim, [
-        l.pure_f().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
-    g = tys.descend(_block_diagonal(fld, data.N.dim, [
-        l.pure_g().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+    txs, x_at = tensor_of_sum(data.M, xs, [l.tX for l in mods])
+    tys, y_at = tensor_of_sum(data.N, ys, [l.tY for l in mods])
+    f = _placed_map(fld, txs.dim, [l.Y.dim for l in mods], x_at, [l.f for l in mods])
+    g = _placed_map(fld, tys.dim, [l.X.dim for l in mods], y_at, [l.g for l in mods])
     s = LambdaModule(data, xs, ys, f, g, tx=txs, ty=tys)
     injs = [LambdaMorphism(l, s, xi.matrix, yi.matrix)
             for l, xi, yi in zip(mods, x_injs, y_injs)]
     projs = [LambdaMorphism(s, l, xp.matrix, yp.matrix)
              for l, xp, yp in zip(mods, x_projs, y_projs)]
     return s, injs, projs
+
+
+def _placed_map(fld, ncols, row_dims, columns, blocks):
+    """The frozen matrix holding blocks[k] at the k-th block of rows and at
+    the columns columns[k]."""
+    out, lo = fld.zeros(sum(row_dims), ncols), 0
+    for dim, cols, block in zip(row_dims, columns, blocks):
+        out[lo:lo + dim, cols] = block
+        lo += dim
+    return fld.freeze(out)
 
 
 def is_exact_pair(first: LambdaMorphism, second: LambdaMorphism) -> bool:

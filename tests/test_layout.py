@@ -45,11 +45,13 @@ def _random(field, rng, *shape):
 
 def _tensor(field, rng, outer, inner, t):
     """A TensorModule with random presenting matrices: the layout methods
-    never use that they present a quotient."""
+    never use that they present a quotient, nor read its free pure tensors
+    kept, which are left as the first t indices."""
     k = alg.ground_field_algebra(field)
     module = alg.Module(k, t, [field.eye(t)])
     return alg.TensorModule(module, field.freeze(_random(field, rng, t, outer * inner)),
-                            field.freeze(_random(field, rng, outer * inner, t)), outer, inner)
+                            field.freeze(_random(field, rng, outer * inner, t)), outer, inner,
+                            np.arange(t))
 
 
 # -- the loop references ---------------------------------------------------------

@@ -456,12 +456,25 @@ def _summand_loop_sum(mods):
     return fld.normalize(f), fld.normalize(g)
 
 
+def _descended_sum(s, mods):
+    """lambda_direct_sum's structure maps by the formula placement replaced,
+    kept as a second reference: the summands' pure values placed
+    block-diagonally and descended once through the sum's tensors."""
+    fld, data = s.field, s.data
+    f = s.tX.descend(alg._block_diagonal(fld, data.M.dim, [
+        l.pure_f().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+    g = s.tY.descend(alg._block_diagonal(fld, data.N.dim, [
+        l.pure_g().transpose(1, 0, 2) for l in mods]).transpose(1, 0, 2))
+    return f, g
+
+
 @pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],
                          ids=["F3", "bigprime", "QQ"])
 def test_lambda_direct_sum_matches_the_summand_loop(field):
-    """One block-diagonal descent gives the structure maps of the old
-    summand-by-summand loop, byte for byte, also with summands of zero and
-    of unequal dimension."""
+    """The placed structure maps are those of the old summand-by-summand
+    loop and of the block-diagonal descent, byte for byte, also with
+    summands of zero and of unequal dimension; the sum and every injection
+    and projection validate."""
     from morita_lab import lab
 
     for name in ("ie", "examctp4"):
@@ -477,10 +490,14 @@ def test_lambda_direct_sum_matches_the_summand_loop(field):
                  sampled + simples, [h_b, simples[1], sampled[2], zero]]
         dims = set()
         for mods in cases:
-            s, _, _ = mor.lambda_direct_sum(mods)
+            s, injs, projs = mor.lambda_direct_sum(mods)
             f, g = _summand_loop_sum(mods)
             assert (_bytes(s.f), _bytes(s.g)) == (_bytes(f), _bytes(g))
+            f, g = _descended_sum(s, mods)
+            assert (_bytes(s.f), _bytes(s.g)) == (_bytes(f), _bytes(g))
             s.validate()
+            for phi in injs + projs:
+                phi.validate()
             dims.update(l.dims for l in mods)
         assert (0, 0) in dims and len(dims) >= 5
 
