@@ -43,11 +43,9 @@ def _unclassed(x):
 def _pool(algebra, sampler):
     """Sampled modules, a zero module and one without vertex classes."""
     mods = [sampler.plain(algebra) for _ in range(5)]
-    for x in mods + alg.indecomposable_projectives(algebra):
-        classes = x.vertex_classes()
-        if classes is not None and x.dim > 1 and classes[0] != classes[1]:
-            unclassed = _unclassed(x)
-            break
+    unclassed = next(_unclassed(x) for x in mods + alg.indecomposable_projectives(algebra)
+                     if x.dim > 1 and x.vertex_classes() is not None
+                     and x.vertex_classes()[0] != x.vertex_classes()[1])
     assert unclassed.vertex_classes() is None
     return mods + [alg.zero_module(algebra), unclassed]
 
