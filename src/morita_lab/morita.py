@@ -256,10 +256,6 @@ class LambdaMorphism:
         return f"LambdaMorphism({self.source.dims} -> {self.target.dims})"
 
 
-def lambda_identity(l):
-    return LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
-
-
 # -- the twelve functors -----------------------------------------------------
 
 
@@ -647,14 +643,21 @@ def lambda_modules_equal(l1: LambdaModule, l2: LambdaModule) -> bool:
 
 
 def lambda_isomorphism(l1: LambdaModule, l2: LambdaModule):
-    """Isomorphism test for quadruples: module_isomorphism's search, run on
-    the block-diagonal matrices diag(phi.a, phi.b) of the hom basis.  Such a
-    matrix is invertible exactly when both components are."""
+    """Isomorphism test for quadruples over one Morita data: the search of
+    module_isomorphism, run on the block-diagonal matrices diag(phi.a,
+    phi.b) of the hom basis.  Such a matrix is invertible exactly when both
+    components are.  Content keys are comparable only over one data, so
+    quadruples over two are refused.  Quadruples with equal content keys are
+    isomorphic by the identity, with no hom space solved and no search; the
+    zero quadruples are among them."""
+    if l1.data is not l2.data:
+        raise ValueError("isomorphism test needs a common Morita data")
     fld = l1.field
     if l1.dims != l2.dims:
         return IsoResult("not_isomorphic")
-    if l1.total_dim == 0:
-        return IsoResult("isomorphic", lambda_identity(l1))
+    if lambda_modules_equal(l1, l2):
+        return IsoResult("isomorphic", LambdaMorphism(l1, l2, fld.eye(l1.X.dim),
+                                                      fld.eye(l1.Y.dim)))
     basis = [linalg.block_diag(fld, [phi.a, phi.b]) for phi in lambda_hom_space(l1, l2)]
     mat, complete = _invertible_combination(fld, basis)
     if mat is not None:

@@ -883,21 +883,30 @@ def test_batched_search_exhausts_at_the_limit():
 
 
 def test_lambda_isomorphism_witness_is_a_valid_isomorphism(a2_f3):
-    """On L (+) L no hom basis element is invertible, so the witness comes
-    from a combination; split from its block-diagonal form it is still a
-    morphism of quadruples with invertible components."""
+    """From L (+) L to a conjugate of it no hom basis element is invertible,
+    so the witness comes from a combination; split from its block-diagonal
+    form it is still a morphism of quadruples with invertible components.
+    The conjugate moves X by g and carries f and g along, as in
+    tests/test_morita.py, so its content differs and the search runs."""
     from morita_lab import morita as mor
 
     data = mor.MoritaData(a2_f3, a2_f3, _corner_m(a2_f3), _corner_m(a2_f3), name="ie")
     p1 = alg.indecomposable_projectives(a2_f3)[0]
     l = mor.functor_T(data, "A", p1)
     ll, _, _ = mor.lambda_direct_sum([l, l])
+    g = _random_invertible_selfmap(ll.X, random.Random(25))
+    xc = _conjugate(ll.X, g)
+    tx = mor.tensor_over(data.M, xc)
+    one_gi = mor._tensor_map(F3, tx, ll.tX, linalg.invert(F3, g))
+    llc = mor.LambdaModule(data, xc, ll.Y, F3.matmul(ll.f, one_gi), F3.matmul(g, ll.g), tx=tx)
+    llc.validate()
+    assert llc.content_key() != ll.content_key()
     assert not any(linalg.is_invertible(F3, phi.a) and linalg.is_invertible(F3, phi.b)
-                   for phi in mor.lambda_hom_space(ll, ll))
-    iso = mor.lambda_isomorphism(ll, ll)
+                   for phi in mor.lambda_hom_space(ll, llc))
+    iso = mor.lambda_isomorphism(ll, llc)
     assert iso.status == "isomorphic"
     phi = iso.witness
-    assert phi.source is ll and phi.target is ll
+    assert phi.source is ll and phi.target is llc
     phi.validate()
     assert linalg.is_invertible(F3, phi.a) and linalg.is_invertible(F3, phi.b)
 

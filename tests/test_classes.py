@@ -10,6 +10,11 @@ from morita_lab import classes as cls
 from morita_lab import linalg
 
 
+def _identity(l):
+    """The identity morphism of the quadruple l."""
+    return mor.LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
+
+
 @pytest.fixture(scope="module")
 def ie(a2_f3):
     m = alg.corner_bimodule(a2_f3, "2", "1")
@@ -276,7 +281,7 @@ def test_hovey_ingredients_report_a_non_exact_approximation(nak_morita):
     pool = [mor.functor_T(data, "A", s1), mor.functor_Z(data, "B", s1)]
     spec = _frob_b_spec(data)
     spec.pair1_approx = lambda l: hml.ShortExactSequence(
-        l, l, l, mor.lambda_identity(l), mor.lambda_identity(l))
+        l, l, l, _identity(l), _identity(l))
     entries = cls.hovey_ingredients_check(spec, pool, [], {})
     assert [e[0] for e in entries] == [
         "intersection-cw", "intersection-fw", "orthogonality-pair1", "orthogonality-pair2",

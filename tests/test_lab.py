@@ -363,6 +363,21 @@ def test_value_error_in_a_case_records_its_text(monkeypatch):
                                 "failures": [[i, "injected refusal"] for i in range(50)]}
 
 
+def test_undetermined_shape_fails_as_undetermined(monkeypatch):
+    """An isomorphism test that cannot tell fails the c1-c4 case as
+    "undetermined", not as a wrong shape."""
+    monkeypatch.setattr(alg, "module_isomorphism",
+                        lambda x, y: alg.IsoResult("undetermined"))
+    inst = lab.catalog("examctp4", F3, **PARAMS["examctp4"])
+    rep = lab.run_suite("completeness", inst, lab.SampleConfig(count=2))
+    claims = {c["id"]: c for c in rep.to_dict()["claims"]}
+    for k in range(1, 5):
+        claim = claims[f"completeness.c{k}"]
+        assert claim["verdict"] == "fail"
+        assert claim["witness"] == {"count": 2,
+                                    "failures": [[0, "undetermined"], [1, "undetermined"]]}
+
+
 def test_hovey_heredity_probe_asks_each_membership_once(monkeypatch):
     """The heredity probe decides each (class spec, pool member) membership
     once for the whole suite, not once per pair."""

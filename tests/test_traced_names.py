@@ -18,6 +18,11 @@ def _fresh_a2():
     return alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
 
 
+def _identity(l):
+    """The identity morphism of the quadruple l."""
+    return mor.LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
+
+
 def _assert_counts(tracer, calls, counts):
     """Each call moves the traced counts by its expected amounts, and an
     identical second call is answered from the memos without a solve."""
@@ -78,9 +83,9 @@ def test_hom_solvers_route_through_traced_names():
         (lambda: hml._extend_along(pres.incl, alg.identity_morphism(pres.left)),
          (1, 1, 1, 0)),
         (lambda: hml._lift_along(pres.proj, alg.identity_morphism(s1)), (1, 1, 1, 0)),
-        (lambda: hml._extend_along(lpres.incl, mor.lambda_identity(lpres.left)),
+        (lambda: hml._extend_along(lpres.incl, _identity(lpres.left)),
          (2, 1, 0, 1)),
-        (lambda: hml._lift_along(lpres.proj, mor.lambda_identity(l1)), (2, 1, 0, 1)),
+        (lambda: hml._lift_along(lpres.proj, _identity(l1)), (2, 1, 0, 1)),
     ]
     _assert_counts(tracer, calls, counts)
     assert alg.hom_space.__name__ == "hom_space" and not hasattr(alg.hom_space, "__wrapped__")
