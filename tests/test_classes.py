@@ -9,10 +9,7 @@ from morita_lab import homology as hml
 from morita_lab import classes as cls
 from morita_lab import linalg
 
-
-def _identity(l):
-    """The identity morphism of the quadruple l."""
-    return mor.LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
+from test_morita import _identity
 
 
 @pytest.fixture(scope="module")

@@ -54,9 +54,9 @@ def test_content_equal_copies_are_isomorphic_by_the_identity(field):
     mods = [sampler.plain(data.A) for _ in range(4)] + [alg.zero_module(data.A)]
     quads = [sampler.quadruple(data) for _ in range(4)] + [_zero_quadruple(data)]
     assert any(x.dim for x in mods) and any(l.total_dim for l in quads)
-    for x, test in [*((x, alg.module_isomorphism) for x in mods),
-                    *((l, mor.lambda_isomorphism) for l in quads)]:
-        y = _copy_quadruple(x) if test is mor.lambda_isomorphism else _copy(x)
+    cases = ([(x, _copy(x), alg.module_isomorphism) for x in mods]
+             + [(l, _copy_quadruple(l), mor.lambda_isomorphism) for l in quads])
+    for x, y, test in cases:
         assert y is not x and y.content_key() == x.content_key()
         before = [_solved(cache, tag) for cache, tag in caches]
         iso = test(x, y)

@@ -9,6 +9,8 @@ from morita_lab import algebras as alg
 from morita_lab import morita as mor
 from morita_lab.fields import F3
 
+from test_morita import _identity
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SOLVES = ("algebras.intertwiner_constraints.calls", "algebras.solve_matrix_system.calls")
 
@@ -16,11 +18,6 @@ SOLVES = ("algebras.intertwiner_constraints.calls", "algebras.solve_matrix_syste
 def _fresh_a2():
     """kA2 over F_3, built afresh so that its content memos start empty."""
     return alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
-
-
-def _identity(l):
-    """The identity morphism of the quadruple l."""
-    return mor.LambdaMorphism(l, l, l.field.eye(l.X.dim), l.field.eye(l.Y.dim))
 
 
 def _assert_counts(tracer, calls, counts):
