@@ -12,7 +12,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from morita_lab.fields import F2, F3
+from morita_lab.fields import F2, F3, QQ
 from morita_lab import lab
 from morita_lab.jsonio import emit
 
@@ -30,6 +30,12 @@ RUNS = [
     ("differences", "ie", F3, {}),
     ("hovey", "examctp4", F3, dict(n=3, h=2, i=1, j=3)),
     ("oracle", "ie", F2, {}),
+    # over Q, so that the reports diffed across hash seeds cover the
+    # object-dtype path too
+    ("green", "ie", QQ, {}),
+    ("resolutions", "ie", QQ, {}),
+    ("compare", "ie", QQ, {}),
+    ("differences", "ie", QQ, {}),
 ]
 
 
@@ -47,7 +53,7 @@ def main():
         inst = lab.catalog(name, field, **params)
         rep = lab.run_suite(suite, inst, cfg)
         doc = rep.to_dict()
-        tag = f"{suite}-{name}-p{field.p}"
+        tag = f"{suite}-{name}-" + (f"p{field.p}" if field.p else "Q")
         path = os.path.join(args.out, f"{tag}.json")
         emit(doc, path)
         n_pass = sum(1 for c in doc["claims"] if c["verdict"] == "pass")

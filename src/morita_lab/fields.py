@@ -5,21 +5,25 @@ p <= 2^31, the dtype is int64 with entries normalized to 0..p-1: one
 product (p-1)^2 is below 2^62, and FieldSpec.matmul reduces its sums mod p
 after at most (2^63 - 1 - p) // (p-1)^2 products, a chunk derived from p
 alone (delayed reduction, as in Dumas, Giorgi & Pernet, ACM TOMS 2008).
-Over Q the dtype is object and the arrays hold Fraction entries, but
-products do not run on them: FieldSpec.matmul clears each operand's
-denominators, multiplies the integer numerators (in int64 when a bound
-proves it cannot overflow, else as Python ints) and turns the result back
-into Fractions once.  FieldSpec.matmul is the one home of array products;
+Over Q the dtype is object, and a normalized entry is an exact Python int
+when it is integral, else a Fraction in lowest terms: never a numpy
+integer and never a Fraction with denominator 1.  That is what
+FieldSpec.normalize makes over Q, as it makes 0..p-1 over F_p; on an array
+of ints alone it costs one type scan.  Products do not run on Fractions:
+FieldSpec.matmul clears each operand's denominators, multiplies the
+integer numerators (in int64 when a bound proves it cannot overflow, else
+as Python ints) and reads the result back once, as ints when the common
+denominator is 1.  FieldSpec.matmul is the one home of array products;
 linalg.combine is a matmul too.  All operations route through a FieldSpec
 so callers never touch dtype details.
 
 Zero tests, equality and memo keys run on integers too, not on Fraction
 comparison or hashing.  A zero test reads truth values (a.astype(bool),
-`if v:`), which every field's entries answer from an integer: a Fraction's
-is its numerator's.  Every Fraction is in lowest terms, so two rational
-arrays are equal exactly when their integer numerators over the common
-denominator are (FieldSpec.equal), and FieldSpec.value_key keys an array
-by those integers, never by Fractions.
+`if v:`), which every field's entries answer from an integer.  An int and
+a Fraction both carry a numerator and a denominator in lowest terms, so two
+rational arrays are equal exactly when their integer numerators over the
+common denominator are (FieldSpec.equal), and FieldSpec.value_key keys an
+array by those integers, never by Fractions.
 
 One ownership rule: an array is normalized where it is produced, and a
 read-only array in the field's dtype is normalized.  So nothing reduces a
@@ -43,50 +47,41 @@ import numpy as np
 
 _INT64_MAX = (1 << 63) - 1
 
-# The integers -_SMALL.._SMALL as shared Fractions (immutable, so safe to
-# share between arrays): integral products over Q are read off this table.
-_SMALL = 64
-_SMALL_FRACTIONS = np.array([Fraction(n) for n in range(-_SMALL, _SMALL + 1)], dtype=object)
-_ZERO, _ONE = _SMALL_FRACTIONS[_SMALL], _SMALL_FRACTIONS[_SMALL + 1]
-_NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
+def _canonical(q):
+    """A rational value as a Python int when it is integral, else as it is
+    (a Fraction in lowest terms)."""
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 def _numerators(a: np.ndarray):
-    """The entries of a rational (or integer) array as integer numerators
+    """The entries of a rational (or integer) array as Python-int numerators
     over one common denominator: (flat list, denominator)."""
     flat = a.ravel().tolist()
+    if set(map(type, flat)) <= {int}:
+        return flat, 1
     den = math.lcm(*set(map(_DENOMINATOR, flat)))
-    if den == 1:
-        return list(map(_NUMERATOR, flat)), 1
     return [int(x.numerator) * (den // int(x.denominator)) for x in flat], den
 
 
-def _magnitude(nums) -> int:
-    return max(int(max(nums)), -int(min(nums)))
-
-
-def _integer_array(nums, shape, dtype) -> np.ndarray:
-    if dtype is object:
-        nums = list(map(int, nums))  # a numpy integer would wrap in the product
-    return np.array(nums, dtype=dtype).reshape(shape)
-
-
 def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over Q, computed on integer numerators and read back as
-    Fractions once."""
+    """a @ b over Q, computed on integer numerators and read back into
+    normalized entries once."""
     (an, ad), (bn, bd) = _numerators(a), _numerators(b)
     # every partial sum is at most k * max|a| * max|b| in absolute value;
     # each operand must fit int64 too, also when the other one is zero
-    mag_a, mag_b = _magnitude(an), _magnitude(bn)
+    mag_a, mag_b = max(max(an), -min(an)), max(max(bn), -min(bn))
     bound = mag_a * mag_b * a.shape[-1]
     dtype = np.int64 if max(bound, mag_a, mag_b) <= _INT64_MAX else object
-    prod = np.matmul(_integer_array(an, a.shape, dtype), _integer_array(bn, b.shape, dtype))
+    prod = np.matmul(np.array(an, dtype=dtype).reshape(a.shape),
+                     np.array(bn, dtype=dtype).reshape(b.shape))
     den = ad * bd
-    if den == 1 and (bound <= _SMALL or (dtype is np.int64 and np.abs(prod).max() <= _SMALL)):
-        return _SMALL_FRACTIONS[prod + _SMALL]
+    if den == 1:
+        return prod.astype(object, copy=False)
     out = np.empty(prod.shape, dtype=object)
-    out.ravel()[:] = [Fraction(n, den) for n in prod.ravel().tolist()]
+    out.ravel()[:] = [_canonical(Fraction(n, den)) for n in prod.ravel().tolist()]
     return out
 
 
@@ -145,20 +140,14 @@ class FieldSpec:
 
     # -- scalars ------------------------------------------------------------
 
-    @property
-    def zero(self):
-        return _ZERO if self.kind == "rational" else 0
-
-    @property
-    def one(self):
-        return _ONE if self.kind == "rational" else 1
+    zero, one = 0, 1
 
     def scalar(self, value):
         """Coerce an int, Fraction, or "num/den" string into this field; any
         other value, or a zero denominator, is a ValueError."""
         try:
             if self.kind == "rational":
-                return Fraction(value)
+                return _canonical(Fraction(value))
             if isinstance(value, str):
                 value = int(value)
             if isinstance(value, Fraction):
@@ -176,20 +165,16 @@ class FieldSpec:
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(int(a), self.p - 2, self.p)
-        return _ONE / a
+        return _canonical(Fraction(a.denominator, a.numerator))
 
     # -- arrays -------------------------------------------------------------
 
     def zeros(self, *shape: int) -> np.ndarray:
-        a = np.zeros(shape, dtype=self._dtype)
-        if self._dtype is object:
-            a[...] = self.zero
-        return a
+        return np.zeros(shape, dtype=self._dtype)
 
     def eye(self, n: int) -> np.ndarray:
-        a = self.zeros(n, n)
-        for i in range(n):
-            a[i, i] = self.one
+        a = np.zeros((n, n), dtype=self._dtype)
+        a.flat[:: n + 1] = 1
         return a
 
     def asmatrix(self, rows) -> np.ndarray:
@@ -211,7 +196,10 @@ class FieldSpec:
     def normalize(self, a: np.ndarray) -> np.ndarray:
         if self.kind == "prime":
             return a % self.p
-        return a
+        flat = a.ravel().tolist()
+        if set(map(type, flat)) <= {int}:
+            return a if a.dtype == object else a.astype(object)
+        return np.array(list(map(_canonical, flat)), dtype=object).reshape(a.shape)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b; for stacks [..., r, k] and [..., k, c] with the same
@@ -276,7 +264,7 @@ class FieldSpec:
         caller's array writeable."""
         if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == self._dtype:
             return a
-        return self.freeze(np.array(a))
+        return self.freeze(np.array(a, dtype=self._dtype))
 
 
 F2 = FieldSpec("prime", 2)

@@ -5,7 +5,8 @@ choice, so the bases produced by kernel_basis and quotient are canonical
 and reproducible bit-for-bit across runs.
 
 rref eliminates on the rows held as Python lists (reduced mod p after each
-row operation over F_p, Fractions over Q) and builds its result array once.
+row operation over F_p, ints and Fractions over Q) and builds its result
+array once, normalized: over Q an integral entry is a Python int.
 The matrices the suites reduce are small, most at most 8 x 8, and there a
 numpy call per pivot costs more than the arithmetic.  The RREF is unique,
 so the pivot rule and the canonical output do not depend on how the
@@ -25,8 +26,8 @@ from .fields import FieldSpec
 def rref(field: FieldSpec, m: np.ndarray):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    Pivot rule: leftmost column, topmost nonzero entry.  R has the dtype of
-    the normalized input.  The pivot row is zero left of its pivot, so each
+    Pivot rule: leftmost column, topmost nonzero entry.  R is normalized, in
+    the field's dtype.  The pivot row is zero left of its pivot, so each
     row operation touches only the pivot row's nonzero entries right of it.
     """
     a = field.normalize(np.asarray(m))
@@ -61,7 +62,8 @@ def rref(field: FieldSpec, m: np.ndarray):
                         row[j] -= f * y
         pivots.append(c)
         r += 1
-    return np.array(rows[:r], dtype=a.dtype).reshape(r, ncols), pivots
+    out = np.array(rows[:r], dtype=a.dtype).reshape(r, ncols)
+    return (out if p else field.normalize(out)), pivots
 
 
 def rank(field: FieldSpec, m: np.ndarray) -> int:
@@ -210,7 +212,7 @@ def invertible_mask(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
 def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
     """sum_k coeffs[r, k] stack[k] for each row r of coeffs, normalized: one
     field.matmul of coeffs with the stack read as a k x rest matrix."""
-    coeffs = np.asarray(coeffs)
+    coeffs = np.asarray(coeffs, dtype=field._dtype)
     k, rest = stack.shape[0], stack.shape[1:]
     out = field.matmul(coeffs, stack.reshape(k, math.prod(rest)))
     return out.reshape(coeffs.shape[0], *rest)

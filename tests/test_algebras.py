@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -522,7 +523,8 @@ BIG = FieldSpec("prime", 33554467)  # first prime above 2^25; int64, as every pr
 
 def _arrow_module(algebra, entry):
     """The 2-dimensional representation k -> k of 1 -> 2 with arrow = entry.
-    Every call builds fresh arrays (and, over Q, fresh Fraction objects)."""
+    Every call builds fresh arrays (and, over Q, fresh Fraction objects for
+    a non-integral entry)."""
     f = algebra.field
     acts = []
     for word, src, tgt in algebra.path_words:
@@ -539,7 +541,10 @@ def _arrow_module(algebra, entry):
 def test_tensor_memo_keys_on_content(field):
     a = alg.path_algebra(alg.linear_quiver(2), [], field, name="kA2")
     reg = alg.regular_bimodule(a)
-    x1, x2 = _arrow_module(a, 1), _arrow_module(a, 1)
+    # over Q a non-integral entry, so that the two modules hold distinct
+    # objects: small ints are shared by the interpreter
+    entry = Fraction(1, 2) if field.kind == "rational" else 1
+    x1, x2 = _arrow_module(a, entry), _arrow_module(a, entry)
     assert x1 is not x2 and x1.action[2] is not x2.action[2]
     if field.kind == "rational":
         assert x1.action[2][1, 0] is not x2.action[2][1, 0]

@@ -321,8 +321,14 @@ def test_frozen_shares_read_only_arrays_and_copies_the_rest(name):
     assert mine[0, 0] == field.one
     assert field.frozen(mine) is mine
     assert field.frozen(mine.T).base is mine  # a read-only view is shared too
-    listed = field.frozen([[field.one, field.zero]])
+    listed = field.frozen([[field.one, field.zero], [0, 2]])
     assert not listed.flags.writeable and listed.dtype == field.zeros(0, 0).dtype
+    assert listed.tolist() == [[1, 0], [0, 2]]
+    assert all(type(v) is (int if field.kind == "rational" else np.int64) for v in listed.flat)
+    # an int64 array frozen over Q holds Python ints, never numpy integers
+    ints = field.frozen(np.array([[2, 0]], dtype=np.int64))
+    assert ints.dtype == field.zeros(0, 0).dtype and ints.tolist() == [[2, 0]]
+    assert all(type(v) is (int if field.kind == "rational" else np.int64) for v in ints.flat)
 
 
 @pytest.mark.parametrize("name", sorted(OWNERSHIP_FIELDS))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -672,9 +673,14 @@ def _extend_and_lift_problems(field):
 
 
 def _bytes(phi):
-    """dtype, shape and exact entries (with their Python types) per block."""
-    return None if phi is None else [(c.dtype.str, c.shape, repr(c.tolist()))
-                                     for c in phi.components]
+    """dtype, shape and exact entries per block; over Q each entry is a
+    Python int or a non-integral Fraction, so its type follows its value."""
+    if phi is None:
+        return None
+    for c in phi.components:
+        assert c.dtype != object or all(
+            type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in c.flat)
+    return [(c.dtype.str, c.shape, c.tolist()) for c in phi.components]
 
 
 @pytest.mark.parametrize("field", [F3, FieldSpec("prime", 33554467), QQ],

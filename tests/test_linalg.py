@@ -381,12 +381,18 @@ def _as_fractions(a):
     return _qq([v if isinstance(v, Fraction) else Fraction(int(v)) for v in a.flat], a.shape)
 
 
+def _canonical(a):
+    """Every entry a Python int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in a.flat)
+
+
 def _check_against_fraction_matmul(a, b):
     got = QQ.matmul(a, b)
     want = (np.matmul(_as_fractions(a), _as_fractions(b)) if a.shape[-1]
             else np.zeros(got.shape, dtype=object))
     assert got.dtype == object and got.shape == want.shape
-    assert all(type(v) is Fraction for v in got.flat)
+    assert _canonical(got)
     assert got.tolist() == want.tolist()
     return got
 
@@ -439,14 +445,18 @@ def test_rational_matmul_matches_fraction_products_random(data):
     _check_against_fraction_matmul(a, b)
 
 
-def test_rational_zero_one_and_small_products_are_shared():
-    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+def test_small_integral_products_are_python_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
     assert QQ.zero == 0 and QQ.one == 1
     prod = QQ.matmul(QQ.eye(2), QQ.eye(2))
-    assert prod[0, 1] is QQ.zero and prod[0, 0] is QQ.one
-    for n in (-65, -64, 63, 64, 65, 130):  # each side of the table's edge
+    assert prod.tolist() == [[1, 0], [0, 1]] and _canonical(prod)
+    for n in (-65, -64, 0, 63, 64, 65, 130):
         got = QQ.matmul(QQ.asmatrix([[n, 1]]), QQ.asmatrix([[1], [0]]))
-        assert got.tolist() == [[Fraction(n)]] and type(got[0, 0]) is Fraction
+        assert got.tolist() == [[n]] and type(got[0, 0]) is int
+    # halves whose sums are integral read back as ints too
+    half = QQ.asmatrix([["1/2", "-3/2"]])
+    got = QQ.matmul(half, QQ.asmatrix([[1], [1]]))
+    assert got.tolist() == [[-1]] and type(got[0, 0]) is int
 
 
 def _add_at_combine(field, coeffs, stack):
@@ -481,7 +491,7 @@ def test_combine_matches_the_add_at_formula(field):
             assert got.dtype == want.dtype and got.shape == want.shape == (r, *shape)
             assert got.astype(object).tolist() == want.astype(object).tolist()
             if field.kind == "rational":
-                assert all(type(v) is Fraction for v in got.flat)
+                assert _canonical(got)
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "QQ"])
@@ -525,8 +535,10 @@ def _numpy_rref(field, m):
 
 
 def _assert_same_bytes(got, want):
+    """Same dtype, shape and values; over Q every entry is also a Python int
+    or a non-integral Fraction, whatever the reference's entry types."""
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    assert got.dtype != object or _canonical(got)
     assert got.tolist() == want.tolist()
 
 
@@ -535,9 +547,10 @@ REFERENCE_IDS = ["F2", "F3", "int64prime", "bigprime", "QQ"]
 
 
 def _raw_entries(field):
-    """Entries as callers may pass them: over F_p also negative or >= p."""
+    """Entries as callers may pass them: over F_p also negative or >= p,
+    over Q also ints and integral Fractions."""
     if field.kind == "rational":
-        return st.one_of(st.just(Fraction(0)),
+        return st.one_of(st.just(Fraction(0)), st.integers(-5, 5),
                          st.fractions(min_value=-5, max_value=5, max_denominator=7))
     p = field.p
     return st.one_of(st.sampled_from([0, 0, 1, -1, 2, p - 1, p, p + 1, -p, 2 * p - 1]),
@@ -593,6 +606,44 @@ def test_rref_matches_the_numpy_elimination(field, data):
     if solution is not None:
         _assert_same_bytes(solution, want_solution)
     assert [(x.dtype, x.tolist()) for x in (m, b)] == before
+
+
+def test_rational_rref_of_an_int64_array_keeps_its_fractions():
+    """rref over Q used to build R in its input's dtype, which truncated the
+    Fraction 1/3 of [[3, 1], [0, 0]] to 0 in int64."""
+    r, pivots = linalg.rref(QQ, np.array([[3, 1], [0, 0]]))
+    assert pivots == [0] and r.dtype == object
+    assert r.tolist() == [[1, Fraction(1, 3)]] and [type(v) for v in r.flat] == [int, Fraction]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_elimination_reads_ints_as_their_fractions(data):
+    """rref, rank, kernel_basis and solve over Q give the same values, in
+    object arrays of Python ints and non-integral Fractions, whether the
+    integer entries come as int lists, int64 arrays or Fraction arrays."""
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 2))
+    values = data.draw(st.lists(st.integers(-6, 6), min_size=rows * (cols + k),
+                                max_size=rows * (cols + k)))
+    as_list = [values[i * (cols + k):(i + 1) * (cols + k)] for i in range(rows)]
+    m_list, b_list = [row[:cols] for row in as_list], [row[cols:] for row in as_list]
+    as_fractions = lambda x: _qq([Fraction(v) for row in x for v in row], (len(x), len(x[0])))
+    forms = {"list": (m_list, b_list),
+             "int64": (np.array(m_list, dtype=np.int64), np.array(b_list, dtype=np.int64)),
+             "Fraction": (as_fractions(m_list), as_fractions(b_list))}
+    got = {}
+    for name, (m, b) in forms.items():
+        r, pivots = linalg.rref(QQ, m)
+        out = [r, pivots, linalg.rank(QQ, m)]
+        if name != "list":
+            out += [linalg.kernel_basis(QQ, m), linalg.solve(QQ, m, b)]
+        for a in out:
+            if isinstance(a, np.ndarray):
+                assert a.dtype == object and _canonical(a)
+        got[name] = [a.tolist() if isinstance(a, np.ndarray) else a for a in out]
+    assert got["list"] == got["int64"][:3] == got["Fraction"][:3]
+    assert got["int64"] == got["Fraction"]
 
 
 # -- echelon-only rank ------------------------------------------------------
