@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from morita_lab import lab
 from morita_lab import morita as mor
 from morita_lab import homology as hml
 from morita_lab import linalg
+from test_rational_entries import canonical_value
 
 
 @pytest.fixture(scope="module")
@@ -678,8 +678,7 @@ def _bytes(phi):
     if phi is None:
         return None
     for c in phi.components:
-        assert c.dtype != object or all(
-            type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in c.flat)
+        assert c.dtype != object or all(map(canonical_value, c.flat))
     return [(c.dtype.str, c.shape, c.tolist()) for c in phi.components]
 
 

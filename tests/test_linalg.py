@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from morita_lab.fields import F2, F3, QQ, FieldSpec, field_from_token
 from morita_lab import linalg
+from test_rational_entries import canonical_value
 
 
 def test_field_spec_validation():
@@ -382,9 +383,7 @@ def _as_fractions(a):
 
 
 def _canonical(a):
-    """Every entry a Python int, or a Fraction that is not integral."""
-    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-               for v in a.flat)
+    return all(map(canonical_value, a.flat))
 
 
 def _check_against_fraction_matmul(a, b):

@@ -17,7 +17,9 @@ INT64_MAX = (1 << 63) - 1
 INT64_EDGE = [INT64_MAX, INT64_MAX + 1, -INT64_MAX, -INT64_MAX - 2, 1 << 70]
 
 
-def _canonical_value(v):
+def canonical_value(v):
+    """v is a Python int or a Fraction that is not integral; the other test
+    modules over Q import this check."""
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
@@ -25,7 +27,7 @@ def _assert_canonical(a, want=None):
     """a is an object array of canonical entries, equal to want (an array
     or nested list of Fractions) when given."""
     assert isinstance(a, np.ndarray) and a.dtype == object
-    bad = [v for v in a.flat if not _canonical_value(v)]
+    bad = [v for v in a.flat if not canonical_value(v)]
     assert not bad, bad
     if want is not None:
         assert a.tolist() == np.asarray(want, dtype=object).reshape(a.shape).tolist()
@@ -88,11 +90,11 @@ def _reference_rref(a):
 @given(ENTRY)
 def test_scalar_and_inv_are_canonical(v):
     s = QQ.scalar(v)
-    assert _canonical_value(s) and s == Fraction(int(v.numerator), int(v.denominator))
-    assert _canonical_value(QQ.scalar(str(s))) and QQ.scalar(str(s)) == s
+    assert canonical_value(s) and s == Fraction(int(v.numerator), int(v.denominator))
+    assert canonical_value(QQ.scalar(str(s))) and QQ.scalar(str(s)) == s
     if s:
         inv = QQ.inv(s)
-        assert _canonical_value(inv) and inv == 1 / Fraction(s)
+        assert canonical_value(inv) and inv == 1 / Fraction(s)
 
 
 @settings(max_examples=20, deadline=None)
