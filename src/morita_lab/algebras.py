@@ -50,6 +50,8 @@ class Quiver:
     arrows: tuple  # of (name, source, target)
 
     def __post_init__(self):
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("vertex names must be unique")
         names = [a[0] for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("arrow names must be unique")

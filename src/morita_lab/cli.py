@@ -50,11 +50,15 @@ def _check_caps(args):
 
 
 def _check_out(args):
-    """The directory that --out names a file or a prefix in must exist
-    before anything runs."""
-    folder = os.path.dirname(args.out) if getattr(args, "out", None) else ""
+    """Before anything runs: the directory that --out names a file or a
+    prefix in must exist, and an --out that names the written file must not
+    be a directory."""
+    out = getattr(args, "out", None) or ""
+    folder = os.path.dirname(out)
     if folder and not os.path.isdir(folder):
         raise ValueError(f"--out directory {folder!r} does not exist")
+    if os.path.isdir(out) and args.command not in ("catalog", "sample", "enumerate"):
+        raise ValueError(f"--out {out!r} is a directory, not a file")
 
 
 def cmd_validate(args):

@@ -11,11 +11,11 @@ integer and never a Fraction with denominator 1.  That is what
 FieldSpec.normalize makes over Q, as it makes 0..p-1 over F_p; on an array
 of ints alone it costs one type scan.  Products do not run on Fractions:
 FieldSpec.matmul clears each operand's denominators, multiplies the
-integer numerators (in int64 when a bound proves it cannot overflow, else
-as Python ints) and reads the result back once, as ints when the common
-denominator is 1.  FieldSpec.matmul is the one home of array products;
-linalg.combine is a matmul too.  All operations route through a FieldSpec
-so callers never touch dtype details.
+integer numerators as object arrays of Python ints, which cannot overflow,
+and reads the result back once, as ints when the common denominator is 1.
+FieldSpec.matmul is the one home of array products; linalg.combine is a
+matmul too.  All operations route through a FieldSpec so callers never
+touch dtype details.
 
 Zero tests, equality and memo keys run on integers too, not on Fraction
 comparison or hashing.  A zero test reads truth values (a.astype(bool),
@@ -67,19 +67,14 @@ def _numerators(a: np.ndarray):
 
 
 def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over Q, computed on integer numerators and read back into
+    """a @ b over Q, computed on Python-int numerators and read back into
     normalized entries once."""
     (an, ad), (bn, bd) = _numerators(a), _numerators(b)
-    # every partial sum is at most k * max|a| * max|b| in absolute value;
-    # each operand must fit int64 too, also when the other one is zero
-    mag_a, mag_b = max(max(an), -min(an)), max(max(bn), -min(bn))
-    bound = mag_a * mag_b * a.shape[-1]
-    dtype = np.int64 if max(bound, mag_a, mag_b) <= _INT64_MAX else object
-    prod = np.matmul(np.array(an, dtype=dtype).reshape(a.shape),
-                     np.array(bn, dtype=dtype).reshape(b.shape))
+    prod = np.matmul(np.array(an, dtype=object).reshape(a.shape),
+                     np.array(bn, dtype=object).reshape(b.shape))
     den = ad * bd
     if den == 1:
-        return prod.astype(object, copy=False)
+        return prod
     out = np.empty(prod.shape, dtype=object)
     out.ravel()[:] = [_canonical(Fraction(n, den)) for n in prod.ravel().tolist()]
     return out

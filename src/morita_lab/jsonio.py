@@ -59,9 +59,10 @@ class _Scalars:
         self._parsed = {}
 
     def __call__(self, x):
-        """field.scalar(x), so a bad entry is a ValueError."""
+        """field.scalar(x) of a JSON integer or string; any other entry,
+        floats and booleans included, is a ValueError, and so is a bad one."""
         if type(x) is not str and type(x) is not int:
-            return self.field.scalar(x)  # bools, floats and garbage: never cached
+            raise ValueError(f"{x!r} is not an integer or a string")
         return alg.memo(self._parsed, x, lambda: self.field.scalar(x))
 
 
@@ -168,7 +169,9 @@ def algebra_from_json(doc):
                                         for key in ("name", "source", "target"))
                                   for a in arrows))
         relations = doc.get("relations", [])
-        if not isinstance(relations, list) or any(not isinstance(w, list) for w in relations):
+        if not isinstance(relations, list) or any(
+                not isinstance(w, list) or any(not isinstance(a, str) for a in w)
+                for w in relations):
             raise SchemaError("'relations' must be a list of arrow-name lists")
         return alg.path_algebra(quiver, [tuple(w) for w in relations], field)
     if "raw" in doc:

@@ -4,14 +4,17 @@ Everything is deterministic: reduced row echelon form with leftmost-pivot
 choice, so the bases produced by kernel_basis and quotient are canonical
 and reproducible bit-for-bit across runs.
 
-rref eliminates on the rows held as Python lists (reduced mod p after each
-row operation over F_p, ints and Fractions over Q) and builds its result
-array once, normalized: over Q an integral entry is a Python int.
-The matrices the suites reduce are small, most at most 8 x 8, and there a
-numpy call per pivot costs more than the arithmetic.  The RREF is unique,
-so the pivot rule and the canonical output do not depend on how the
-elimination is carried out.  rank needs no RREF: it eliminates forward on
-the same row lists and counts the pivots.
+rref and rank read one elimination loop, which works on the rows held as
+Python lists (reduced mod p after each row operation over F_p, ints and
+Fractions over Q).  rref clears each pivot column above and below and
+builds its result array once, normalized: over Q an integral entry is a
+Python int.  rank eliminates forward only, clearing below each pivot, and
+counts the pivots without building an array.  The matrices the suites
+reduce are small, most at most 8 x 8, and there a numpy call per pivot
+costs more than the arithmetic.  The RREF is unique, so the pivot rule and
+the canonical output do not depend on how the elimination is carried out.
+invertible_mask is the batched invertibility test over F_p of the
+isomorphism search: one vectorized elimination for a whole stack.
 """
 
 from __future__ import annotations
@@ -23,58 +26,19 @@ import numpy as np
 from .fields import FieldSpec
 
 
-def rref(field: FieldSpec, m: np.ndarray):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def _eliminate(field: FieldSpec, rows: list, ncols: int, reduced: bool) -> list:
+    """Eliminate in place on rows, a list of normalized row lists, and return
+    the pivot columns; the first len(pivots) rows are then the echelon rows.
 
-    Pivot rule: leftmost column, topmost nonzero entry.  R is normalized, in
-    the field's dtype.  The pivot row is zero left of its pivot, so each
-    row operation touches only the pivot row's nonzero entries right of it.
+    Pivot rule: leftmost column, topmost nonzero entry.  The pivot row is
+    scaled to 1 and its column cleared below it, and above it too when
+    reduced.  The pivot row is zero left of its pivot, so each row
+    operation touches only the pivot row's nonzero entries right of it.
     """
-    a = field.normalize(np.asarray(m))
-    nrows, ncols = a.shape
-    rows = a.tolist()
     p, zero = field.p, field.zero
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        prow = rows[i]
-        rows[i], rows[r] = rows[r], prow
-        inv = field.inv(prow[c])
-        if inv != 1:
-            prow[c:] = [x * inv % p for x in prow[c:]] if p else [x * inv for x in prow[c:]]
-        support = [(j, y) for j, y in enumerate(prow[c + 1 :], c + 1) if y]
-        for row in rows:
-            f = row[c]
-            if f and row is not prow:
-                row[c] = zero
-                if p:
-                    for j, y in support:
-                        row[j] = (row[j] - f * y) % p
-                else:
-                    for j, y in support:
-                        row[j] -= f * y
-        pivots.append(c)
-        r += 1
-    out = np.array(rows[:r], dtype=a.dtype).reshape(r, ncols)
-    return (out if p else field.normalize(out)), pivots
-
-
-def rank(field: FieldSpec, m: np.ndarray) -> int:
-    """The number of pivots of m, by forward elimination on its rows as
-    lists: each pivot clears its column below it only, with no
-    back-substitution and no result array."""
-    a = field.normalize(np.asarray(m))
-    rows = [row for row in a.tolist() if any(row)]
-    p = field.p
-    r = 0
-    for c in range(a.shape[1]):
+        r = len(pivots)
         if r == len(rows):
             break
         for i in range(r, len(rows)):
@@ -85,19 +49,40 @@ def rank(field: FieldSpec, m: np.ndarray) -> int:
         prow = rows[i]
         rows[i], rows[r] = rows[r], prow
         inv = field.inv(prow[c])
+        if inv != 1:
+            prow[c:] = [x * inv % p for x in prow[c:]] if p else [x * inv for x in prow[c:]]
         support = [(j, y) for j, y in enumerate(prow[c + 1 :], c + 1) if y]
-        for row in rows[r + 1 :]:
+        for row in rows if reduced else rows[r + 1 :]:
             f = row[c]
-            if f:
-                f = f * inv % p if p else f * inv
+            if f and row is not prow:
+                row[c] = zero
                 if p:
                     for j, y in support:
                         row[j] = (row[j] - f * y) % p
                 else:
                     for j, y in support:
                         row[j] -= f * y
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rref(field: FieldSpec, m: np.ndarray):
+    """Reduced row echelon form.  Returns (R, pivot_columns); R is
+    normalized, in the field's dtype."""
+    a = field.normalize(np.asarray(m))
+    ncols = a.shape[1]
+    rows = a.tolist()
+    pivots = _eliminate(field, rows, ncols, True)
+    out = np.array(rows[: len(pivots)], dtype=a.dtype).reshape(len(pivots), ncols)
+    return (out if field.p else field.normalize(out)), pivots
+
+
+def rank(field: FieldSpec, m: np.ndarray) -> int:
+    """The number of pivots of m, by forward elimination on its nonzero
+    rows: no back-substitution and no result array."""
+    a = field.normalize(np.asarray(m))
+    rows = [row for row in a.tolist() if any(row)]
+    return len(_eliminate(field, rows, a.shape[1], False))
 
 
 def kernel_from_rref(field: FieldSpec, r: np.ndarray, pivots, ncols: int):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morita_lab import cli
+from morita_lab.fields import QQ
 from morita_lab import jsonio
 from morita_lab import lab
 from morita_lab import algebras as alg
@@ -289,16 +290,29 @@ BAD_RUN_ARGUMENTS = {
     "enumerate max-dim -1": ["enumerate", "--morita", "ie.json", "--max-dim", -1],
     "verify out nodir": ["verify", "green", "--instance", "ie", "--count", 2,
                          "--out", "nodir/r.json"],
+    # an --out naming a directory: an IsADirectoryError once the work is
+    # done, the whole suite in verify
+    "verify out dir": ["verify", "green", "--instance", "ie", "--count", 1, "--out", "."],
+    "functor out dir": ["functor", "TA", "--in", "x000.json", "--morita", "ie.json",
+                        "--out", "."],
+    "ext out dir": ["ext", "--src", "s000.json", "--tgt", "s000.json", "--out", "."],
+    "tor out dir": ["tor", "--bimodule", "ie.M.json", "--module", "x000.json", "--out", "."],
+    "classify out dir": ["classify", "--module", "s000.json", "--class", "mon", "--out", "."],
+    "resolve out dir": ["resolve", "--module", "s000.json", "--kind", "present",
+                        "--out", "."],
+    "decompose out dir": ["decompose", "--module", "s000.json", "--kind", "delta",
+                          "--spec", "spec.json", "--out", "."],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUN_ARGUMENTS))
 def test_bad_run_arguments_are_preflight_failures(ie_files, monkeypatch, capsys, case):
     """A count below 1, a rank cap below 1, a dimension cap below 1, a
-    parameter the instance does not take or an --out in a missing directory
-    fails before anything runs: exit 2 with a message, and no report or
-    sample.  The ie documents, a sampled A-module x000.json, a sampled
-    quadruple s000.json and a class_spec_pair spec.json are in the current
+    parameter the instance does not take, an --out in a missing directory
+    or an --out naming a directory fails before anything runs: exit 2 with
+    a message, no suite run, nothing written, and no report or sample.  The
+    ie documents, a sampled A-module x000.json, a sampled quadruple
+    s000.json and a class_spec_pair spec.json are in the current
     directory."""
     monkeypatch.chdir(ie_files)
     assert run(["sample", "--algebra", "ie.A.json", "--count", 1, "--out", "x"]) == 0
@@ -306,6 +320,8 @@ def test_bad_run_arguments_are_preflight_failures(ie_files, monkeypatch, capsys,
     (ie_files / "spec.json").write_text(json.dumps(
         {"version": 1, "kind": "class_spec_pair",
          "U": {"type": "projectives"}, "V": {"type": "projectives"}}))
+    for module, name in ((lab, "run_suite"), (jsonio, "emit")):
+        monkeypatch.setattr(module, name, functools.partial(pytest.fail, f"{name} ran"))
     capsys.readouterr()
     args = BAD_RUN_ARGUMENTS[case]
     field = ["--field", "3"] if args[0] in ("verify", "catalog") else []
@@ -701,10 +717,10 @@ def test_single_field_mutations_exit_0_or_2(fuzz_documents, data):
 # -- malformed documents that used to escape cli.main -------------------------
 
 
-def _raw_algebra_doc(change):
-    """The materialized ie ring over F3 as a raw algebra document, with
+def _raw_algebra_doc(field, change):
+    """The materialized ie ring over field as a raw algebra document, with
     change applied to its raw block."""
-    doc = jsonio.algebra_to_json(mor.materialize(lab.catalog("ie", lab.F3).data))
+    doc = jsonio.algebra_to_json(mor.materialize(lab.catalog("ie", field).data))
     change(doc["raw"])
     return doc
 
@@ -713,16 +729,47 @@ def _alias_structure_constant(raw):
     raw["structure_constants"]["-1,0"] = raw["structure_constants"]["0,0"]
 
 
+def _unit_ones(value):
+    """A change that writes value for each unit entry that reads 1 (1 over
+    F3, "1/1" over Q): the field's scalar parser took each of these values
+    for 1."""
+    def change(raw):
+        raw["unit"] = [value if x in (1, "1/1") else x for x in raw["unit"]]
+    return change
+
+
+def _quiver_algebra_doc(change):
+    """The A side of ie over F3 as a quiver algebra document, with change
+    applied to it."""
+    doc = jsonio.algebra_to_json(lab.catalog("ie", lab.F3).data.A)
+    change(doc)
+    return doc
+
+
 MALFORMED_DOCUMENTS = {
     # AttributeError in DocumentStore.any_document and cli._load_pair
     "top-level list": (lambda: [], ["validate", "ext"]),
     # TypeError: a claim entry that is not an object
     "claims [1]": (lambda: {"version": 1, "kind": "report", "claims": [1]}, ["validate"]),
     # IndexError: more unit entries than basis elements
-    "unit too long": (lambda: _raw_algebra_doc(lambda raw: raw["unit"].append(0)),
+    "unit too long": (lambda: _raw_algebra_doc(lab.F3, lambda raw: raw["unit"].append(0)),
                       ["validate"]),
     # a negative index into the structure constants was read as the last one
-    "key out of range": (lambda: _raw_algebra_doc(_alias_structure_constant), ["validate"]),
+    "key out of range": (lambda: _raw_algebra_doc(lab.F3, _alias_structure_constant),
+                         ["validate"]),
+    # floats and booleans were read as the integers they round to (exit 0)
+    "float entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(1.4)), ["validate"]),
+    "near-integral float entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(1.0000001)),
+                                     ["validate"]),
+    "boolean entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(True)), ["validate"]),
+    "float entry Q": (lambda: _raw_algebra_doc(QQ, _unit_ones(1.0)), ["validate"]),
+    "boolean entry Q": (lambda: _raw_algebra_doc(QQ, _unit_ones(True)), ["validate"]),
+    # TypeError: unhashable type: 'list'
+    "nested relation word": (lambda: _quiver_algebra_doc(
+        lambda doc: doc.update(relations=[[["a1"]]])), ["validate"]),
+    # a vertex named twice (exit 0)
+    "duplicate vertex": (lambda: _quiver_algebra_doc(
+        lambda doc: doc["quiver"].update(vertices=["1", "2", "1"])), ["validate"]),
 }
 
 

@@ -417,7 +417,7 @@ def test_rational_matmul_matches_fraction_products(entries):
         if "table" in entries and k > 1:
             assert max(abs(v) for v in got.flat) > 64
     if "near 2^31" in entries:
-        # a sum past int64, which only the Python-int route gets right
+        # a sum past int64: exact, since the numerators are Python ints
         top = _qq([values[0]] * 4, (1, 4))
         assert _check_against_fraction_matmul(top, top.T.copy())[0, 0] > (1 << 63)
 
