@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morita_lab import cli
-from morita_lab.fields import QQ
 from morita_lab import jsonio
 from morita_lab import lab
 from morita_lab import algebras as alg
 from morita_lab import classes as cls
 from morita_lab import homology as hml
 from morita_lab import morita as mor
+from morita_lab.fields import QQ
 
 
 def run(args):
