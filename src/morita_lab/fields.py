@@ -13,6 +13,8 @@ of ints alone it costs one type scan.  Products do not run on Fractions:
 FieldSpec.matmul clears each operand's denominators, multiplies the
 integer numerators as object arrays of Python ints, which cannot overflow,
 and reads the result back once, as ints when the common denominator is 1.
+An integral operand, an object array of Python ints, is multiplied as it
+is; only an operand that holds a Fraction, or is int64, is rebuilt.
 FieldSpec.matmul is the one home of array products; linalg.combine is a
 matmul too.  All operations route through a FieldSpec so callers never
 touch dtype details.
@@ -66,12 +68,20 @@ def _numerators(a: np.ndarray):
     return [int(x.numerator) * (den // int(x.denominator)) for x in flat], den
 
 
+def _integral(a: np.ndarray):
+    """(n, d) with a = n / d and n an object array of Python ints: a itself,
+    with d = 1, when it is one already."""
+    if a.dtype == object and set(map(type, a.ravel().tolist())) <= {int}:
+        return a, 1
+    nums, den = _numerators(a)
+    return np.array(nums, dtype=object).reshape(a.shape), den
+
+
 def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over Q, computed on Python-int numerators and read back into
     normalized entries once."""
-    (an, ad), (bn, bd) = _numerators(a), _numerators(b)
-    prod = np.matmul(np.array(an, dtype=object).reshape(a.shape),
-                     np.array(bn, dtype=object).reshape(b.shape))
+    (an, ad), (bn, bd) = _integral(a), _integral(b)
+    prod = np.matmul(an, bn)
     den = ad * bd
     if den == 1:
         return prod

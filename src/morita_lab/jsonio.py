@@ -3,15 +3,25 @@ quadruple modules and verification reports.
 
 One file holds one object; cross-references are relative paths resolved
 against the referring file.  Prime-field entries are integers 0..p-1,
-rationals are "num/den" strings; canonical_dumps is the one serializer, and
-it is byte-stable (keys in the order their builder writes them, two-space
-indent, trailing newline).
+rationals are "num/den" strings (an integer n is "n/1"); a scalar string
+in a document must be decimal digits with an optional leading minus, and
+over Q may add "/" and a decimal denominator.  Vertex and arrow names, and
+the arrows of relation words, are strings or integers, read as text.
+
+canonical_dumps is the one serializer, and it is byte-stable: keys in the
+order their builder writes them, two-space indent, trailing newline.  It
+writes exactly the bytes of json.dumps(doc, indent=2) + "\n", but not
+through json's pure-Python encoder (which any indent selects): it encodes
+each scalar with the C-level helpers json itself uses and joins a list of
+scalars in one str.join.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .fields import FieldSpec
 from . import algebras as alg
@@ -41,11 +51,20 @@ def _dim_from_json(doc):
     return dim
 
 
-def _name_from_json(doc, key):
-    return str(_member(doc, key, (str, int), "a string or an integer"))
+def _name(value, what):
+    """A vertex or arrow name: a JSON string, or a JSON integer read as its
+    decimal text.  Anything else, booleans included, is a SchemaError."""
+    if type(value) is not str and type(value) is not int:
+        raise SchemaError(f"{what} must be a string or an integer")
+    return str(value)
 
 
 # -- scalars and matrices ------------------------------------------------------
+
+
+# the scalar strings a document may hold: "n" in every field, "n/d" over Q
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class _Scalars:
@@ -56,14 +75,22 @@ class _Scalars:
 
     def __init__(self, field):
         self.field = field
+        self._grammar = _INTEGER_TEXT if field.kind == "prime" else _RATIONAL_TEXT
         self._parsed = {}
 
     def __call__(self, x):
-        """field.scalar(x) of a JSON integer or string; any other entry,
-        floats and booleans included, is a ValueError, and so is a bad one."""
+        """field.scalar(x) of a JSON integer or of a string in the field's
+        grammar; any other entry (floats, booleans, decimal, exponent or
+        underscore strings) is a ValueError, and so is a bad one."""
         if type(x) is not str and type(x) is not int:
             raise ValueError(f"{x!r} is not an integer or a string")
-        return alg.memo(self._parsed, x, lambda: self.field.scalar(x))
+        return alg.memo(self._parsed, x, lambda: self._parse(x))
+
+    def _parse(self, x):
+        if type(x) is str and not self._grammar.fullmatch(x):
+            form = "n" if self.field.kind == "prime" else "n or n/d"
+            raise ValueError(f"{x!r} is not a decimal scalar string {form}")
+        return self.field.scalar(x)
 
 
 def _scalar_from_json(scalars, x):
@@ -73,14 +100,27 @@ def _scalar_from_json(scalars, x):
         raise SchemaError(f"bad scalar entry: {exc}") from exc
 
 
-def scalar_to_json(field, v):
-    if field.kind == "prime":
-        return int(v)
+def _rational_to_json(v):
+    """The "num/den" string of a normalized rational: a Python int n is
+    "n/1", a Fraction its lowest terms."""
+    if type(v) is int:
+        return f"{v}/1"
     return f"{v.numerator}/{v.denominator}"
 
 
+def scalar_to_json(field, v):
+    if field.kind == "prime":
+        return int(v)
+    return _rational_to_json(v)
+
+
 def matrix_to_json(field, m):
-    return [[scalar_to_json(field, v) for v in row] for row in m.tolist()]
+    """The rows of a normalized matrix: over F_p its Python ints as they
+    are, over Q the "num/den" string of each entry."""
+    rows = m.tolist()
+    if field.kind == "prime":
+        return rows
+    return [list(map(_rational_to_json, row)) for row in rows]
 
 
 def matrix_from_json(scalars, rows, shape):
@@ -160,20 +200,17 @@ def algebra_from_json(doc):
         q = _member(doc, "quiver", dict, "an object")
         vertices = _member(q, "vertices", list, "a list of vertex names")
         arrows = _member(q, "arrows", list, "a list of arrows")
-        if any(not isinstance(v, (str, int)) for v in vertices):
-            raise SchemaError("'vertices' must be a list of vertex names")
         if any(not isinstance(a, dict) for a in arrows):
             raise SchemaError("'arrows' must be a list of objects")
-        quiver = alg.Quiver(tuple(str(v) for v in vertices),
-                            tuple(tuple(_name_from_json(a, key)
+        quiver = alg.Quiver(tuple(_name(v, "a vertex") for v in vertices),
+                            tuple(tuple(_name(a.get(key), repr(key))
                                         for key in ("name", "source", "target"))
                                   for a in arrows))
         relations = doc.get("relations", [])
-        if not isinstance(relations, list) or any(
-                not isinstance(w, list) or any(not isinstance(a, str) for a in w)
-                for w in relations):
+        if not isinstance(relations, list) or any(not isinstance(w, list) for w in relations):
             raise SchemaError("'relations' must be a list of arrow-name lists")
-        return alg.path_algebra(quiver, [tuple(w) for w in relations], field)
+        words = [tuple(_name(a, "an arrow of a relation word") for a in w) for w in relations]
+        return alg.path_algebra(quiver, words, field)
     if "raw" in doc:
         raw = doc["raw"]
         scalars = _Scalars(field)
@@ -322,10 +359,103 @@ def lambda_module_from_json(doc, data: mor.MoritaData):
 # -- emission and reference resolution ---------------------------------------------------
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(x):
+    """json's float rule: repr, with NaN and the infinities spelled as
+    JavaScript spells them."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar by its exact type; subclasses (an IntEnum, a numpy
+# float) take the isinstance rules of _scalar_text, as they do in json
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
+                bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
+def _scalar_text(x):
+    """json's text of a value that is not a list, tuple or dict; a value of
+    any other type is the TypeError that json.dumps raises."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k):
+    """json's text of a dict key: a str, float, bool, None or int key is
+    written as a string; any other key is the TypeError json raises."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(_scalar_text(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _emit_text(x, pad, out):
+    """Append to out the text that json.dumps(indent=2) writes for x, whose
+    closing line starts with pad (a newline and its indent)."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        kinds = set(map(type, x))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:  # a list of scalars of one type, e.g. a matrix row
+            out.append(f"[{inner}{(',' + inner).join(map(text, x))}{pad}]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            sep = "," + inner
+            _emit_text(v, inner, out)
+        out.append(pad + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            out.append(f"{sep}{_quote(k) if type(k) is str else _key_text(k)}: ")
+            sep = "," + inner
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                _emit_text(v, inner, out)
+            else:
+                out.append(text(v))
+        out.append(pad + "}")
+    else:
+        out.append(_scalar_text(x))
+
+
 def canonical_dumps(doc) -> str:
     """The bytes of a document: its keys in the order its builder wrote
-    them, two-space indent and a trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    them, two-space indent and a trailing newline.  They are exactly those
+    of json.dumps(doc, indent=2) + "\\n", and every value json.dumps refuses
+    with a TypeError is refused with one here; a value that contains itself
+    is not a document (json.dumps raises ValueError, this RecursionError)."""
+    out = []
+    _emit_text(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def emit(doc, path):

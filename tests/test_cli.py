@@ -770,6 +770,18 @@ MALFORMED_DOCUMENTS = {
     # a vertex named twice (exit 0)
     "duplicate vertex": (lambda: _quiver_algebra_doc(
         lambda doc: doc["quiver"].update(vertices=["1", "2", "1"])), ["validate"]),
+    # strings outside the scalar grammar were parsed by Fraction or int (exit 0)
+    "decimal string entry Q": (lambda: _raw_algebra_doc(QQ, _unit_ones("1.0")), ["validate"]),
+    "exponent string entry Q": (lambda: _raw_algebra_doc(QQ, _unit_ones("1e0")), ["validate"]),
+    "underscore string entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones("1_0")),
+                                   ["validate"]),
+    "padded string entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(" 1 ")),
+                               ["validate"]),
+    # a boolean name became the name "True" (exit 0)
+    "boolean vertex": (lambda: _quiver_algebra_doc(
+        lambda doc: doc["quiver"]["vertices"].append(True)), ["validate"]),
+    "boolean arrow name": (lambda: _quiver_algebra_doc(
+        lambda doc: doc["quiver"]["arrows"][0].update(name=True)), ["validate"]),
 }
 
 
@@ -785,3 +797,23 @@ def test_malformed_documents_exit_2(tmp_path, capsys, case):
         capsys.readouterr()
         assert run(argvs[command]) == 2, command
         assert capsys.readouterr().err.startswith("error: "), command
+
+
+def test_integer_names_are_names_in_relation_words_too(tmp_path, capsys):
+    """Vertices, arrows and the arrows of relation words follow one name
+    grammar: a JSON integer names what its decimal string names."""
+    def quiver_doc(name):
+        return _quiver_algebra_doc(lambda doc: doc.update(
+            quiver={"vertices": [name(1), name(2)],
+                    "arrows": [{"name": name(7), "source": name(1), "target": name(2)}]},
+            relations=[[name(7)]]))
+
+    texts = []
+    for name in (int, str):
+        path = tmp_path / f"{name.__name__}.json"
+        path.write_text(json.dumps(quiver_doc(name)))
+        assert run(["validate", path]) == 0
+        a = jsonio.DocumentStore().algebra(path)
+        assert a.dim == 2 and a.relations == (("7",),)
+        texts.append(jsonio.canonical_dumps(jsonio.algebra_to_json(a)))
+    assert texts[0] == texts[1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morita_lab import linalg
-from morita_lab.fields import QQ
+from morita_lab.fields import QQ, _integral
 
 INT64_MAX = (1 << 63) - 1
 INT64_EDGE = [INT64_MAX, INT64_MAX + 1, -INT64_MAX, -INT64_MAX - 2, 1 << 70]
@@ -116,12 +116,40 @@ def test_normalize_is_canonical_and_keeps_values(a):
         assert QQ.normalize(got) is got  # one type scan, and no copy
 
 
-@settings(max_examples=150, deadline=None)
+@st.composite
+def operands(draw, rows, cols):
+    """A Q product operand of one of the three kinds that fields._integral
+    tells apart, with its kind: an object array of Python ints alone, which
+    is multiplied as it is; an object array of mixed entries holding a
+    Fraction; or an int64 array.  The last two are rebuilt."""
+    kind = draw(st.sampled_from(["ints", "fraction", "int64"]))
+    n = rows * cols
+    if kind == "int64":
+        values = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        return kind, np.array(values, dtype=np.int64).reshape(rows, cols)
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from(INT64_EDGE)) if kind == "ints" else ENTRY
+    values = draw(st.lists(entry, min_size=n, max_size=n))
+    if kind == "fraction" and n:
+        values[draw(st.integers(0, n - 1))] = draw(
+            st.fractions(max_denominator=6).filter(lambda q: q.denominator != 1))
+    out = np.empty(n, dtype=object)
+    out[:] = values
+    return kind, out.reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_matmul_and_combine_are_canonical_and_exact(data):
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
-    a = data.draw(raw_matrices(r, k))
-    b = data.draw(raw_matrices(k, c))
+    (a_kind, a), (b_kind, b) = data.draw(operands(r, k)), data.draw(operands(k, c))
+    for kind, m in ((a_kind, a), (b_kind, b)):
+        nums, den = _integral(m)
+        if kind == "ints" or (kind == "fraction" and not m.size):
+            assert nums is m and den == 1  # multiplied as it is
+        else:
+            assert nums is not m
+            _assert_canonical(nums, _fractions(m) * den)
+            assert all(type(v) is int for v in nums.flat)
     want = np.matmul(_fractions(a), _fractions(b)) if k else np.zeros((r, c), dtype=object)
     _assert_canonical(QQ.matmul(a, b), want)
     _assert_canonical(QQ.matmul(QQ.normalize(a), QQ.normalize(b)), want)
