@@ -120,8 +120,8 @@ def test_normalize_is_canonical_and_keeps_values(a):
 def operands(draw, rows, cols):
     """A Q product operand of one of the three kinds that fields._integral
     tells apart, with its kind: an object array of Python ints alone, which
-    is multiplied as it is; an object array of mixed entries holding a
-    Fraction; or an int64 array.  The last two are rebuilt."""
+    is multiplied as it is; an object array of mixed entries (numpy ints
+    too) holding a Fraction; or an int64 array.  The last two are rebuilt."""
     kind = draw(st.sampled_from(["ints", "fraction", "int64"]))
     n = rows * cols
     if kind == "int64":
@@ -129,9 +129,8 @@ def operands(draw, rows, cols):
         return kind, np.array(values, dtype=np.int64).reshape(rows, cols)
     entry = st.one_of(st.integers(-9, 9), st.sampled_from(INT64_EDGE)) if kind == "ints" else ENTRY
     values = draw(st.lists(entry, min_size=n, max_size=n))
-    if kind == "fraction" and n:
-        values[draw(st.integers(0, n - 1))] = draw(
-            st.fractions(max_denominator=6).filter(lambda q: q.denominator != 1))
+    if kind == "fraction" and n:  # integral or not: a Fraction is never used as it is
+        values[draw(st.integers(0, n - 1))] = draw(st.fractions(max_denominator=6))
     out = np.empty(n, dtype=object)
     out[:] = values
     return kind, out.reshape(rows, cols)
@@ -148,8 +147,7 @@ def test_matmul_and_combine_are_canonical_and_exact(data):
             assert nums is m and den == 1  # multiplied as it is
         else:
             assert nums is not m
-            _assert_canonical(nums, _fractions(m) * den)
-            assert all(type(v) is int for v in nums.flat)
+            _assert_canonical(nums, _fractions(m) * den)  # Python ints alone
     want = np.matmul(_fractions(a), _fractions(b)) if k else np.zeros((r, c), dtype=object)
     _assert_canonical(QQ.matmul(a, b), want)
     _assert_canonical(QQ.matmul(QQ.normalize(a), QQ.normalize(b)), want)
