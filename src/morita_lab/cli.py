@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 from .fields import field_from_token
@@ -31,11 +32,22 @@ def _print(obj, out=None):
         sys.stdout.write(jsonio.canonical_dumps(obj))
 
 
+def _integer(text):
+    """An integer option (--count, --seed, ...): decimal digits with an
+    optional leading minus, with no padding or underscore."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in decimal digits")
+    return int(text)
+
+
 def _params(args):
-    """The --param k=v options as a dict of ints."""
+    """The --param k=v options as a dict of ints; each v must be decimal
+    digits, with no sign, padding or underscore."""
     params = {}
     for kv in args.param or []:
         k, _, v = kv.partition("=")
+        if not re.fullmatch(r"[0-9]+", v):
+            raise ValueError(f"--param {kv!r}: the value must be decimal digits")
         params[k] = int(v)
     return params
 
@@ -329,7 +341,7 @@ def build_parser():
     q = sub.add_parser("ext", help="dimension of an Ext group")
     q.add_argument("--src", required=True)
     q.add_argument("--tgt", required=True)
-    q.add_argument("--degree", type=int, default=1)
+    q.add_argument("--degree", type=_integer, default=1)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_ext)
 
@@ -365,16 +377,16 @@ def build_parser():
     q = sub.add_parser("sample", help="seeded random modules")
     q.add_argument("--morita")
     q.add_argument("--algebra")
-    q.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
-    q.add_argument("--count", type=int, default=10)
-    q.add_argument("--dim-cap", type=int, default=12)
-    q.add_argument("--rank-cap", type=int, default=4)
+    q.add_argument("--seed", type=_integer, default=lab.DEFAULT_SEED)
+    q.add_argument("--count", type=_integer, default=10)
+    q.add_argument("--dim-cap", type=_integer, default=12)
+    q.add_argument("--rank-cap", type=_integer, default=4)
     q.add_argument("--out", required=True, help="output file prefix")
     q.set_defaults(fn=cmd_sample)
 
     q = sub.add_parser("enumerate", help="exhaustive tiny-module universe")
     q.add_argument("--morita", required=True)
-    q.add_argument("--max-dim", type=int, default=2)
+    q.add_argument("--max-dim", type=_integer, default=2)
     q.add_argument("--out", required=True, help="output file prefix")
     q.set_defaults(fn=cmd_enumerate)
 
@@ -383,10 +395,10 @@ def build_parser():
     q.add_argument("--instance", required=True)
     q.add_argument("--field", required=True, help="a prime p or Q")
     q.add_argument("--param", action="append", help="k=v (examctp4: n,h,i,j)")
-    q.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
-    q.add_argument("--count", type=int, default=100)
-    q.add_argument("--dim-cap", type=int, default=12)
-    q.add_argument("--rank-cap", type=int, default=4)
+    q.add_argument("--seed", type=_integer, default=lab.DEFAULT_SEED)
+    q.add_argument("--count", type=_integer, default=100)
+    q.add_argument("--dim-cap", type=_integer, default=12)
+    q.add_argument("--rank-cap", type=_integer, default=4)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_verify)
     return p

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,7 +279,10 @@ QQ = FieldSpec("rational")
 
 
 def field_from_token(token: str) -> FieldSpec:
-    """Parse a field given as "Q" or a prime written in decimal."""
-    if token.strip().upper() == "Q":
+    """Parse a field given as "Q" (or "q") or a prime in decimal digits;
+    any other token, padded, signed or with underscores, is a ValueError."""
+    if token in ("Q", "q"):
         return QQ
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ValueError(f"field {token!r} is not Q or a prime in decimal digits")
     return FieldSpec("prime", int(token))

@@ -19,6 +19,7 @@ scalars in one str.join.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from json.encoder import encode_basestring_ascii as _quote
@@ -65,6 +66,8 @@ def _name(value, what):
 # the scalar strings a document may hold: "n" in every field, "n/d" over Q
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# a structure-constant key "i,j": two basis indices in decimal digits
+_INDEX_PAIR = re.compile(r"([0-9]+),([0-9]+)")
 
 
 class _Scalars:
@@ -218,12 +221,14 @@ def algebra_from_json(doc):
         dim = len(labels)
         mult = {}
         for key, vec in _member(raw, "structure_constants", dict, "an object").items():
-            try:
-                i, j = (int(t) for t in key.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"structure constant key {key!r} is not 'i,j'") from exc
+            ij = _INDEX_PAIR.fullmatch(key)
+            if ij is None:
+                raise SchemaError(f"structure constant key {key!r} is not 'i,j' in decimal digits")
+            i, j = int(ij[1]), int(ij[2])
             if not (0 <= i < dim and 0 <= j < dim):
                 raise SchemaError(f"structure constant key {key!r} is out of range")
+            if (i, j) in mult:
+                raise SchemaError(f"structure constant key {key!r} names ({i}, {j}) again")
             if not isinstance(vec, list) or len(vec) != dim:
                 raise SchemaError("structure constant vector has wrong length")
             row = field.matrix_of([[_scalar_from_json(scalars, x) for x in vec]], dim)[0]
@@ -484,10 +489,37 @@ def reference(path, out):
     return os.path.relpath(path, start)
 
 
+# Algebras, bimodules and Morita data built in this process:
+# (kind, normalized path) -> (content, references, object).  The content is
+# the document's compact JSON text, written by json's C encoder, and the
+# references are the kept objects its own references resolved to.  An entry
+# is reused only when both are the same, so a file rewritten at its path is
+# built and validated anew; a build that raises stores nothing, and file
+# metadata plays no part.  Each object carries its content-keyed memos
+# (algebra._cache, Bimodule._tensors, MoritaData._cache) from one command to
+# the next.  Module and quadruple documents are never kept.
+_DEFINITIONS = {}
+
+
+def _definition(kind, path, doc, refs, build):
+    """build(), or the object it gave for the same kind, path, content and
+    referenced objects earlier in this process (see _DEFINITIONS)."""
+    content = json.dumps(doc, separators=(",", ":"))
+    kept = _DEFINITIONS.get((kind, path))
+    if kept is not None and kept[0] == content and all(map(operator.is_, kept[1], refs)):
+        return kept[2]
+    obj = build()
+    _DEFINITIONS[(kind, path)] = (content, refs, obj)
+    return obj
+
+
 class DocumentStore:
-    """Loads documents with relative-reference resolution and caching, so a
-    shared algebra file yields one shared PresentedAlgebra object, and each
-    file is read and parsed once for the life of the store (one command)."""
+    """Loads documents with relative-reference resolution.  Each file is
+    read and parsed once for the life of the store (one command).  An
+    algebra, bimodule or Morita document is built once per process for its
+    path and content (see _DEFINITIONS), so every store that reads a shared
+    algebra file gets one shared PresentedAlgebra object; module and
+    quadruple documents are parsed and validated anew by each store."""
 
     def __init__(self):
         self._raw = {}
@@ -511,7 +543,12 @@ class DocumentStore:
 
     def algebra(self, path):
         path = os.path.normpath(os.path.abspath(path))
-        return alg.memo(self._algebras, path, lambda: algebra_from_json(self.raw(path)))
+
+        def build():
+            doc = self.raw(path)
+            return _definition("algebra", path, doc, (), lambda: algebra_from_json(doc))
+
+        return alg.memo(self._algebras, path, build)
 
     def module(self, path):
         doc = self.raw(path)
@@ -520,11 +557,13 @@ class DocumentStore:
         return module_from_json(doc, a), a
 
     def bimodule(self, path):
+        path = os.path.normpath(os.path.abspath(path))
         doc = self.raw(path)
         _require(doc, "bimodule")
         left = self.algebra(self.resolve(path, doc, "left_algebra"))
         right = self.algebra(self.resolve(path, doc, "right_algebra"))
-        return bimodule_from_json(doc, left, right)
+        return _definition("bimodule", path, doc, (left, right),
+                           lambda: bimodule_from_json(doc, left, right))
 
     def morita(self, path):
         path = os.path.normpath(os.path.abspath(path))
@@ -540,7 +579,8 @@ class DocumentStore:
                 raise SchemaError("M must be a bimodule over (B, A)")
             if n.left_algebra is not a or n.right_algebra is not b:
                 raise SchemaError("N must be a bimodule over (A, B)")
-            return mor.MoritaData(a, b, m, n, name=os.path.basename(path))
+            return _definition("morita", path, doc, (a, b, m, n), lambda: mor.MoritaData(
+                a, b, m, n, name=os.path.basename(path)))
 
         return alg.memo(self._moritas, path, build)
 

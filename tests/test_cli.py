@@ -157,6 +157,41 @@ def test_each_command_reads_each_file_once(ie_files, monkeypatch):
         assert reads and len(reads) == len(set(reads)), (argv, reads)
 
 
+def test_definitions_are_kept_by_path_and_content(ie_files, monkeypatch, capsys):
+    """An algebra, bimodule or Morita document is built once per process
+    for its path and content: a rewritten file is built and validated anew,
+    a build that raised is not kept, and module documents are parsed anew by
+    each command."""
+    d = ie_files
+    data = jsonio.DocumentStore().morita(d / "ie.json")
+    assert jsonio.DocumentStore().morita(d / "ie.json") is data
+    assert jsonio.DocumentStore().algebra(d / "ie.A.json") is data.A
+
+    # M over F3 whose idempotents no longer sum to the identity
+    good = (d / "ie.M.json").read_text()
+    broken = json.loads(good)
+    broken["left_action"]["vertices"]["2"] = [[0]]
+    (d / "ie.M.json").write_text(json.dumps(broken))
+    capsys.readouterr()
+    assert run(["validate", d / "ie.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    (d / "ie.M.json").write_text(good)
+    assert run(["validate", d / "ie.json"]) == 0
+    # the build that raised replaced nothing: the first content is kept
+    assert jsonio.DocumentStore().morita(d / "ie.json") is data
+
+    assert run(["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "s"]) == 0
+    assert run(["sample", "--algebra", d / "ie.A.json", "--count", 1, "--out", d / "x"]) == 0
+    parsed = []
+    for name in ("module_from_json", "lambda_module_from_json"):
+        monkeypatch.setattr(jsonio, name, functools.partial(
+            lambda load, *a: parsed.append(load.__name__) or load(*a), getattr(jsonio, name)))
+    for _ in range(2):
+        assert run(["classify", "--module", d / "s000.json", "--class", "mon"]) == 0
+        assert run(["validate", d / "x000.json"]) == 0
+    assert parsed == ["lambda_module_from_json", "module_from_json"] * 2
+
+
 def test_sample_and_enumerate(ie_files, tmp_path):
     assert run(["sample", "--morita", ie_files / "ie.json", "--seed", 7,
                 "--count", 3, "--out", tmp_path / "s"]) == 0
@@ -265,6 +300,12 @@ BAD_RUN_ARGUMENTS = {
     "examctp4 param q": ["verify", "green", "--instance", "examctp4", "--count", 2,
                          *EXAMCTP4_PARAMS, "--param", "q=1"],
     "catalog param x": ["catalog", "ie", "--param", "x=1"],
+    # numbers in Python's int grammar: n=3_0 built examctp4(30, ...) and a
+    # padded field token was taken as F3 (exit 0)
+    "catalog param n=3_0": ["catalog", "examctp4", "--param", "n=3_0", "--param", "h=2",
+                            "--param", "i=1", "--param", "j=3"],
+    "catalog field padded": ["catalog", "ie", "--field", " 3 "],
+    "catalog field signed": ["catalog", "ie", "--field", "+3"],
     # zero quadruples written (exit 0)
     "sample count 0": ["sample", "--morita", "ie.json", "--count", 0],
     "sample count -3": ["sample", "--morita", "ie.json", "--count", -3],
@@ -324,11 +365,23 @@ def test_bad_run_arguments_are_preflight_failures(ie_files, monkeypatch, capsys,
         monkeypatch.setattr(module, name, functools.partial(pytest.fail, f"{name} ran"))
     capsys.readouterr()
     args = BAD_RUN_ARGUMENTS[case]
-    field = ["--field", "3"] if args[0] in ("verify", "catalog") else []
+    field = ["--field", "3"] if args[0] in ("verify", "catalog") and "--field" not in args else []
     out = [] if "--out" in args else ["--out", "out.json"]
     assert run([*args, *field, *out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(ie_files.glob("out*")) and not (ie_files / "nodir").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", " 1 ", "+1"])
+def test_integer_options_take_decimal_digits_only(ie_files, monkeypatch, capsys, value):
+    """An integer option is -?[0-9]+: int() read "1_0" as 10 and " 1 " as 1
+    (exit 0).  Anything else is argparse's usage error, exit 2."""
+    monkeypatch.chdir(ie_files)
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--morita", "ie.json", "--count", value, "--out", "s"])
+    assert exc.value.code == 2
+    assert "is not an integer in decimal digits" in capsys.readouterr().err
+    assert not list(ie_files.glob("s*"))
 
 
 def test_verify_report_round_trip(tmp_path):
@@ -729,6 +782,14 @@ def _alias_structure_constant(raw):
     raw["structure_constants"]["-1,0"] = raw["structure_constants"]["0,0"]
 
 
+def _rename_structure_constant(key):
+    """A change that moves the vector of the structure-constant key "0,0"
+    to key, which int() read as (0, 0) too."""
+    def change(raw):
+        raw["structure_constants"][key] = raw["structure_constants"].pop("0,0")
+    return change
+
+
 def _unit_ones(value):
     """A change that writes value for each unit entry that reads 1 (1 over
     F3, "1/1" over Q): the field's scalar parser took each of these values
@@ -757,6 +818,17 @@ MALFORMED_DOCUMENTS = {
     # a negative index into the structure constants was read as the last one
     "key out of range": (lambda: _raw_algebra_doc(lab.F3, _alias_structure_constant),
                          ["validate"]),
+    # keys outside the grammar [0-9]+,[0-9]+ were read by int() as (0, 0),
+    # and a second key for one (i, j) replaced the first (exit 0)
+    "signed key": (lambda: _raw_algebra_doc(lab.F3, _rename_structure_constant("+0,0")),
+                   ["validate"]),
+    "padded key": (lambda: _raw_algebra_doc(lab.F3, _rename_structure_constant(" 0,0")),
+                   ["validate"]),
+    "underscore key": (lambda: _raw_algebra_doc(lab.F3, _rename_structure_constant("0_0,0")),
+                       ["validate"]),
+    "duplicate key": (lambda: _raw_algebra_doc(lab.F3, lambda raw: raw[
+        "structure_constants"].update({"00,0": raw["structure_constants"]["0,0"]})),
+                      ["validate"]),
     # floats and booleans were read as the integers they round to (exit 0)
     "float entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(1.4)), ["validate"]),
     "near-integral float entry F3": (lambda: _raw_algebra_doc(lab.F3, _unit_ones(1.0000001)),
