@@ -180,6 +180,14 @@ def test_definitions_are_kept_by_path_and_content(ie_files, monkeypatch, capsys)
     # the build that raised replaced nothing: the first content is kept
     assert jsonio.DocumentStore().morita(d / "ie.json") is data
 
+    # A with its keys in another order is new content: a new A, and new
+    # bimodules and Morita data over it
+    doc = json.loads((d / "ie.A.json").read_text())
+    (d / "ie.A.json").write_text(json.dumps(dict(reversed(doc.items()))))
+    assert run(["validate", d / "ie.json"]) == 0
+    renewed = jsonio.DocumentStore().morita(d / "ie.json")
+    assert renewed.A is not data.A and renewed.M is not data.M and renewed.B is data.B
+
     assert run(["sample", "--morita", d / "ie.json", "--count", 1, "--out", d / "s"]) == 0
     assert run(["sample", "--algebra", d / "ie.A.json", "--count", 1, "--out", d / "x"]) == 0
     parsed = []
