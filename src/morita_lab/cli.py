@@ -405,8 +405,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code (see the module docstring).
+    Bad arguments raise nothing: argparse prints its usage and error and
+    main returns 2 (0 after --help), so a caller may run many commands in
+    one process.  Such a caller reuses the definitions kept by
+    jsonio._DEFINITIONS; the console script starts each command empty."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         _check_out(args)
         return args.fn(args)

@@ -497,7 +497,10 @@ def reference(path, out):
 # built and validated anew; a build that raises stores nothing, and file
 # metadata plays no part.  Each object carries its content-keyed memos
 # (algebra._cache, Bimodule._tensors, MoritaData._cache) from one command to
-# the next.  Module and quadruple documents are never kept.
+# the next, so memory grows with the distinct modules the process has used.
+# Module and quadruple documents are never kept.  Only a caller that runs
+# many commands in one process (cli.main from Python) reuses an entry; the
+# console script starts each command in a new process.
 _DEFINITIONS = {}
 
 

@@ -385,11 +385,25 @@ def test_integer_options_take_decimal_digits_only(ie_files, monkeypatch, capsys,
     """An integer option is -?[0-9]+: int() read "1_0" as 10 and " 1 " as 1
     (exit 0).  Anything else is argparse's usage error, exit 2."""
     monkeypatch.chdir(ie_files)
-    with pytest.raises(SystemExit) as exc:
-        run(["sample", "--morita", "ie.json", "--count", value, "--out", "s"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["sample", "--morita", "ie.json", "--count", value, "--out", "s"]) == 2
     assert "is not an integer in decimal digits" in capsys.readouterr().err
     assert not list(ie_files.glob("s*"))
+
+
+@pytest.mark.parametrize("args", [[], ["bogus"], ["ext", "--src", "a.json"],
+                                  ["validate", "a.json", "b.json"]])
+def test_usage_errors_return_2_in_process(capsys, args):
+    """main returns argparse's exit code instead of raising SystemExit."""
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: morita-lab") and "error: " in err
+
+
+def test_help_returns_0_in_process(capsys):
+    assert cli.main(["ext", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: morita-lab ext")
 
 
 def test_verify_report_round_trip(tmp_path):
