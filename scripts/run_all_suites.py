@@ -16,19 +16,21 @@ from morita_lab.fields import F2, F3, QQ
 from morita_lab import lab
 from morita_lab.jsonio import emit
 
+EXAMCTP4 = dict(n=3, h=2, i=1, j=3)
+
 RUNS = [
     ("green", "ie", F3, {}),
-    ("green", "examctp4", F3, dict(n=3, h=2, i=1, j=3)),
+    ("green", "examctp4", F3, EXAMCTP4),
     ("adjunction", "ie", F3, {}),
     ("orthogonality", "ie", F3, {}),
     ("compare", "ie", F3, {}),
     ("example-ie", "ie", F3, {}),
     ("char2", "ie", F2, {}),
-    ("ctp4", "examctp4", F3, dict(n=3, h=2, i=1, j=3)),
+    ("ctp4", "examctp4", F3, EXAMCTP4),
     ("resolutions", "ie", F3, {}),
-    ("completeness", "examctp4", F3, dict(n=3, h=2, i=1, j=3)),
+    ("completeness", "examctp4", F3, EXAMCTP4),
     ("differences", "ie", F3, {}),
-    ("hovey", "examctp4", F3, dict(n=3, h=2, i=1, j=3)),
+    ("hovey", "examctp4", F3, EXAMCTP4),
     ("oracle", "ie", F2, {}),
     # over Q, so that the reports diffed across hash seeds cover the
     # object-dtype path too
@@ -36,6 +38,8 @@ RUNS = [
     ("resolutions", "ie", QQ, {}),
     ("compare", "ie", QQ, {}),
     ("differences", "ie", QQ, {}),
+    # the Gorenstein certificate and the closed-form Ext^1 over Q
+    ("ctp4", "examctp4", QQ, EXAMCTP4),
 ]
 
 

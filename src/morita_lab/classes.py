@@ -272,7 +272,11 @@ class GorensteinCertificate:
         if not data.tensor_vanishing:
             self.reasons.append("tensor products do not vanish")
         for alg_, tag in ((data.A, "A"), (data.B, "B")):
-            if not _quasi_frobenius(alg_):
+            qf = _quasi_frobenius(alg_)
+            if qf is None:
+                self.reasons.append(f"{tag} quasi-Frobenius undetermined: "
+                                    "an isomorphism test was undetermined")
+            elif not qf:
                 self.reasons.append(f"{tag} is not quasi-Frobenius")
         if not is_projective_module(data.N.as_left_module()):
             self.reasons.append("N is not projective as a left module")
@@ -300,20 +304,31 @@ class GorensteinCertificate:
         return not self.reasons
 
 
-def _quasi_frobenius(algebra) -> bool:
+def _quasi_frobenius(algebra):
+    """True when the indecomposable projectives match the indecomposable
+    injectives one to one up to isomorphism, False when they do not, and
+    None when that turns on an undetermined isomorphism test.  Each
+    projective takes the first unmatched injective it is isomorphic to.  A
+    projective that is isomorphic to none of them, with every test
+    determined, refutes the matching, since isomorphism is an equivalence."""
     projs = indecomposable_projectives(algebra)
     injs = indecomposable_injectives(algebra)
     matched = set()
+    undetermined = False
     for p in projs:
-        hit = None
+        seen = set()
         for i, j in enumerate(injs):
-            if i not in matched and bool(module_isomorphism(p, j)):
-                hit = i
-                break
-        if hit is None:
-            return False
-        matched.add(hit)
-    return len(matched) == len(injs)
+            if i not in matched:
+                status = module_isomorphism(p, j).status
+                if status == "isomorphic":
+                    matched.add(i)
+                    break
+                seen.add(status)
+        else:
+            if "undetermined" not in seen:
+                return False
+            undetermined = True
+    return None if undetermined else len(matched) == len(injs)
 
 
 def gp_member(cert: GorensteinCertificate, l: LambdaModule) -> bool:

@@ -160,6 +160,28 @@ def test_gorenstein_certificate_rejects_ie(ie):
         cls.gp_member(cert, mor.functor_Z(ie, "A", alg.zero_module(ie.A)))
 
 
+def test_undetermined_isomorphism_is_not_read_as_not_quasi_frobenius(nak_morita, monkeypatch):
+    """An undetermined isomorphism test leaves quasi-Frobenius undetermined,
+    and the certificate says so rather than "not quasi-Frobenius".  A
+    definite answer still stands: the projectives of kA2 match no injective
+    whatever the undetermined tests would say."""
+    real = cls.module_isomorphism
+    nak = nak_morita.A
+    first = alg.indecomposable_projectives(nak)[0]
+    monkeypatch.setattr(cls, "module_isomorphism", lambda x, y: (
+        alg.IsoResult("undetermined") if x is first else real(x, y)))
+    assert cls._quasi_frobenius(nak) is None
+    monkeypatch.setattr(cls, "module_isomorphism", lambda x, y: alg.IsoResult("undetermined"))
+    cert = cls.GorensteinCertificate(nak_morita)
+    assert cert.reasons == [f"{tag} quasi-Frobenius undetermined: an isomorphism test was "
+                            "undetermined" for tag in "AB"]
+    a2 = alg.path_algebra(alg.linear_quiver(2), [], F3, name="kA2")
+    second = alg.indecomposable_projectives(a2)[1]
+    monkeypatch.setattr(cls, "module_isomorphism", lambda x, y: (
+        real(x, y) if x is second else alg.IsoResult("undetermined")))
+    assert cls._quasi_frobenius(a2) is False
+
+
 def test_gorenstein_certificate_nakayama(nak_morita):
     cert = cls.GorensteinCertificate(nak_morita)
     assert cert.ok, cert.reasons

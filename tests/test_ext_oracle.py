@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from morita_lab import algebras as alg
+from morita_lab import classes as cls
 from morita_lab import homology as hml
 from morita_lab import lab, linalg
 from morita_lab import morita as mor
@@ -130,7 +131,8 @@ def _cases(field):
     examctp4): the simples, the indecomposable projectives and two draws;
     the simple and the regular module of the dual numbers; and quadruples on
     ie, examctp4(3,2,1,3) and irem1 (whose tensor products do not vanish):
-    three draws each against the structural simples and the first draw."""
+    three draws each against the structural simples and the first draw; and
+    on the same three, the pairs of _adjunction_pairs."""
     sampler = lab.Sampler(23, 4, 2)
     examctp4 = lab.catalog("examctp4", field, **EXAMCTP4).data
     ie = lab.catalog("ie", field).data
@@ -147,6 +149,45 @@ def _cases(field):
         simples = mor.lambda_simples(data)
         yield (data.name, [(l, t) for l in quads for t in (*simples, quads[0])],
                [(l, t) for l in quads for t in simples])
+    adjunction = lab.Sampler(29, 3, 2)
+    for data in (ie, examctp4, irem1):
+        yield f"{data.name} adjunction", _adjunction_pairs(data, adjunction), []
+
+
+def _adjunction_pairs(data, sampler):
+    """Pairs for the closed form of Ext^1 (homology module docstring).
+
+    First arguments on projective components: Z_A P and Z_B Q, the nonzero
+    kernels of the resolution_pq of T_A P and T_B Q, and a draw on
+    projective components, each against the structural simples and a draw.
+    Second arguments on injective components: Z_A I and Z_B J, the nonzero
+    right terms of the coresolution_ij of H_A I and H_B J, and a draw on
+    injective components, each after the same.  T_A P, T_B Q, H_A I, H_B J
+    and the coresolution middles are projective or injective quadruples,
+    so they meet only the draw.  Over irem1 the tensor products do not
+    vanish, so there is no resolution_pq or coresolution_ij, and the other
+    pairs go along the presentation."""
+    sides = (("A", data.A), ("B", data.B))
+    t_images = [mor.functor_T(data, side, p) for side, a in sides
+                for p in alg.indecomposable_projectives(a)]
+    h_images = cls.h_images_of_injectives(data)
+    firsts = [mor.functor_Z(data, side, p) for side, a in sides
+              for p in alg.indecomposable_projectives(a)]
+    seconds = [mor.functor_Z(data, side, i) for side, a in sides
+               for i in alg.indecomposable_injectives(a)]
+    if data.tensor_vanishing:
+        firsts += [k for k in (hml.resolution_pq(t).left for t in t_images) if k.total_dim]
+        cores = [hml.coresolution_ij(h) for h in h_images]
+        seconds += [c.right for c in cores if c.right.total_dim]
+        h_images += [c.middle for c in cores]
+    firsts.append(sampler.quadruple_on(data, sampler.plain_projective(data.A),
+                                       sampler.plain_projective(data.B)))
+    seconds.append(sampler.quadruple_on(data, sampler.plain_injective(data.A),
+                                        sampler.plain_injective(data.B)))
+    draw = sampler.quadruple(data, mono_bias=True)
+    others = [*mor.lambda_simples(data), draw]
+    return ([(x, o) for x in firsts for o in others] + [(o, y) for o in others for y in seconds]
+            + [(t, draw) for t in t_images] + [(draw, h) for h in h_images])
 
 
 def _flat(z):
@@ -200,3 +241,34 @@ def test_the_oracle_shares_no_code_with_ext_dim(monkeypatch, a2_f3):
                          (hml, "_count_ext_dim")):
         monkeypatch.setattr(module, name, refuse)
     assert oracle_ext1(s1, s2) == 1 and oracle_ext1(s2, s1) == 0
+
+
+def test_adjunction_pairs_take_the_closed_form_exactly_when_the_tensors_vanish():
+    for data in (lab.catalog("ie", F3).data, lab.catalog("examctp4", F3, **EXAMCTP4).data,
+                 lab.catalog("irem1", F3).data):
+        routes = {hml._closed_form_applies(x, y)
+                  for x, y in _adjunction_pairs(data, lab.Sampler(29, 3, 2))}
+        assert routes == {data.tensor_vanishing}, data.name
+
+
+@pytest.mark.parametrize("field", [F3, QQ, F_LARGEST], ids=["F3", "QQ", "F2147483647"])
+def test_ext_is_additive_across_the_two_routes(field):
+    """Ext^1(x (+) x', y) = Ext^1(x, y) + Ext^1(x', y) with x on projective
+    components, so that (x, y) takes the closed form, and x' and y on
+    neither, so that (x', y) and the sum go along the presentation."""
+    sampler = lab.Sampler(31, 3, 2)
+    for data in (lab.catalog("ie", field).data, lab.catalog("examctp4", field, **EXAMCTP4).data):
+        x = sampler.quadruple_on(data, sampler.plain_projective(data.A),
+                                 sampler.plain_projective(data.B))
+        x_other = next(l for l in iter(lambda: sampler.quadruple(data), None)
+                       if not all(map(alg.is_projective_module, (l.X, l.Y))))
+        total = mor.lambda_direct_sum([x, x_other])[0]
+        ys = [y for y in (*mor.lambda_simples(data), x_other)
+              if not all(map(alg.is_injective_module, (y.X, y.Y)))]
+        assert ys
+        for y in ys:
+            assert [hml._closed_form_applies(z, y) for z in (x, x_other, total)] == [
+                True, False, False]
+            want = [oracle_ext1(_flat(z), _flat(y)) for z in (x, x_other, total)]
+            assert [hml.ext_dim(z, y, 1) for z in (x, x_other, total)] == want, data.name
+            assert want[2] == want[0] + want[1]

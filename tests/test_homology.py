@@ -529,6 +529,54 @@ def test_projectivity_builds_the_simples_sum_once(monkeypatch):
     assert verdicts[:4] == [hml.ext_dim(l, simple_sum) == 0 for l in quads]
 
 
+def test_closed_form_pairs_build_no_presentation(monkeypatch):
+    """Over examctp4 the tensor products vanish.  gp_member counts Ext^1
+    against the regular quadruple, whose components are injective, and
+    is_projective_lambda of a quadruple on projective components counts
+    Ext^1 out of it, so both answer with every presentation refused.  Pairs
+    on neither, and any pair over irem1, whose tensor products do not
+    vanish, still build the T-cover presentation."""
+    from morita_lab import classes as cls
+
+    data = lab.catalog("examctp4", F3, n=3, h=2, i=1, j=3).data
+    cert = cls.GorensteinCertificate(data)
+    sampler = lab.Sampler(5, 6, 2)
+    quads = [sampler.quadruple(data) for _ in range(4)]
+    on_projectives = [sampler.quadruple_on(data, sampler.plain_projective(data.A),
+                                           sampler.plain_projective(data.B)) for _ in range(3)]
+
+    def refuse(x):
+        raise AssertionError("built a presentation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hml, "lambda_presentation", refuse)
+        patch.setattr(hml, "presentation", refuse)
+        gp = [cls.gp_member(cert, l) for l in quads + on_projectives]
+        projective = [hml.is_projective_lambda(l) for l in on_projectives]
+    assert gp == [cls.in_mon(l) for l in quads + on_projectives]
+    simples_sum = mor.lambda_direct_sum(mor.lambda_simples(data))[0]
+    assert projective == [hml.lambda_ext_dim_flatten(l, simples_sum) == 0
+                          for l in on_projectives]
+
+    built = []
+    real = hml.lambda_presentation
+    monkeypatch.setattr(hml, "lambda_presentation", lambda l: built.append(l) or real(l))
+    assert not (alg.is_injective_module(simples_sum.X) and alg.is_injective_module(simples_sum.Y))
+    neither = [l for l in quads
+               if not (alg.is_projective_module(l.X) and alg.is_projective_module(l.Y))]
+    assert neither
+    for l in neither:
+        del built[:]
+        hml.is_projective_lambda(l)
+        assert built and built[0] is l
+    irem1 = lab.catalog("irem1", F3).data
+    t_a = mor.functor_T(irem1, "A", alg.indecomposable_projectives(irem1.A)[0])
+    h_b = mor.functor_H(irem1, "B", alg.indecomposable_injectives(irem1.B)[0])
+    del built[:]
+    hml.ext_dim(t_a, h_b, 1)
+    assert built == [t_a]
+
+
 # -- extend and lift against the dense affine system ------------------------------
 
 
