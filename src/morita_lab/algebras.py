@@ -492,8 +492,10 @@ def indecomposable_injectives(algebra):
 
 
 def dual_module(x: Module) -> Module:
-    """D(X) over the opposite algebra: transposed action, same dimension."""
-    return Module(x.algebra.opposite(), x.dim, x.action.transpose(0, 2, 1))
+    """D(X) over the opposite algebra: transposed action, same dimension;
+    built once per module and kept in its _cache."""
+    return memo(x._cache, "dual",
+                lambda: Module(x.algebra.opposite(), x.dim, x.action.transpose(0, 2, 1)))
 
 
 class Bimodule:

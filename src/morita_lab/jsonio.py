@@ -288,12 +288,20 @@ def _module_from_json(a, doc, dim, scalars):
     return alg.Module(a, dim, [matrix_from_json(scalars, m, (dim, dim)) for m in mats])
 
 
+def _validated(x, store):
+    """x, once x.validate() has passed for x's content key: each content is
+    checked once per process over the kept algebra or Morita data whose
+    memo store this is (algebra._cache for a module, data._cache for a
+    quadruple).  A check that raises keeps nothing."""
+    alg.memo(store, ("valid", x.content_key()), x.validate)
+    return x
+
+
 def module_from_json(doc, algebra):
     _require(doc, "module")
     x = _module_from_json(algebra, doc.get("generator_action"), _dim_from_json(doc),
                           _Scalars(algebra.field))
-    x.validate()
-    return x
+    return _validated(x, algebra._cache)
 
 
 # -- bimodule documents --------------------------------------------------------------
@@ -350,15 +358,13 @@ def lambda_module_from_json(doc, data: mor.MoritaData):
     yd = _member(doc, "Y", dict, "an object")
     x = _module_from_json(data.A, xd.get("generator_action"), _dim_from_json(xd), scalars)
     y = _module_from_json(data.B, yd.get("generator_action"), _dim_from_json(yd), scalars)
-    x.validate()
-    y.validate()
+    _validated(x, data.A._cache)
+    _validated(y, data.B._cache)
     tx = mor.tensor_over(data.M, x)
     ty = mor.tensor_over(data.N, y)
     f = matrix_from_json(scalars, doc.get("f"), (y.dim, tx.dim))
     g = matrix_from_json(scalars, doc.get("g"), (x.dim, ty.dim))
-    l = mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty)
-    l.validate()
-    return l
+    return _validated(mor.LambdaModule(data, x, y, f, g, tx=tx, ty=ty), data._cache)
 
 
 # -- emission and reference resolution ---------------------------------------------------
@@ -469,16 +475,45 @@ def emit(doc, path):
         fh.write(canonical_dumps(doc))
 
 
+def _object(pairs):
+    """A JSON object as a dict; a key written twice is an error (json.load
+    would keep the last value and drop the others silently)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SchemaError(f"duplicate key {key!r}")
+    return obj
+
+
+# The bytes and the parse of each algebra, bimodule and Morita document
+# read in this process: path -> (bytes, parsed document), the last read of
+# each path.  Module and quadruple documents are never kept here, so their
+# memory stays with the command that reads them.
+_SOURCES = {}
+_DEFINITION_KINDS = ("algebra", "bimodule", "morita")
+
+
 def load_raw(path):
+    """The parsed JSON of the file path; callers must not change it.  The
+    file is read every time; an algebra, bimodule or Morita document whose
+    bytes equal those read last at the same path is not parsed again, and
+    the same document object is returned (see _SOURCES)."""
     try:
-        fh = open(path)
+        with open(path, "rb") as fh:
+            source = fh.read()
     except OSError as exc:
         raise SchemaError(f"{path}: cannot open: {exc.strerror}") from exc
-    with fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    kept = _SOURCES.get(path)
+    if kept is not None and kept[0] == source:
+        return kept[1]
+    try:
+        doc = json.loads(source.decode("utf-8"), object_pairs_hook=_object)
+    except ValueError as exc:  # bad UTF-8, bad JSON or a duplicate key
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(doc, dict) and doc.get("kind") in _DEFINITION_KINDS:
+        _SOURCES[path] = (source, doc)
+    return doc
 
 
 def reference(path, out):
@@ -490,49 +525,63 @@ def reference(path, out):
 
 
 # Algebras, bimodules and Morita data built in this process:
-# (kind, normalized path) -> (content, references, object).  The content is
-# the document's compact JSON text, written by json's C encoder, and the
-# references are the kept objects its own references resolved to.  An entry
-# is reused only when both are the same, so a file rewritten at its path is
-# built and validated anew; a build that raises stores nothing, and file
-# metadata plays no part.  Each object carries its content-keyed memos
-# (algebra._cache, Bimodule._tensors, MoritaData._cache) from one command to
-# the next, so memory grows with the distinct modules the process has used.
-# Module and quadruple documents are never kept.  Only a caller that runs
-# many commands in one process (cli.main from Python) reuses an entry; the
-# console script starts each command in a new process.
+# (kind, normalized path) -> (bytes, references, object).  The bytes are the
+# file's, as load_raw read them, and the references are the kept objects
+# the document's own references resolved to.  An entry is reused only when
+# both are the same, so a file rewritten at its path, even with only new
+# whitespace, is built and validated anew; a build that raises stores
+# nothing, and file metadata plays no part.  Each object carries its
+# content-keyed memos (algebra._cache, Bimodule._tensors, MoritaData._cache)
+# from one command to the next, among them the verdict of each module and
+# quadruple content that passed validation over it (_validated), so memory
+# grows with the distinct modules the process has used.  Module and
+# quadruple documents are never kept.  Only a caller that runs many
+# commands in one process (cli.main from Python) reuses an entry; the
+# console script starts each command in a new process.  Clearing this
+# dict makes the next command build and validate everything anew.
 _DEFINITIONS = {}
 
 
 def _definition(kind, path, doc, refs, build):
-    """build(), or the object it gave for the same kind, path, content and
-    referenced objects earlier in this process (see _DEFINITIONS)."""
-    content = json.dumps(doc, separators=(",", ":"))
+    """build(), or the object it gave for the same kind, path, bytes and
+    referenced objects earlier in this process (see _DEFINITIONS); doc is
+    what load_raw returned for path."""
+    source, parsed = _SOURCES.get(path, (None, None))
+    if parsed is not doc:  # not read as a definition at this path: keep nothing
+        return build()
     kept = _DEFINITIONS.get((kind, path))
-    if kept is not None and kept[0] == content and all(map(operator.is_, kept[1], refs)):
+    if kept is not None and kept[0] == source and all(map(operator.is_, kept[1], refs)):
         return kept[2]
     obj = build()
-    _DEFINITIONS[(kind, path)] = (content, refs, obj)
+    _DEFINITIONS[(kind, path)] = (source, refs, obj)
     return obj
 
 
 class DocumentStore:
     """Loads documents with relative-reference resolution.  Each file is
-    read and parsed once for the life of the store (one command).  An
-    algebra, bimodule or Morita document is built once per process for its
-    path and content (see _DEFINITIONS), so every store that reads a shared
-    algebra file gets one shared PresentedAlgebra object; module and
-    quadruple documents are parsed and validated anew by each store."""
+    read once for the life of the store (one command), and each path is
+    normalized once.  An algebra, bimodule or Morita document is parsed
+    and built once per process for its path and bytes (see _SOURCES and
+    _DEFINITIONS), so every store that reads a shared algebra file gets
+    one shared PresentedAlgebra object.  Module and quadruple documents are
+    read and parsed anew by each store, and each distinct module or
+    quadruple content is validated once per process over the kept object
+    it lives over (see _validated)."""
 
     def __init__(self):
+        self._paths = {}
         self._raw = {}
         self._algebras = {}
         self._moritas = {}
 
+    def _normalized(self, path):
+        """The absolute, normalized form of path, computed once a store."""
+        return alg.memo(self._paths, path, lambda: os.path.normpath(os.path.abspath(path)))
+
     def raw(self, path):
         """The parsed JSON of the file, read on the first call for its path;
         callers must not change it."""
-        path = os.path.normpath(os.path.abspath(path))
+        path = self._normalized(path)
         return alg.memo(self._raw, path, lambda: load_raw(path))
 
     def resolve(self, path, doc, key):
@@ -542,10 +591,10 @@ class DocumentStore:
         ref = doc.get(key) if isinstance(doc, dict) else doc[key]
         if not isinstance(ref, str) or not ref:
             raise SchemaError(f"reference {key!r} must name a file relative to the document")
-        return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
+        return os.path.normpath(os.path.join(os.path.dirname(self._normalized(path)), ref))
 
     def algebra(self, path):
-        path = os.path.normpath(os.path.abspath(path))
+        path = self._normalized(path)
 
         def build():
             doc = self.raw(path)
@@ -560,7 +609,7 @@ class DocumentStore:
         return module_from_json(doc, a), a
 
     def bimodule(self, path):
-        path = os.path.normpath(os.path.abspath(path))
+        path = self._normalized(path)
         doc = self.raw(path)
         _require(doc, "bimodule")
         left = self.algebra(self.resolve(path, doc, "left_algebra"))
@@ -569,7 +618,7 @@ class DocumentStore:
                            lambda: bimodule_from_json(doc, left, right))
 
     def morita(self, path):
-        path = os.path.normpath(os.path.abspath(path))
+        path = self._normalized(path)
 
         def build():
             doc = self.raw(path)

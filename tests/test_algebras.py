@@ -109,6 +109,18 @@ def test_dual_module(a2_f3):
     ds.validate()
 
 
+def test_dual_module_is_built_once(a2_f3, monkeypatch):
+    """The dual of a module is kept with it: a repeat gets the same object,
+    and a repeated injectivity test or injective envelope builds no module."""
+    x = alg.indecomposable_projectives(a2_f3)[1]
+    d = alg.dual_module(x)
+    assert alg.dual_module(x) is d
+    first = alg.is_injective_module(x), alg.injective_envelope(x)[0]
+    monkeypatch.setattr(alg, "Module", lambda *a: pytest.fail("a module was rebuilt"))
+    assert (alg.is_injective_module(x), alg.injective_envelope(x)[0]) == first
+    assert alg.dual_module(x) is d
+
+
 def test_hom_space_examples(a2_f3):
     p1, p2 = alg.indecomposable_projectives(a2_f3)
     s1, s2 = alg.simples(a2_f3)

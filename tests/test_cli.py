@@ -829,6 +829,32 @@ def _quiver_algebra_doc(change):
     return doc
 
 
+def _twice(doc, where, key, first):
+    """The JSON text of doc in which the object at the key path where names
+    key twice: first with the value first, then with its own value, the one
+    json.load keeps without a word."""
+    obj = functools.reduce(operator.getitem, where, doc)
+    items = list(obj.items())
+    obj.clear()
+    for k, v in items:
+        if k == key:
+            obj["\0"] = first
+        obj[k] = v
+    return json.dumps(doc).replace(json.dumps("\0"), json.dumps(key))
+
+
+def _ie_f3_module_doc():
+    """P_1 over the A side of ie over F3, referring to the catalog files."""
+    a = lab.catalog("ie", lab.F3).data.A
+    return jsonio.module_to_json(alg.indecomposable_projectives(a)[0], "ie.A.json")
+
+
+def _ie_f3_quadruple_doc():
+    """The quadruple L of the ie example over F3, referring to the catalog."""
+    return jsonio.lambda_module_to_json(lab._ie_big_module(lab.catalog("ie", lab.F3).data),
+                                        "ie.json")
+
+
 MALFORMED_DOCUMENTS = {
     # AttributeError in DocumentStore.any_document and cli._load_pair
     "top-level list": (lambda: [], ["validate", "ext"]),
@@ -876,6 +902,16 @@ MALFORMED_DOCUMENTS = {
         lambda doc: doc["quiver"]["vertices"].append(True)), ["validate"]),
     "boolean arrow name": (lambda: _quiver_algebra_doc(
         lambda doc: doc["quiver"]["arrows"][0].update(name=True)), ["validate"]),
+    # a key written twice in one object: json.load kept the last value and
+    # dropped the first silently (exit 0)
+    "literal duplicate dim": (lambda: _twice(_ie_f3_module_doc(), (), "dim", 7),
+                              ["validate", "ext"]),
+    "literal duplicate structure constant": (lambda: _twice(
+        _raw_algebra_doc(lab.F3, lambda raw: None), ("raw", "structure_constants"), "0,0",
+        [0] * 8), ["validate"]),
+    "literal duplicate arrow action": (lambda: _twice(
+        _ie_f3_quadruple_doc(), ("X", "generator_action", "arrows"), "a1", [[0]]),
+        ["validate", "ext"]),
 }
 
 
@@ -884,8 +920,10 @@ def test_malformed_documents_exit_2(tmp_path, capsys, case):
     """Documents of the wrong shape are schema errors: exit 2 with a
     message, never a traceback."""
     build, commands = MALFORMED_DOCUMENTS[case]
+    assert run(["catalog", "ie", "--field", "3", "--out", tmp_path / "ie.json"]) == 0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(build()))
+    doc = build()
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argvs = {"validate": ["validate", bad], "ext": ["ext", "--src", bad, "--tgt", bad]}
     for command in commands:
         capsys.readouterr()

@@ -378,6 +378,19 @@ def test_undetermined_shape_fails_as_undetermined(monkeypatch):
                                     "failures": [[0, "undetermined"], [1, "undetermined"]]}
 
 
+def test_undetermined_isomorphism_is_named_in_example_ie(monkeypatch):
+    """ie.tensor-M-Ae1 and ie.hom-M-Ae1 fail when the isomorphism test
+    cannot tell, and their witness says so, so the failure does not read as
+    a refutation; the dimension is reported as before."""
+    monkeypatch.setattr(alg, "module_isomorphism",
+                        lambda x, y: alg.IsoResult("undetermined"))
+    rep = lab.run_suite("example-ie", lab.catalog("ie", F3), lab.SampleConfig(count=2))
+    claims = {c["id"]: c for c in rep.to_dict()["claims"]}
+    for cid in ("ie.tensor-M-Ae1", "ie.hom-M-Ae1"):
+        assert claims[cid]["verdict"] == "fail"
+        assert claims[cid]["witness"] == {"dim": 1, "isomorphism": "undetermined"}
+
+
 def test_hovey_heredity_probe_asks_each_membership_once(monkeypatch):
     """The heredity probe decides each (class spec, pool member) membership
     once for the whole suite, not once per pair."""
